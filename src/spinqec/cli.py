@@ -13,14 +13,15 @@ Every run is fully determined by (subcommand, config, seed).  Config
 precedence is flags > --config JSON file > per-subcommand defaults, and
 the effective config (everything except the output path) is echoed into
 every output file.  Numbers are printed with 17 significant digits so
-repeated runs are byte-identical; output goes to a temporary sibling
-file and is renamed into place, never left partial.
+repeated runs are byte-identical; output goes to a uniquely named
+temporary file in the target directory and is renamed into place, never
+left partial and never clobbering another file.  Rows are computed
+serially, one writer renders every table.
 
 CSV output uses '.' decimals, comma separators, and a header row, with
 the config on a leading '#' comment line.  JSON output is line-oriented
 for sweeps (config object first, then one object per row) and a single
-document for kl-scan; complex numbers appear as (re, im) pairs.  The
-environment variable SPINQEC_THREADS caps worker threads for row sweeps.
+document for kl-scan; complex numbers appear as (re, im) pairs.
 
 Exit codes: 0 success (thresholds met where applicable), 1 threshold
 failure, 2 invalid configuration.
@@ -35,13 +36,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 
 import numpy as np
 
 from .spin_core import HalfInt
-from .rotations import EulerAngles, rotation_operator
-from .lll_codes import antipodal, equatorial_qudit, build_codewords
+from .rotations import EulerAngles
+from .lll_codes import antipodal, equatorial_qudit, build_codewords, matrix_element_table
 from .qec_check import conjugated_y, equatorial_z, explicit_list, kl_check
 from .recovery import recover, tail_failure
 from .finite_gkp import GkpParams, build_gkp_code, syndrome_and_recover, tiling_window
@@ -115,30 +116,11 @@ _DEFAULTS: dict[str, dict] = {
     },
 }
 
-# argparse dest -> config key, applied only when the flag was given
-_FLAG_KEYS = {
-    "j": "j",
-    "d": "d",
-    "n": "n",
-    "k": "k",
-    "r1": "r1",
-    "r2": "r2",
-    "theta_max": "theta_max",
-    "epsilon": "epsilon",
-    "delta": "delta",
-    "seed": "seed",
-    "format": "format",
-    "lmax": "lmax",
-    "samples": "samples",
-}
-
-
-def _threads() -> int:
-    raw = os.environ.get("SPINQEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# argparse dests that are also config keys, applied only when the flag was given
+_FLAGS = (
+    "j", "d", "n", "k", "r1", "r2", "theta_max", "epsilon", "delta", "seed", "format", "lmax",
+    "samples",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +149,6 @@ def _jtext(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _cell(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
-    return str(obj)
-
-
 def _echoed(subcommand: str, cfg: dict) -> dict:
     echo = {"subcommand": subcommand}
     for key in sorted(cfg):
@@ -185,32 +157,51 @@ def _echoed(subcommand: str, cfg: dict) -> dict:
     return echo
 
 
-def _render_csv(echo: dict, header: list[str], rows: list[dict], extra_comments=()) -> str:
-    buf = io.StringIO()
-    buf.write("# config: " + _jtext(echo) + "\n")
-    for line in extra_comments:
-        buf.write("# " + line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(row[h]) for h in header])
-    return buf.getvalue()
+def _emit(
+    cfg: dict, name: str, header: list[str], rows: list[dict], summary: dict | None = None
+) -> None:
+    """Render the rows as cfg["format"] and write them to cfg["out"].
 
-
-def _render_json_lines(echo: dict, rows: list[dict]) -> str:
-    lines = [_jtext({"config": echo})]
-    lines.extend(_jtext(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    JSON is one object per line, config first.  A summary (kl-scan)
+    makes the JSON a single {config, summary, pairs} document and adds a
+    second comment line to the CSV.
+    """
+    echo = _echoed(name, cfg)
+    if cfg["format"] == "json":
+        if summary is not None:
+            text = _jtext({"config": echo, "summary": summary, "pairs": rows}) + "\n"
+        else:
+            text = "".join(_jtext(obj) + "\n" for obj in [{"config": echo}, *rows])
+    else:
+        buf = io.StringIO()
+        buf.write("# config: " + _jtext(echo) + "\n")
+        if summary is not None:
+            buf.write("# summary: " + _jtext(summary) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_jtext(row[h]) for h in header] for row in rows)
+        text = buf.getvalue()
+    _write_output(cfg["out"], text)
 
 
 def _write_output(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(out) + ".", suffix=".tmp", dir=os.path.dirname(out) or "."
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +220,11 @@ def _load_config(subcommand: str, args: argparse.Namespace) -> dict:
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {subcommand}")
             cfg[key] = value
-    for dest, key in _FLAG_KEYS.items():
-        value = getattr(args, dest, None)
+    for key in _FLAGS:
+        value = getattr(args, key, None)
         if value is not None:
             if key not in cfg:
-                raise ValueError(f"flag --{dest} does not apply to {subcommand}")
+                raise ValueError(f"flag --{key} does not apply to {subcommand}")
             cfg[key] = value
     if args.out is not None:
         cfg["out"] = args.out
@@ -291,35 +282,22 @@ def cmd_kl_scan(cfg: dict) -> int:
         }
         for rec in report.pairs
     ]
-    echo = _echoed("kl-scan", cfg)
-    if cfg["format"] == "json":
-        text = _jtext({"config": echo, "summary": summary, "pairs": rows}) + "\n"
-    else:
-        text = _render_csv(
-            echo,
-            ["t_alpha", "t_beta", "t_gamma", "delta", "eps"],
-            rows,
-            extra_comments=["summary: " + _jtext(summary)],
-        )
-    _write_output(cfg["out"], text)
+    _emit(cfg, "kl-scan", ["t_alpha", "t_beta", "t_gamma", "delta", "eps"], rows, summary)
     return 0 if passed else 1
 
 
 def cmd_overlap_curve(cfg: dict) -> int:
     j = HalfInt.of(cfg["j"])
     code = build_codewords(antipodal(j, cfg["phi0"]))
-    zero, one = code.basis[0], code.basis[1]
     thetas = np.linspace(0.0, cfg["theta_max"], int(cfg["samples"]))
-    rows = []
-    for theta in thetas:
-        rot = rotation_operator(j, EulerAngles(0.0, float(theta), 0.0))
-        rows.append({"theta": float(theta), "magnitude": abs(rot.sandwich(zero, one))})
-    echo = _echoed("overlap-curve", cfg)
-    if cfg["format"] == "json":
-        text = _render_json_lines(echo, rows)
-    else:
-        text = _render_csv(echo, ["theta", "magnitude"], rows)
-    _write_output(cfg["out"], text)
+    rows = [
+        {
+            "theta": float(theta),
+            "magnitude": abs(matrix_element_table(code, EulerAngles(0.0, float(theta), 0.0))[0, 1]),
+        }
+        for theta in thetas
+    ]
+    _emit(cfg, "overlap-curve", ["theta", "magnitude"], rows)
     return 0
 
 
@@ -327,26 +305,12 @@ def cmd_recovery_sweep(cfg: dict) -> int:
     j = HalfInt.of(cfg["j"])
     j_anc = None if cfg["j_anc"] is None else HalfInt.of(cfg["j_anc"])
     seed = int(cfg["seed"])
-    runs = int(cfg["samples"])
-
-    def one(i: int) -> dict:
-        run = recover(
-            j,
-            int(cfg["d"]),
-            int(cfg["input_k"]),
-            float(cfg["delta"]),
-            seed + i,
-            j_anc=j_anc,
-        )
-        return run.to_json_dict()
-
-    workers = min(_threads(), max(runs, 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(runs)))
-    else:
-        rows = [one(i) for i in range(runs)]
-    echo = _echoed("recovery-sweep", cfg)
+    rows = [
+        recover(
+            j, int(cfg["d"]), int(cfg["input_k"]), float(cfg["delta"]), seed + i, j_anc=j_anc
+        ).to_json_dict()
+        for i in range(int(cfg["samples"]))
+    ]
     header = [
         "j",
         "d",
@@ -358,11 +322,7 @@ def cmd_recovery_sweep(cfg: dict) -> int:
         "raw_fidelity",
         "out_of_cell",
     ]
-    if cfg["format"] == "json":
-        text = _render_json_lines(echo, rows)
-    else:
-        text = _render_csv(echo, header, rows)
-    _write_output(cfg["out"], text)
+    _emit(cfg, "recovery-sweep", header, rows)
     return 0
 
 
@@ -388,13 +348,8 @@ def cmd_gkp_table(cfg: dict) -> int:
                     "corrected": not out.logical_error,
                 }
             )
-    echo = _echoed("gkp-table", cfg)
     header = ["a", "b", "syndrome_a", "syndrome_b", "a_hat", "b_hat", "ambiguous", "corrected"]
-    if cfg["format"] == "json":
-        text = _render_json_lines(echo, rows)
-    else:
-        text = _render_csv(echo, header, rows)
-    _write_output(cfg["out"], text)
+    _emit(cfg, "gkp-table", header, rows)
     return 0
 
 
@@ -411,12 +366,7 @@ def cmd_harmonics(cfg: dict) -> int:
         {"l": l, "m": m, "theta": t, "phi": p, "re": re, "im": im}
         for (l, m, t, p, re, im) in table
     ]
-    echo = _echoed("harmonics", cfg)
-    if cfg["format"] == "json":
-        text = _render_json_lines(echo, rows)
-    else:
-        text = _render_csv(echo, ["l", "m", "theta", "phi", "re", "im"], rows)
-    _write_output(cfg["out"], text)
+    _emit(cfg, "harmonics", ["l", "m", "theta", "phi", "re", "im"], rows)
     return 0
 
 
@@ -431,13 +381,7 @@ def cmd_tail_check(cfg: dict) -> int:
             "ratio": est.ratio,
         }
     ]
-    echo = _echoed("tail-check", cfg)
-    header = ["j", "epsilon", "numeric_tail", "laplace_tail", "ratio"]
-    if cfg["format"] == "json":
-        text = _render_json_lines(echo, rows)
-    else:
-        text = _render_csv(echo, header, rows)
-    _write_output(cfg["out"], text)
+    _emit(cfg, "tail-check", ["j", "epsilon", "numeric_tail", "laplace_tail", "ratio"], rows)
     return 0
 
 

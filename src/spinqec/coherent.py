@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._logfact import ln_binomial
-from .rotations import EulerAngles, rotate_vector, _half_angle
+from .rotations import EulerAngles, rotate_vector, _half_angle, _half_angles
 from .spin_core import HalfInt, Operator, StateVec, _spin
 
 __all__ = [
@@ -104,9 +104,7 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas, phis = np.broadcast_arrays(thetas, phis)
-    ch = np.cos(0.5 * thetas)
-    sh = np.sin(0.5 * thetas)
-    ch = np.where(thetas == math.pi, 0.0, ch)
+    ch, sh = _half_angles(thetas)
 
     jm = tj - np.arange(tj + 1)  # j + m, descending 2j..0
     jmm = tj - jm  # j - m
@@ -467,10 +465,8 @@ def y_symbol(j, m):
     ln_c = 0.5 * float(ln_binomial(j.twice, jm))
 
     def symbol(thetas, phis):
-        thetas = np.asarray(thetas, dtype=float)
+        ch, sh = _half_angles(thetas)
         phis = np.asarray(phis, dtype=float)
-        ch = np.where(thetas == math.pi, 0.0, np.cos(0.5 * thetas))
-        sh = np.sin(0.5 * thetas)
         mag = math.exp(ln_c) * ch**jm * sh**jmm
         return mag * np.exp(-1j * jmm * phis)
 

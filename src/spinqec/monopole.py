@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from ._logfact import ln_factorial
-from .rotations import wigner_d
+from .rotations import _half_angles, wigner_d
 from .spin_core import HalfInt
 
 __all__ = [
@@ -103,14 +103,6 @@ class MonopoleHarmonic:
         return self.evaluator(theta, phi)
 
 
-def _half_angles_grid(theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    th = np.asarray(theta, dtype=float)
-    ch = np.where(th == math.pi, 0.0, np.cos(0.5 * th))
-    sh = np.sin(0.5 * th)
-    x = np.where(th == math.pi, -1.0, np.cos(th))
-    return ch, sh, x
-
-
 def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
     """Harmonic of spin weight j (negative weights allowed), level l.
 
@@ -159,7 +151,9 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
     pa, pb = abs(aa), abs(bb)
 
     def evaluator(theta, phi):
-        ch, sh, x = _half_angles_grid(theta)
+        th = np.asarray(theta, dtype=float)
+        ch, sh = _half_angles(th)
+        x = np.where(th == math.pi, -1.0, np.cos(th))
         ph = np.asarray(phi, dtype=float)
         out = pref * sh**pa * ch**pb * _jacobi(deg, pa, pb, x) * np.exp(1j * aa * ph)
         return out if out.ndim else complex(out)

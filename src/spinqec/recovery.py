@@ -18,13 +18,19 @@ exactly: the theta' integrand is a half-angle polynomial of degree 4j,
 inside the exactness class of the degree-4j colatitude rule.
 
 The recovery cycle never materializes the system-ancilla coupling; the
-density above is used only to draw the outcome phi_m.  The correction
-exp(+i offset L3), offset = phi_m minus the nearest lattice azimuth,
-acts on the errored codeword and leaves the residual rotation
-exp(i (offset - delta_phi) L3).  A final decode projects onto the code
-span, so the recorded fidelity is degraded only by weight the residual
-pushes onto other codewords; the pre-decode overlap is kept alongside
-as raw_fidelity.
+leading density is used only to draw the outcome phi_m.  Every peak
+cos^(4j)(x/2) of it has the same mass and an exact law: x = 2 asin(2B - 1)
+with B ~ Beta(2j + 1/2, 2j + 1/2).  A draw picks the peak uniformly and
+then x from that law; the finite-ancilla readout blur is the same law with
+j -> j_anc, and the tail mass is the regularized incomplete beta function
+of the same B.  The correction exp(+i offset L3), offset = phi_m minus the
+nearest lattice azimuth, acts on the errored codeword and leaves the
+residual rotation exp(i (offset - delta_phi) L3).  A final decode projects
+onto the code span, so the recorded fidelity is degraded only by weight
+the residual pushes onto other codewords; the pre-decode overlap is kept
+alongside as raw_fidelity.
+
+Only numpy and the standard library are used at run time.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coherent import coherent_amplitudes, theta_rule
 from .lll_codes import build_codewords, equatorial_qudit
@@ -184,32 +189,54 @@ def single_peak_mass(j) -> float:
     return _TWO_PI * math.exp(ln)
 
 
+def _beta_cf(a: float, x: float) -> float:
+    """Continued fraction of I_x(a, a), by the modified Lentz method.
+
+    Converges quickly for x < 1/2, in O(sqrt(a)) terms at worst.
+    """
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 / max(tiny, 1.0 - 2.0 * a * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (a - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (2.0 * a + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 4e-16:
+            return h
+    raise ValueError("incomplete beta continued fraction did not converge")
+
+
 def tail_failure(j, epsilon: float) -> TailEstimate:
     """Mass of the single-peak density outside [-epsilon, epsilon].
 
-    The tail is integrated directly (not as 1 minus the window) so the
-    j = 400 tails near 1e-8 keep full relative accuracy.  The asymptotic
-    reference is sqrt(2/(pi j)) exp(-j eps^2/2)/eps.
+    With x = 2 asin(2B - 1), B ~ Beta(a, a), a = 2j + 1/2, the tail is
+    2 I_z(a, a) at z = (1 - sin(epsilon/2))/2 = sin^2((pi - epsilon)/4),
+    evaluated directly (not as 1 minus the window) so the j = 400 tails
+    near 1e-8 keep full relative accuracy.  The asymptotic reference is
+    sqrt(2/(pi j)) exp(-j eps^2/2)/eps.
     """
     j = _spin(j)
-    tj = j.twice
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= math.pi:
         raise ValueError("epsilon must lie in (0, pi]")
 
-    def peak(phi: float) -> float:
-        c = math.cos(0.5 * phi)
-        if c <= 0.0:
-            return 0.0
-        return math.exp(2 * tj * math.log(c))
-
     if epsilon == math.pi:
-        tail_mass = 0.0
+        numeric = 0.0
     else:
-        tail_mass, _ = quad(peak, epsilon, math.pi, epsabs=1e-300, epsrel=1e-13, limit=400)
-        tail_mass *= 2.0
-    total = single_peak_mass(j)
-    numeric = min(1.0, max(0.0, tail_mass / total))
+        a = j.twice + 0.5
+        s = math.sin(0.25 * (math.pi - epsilon))
+        c = math.cos(0.25 * (math.pi - epsilon))
+        # z^a (1 - z)^a / (a B(a, a)), with z = s^2 and 1 - z = c^2
+        ln_beta = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
+        ln_front = 2.0 * a * math.log(s * c) - math.log(a) - ln_beta
+        numeric = min(1.0, 2.0 * math.exp(ln_front) * _beta_cf(a, s * s))
     jv = j.value
     laplace = math.sqrt(2.0 / (math.pi * jv)) * math.exp(-jv * epsilon * epsilon / 2.0) / epsilon
     ratio = numeric / laplace if laplace > 0.0 else math.inf
@@ -254,37 +281,19 @@ class SyndromeRun:
         }
 
 
-@lru_cache(maxsize=32)
-def _density_grid(tj: int, d: int, phi_state: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    density = syndrome_density(HalfInt(tj), d, 0, phi_state, mode="leading")
-    phis = np.linspace(0.0, _TWO_PI, grid + 1)
-    pdf = density(phis)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(phis))])
-    for arr in (phis, cdf):
-        arr.setflags(write=False)
-    return phis, cdf
-
-
-def _sample_phi(tj: int, d: int, phi_state: float, rng, grid: int) -> float:
-    phis, cdf = _density_grid(tj, d, phi_state, grid)
-    u = rng.random() * cdf[-1]
-    return float(np.interp(u, cdf, phis))
+def _peak_offset(tj: int, rng) -> float:
+    """One exact draw x from the peak density cos^(2 tj)(x/2) on [-pi, pi]."""
+    b = rng.beta(tj + 0.5, tj + 0.5)
+    return 2.0 * math.asin(2.0 * b - 1.0)
 
 
 @lru_cache(maxsize=32)
 def _codeword_amps(tj: int, d: int) -> np.ndarray:
+    """Codeword amplitude rows, renormalized: the log-domain amplitudes
+    leave row norms off 1 by up to about 1e-12 at j = 2000."""
     code = build_codewords(equatorial_qudit(HalfInt(tj), d))
-    return np.stack([vec.amps for vec in code.basis])
-
-
-@lru_cache(maxsize=64)
-def _ancilla_noise_grid(tj_anc: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    deltas = np.linspace(-math.pi, math.pi, grid + 1)
-    pdf = _peak_term(deltas, 2 * tj_anc)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(deltas))])
-    for arr in (deltas, cdf):
-        arr.setflags(write=False)
-    return deltas, cdf
+    basis = np.stack([vec.amps for vec in code.basis])
+    return basis / np.linalg.norm(basis, axis=1)[:, None]
 
 
 def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phi_m: float):
@@ -320,16 +329,17 @@ def recover(
     seed: int,
     *,
     j_anc=None,
-    grid: int = 4096,
 ) -> SyndromeRun:
     """Sample one syndrome measurement and correct the codeword.
 
-    The outcome phi_m is drawn from the measurement density, the
+    The outcome phi_m is drawn exactly from the leading measurement
+    density (a uniformly chosen peak, then the peak's Beta law), the
     correction exp(+i offset L3) undoes the azimuth offset to the
     nearest lattice meridian, and the result is decoded back into the
     code span.  With j_anc set, the reported azimuth acquires a readout
     blur drawn from the ancilla resolution kernel cos^(4 j_anc)(Delta/2)
-    before the offset is computed.
+    before the offset is computed.  The system is drawn first, so runs
+    with and without j_anc on one seed share the true outcome.
     """
     j = _spin(j)
     tj = j.twice
@@ -339,15 +349,12 @@ def recover(
     k = int(k) % d
     delta_phi = float(delta_phi)
     out_of_cell = not abs(delta_phi) < math.pi / d
-    phi_state = (_TWO_PI * k / d + delta_phi) % _TWO_PI
     rng = np.random.default_rng(seed)
-    phi_true = _sample_phi(tj, d, phi_state, rng, grid)
+    peak = int(rng.integers(d))
+    phi_true = (_TWO_PI * (k + peak) / d + delta_phi + _peak_offset(tj, rng)) % _TWO_PI
     phi_report = phi_true
     if j_anc is not None:
-        tj_anc = _spin(j_anc).twice
-        deltas, cdf = _ancilla_noise_grid(tj_anc, grid)
-        u = rng.random() * cdf[-1]
-        phi_report = phi_true + float(np.interp(u, cdf, deltas))
+        phi_report = phi_true + _peak_offset(_spin(j_anc).twice, rng)
 
     recovered_k, fidelity, raw_fidelity = _correct_and_decode(tj, d, k, delta_phi, phi_report)
     return SyndromeRun(

@@ -127,6 +127,14 @@ def _half_angle(beta: float) -> tuple[float, float]:
     return ch, sh
 
 
+def _half_angles(beta) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise _half_angle over an array of angles, with the same snaps."""
+    beta = np.asarray(beta, dtype=float)
+    ch = np.where(np.abs(beta) == math.pi, 0.0, np.cos(0.5 * beta))
+    sh = np.where(np.abs(beta) == 2.0 * math.pi, 0.0, np.sin(0.5 * beta))
+    return ch, sh
+
+
 def euler_from_su2(u: Su2) -> tuple[EulerAngles, int]:
     """Canonical Euler angles of +/-u, and the sign that was absorbed.
 

@@ -82,6 +82,21 @@ def test_overlap_curve_endpoints_and_doubling(tmp_path):
     assert abs(mid - 0.5**4) < 1e-12
 
 
+def test_overlap_curve_large_j_closed_form(tmp_path):
+    out = tmp_path / "j100.csv"
+    assert main(["overlap-curve", "--j", "100", "--samples", "9", "--out", str(out)]) == 0
+    rows = _csv_rows(out.read_text())
+    thetas = [float(r["theta"]) for r in rows]
+    mags = [float(r["magnitude"]) for r in rows]
+    assert all(math.isfinite(m) for m in mags)
+    assert mags[0] == 0.0
+    assert mags[-1] == 1.0
+    # |<0bar| R_y(theta) |1bar>| = sin^(2j)(theta/2), kept to relative accuracy
+    for theta, mag in zip(thetas[1:], mags[1:]):
+        want = math.sin(0.5 * theta) ** 200
+        assert abs(mag - want) < 1e-12 * want
+
+
 def test_gkp_table_default(tmp_path, capsys):
     assert main(["gkp-table"]) == 0
     rows = _csv_rows(capsys.readouterr().out)
@@ -197,3 +212,32 @@ def test_no_tmp_files_left_anywhere(tmp_path):
     main(["gkp-table", "--out", str(tmp_path / "t.csv")])
     leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
     assert not leftovers
+
+
+def test_existing_tmp_sibling_survives(tmp_path):
+    out = tmp_path / "scan.json"
+    sibling = tmp_path / "scan.json.tmp"
+    sibling.write_bytes(b"user data\n")
+    assert main(["kl-scan", "--samples", "4", "--out", str(out)]) == 0
+    assert sibling.read_bytes() == b"user data\n"
+    assert json.loads(out.read_text())["summary"]["passed"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json", "scan.json.tmp"]
+
+
+def test_failed_write_leaves_no_tmp_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()  # renaming a file onto a directory fails
+    assert main(["tail-check", "--out", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not list(target.iterdir())
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    out = tmp_path / "tail.csv"
+    umask = os.umask(0o022)
+    try:
+        assert main(["tail-check", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o644

@@ -17,6 +17,24 @@ from spinqec.recovery import _correct_and_decode
 from spinqec.spin_core import HalfInt
 
 
+def _dkw_bound(n, alpha=0.01):
+    """Dvoretzky-Kiefer-Wolfowitz band: P(sup |F_n - F| > bound) <= alpha."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
+def _ks_statistic(samples, pdf, lo, hi):
+    """Kolmogorov-Smirnov distance of the samples from the normalized pdf
+    on [lo, hi], its CDF integrated piecewise with quad between sorted samples."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    edges = np.concatenate([[lo], xs])
+    pieces = [quad(pdf, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
+    total = sum(pieces) + quad(pdf, xs[-1], hi, limit=200)[0]
+    cdf = np.cumsum(pieces) / total
+    n = len(xs)
+    ranks = np.arange(1, n + 1) / n
+    return float(max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))))
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         syndrome_density(HalfInt(5), 2, 0, 0.0)  # half-integer j
@@ -106,6 +124,30 @@ def test_tail_failure_frozen_ratios():
     assert est.numeric_tail < tail_failure(HalfInt(100), 0.3).numeric_tail
 
 
+@pytest.mark.parametrize("j", [0.5, 5, 100, 400, 2000])
+def test_tail_failure_matches_quad(j):
+    # oracle: the tail integral of cos^(4j)(x/2), scaled by its value at
+    # epsilon so quad sees an O(1) integrand, compared in the log domain
+    two_j = int(2 * j)
+    ln_mass = math.log(single_peak_mass(HalfInt(two_j)))
+    for eps in (0.01, 0.2, 0.6, 1.5, 3.0):
+        ln_c = math.log(math.cos(0.5 * eps))
+        scaled, _ = quad(
+            lambda y: math.exp(2 * two_j * (math.log(math.cos(0.5 * y)) - ln_c)),
+            eps,
+            math.pi,
+            epsabs=1e-300,
+            epsrel=1e-13,
+            limit=400,
+        )
+        ln_want = math.log(2.0 * scaled) + 2 * two_j * ln_c - ln_mass
+        got = tail_failure(HalfInt(two_j), eps).numeric_tail
+        if ln_want < -700.0:
+            assert got < 1e-300
+        else:
+            assert abs(got / math.exp(ln_want) - 1.0) < 1e-10, (j, eps, got)
+
+
 def test_tail_failure_edges():
     est = tail_failure(HalfInt(100), math.pi)
     assert est.numeric_tail == 0.0
@@ -147,6 +189,36 @@ def test_recover_regression_mean():
     assert all(f > 0.95 for f in fidelities)
     mean = float(np.mean(fidelities))
     assert abs(mean - 0.9999999999999468) < 5e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_recover_fidelity_contract_at_large_j(d):
+    for seed in range(3):
+        run = recover(2000, d, 1, 0.05, seed=seed)
+        assert 0.0 <= run.raw_fidelity <= run.fidelity + 1e-12
+        assert run.fidelity <= 1.0 + 1e-12
+
+
+def test_recover_outcomes_follow_exact_density():
+    # the reported azimuths are draws from the normalized leading density
+    j, d, k, dphi, n = 16, 2, 1, 0.07, 3000
+    density = syndrome_density(j, d, k, dphi)
+    phis = [recover(j, d, k, dphi, seed=s).measured_phi for s in range(n)]
+    stat = _ks_statistic(phis, lambda p: float(density(p)), 0.0, 2.0 * math.pi)
+    assert stat < _dkw_bound(n)
+
+
+def test_ancilla_blur_follows_its_kernel():
+    # the same seed with and without the ancilla shares the true outcome,
+    # so the difference is one draw from cos^(4 j_anc)(Delta/2)
+    j, j_anc, n = 16, 4, 3000
+    blurs = []
+    for s in range(n):
+        ideal = recover(j, 2, 0, 0.05, seed=s).measured_phi
+        noisy = recover(j, 2, 0, 0.05, seed=s, j_anc=j_anc).measured_phi
+        blurs.append((noisy - ideal + math.pi) % (2.0 * math.pi) - math.pi)
+    kernel = lambda t: math.cos(0.5 * t) ** (4 * j_anc)
+    assert _ks_statistic(blurs, kernel, -math.pi, math.pi) < _dkw_bound(n)
 
 
 def test_recover_boundary_half_cell():
