@@ -11,6 +11,16 @@ inputs (theta = 0 or pi) produce exact basis states: the vanishing
 half-angle factor is snapped to zero, so antipodal constructions are
 orthogonal analytically, not just to rounding.
 
+Equivalently |Omega> is the 2j-fold symmetric power of the spinor
+xi = (cos(theta/2), exp(i phi) sin(theta/2)), and a rotation acts on it
+through its SU(2) element U.  Every closed-form matrix element is
+therefore one spinor contraction raised to the 2j-th power,
+
+    <Omega_out| X_U |Omega_in> = (xi_out^H U xi_in)^(2j),
+
+which rotation_matrix_elements evaluates elementwise over arrays of
+points and rotations.
+
 The quadrature: Gauss-Legendre nodes in x = cos(theta) are exact for
 polynomials in x, but coherent-state integrands are half-angle monomials
 cos^a(theta/2) sin^b(theta/2) whose odd-parity families fall outside
@@ -39,6 +49,7 @@ __all__ = [
     "coherent_amplitudes",
     "overlap",
     "overlap_magnitude",
+    "rotation_matrix_elements",
     "rotation_matrix_element",
     "equatorial_matrix_element",
     "rotate_point",
@@ -54,6 +65,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 @dataclass(frozen=True)
@@ -139,6 +151,75 @@ def _pow_two_j(base: complex, tj: int) -> complex:
     return cmath.exp(tj * cmath.log(base))
 
 
+def rotation_matrix_elements(j, out, r, inp, with_underflow: bool = False):
+    """(xi_out^H U_R xi_in)^(2j), elementwise over points and rotations.
+
+    out and inp are (thetas, phis) of sphere points and r is the Euler
+    angles (alphas, betas, gammas) of R; all seven arrays broadcast
+    together.  With U_R = [[a, -conj(b)], [b, conj(a)]],
+    a = exp(-i(alpha + gamma)/2) cos(beta/2) and
+    b = exp(i(alpha - gamma)/2) sin(beta/2), the contraction is written
+    out term by term: the relative azimuth phi_in - phi_out is taken
+    before exponentiating, so a point paired with itself under R = 1
+    gives an exactly real base.  Entries whose magnitude falls below
+    exp(-700) are clamped to exact zero; with_underflow=True returns
+    (values, clamped) with a boolean mask of those entries.
+    """
+    tj = _spin(j).twice
+    (theta_out, phi_out), (alpha, beta, gamma), (theta_in, phi_in) = out, r, inp
+    c_out, s_out = _half_angles(theta_out)
+    c_in, s_in = _half_angles(theta_in)
+    c_r, s_r = _half_angles(beta)
+    phi_out = np.asarray(phi_out, dtype=float)
+    phi_in = np.asarray(phi_in, dtype=float)
+    half_sum = 0.5 * (np.asarray(alpha, dtype=float) + gamma)
+    half_diff = 0.5 * (np.asarray(alpha, dtype=float) - gamma)
+    term_diag = (
+        np.exp(-1j * half_sum) * c_out * c_in
+        + np.exp(1j * half_sum) * np.exp(1j * (phi_in - phi_out)) * s_out * s_in
+    )
+    term_flip = np.exp(-1j * half_diff) * np.exp(1j * phi_in) * c_out * s_in - np.exp(
+        1j * half_diff
+    ) * np.exp(-1j * phi_out) * s_out * c_in
+    values, clamped = _pow_two_j_arrays(term_diag * c_r - term_flip * s_r, tj)
+    if with_underflow:
+        return values, clamped
+    return values
+
+
+def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise _pow_two_j in polar form: (values, clamped mask).
+
+    The 2j-th power multiplies every rounding of arg(base) by 2j, so the
+    phase is split exactly: base = i^q |base| exp(i a) with |a| <= pi/4,
+    found by swapping and negating parts, and i^(2j q) is exact.  Only
+    a, an arctangent of a ratio of magnitude at most 1, is scaled by 2j.
+    log|base| is taken as cmath.log takes it, through log1p near
+    |base| = 1.
+    """
+    x, y = base.real, base.imag
+    big, small = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
+    swap = np.abs(y) > np.abs(x)
+    mag = np.abs(base)
+    zero = mag == 0.0
+    with np.errstate(divide="ignore"):
+        ln_mag = tj * np.where(
+            (0.71 <= mag) & (mag <= 1.73),
+            0.5 * np.log1p((big - 1.0) * (big + 1.0) + small * small),
+            np.log(mag),
+        )
+    clamped = ~zero & (ln_mag < -700.0)
+    keep = ~(zero | clamped)
+    # base = i^q |base| exp(i a): q = 0, 2 when |x| >= |y|, q = 1, 3 otherwise
+    quarter = np.where(swap, 3 - 2 * (y > 0.0), 2 * (x < 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angle = tj * np.arctan(np.where(keep, np.where(swap, -x / y, y / x), 0.0))
+    turn = (_I_POWERS ** (tj % 4))[quarter]
+    scale = np.exp(np.where(keep, ln_mag, -np.inf))
+    values = scale * ((np.cos(angle) + 1j * np.sin(angle)) * turn)
+    return values, clamped
+
+
 def overlap(j, p1: SphPoint, p2: SphPoint) -> complex:
     """<Omega1|Omega2> in closed form.
 
@@ -167,31 +248,23 @@ def overlap_magnitude(j, p1: SphPoint, p2: SphPoint) -> float:
 def rotation_matrix_element(
     j, out: SphPoint, r: EulerAngles, inp: SphPoint, with_underflow: bool = False
 ):
-    """<Omega_out| X_R |Omega_in> in closed form, evaluated as base^(2j).
+    """<Omega_out| X_R |Omega_in> in closed form: rotation_matrix_elements
+    at one pair of points and one rotation.
 
     Magnitudes below about 1e-300 are clamped to exact zero; pass
     with_underflow=True to receive (value, clamped) instead of the bare
     value.
     """
-    j = _spin(j)
-    co, so = out.half_angles()
-    ci, si = inp.half_angles()
-    cb, sb = _half_angle(r.beta)
-    half_sum = 0.5 * (r.alpha + r.gamma)
-    half_diff = 0.5 * (r.alpha - r.gamma)
-    term_diag = (
-        cmath.exp(-1j * half_sum) * co * ci
-        + cmath.exp(1j * half_sum) * cmath.exp(1j * (inp.phi - out.phi)) * so * si
+    value, clamped = rotation_matrix_elements(
+        j,
+        (out.theta, out.phi),
+        (r.alpha, r.beta, r.gamma),
+        (inp.theta, inp.phi),
+        with_underflow=True,
     )
-    term_flip = cmath.exp(-1j * half_diff) * cmath.exp(1j * inp.phi) * co * si - cmath.exp(
-        1j * half_diff
-    ) * cmath.exp(-1j * out.phi) * so * ci
-    base = term_diag * cb - term_flip * sb
-    value = _pow_two_j(base, j.twice)
     if with_underflow:
-        clamped = value == 0.0 and base != 0.0
-        return value, clamped
-    return value
+        return complex(value), bool(clamped)
+    return complex(value)
 
 
 def equatorial_matrix_element(j, phi_out: float, big_theta: float, phi_in: float) -> complex:

@@ -28,7 +28,7 @@ from .coherent import (
     coherent_state,
     diagonal_operator,
     overlap,
-    rotation_matrix_element,
+    rotation_matrix_elements,
 )
 from .rotations import EulerAngles, wigner_D_matrix
 from .spin_core import HalfInt, Operator, StateVec, _spin, m_values
@@ -47,6 +47,7 @@ __all__ = [
     "cyclic_normalization",
     "cyclic_overlap_closed_form",
     "matrix_element_table",
+    "matrix_element_tables",
 ]
 
 _FAMILIES = ("Antipodal", "EquatorialQudit", "CyclicQubit")
@@ -130,12 +131,41 @@ class Codewords:
         }
 
 
+def _coset_filter(tj: int, n: int, big_theta: float, odd: int) -> complex:
+    """sum_r cos^(2j)(x_r) exp(i pi 2j q_r / (2N)), x_r = Theta/2 + pi q_r/(2N).
+
+    Here q_r = 2r + odd for r = 0..N-1.  By the roots-of-unity filter of
+    the binomial row, 2^(2j) exp(ij Theta)/N times this sum equals
+    sum_k (-1)^(k odd) exp(ik N Theta) C(2j, kN).  Every term is a
+    product of magnitudes, not a difference, so large j neither
+    overflows nor cancels: shifts by pi are reduced in integers, and
+    log cos(y) = log1p(-2 sin^2(y/2)) keeps the dominant terms accurate.
+    """
+    q = 2 * np.arange(n) + odd
+    f = q % (2 * n)
+    f = np.where(f > n, f - 2 * n, f)  # q/(2N) = f/(2N) + (q - f)/(2N), f in (-N, N]
+    y = 0.5 * big_theta + math.pi * f / (2 * n)
+    turns = np.rint(y / math.pi)
+    y = y - math.pi * turns
+    # cos(x_r) = (-1)^shifts cos(y); fold that sign into the integer phase.
+    shifts = (q - f) // (2 * n) + turns.astype(np.int64)
+    phase = (tj * q + 2 * n * tj * shifts) % (4 * n)
+    with np.errstate(divide="ignore"):
+        ln_cos = np.log1p(np.maximum(-1.0, -2.0 * np.sin(0.5 * y) ** 2))
+    mag = np.exp(tj * ln_cos) if tj else np.ones(n)
+    return complex(np.sum(mag * np.exp(1j * math.pi * phase / (2 * n))))
+
+
 def cyclic_normalization(j, n_cosets: int) -> float:
-    """The binomial normalization N^2/2^(2j) sum_k C(2j, kN), exactly."""
+    """The binomial normalization N^2/2^(2j) sum_k C(2j, kN).
+
+    Evaluated as N sum_r cos^(2j)(pi r/N) exp(i pi 2j r/N), the
+    roots-of-unity filter of the binomial row, so it stays finite and
+    accurate to rounding at every j.
+    """
     j = _spin(j)
-    tj = j.twice
-    total = sum(math.comb(tj, k) for k in range(0, tj + 1, n_cosets))
-    return float(n_cosets * n_cosets * total) / float(2**tj)
+    n = int(n_cosets)
+    return n * _coset_filter(j.twice, n, 0.0, 0).real
 
 
 def build_codewords(spec: CodeSpec) -> Codewords:
@@ -258,30 +288,41 @@ def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:
 
     Equals exp(-ij Theta) sum_k (-1)^k exp(ik N Theta) C(2j, kN) divided
     by sum_k C(2j, kN); invariant under Theta -> Theta + 2pi/N up to the
-    alternating sign pattern absorbed in the sum.
+    alternating sign pattern absorbed in the sum.  Both sums are taken
+    through the roots-of-unity filter (_coset_filter), N terms each.
     """
     j = _spin(j)
-    tj = j.twice
     n = int(n_cosets)
-    num = 0.0 + 0.0j
-    den = 0.0
-    for idx, k_n in enumerate(range(0, tj + 1, n)):
-        c = math.comb(tj, k_n)
-        den += c
-        num += (-1.0) ** idx * cmath.exp(1j * k_n * big_theta) * c
-    return cmath.exp(-1j * j.value * big_theta) * num / den
+    return _coset_filter(j.twice, n, float(big_theta), 1) / _coset_filter(j.twice, n, 0.0, 0)
+
+
+def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
+    """<a| X_R |b> over all codeword pairs for a batch of rotations.
+
+    angles = (alphas, betas, gammas) holds equal-length arrays of Euler
+    angles; the result has shape (rotations, codewords, codewords).
+    Closed-form point elements are accumulated one output point at a
+    time, so temporaries stay O(rotations * points) however many points
+    a codeword has.
+    """
+    j = code.spec.j
+    size = len(code.components)
+    points = [(k, p, c) for k, comp in enumerate(code.components) for p, c in comp]
+    thetas = np.array([p.theta for _, p, _ in points])
+    phis = np.array([p.phi for _, p, _ in points])
+    angles = tuple(np.asarray(x, dtype=float).reshape(-1, 1) for x in angles)
+    tables = np.zeros((len(angles[0]), size, size), dtype=complex)
+    for o, (k, _, c_out) in enumerate(points):
+        # Coefficient products first: conj(c) c is exactly real, so the
+        # diagonal of a single-point codeword carries no phase rounding.
+        weights = np.zeros((len(points), size), dtype=complex)
+        for i, (b, _, c_in) in enumerate(points):
+            weights[i, b] = c_out.conjugate() * c_in
+        row = rotation_matrix_elements(j, (thetas[o], phis[o]), angles, (thetas, phis))
+        tables[:, k, :] += row @ weights
+    return tables
 
 
 def matrix_element_table(code: Codewords, r: EulerAngles) -> np.ndarray:
     """<a| X_R |b> over all codeword pairs, via closed-form elements."""
-    j = code.spec.j
-    size = len(code.basis)
-    table = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            table[a, b] = sum(
-                ca.conjugate() * cb * rotation_matrix_element(j, pa, r, pb)
-                for pa, ca in code.components[a]
-                for pb, cb in code.components[b]
-            )
-    return table
+    return matrix_element_tables(code, ([r.alpha], [r.beta], [r.gamma]))[0]

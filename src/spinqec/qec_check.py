@@ -8,8 +8,13 @@ family, so scanning pairs probes exactly the operators the recovery
 argument needs.
 
 Matrix elements between codewords are evaluated in closed form through
-the coherent decomposition; an optional brute-force path sandwiches the
-dense rotation matrix instead, for cross-validation.
+the coherent decomposition, for all sampled pairs in one array pass: the
+pair products are composed in SU(2), and each codeword table is a sum of
+spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
+path is independent of that closed form and of the Wigner-d kernel: it
+diagonalizes L_y once per check and sandwiches the codeword vectors with
+X_T = exp(-i alpha L_z) V exp(-i beta Lambda) V^H exp(-i gamma L_z),
+for cross-validation.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lll_codes import Codewords, matrix_element_table
-from .rotations import EulerAngles, Su2, compose, euler_from_su2, inverse, su2_from_euler, wigner_D_matrix
-from .spin_core import _spin
+from .lll_codes import Codewords, matrix_element_tables
+from .rotations import EulerAngles, Su2, euler_from_su2, relative_rotations, su2_from_euler
+from .spin_core import _spin, axis_operator, m_values
 
 __all__ = [
     "ErrorSet",
@@ -41,6 +46,8 @@ __all__ = [
 
 _KINDS = ("EquatorialZ", "ConjugatedY", "ConjugatedZaboutX", "ExplicitList")
 _PAIR_CAP = 10_000
+# Complex entries per brute-force temporary (pairs x dim x codewords).
+_BRUTE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -151,72 +158,89 @@ class KLReport:
             raise ValueError("discrepancies must be nonnegative")
 
 
-def _pair_indices(n: int, seed: int) -> list[tuple[int, int]]:
+def _pair_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right sample indices of the scanned pairs, in scan order."""
     if n * n <= _PAIR_CAP:
-        return [(i, k) for i in range(n) for k in range(n)]
+        return np.divmod(np.arange(n * n), n)
     # Stratified cap: every left index keeps an equal quota of partners.
     quota = max(1, _PAIR_CAP // n)
     rng = np.random.default_rng(seed + 1)
-    out = []
-    for i in range(n):
-        partners = rng.choice(n, size=min(quota, n), replace=False)
-        out.extend((i, int(k)) for k in partners)
-    return out
+    right = np.concatenate([rng.choice(n, size=quota, replace=False) for _ in range(n)])
+    return np.repeat(np.arange(n), quota), right
+
+
+def _dense_tables(code: Codewords, alpha, beta, gamma) -> np.ndarray:
+    """<a| X_T |b> from one eigendecomposition L_y = V Lambda V^H.
+
+    X_T = D_z(alpha) V exp(-i beta Lambda) V^H D_z(gamma) with
+    D_z(t) = exp(-i t L_z) diagonal, applied to the codeword vectors in
+    blocks of pairs so temporaries stay bounded.
+    """
+    j = code.spec.j
+    m = m_values(j)
+    lam, vecs = np.linalg.eigh(axis_operator(j, (0.0, 1.0, 0.0)).mat)
+    vecs_h = vecs.conj().T
+    words = np.array([vec.amps for vec in code.basis]).T  # (dim, codewords)
+    size = words.shape[1]
+    tables = np.empty((len(alpha), size, size), dtype=complex)
+    block = max(1, _BRUTE_BLOCK // (j.dim * size))
+    for lo in range(0, len(alpha), block):
+        sl = slice(lo, lo + block)
+        bras = vecs_h @ (np.exp(1j * np.outer(alpha[sl], m))[:, :, None] * words)
+        kets = vecs_h @ (np.exp(-1j * np.outer(gamma[sl], m))[:, :, None] * words)
+        kets *= np.exp(-1j * np.outer(beta[sl], lam))[:, :, None]
+        tables[sl] = bras.conj().transpose(0, 2, 1) @ kets
+    return tables
 
 
 def _scan_tables(code: Codewords, errs: ErrorSet, seed: int, brute_force: bool):
+    """Sampled rotations, pair indices, canonical T angles and codeword tables.
+
+    Every pair T = R_left^(-1) R_right is evaluated in one array pass;
+    tables has shape (pairs, codewords, codewords).
+    """
     rotations = sample_rotations(errs, seed)
-    pairs = _pair_indices(len(rotations), seed)
-    j = code.spec.j
-    for i, k in pairs:
-        t_angles, _ = compose(inverse(rotations[i]), rotations[k])
-        if brute_force:
-            x_t = wigner_D_matrix(j, t_angles).mat
-            table = np.array(
-                [[np.vdot(a.amps, x_t @ b.amps) for b in code.basis] for a in code.basis]
-            )
-        else:
-            table = matrix_element_table(code, t_angles)
-        yield rotations[i], rotations[k], t_angles, table
+    left, right = _pair_indices(len(rotations), seed)
+    alpha, beta, gamma, _ = relative_rotations(rotations, left, right)
+    if brute_force:
+        tables = _dense_tables(code, alpha, beta, gamma)
+    else:
+        tables = matrix_element_tables(code, (alpha, beta, gamma))
+    return rotations, left, right, (alpha, beta, gamma), tables
 
 
 def kl_check(code: Codewords, errs: ErrorSet, seed: int, brute_force: bool = False) -> KLReport:
     """Evaluate the approximate Knill-Laflamme conditions over T = R^(-1) R'.
 
-    Closed-form matrix elements by default; brute_force=True rebuilds
-    each X_T densely and sandwiches codewords, as an independent check.
+    Closed-form matrix elements by default; brute_force=True sandwiches
+    codewords with X_T built from one eigendecomposition of L_y, as an
+    independent check.
     """
     if len(code.basis) < 2:
         raise ValueError("need at least two codewords")
-    delta_star = 0.0
-    eps_star = 0.0
-    worst = None
-    worst_score = -1.0
-    records = []
-    size = len(code.basis)
-    for r1, r2, t_angles, table in _scan_tables(code, errs, seed, brute_force):
-        diag = np.diag(table)
-        delta = max(
-            abs(diag[a] - diag[b]) for a in range(size) for b in range(a + 1, size)
-        )
-        off = table - np.diag(diag)
-        eps = float(np.max(np.abs(off)))
-        records.append(PairRecord(r1, r2, t_angles, float(delta), eps))
-        delta_star = max(delta_star, float(delta))
-        eps_star = max(eps_star, eps)
-        score = max(float(delta), eps)
-        if score > worst_score:
-            worst_score = score
-            worst = (r1, r2)
-    return KLReport(delta_star, eps_star, worst, records)
+    rotations, left, right, t_angles, tables = _scan_tables(code, errs, seed, brute_force)
+    diag = np.diagonal(tables, axis1=1, axis2=2)
+    delta = np.max(np.abs(diag[:, :, None] - diag[:, None, :]), axis=(1, 2))
+    off = np.abs(tables)
+    size = off.shape[1]
+    off[:, np.arange(size), np.arange(size)] = 0.0
+    eps = np.max(off, axis=(1, 2))
+    worst = int(np.argmax(np.maximum(delta, eps)))
+    columns = (left, right, *t_angles, delta, eps)
+    records = [
+        PairRecord(rotations[i], rotations[k], EulerAngles(a, b, g), d, e)
+        for i, k, a, b, g, d, e in zip(*(x.tolist() for x in columns))
+    ]
+    worst_pair = (rotations[left[worst]], rotations[right[worst]])
+    return KLReport(float(delta.max()), float(eps.max()), worst_pair, records)
 
 
 def diagonal_scan(code: Codewords, errs: ErrorSet, seed: int) -> list[tuple[EulerAngles, np.ndarray]]:
     """Diagonal codeword amplitudes <k|X_T|k> over the sampled pairs."""
-    out = []
-    for _, _, t_angles, table in _scan_tables(code, errs, seed, brute_force=False):
-        out.append((t_angles, np.diag(table).copy()))
-    return out
+    _, _, _, t_angles, tables = _scan_tables(code, errs, seed, brute_force=False)
+    diag = np.diagonal(tables, axis1=1, axis2=2).copy()
+    angles = zip(*(x.tolist() for x in t_angles))
+    return [(EulerAngles(a, b, g), row) for (a, b, g), row in zip(angles, diag)]
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,8 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
     sqrt(2/(pi j)) exp(-j eps^2/2)/eps.
     """
     j = _spin(j)
+    if j.twice == 0:
+        raise ValueError("j must be positive: a spin-0 peak has no tail")
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= math.pi:
         raise ValueError("epsilon must lie in (0, pi]")
@@ -346,6 +348,8 @@ def recover(
     if not j.is_integer:
         raise ValueError("recovery assumes integer j")
     d = int(d)
+    if not 2 <= d <= tj + 1:
+        raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
     k = int(k) % d
     delta_phi = float(delta_phi)
     out_of_cell = not abs(delta_phi) < math.pi / d

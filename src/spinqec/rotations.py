@@ -31,6 +31,9 @@ __all__ = [
     "Su2",
     "su2_from_euler",
     "euler_from_su2",
+    "su2_arrays",
+    "euler_from_su2_arrays",
+    "relative_rotations",
     "canonicalize",
     "compose",
     "inverse",
@@ -163,6 +166,62 @@ def euler_from_su2(u: Su2) -> tuple[EulerAngles, int]:
     overlap = probe.a * u.a.conjugate() + probe.b * u.b.conjugate()
     sign = 1 if overlap.real > 0.0 else -1
     return r, sign
+
+
+def su2_arrays(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise su2_from_euler: the (a, b) arrays over arrays of angles."""
+    alpha = np.asarray(alpha, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    ch, sh = _half_angles(beta)
+    a = np.exp(-0.5j * (alpha + gamma)) * ch
+    b = np.exp(0.5j * (alpha - gamma)) * sh
+    return a, b
+
+
+def euler_from_su2_arrays(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise euler_from_su2: canonical (alpha, beta, gamma) and signs.
+
+    The same _TIE rules apply: |b| <= _TIE puts all z-rotation into alpha
+    with beta = 0, and |a| <= _TIE does so with beta = pi.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    mag_a, mag_b = np.abs(a), np.abs(b)
+    arg_a, arg_b = np.angle(a), np.angle(b)
+    pole = mag_b <= _TIE
+    flip = ~pole & (mag_a <= _TIE)
+    tie = pole | flip
+    beta = np.where(pole, 0.0, np.where(flip, math.pi, 2.0 * np.arctan2(mag_b, mag_a)))
+    alpha = np.where(pole, -2.0 * arg_a, np.where(flip, 2.0 * arg_b, arg_b - arg_a))
+    alpha = alpha % (2.0 * math.pi)
+    gamma = np.where(tie, 0.0, (-arg_b - arg_a) % (2.0 * math.pi))
+    probe_a, probe_b = su2_arrays(alpha, beta, gamma)
+    overlap = (probe_a * a.conj() + probe_b * b.conj()).real
+    sign = np.where(overlap > 0.0, 1, -1)
+    return alpha, beta, gamma, sign
+
+
+def relative_rotations(rotations, left, right):
+    """Canonical angles and signs of R_left^(-1) R_right, elementwise.
+
+    left and right index into rotations; each rotation's SU(2) element is
+    computed once.  Returns (alpha, beta, gamma, sign) arrays equal to
+    compose(inverse(rotations[i]), rotations[k]) for every index pair.
+    """
+    angles = np.array([(r.alpha, r.beta, r.gamma) for r in rotations], dtype=float)
+    a, b = su2_arrays(angles[:, 0], angles[:, 1], angles[:, 2])
+    a_l, b_l, a_r, b_r = a[left], b[left], a[right], b[right]
+    # Su2.__matmul__ with the inverse (conj(a_l), -b_l) on the left.
+    return euler_from_su2_arrays(
+        _cmul(a_l.conj(), a_r) + _cmul(b_l.conj(), b_r), _cmul(a_l, b_r) - _cmul(b_l, a_r)
+    )
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y as Python's complex product computes it, without a fused
+    multiply-add: conj(z) * z is exactly real, so R^(-1) R is exactly
+    the identity and its angles do not wrap to 2pi."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
 def canonicalize(r: EulerAngles) -> tuple[EulerAngles, int]:

@@ -1,0 +1,282 @@
+"""The array-pass Knill-Laflamme engine against a scalar reference.
+
+The reference below is the one-pair-at-a-time evaluation the engine
+replaced: the scalar closed form <Omega_out| X_T |Omega_in> = base^(2j),
+summed over point pairs, with T = R_i^(-1) R_k composed in SU(2) one pair
+at a time.  It is kept here, and only here, as the oracle.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from spinqec import coherent, lll_codes, qec_check, rotations
+from spinqec.coherent import SphPoint, rotation_matrix_element, rotation_matrix_elements
+from spinqec.lll_codes import antipodal, build_codewords, cyclic_qubit, equatorial_qudit
+from spinqec.qec_check import (
+    conjugated_y,
+    conjugated_z_about_x,
+    diagonal_scan,
+    equatorial_z,
+    explicit_list,
+    kl_check,
+    sample_rotations,
+)
+from spinqec.rotations import (
+    EulerAngles,
+    compose,
+    haar_random_sequence,
+    inverse,
+    relative_rotations,
+)
+
+_PAIR_CAP = 10_000
+
+
+def _half(beta):
+    ch, sh = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    if beta in (math.pi, -math.pi):
+        ch = 0.0
+    if beta in (2.0 * math.pi, -2.0 * math.pi):
+        sh = 0.0
+    return ch, sh
+
+
+def _scalar_element(tj, out, r, inp):
+    """The scalar closed form, term by term."""
+    co, so = _half(out.theta)
+    ci, si = _half(inp.theta)
+    cb, sb = _half(r.beta)
+    half_sum = 0.5 * (r.alpha + r.gamma)
+    half_diff = 0.5 * (r.alpha - r.gamma)
+    term_diag = (
+        cmath.exp(-1j * half_sum) * co * ci
+        + cmath.exp(1j * half_sum) * cmath.exp(1j * (inp.phi - out.phi)) * so * si
+    )
+    term_flip = cmath.exp(-1j * half_diff) * cmath.exp(1j * inp.phi) * co * si - cmath.exp(
+        1j * half_diff
+    ) * cmath.exp(-1j * out.phi) * so * ci
+    base = term_diag * cb - term_flip * sb
+    if base == 0.0 or tj * math.log(abs(base)) < -700.0:
+        return 0.0j
+    return cmath.exp(tj * cmath.log(base))
+
+
+def _reference_pairs(n, seed):
+    if n * n <= _PAIR_CAP:
+        return [(i, k) for i in range(n) for k in range(n)]
+    quota = max(1, _PAIR_CAP // n)
+    rng = np.random.default_rng(seed + 1)
+    out = []
+    for i in range(n):
+        out.extend((i, int(k)) for k in rng.choice(n, size=min(quota, n), replace=False))
+    return out
+
+
+def _reference_scan(code, errs, seed):
+    """(pairs, T angles, tables, deltas, epsilons), one pair at a time."""
+    tj = code.spec.j.twice
+    rots = sample_rotations(errs, seed)
+    pairs = _reference_pairs(len(rots), seed)
+    size = len(code.components)
+    angles, tables, deltas, epss = [], [], [], []
+    for i, k in pairs:
+        t, _ = compose(inverse(rots[i]), rots[k])
+        table = np.array(
+            [
+                [
+                    sum(
+                        ca.conjugate() * cb * _scalar_element(tj, pa, t, pb)
+                        for pa, ca in code.components[a]
+                        for pb, cb in code.components[b]
+                    )
+                    for b in range(size)
+                ]
+                for a in range(size)
+            ]
+        )
+        diag = np.diag(table)
+        deltas.append(max(abs(diag[a] - diag[b]) for a in range(size) for b in range(a + 1, size)))
+        epss.append(float(np.max(np.abs(table - np.diag(diag)))))
+        angles.append(t)
+        tables.append(table)
+    return pairs, angles, np.array(tables), np.array(deltas), np.array(epss)
+
+
+def _tolerance(code):
+    """1e-13, scaled by what rounding the closed form cannot avoid.
+
+    An entry's phase moves 2j times as much as the float Euler angles of
+    T, so one ulp of alpha near 2pi (8.9e-16) moves it by 2j * 4.4e-16;
+    above j = 50 the floor is 2e-15 j.  Measured against 40-digit mpmath,
+    the reference itself is off by up to 2.1e-13 at j = 100.  A table
+    entry sums |c_o c_i| over point pairs: 1 for single-point codewords,
+    large for cyclic codes with more points than levels, whose entries
+    cancel.
+    """
+    scale = max(sum(abs(c) for _, c in comp) for comp in code.components) ** 2
+    return max(1e-13, 2e-15 * code.spec.j.value) * scale
+
+
+def _assert_matches_reference(code, errs, seed):
+    pairs, angles, ref_tables, ref_delta, ref_eps = _reference_scan(code, errs, seed)
+    tol = _tolerance(code)
+    report = kl_check(code, errs, seed)
+    _, _, _, _, tables = qec_check._scan_tables(code, errs, seed, brute_force=False)
+    assert len(report.pairs) == len(pairs)
+    assert np.max(np.abs(tables - ref_tables)) < tol
+    got_delta = np.array([p.delta for p in report.pairs])
+    got_eps = np.array([p.eps for p in report.pairs])
+    assert np.max(np.abs(got_delta - ref_delta)) < tol
+    assert np.max(np.abs(got_eps - ref_eps)) < tol
+    assert abs(report.delta_star - ref_delta.max()) < tol
+    assert abs(report.eps_star - ref_eps.max()) < tol
+    # diagonal_scan reads the same tables
+    for (t, diag), rec, ref_table in zip(diagonal_scan(code, errs, seed), report.pairs, ref_tables):
+        assert t == rec.t
+        assert np.max(np.abs(diag - np.diag(ref_table))) < tol
+    return report, pairs, angles, np.maximum(ref_delta, ref_eps)
+
+
+def _error_sets(samples):
+    return [
+        equatorial_z(0.25, samples),
+        conjugated_y(0.9, 0.3, samples),
+        conjugated_z_about_x(0.3, 0.9, samples),
+        explicit_list(haar_random_sequence(5, samples)),
+    ]
+
+
+_KIND_IDS = ["EquatorialZ", "ConjugatedY", "ConjugatedZaboutX", "ExplicitList"]
+
+
+@pytest.mark.parametrize("kind", range(4), ids=_KIND_IDS)
+@pytest.mark.parametrize("j", [8, 40, 100])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_equatorial_matches_scalar_reference(d, j, kind):
+    code = build_codewords(equatorial_qudit(j, d))
+    _assert_matches_reference(code, _error_sets(8)[kind], seed=3)
+
+
+@pytest.mark.parametrize("kind", range(4), ids=_KIND_IDS)
+@pytest.mark.parametrize("j", [7.5, 8, 39.5, 40, 99.5, 100])
+def test_antipodal_matches_scalar_reference(j, kind):
+    code = build_codewords(antipodal(j, 0.7))
+    _assert_matches_reference(code, _error_sets(8)[kind], seed=4)
+
+
+@pytest.mark.parametrize("kind", range(4), ids=_KIND_IDS)
+@pytest.mark.parametrize("j", [8, 40, 100])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_cyclic_matches_scalar_reference(n, j, kind):
+    code = build_codewords(cyclic_qubit(j, n))
+    _assert_matches_reference(code, _error_sets(4)[kind], seed=5)
+
+
+def test_stratified_cap_matches_scalar_reference():
+    # 128 samples give 16384 > 10^4 pairs, so the stratified cap applies
+    code = build_codewords(equatorial_qudit(8, 2))
+    errs = conjugated_y(0.4, 0.3, 128)
+    report, pairs, _, _ = _assert_matches_reference(code, errs, seed=9)
+    assert len(pairs) == 128 * (_PAIR_CAP // 128)
+    rots = sample_rotations(errs, 9)
+    assert [(p.r1, p.r2) for p in report.pairs] == [(rots[i], rots[k]) for i, k in pairs]
+
+
+@pytest.mark.parametrize("kind", range(4), ids=_KIND_IDS)
+def test_pair_angles_and_worst_pair_match_scalar_compose(kind):
+    code = build_codewords(equatorial_qudit(40, 3))
+    errs = _error_sets(12)[kind]
+    report, pairs, angles, ref_score = _assert_matches_reference(code, errs, seed=6)
+    rots = sample_rotations(errs, 6)
+    for rec, (i, k), t in zip(report.pairs, pairs, angles):
+        assert (rec.r1, rec.r2) == (rots[i], rots[k])
+        for got, want in ((rec.t.alpha, t.alpha), (rec.t.beta, t.beta), (rec.t.gamma, t.gamma)):
+            diff = abs(got - want) % (2.0 * math.pi)
+            assert min(diff, 2.0 * math.pi - diff) < 1e-14
+    # the same worst pair; mirror pairs (i, k) and (k, i) can tie exactly,
+    # and then rounding may pick either of them
+    top = int(np.argmax(ref_score))
+    i, k = pairs[top]
+    if (rots[i], rots[k]) != report.worst_pair:
+        picked = [(rots[a], rots[b]) for a, b in pairs].index(report.worst_pair)
+        assert ref_score[top] - ref_score[picked] < 1e-13
+
+
+def test_relative_rotation_signs_match_compose():
+    rots = haar_random_sequence(11, 9)
+    left, right = np.divmod(np.arange(81), 9)
+    alpha, beta, gamma, sign = relative_rotations(rots, left, right)
+    for p, (i, k) in enumerate(zip(left, right)):
+        want, want_sign = compose(inverse(rots[i]), rots[k])
+        assert sign[p] == want_sign
+        assert abs(beta[p] - want.beta) < 1e-14
+    # R^(-1) R is exactly the identity chart, with no wrap to 2pi
+    same = left == right
+    assert np.all(alpha[same] == 0.0) and np.all(beta[same] == 0.0) and np.all(gamma[same] == 0.0)
+
+
+@pytest.mark.parametrize("j", [24, 60, 100])
+def test_brute_force_matches_closed_form_at_large_j(j):
+    code = build_codewords(equatorial_qudit(j, 3))
+    errs = conjugated_y(1.3, 0.25, 6)
+    fast = kl_check(code, errs, seed=2)
+    slow = kl_check(code, errs, seed=2, brute_force=True)
+    assert abs(fast.delta_star - slow.delta_star) < 1e-10
+    assert abs(fast.eps_star - slow.eps_star) < 1e-10
+    for a, b in zip(fast.pairs, slow.pairs):
+        assert a.t == b.t
+        assert abs(a.delta - b.delta) < 1e-10
+        assert abs(a.eps - b.eps) < 1e-10
+
+
+def test_brute_force_tables_match_closed_form_for_every_kind():
+    # one eigh route for every error kind, half-integer j included
+    code = build_codewords(antipodal(6.5, 0.4))
+    for errs in _error_sets(4):
+        _, _, _, t, dense = qec_check._scan_tables(code, errs, 1, brute_force=True)
+        _, _, _, _, closed = qec_check._scan_tables(code, errs, 1, brute_force=False)
+        assert dense.shape == closed.shape == (len(t[0]), 2, 2)
+        assert np.max(np.abs(dense - closed)) < 1e-12
+
+
+def test_brute_force_never_touches_the_wigner_d_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force oracle called the Wigner-d kernel")
+
+    for module in (rotations, coherent, lll_codes, qec_check):
+        for name in ("wigner_d_matrix", "wigner_D_matrix"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    code = build_codewords(equatorial_qudit(30, 3))
+    for errs in _error_sets(4):
+        report = kl_check(code, errs, seed=1, brute_force=True)
+        assert np.isfinite(report.delta_star) and np.isfinite(report.eps_star)
+
+
+def test_large_j_clamps_to_exact_zeros_and_reports_them():
+    j = 2000
+    thetas = np.full(3, math.pi / 2.0)
+    phis = 2.0 * math.pi * np.arange(3) / 3.0
+    values, clamped = rotation_matrix_elements(
+        j, (thetas[:, None], phis[:, None]), (0.1, 0.0, 0.0), (thetas, phis), with_underflow=True
+    )
+    off = ~np.eye(3, dtype=bool)
+    # neighbours 2pi/3 apart overlap as ((1 + cos(2pi/3 +- 0.1))/2)^2000
+    assert np.all(clamped[off]) and not np.any(clamped[~off])
+    assert np.all(values[off] == 0.0)
+    assert np.all(np.abs(np.abs(values[~off]) - math.cos(0.05) ** (2 * j)) < 1e-12)
+    value, flag = rotation_matrix_element(j, SphPoint(math.pi / 2, 0.0), EulerAngles(0.1, 0.0, 0.0),
+                                          SphPoint(math.pi / 2, phis[1]), with_underflow=True)
+    assert value == 0.0 and flag
+    report = kl_check(build_codewords(equatorial_qudit(j, 3)), equatorial_z(0.1, 4), seed=0)
+    assert report.eps_star == 0.0
+    assert all(p.eps == 0.0 for p in report.pairs)
+
+
+def test_cyclic_kl_check_finite_at_large_j():
+    code = build_codewords(cyclic_qubit(512, 4))
+    report = kl_check(code, equatorial_z(0.2, 8), seed=3)
+    assert np.isfinite(report.delta_star) and np.isfinite(report.eps_star)
+    assert all(np.isfinite(p.delta) and np.isfinite(p.eps) for p in report.pairs)

@@ -1,6 +1,9 @@
 """Codeword families on the sphere and their logical clock-shift pairs."""
 
+import cmath
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -250,3 +253,33 @@ def test_to_json_dict():
     assert isinstance(amp, list) and len(amp) == 2
     rebuilt = np.array([complex(re, im) for re, im in doc["basis"][0]])
     assert np.max(np.abs(rebuilt - code.basis[0].amps)) < 1e-15
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(n):
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return tuple(row)
+
+
+@pytest.mark.parametrize("j", [512, 1000, 4096])
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_cyclic_closed_forms_at_large_j_match_exact_fractions(j, n):
+    # float(2**(2j)) and float sums of math.comb overflow from j = 512 on
+    tj = 2 * j
+    coeffs = _binomial_row(tj)[::n]
+    total = sum(coeffs)
+    norm = float(Fraction(n * n * total, 2**tj))
+    assert abs(cyclic_normalization(j, n) - norm) <= 1e-12 * norm
+    # at Theta = pi/(2N), exp(ikN Theta) = i^k, so the numerator is a
+    # Gaussian integer and the overlap is exact up to exp(-ij Theta)
+    big_theta = math.pi / (2 * n)
+    signs = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k = (-1)^k i^k
+    num_re = sum(c * signs[k % 4][0] for k, c in enumerate(coeffs))
+    num_im = sum(c * signs[k % 4][1] for k, c in enumerate(coeffs))
+    value = cyclic_overlap_closed_form(j, n, big_theta) * cmath.exp(
+        1j * math.pi * ((tj % (8 * n)) / (4 * n))
+    )
+    exact = complex(Fraction(num_re, total), Fraction(num_im, total))
+    assert abs(value - exact) <= 1e-12 * abs(exact)

@@ -244,3 +244,27 @@ def test_finite_ancilla_gap_shrinks_with_ancilla_size():
     small = finite_ancilla_note(HalfInt(16), HalfInt(16), runs=5000, seed=0)
     large = finite_ancilla_note(HalfInt(16), HalfInt(64), runs=5000, seed=0)
     assert small.fidelity_gap > large.fidelity_gap >= 0.0
+
+
+def test_tail_failure_rejects_spin_zero():
+    with pytest.raises(ValueError, match="j must be positive"):
+        tail_failure(0, 0.3)
+
+
+@pytest.mark.parametrize(
+    "j,d",
+    [
+        (8, 0),  # no codewords: k % d divided by zero
+        (0, 2),  # two copies of the same state: singular gram matrix
+        (2, 6),  # six codewords in five levels are linearly dependent
+    ],
+)
+def test_recover_rejects_impossible_code_sizes(j, d):
+    with pytest.raises(ValueError, match="2 <= d <= 2j"):
+        recover(HalfInt(2 * j), d, 0, 0.01, seed=1)
+
+
+def test_recover_accepts_the_full_level_count():
+    # d = 2j + 1 equatorial states still span the space
+    run = recover(HalfInt(4), 5, 1, 0.01, seed=1)
+    assert 0.0 <= run.fidelity <= 1.0 + 1e-12
