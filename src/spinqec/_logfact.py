@@ -3,9 +3,9 @@
 Arguments are nonnegative integers, so values come from a cached table.
 Above 11! the table holds the Stirling series of the Cephes lgam
 routine, the algorithm behind scipy.special.gammaln, and reproduces
-those values bit for bit: the alternating-sum Wigner-d kernel amplifies
-last-bit changes in these prefactors into visible changes of its
-matrices and of everything built on them.
+those values bit for bit.  The table is kept bit-exact so that the
+monopole prefactors, and with them the `harmonics` CLI bytes, and the
+coherent amplitudes do not move.
 """
 
 import math

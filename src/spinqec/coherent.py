@@ -112,15 +112,20 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     columns contain exact zeros.
     """
     j = _spin(j)
-    tj = j.twice
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas, phis = np.broadcast_arrays(thetas, phis)
-    ch, sh = _half_angles(thetas)
+    jmm = np.arange(j.twice + 1)  # j - m
+    phase = np.exp(1j * jmm[:, None] * phis[None, :])
+    return _amplitude_magnitudes(j.twice, thetas) * phase
 
+
+def _amplitude_magnitudes(tj: int, thetas: np.ndarray) -> np.ndarray:
+    """|c_m(theta)| = sqrt(C(2j, j+m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2),
+    shape (2j+1, nodes), in the log domain."""
+    ch, sh = _half_angles(thetas)
     jm = tj - np.arange(tj + 1)  # j + m, descending 2j..0
     jmm = tj - jm  # j - m
-
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_ch = np.where(ch > 0.0, np.log(np.where(ch > 0.0, ch, 1.0)), -np.inf)
         ln_sh = np.where(sh > 0.0, np.log(np.where(sh > 0.0, sh, 1.0)), -np.inf)
@@ -129,9 +134,7 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
         ln_mag = ln_mag + np.where(
             jmm[:, None] == 0, 0.0, jmm[:, None] * ln_sh[None, :]
         )
-    mag = np.exp(ln_mag)
-    phase = np.exp(1j * jmm[:, None] * phis[None, :])
-    return mag * phase
+    return np.exp(ln_mag)
 
 
 def coherent_state(j, p: SphPoint) -> StateVec:
@@ -463,9 +466,10 @@ class DiagonalOp:
     """A symbol P(Omega) together with its realized matrix.
 
     realized = (2j+1)/(4pi) * integral P(Omega) |Omega><Omega| dOmega,
-    evaluated on the product quadrature.  approximate is False when the
-    declared band limit puts the whole integrand inside the rule's
-    exactness class, True for a plain callable with no declared limit.
+    evaluated on the product quadrature (see diagonal_operator for how
+    the sum is factorized).  approximate is False when the declared band
+    limit puts the whole integrand inside the rule's exactness class,
+    True for a plain callable with no declared limit.
     """
 
     j: HalfInt
@@ -490,6 +494,17 @@ def diagonal_operator(
     combination of exp(i k phi) modes with |k| <= k_max and half-angle
     monomials of degree <= theta_degree; the rule is then sized so the
     realization is exact.
+
+    Since c_a(theta, phi) = |c_a(theta)| exp(i a phi) with a = j - m, the
+    quadrature sum factorizes as
+
+        realized[a, b] = (2j+1)/(4pi) sum_theta w_theta |c_a| |c_b| F_theta(a - b),
+        F_theta(k) = w_phi sum_phi P(theta, phi) exp(i k phi),
+
+    and F comes from one inverse FFT along the equally spaced azimuths,
+    equal to the direct sum, aliasing included.  Each of the 4j+1
+    diagonals is then one (dim x n_theta) by (n_theta) product; memory
+    stays O(dim * n_theta + n_theta * n_phi).
     """
     j = _spin(j)
     tj = j.twice
@@ -507,13 +522,20 @@ def diagonal_operator(
     elif n_phi < min_phi:
         raise ValueError(f"n_phi = {n_phi} below the required {min_phi}")
     rule = sphere_quadrature(degree=degree, n_phi=n_phi, phi_multiple=phi_multiple)
-    tt, pp, ww = rule.grids()
+    tt, pp, _ = rule.grids()
     values = np.asarray(symbol(tt, pp), dtype=complex)
     if values.shape != tt.shape:
         raise ValueError("symbol must return one value per node")
-    v = coherent_amplitudes(j, tt, pp)
-    scaled = v * (ww * values * (tj + 1) / (4.0 * math.pi))[None, :]
-    mat = scaled @ v.conj().T
+    # ifft carries 1/n_phi, so 2pi * ifft is w_phi * sum_phi P exp(i k phi).
+    modes = _TWO_PI * np.fft.ifft(values.reshape(rule.n_theta, rule.n_phi), axis=1)
+    modes *= (rule.theta_weights * (tj + 1) / (4.0 * math.pi))[:, None]
+    mag = _amplitude_magnitudes(tj, rule.thetas)
+    mat = np.empty((j.dim, j.dim), dtype=complex)
+    rows = np.arange(j.dim)
+    for k in range(-tj, tj + 1):
+        lo, hi = max(0, k), j.dim + min(0, k)
+        diagonal = (mag[lo:hi] * mag[lo - k : hi - k]) @ modes[:, k % rule.n_phi]
+        mat[rows[lo:hi], rows[lo - k : hi - k]] = diagonal
     return DiagonalOp(j, Operator(j, mat), approximate, rule.degree, rule.n_phi)
 
 

@@ -19,7 +19,8 @@ provided:
                (l-m)!(l+m)!/((l-j)!(l+j)!) with the minus branch when
                |m| < |j|.  All shifted parameters are nonnegative, so
                the polynomial is evaluated by the stable three-term
-               recurrence in the degree.
+               recurrence in the degree (rotations._jacobi, the one
+               shared by the Wigner-d kernel).
   wigner-d  -- sqrt((2l+1)/4pi) e^{i(m+j)phi} d^l_{j,-m}(theta).
 
 The z-axis gauge is the one regular at the north pole: jY^l_m(0, phi) =
@@ -49,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from ._logfact import ln_factorial
-from .rotations import _half_angles, wigner_d
+from .rotations import _half_angles, _jacobi, _wigner_d_values
 from .spin_core import HalfInt
 
 __all__ = [
@@ -66,28 +67,6 @@ __all__ = [
 ]
 
 _FOUR_PI = 4.0 * math.pi
-
-
-def _jacobi(n: int, a: int, b: int, x: np.ndarray) -> np.ndarray:
-    """P_n^(a,b)(x) by the three-term recurrence in the degree.
-
-    Parameters must be nonnegative, which keeps every recurrence
-    coefficient positive-definite (no 0/0 cases).
-    """
-    if n < 0 or a < 0 or b < 0:
-        raise ValueError("degree and parameters must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p_cur = 0.5 * (a - b) + (1.0 + 0.5 * (a + b)) * x
-    for k in range(2, n + 1):
-        c0 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c1 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p_prev, p_cur = p_cur, ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
-    return p_cur
 
 
 @dataclass(frozen=True)
@@ -127,10 +106,10 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
     if route == "wigner-d":
 
         def evaluator(theta, phi):
-            th = np.atleast_1d(np.asarray(theta, dtype=float))
+            th = np.asarray(theta, dtype=float)
             ph = np.asarray(phi, dtype=float)
-            d_vals = np.array([wigner_d(l, j, -m, t) for t in th])
-            out = norm * d_vals.reshape(np.shape(theta)) * np.exp(1j * aa * ph)
+            d_vals = _wigner_d_values(l.twice, j.twice, -m.twice, th)
+            out = norm * d_vals * np.exp(1j * aa * ph)
             return out if out.ndim else complex(out)
 
         return MonopoleHarmonic(j, l, m, evaluator)
@@ -155,7 +134,8 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
         ch, sh = _half_angles(th)
         x = np.where(th == math.pi, -1.0, np.cos(th))
         ph = np.asarray(phi, dtype=float)
-        out = pref * sh**pa * ch**pb * _jacobi(deg, pa, pb, x) * np.exp(1j * aa * ph)
+        p, e = _jacobi(deg, pa, pb, 0, x)
+        out = np.ldexp(pref * sh**pa * ch**pb * p, e) * np.exp(1j * aa * ph)
         return out if out.ndim else complex(out)
 
     return MonopoleHarmonic(j, l, m, evaluator)

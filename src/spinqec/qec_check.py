@@ -48,6 +48,8 @@ _KINDS = ("EquatorialZ", "ConjugatedY", "ConjugatedZaboutX", "ExplicitList")
 _PAIR_CAP = 10_000
 # Complex entries per brute-force temporary (pairs x dim x codewords).
 _BRUTE_BLOCK = 1 << 18
+# Relative score gap within which pairs tie for worst_pair.
+_WORST_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,8 @@ class KLReport:
 
     delta_star is the largest spread among diagonal entries <k|X_T|k>
     (global-phase invariant); eps_star the largest off-diagonal
-    magnitude; worst_pair attains max(delta, eps).
+    magnitude; worst_pair is the first pair in scan order whose
+    max(delta, eps) is within a relative 1e-12 of the largest.
     """
 
     delta_star: float
@@ -225,7 +228,11 @@ def kl_check(code: Codewords, errs: ErrorSet, seed: int, brute_force: bool = Fal
     size = off.shape[1]
     off[:, np.arange(size), np.arange(size)] = 0.0
     eps = np.max(off, axis=(1, 2))
-    worst = int(np.argmax(np.maximum(delta, eps)))
+    # Mirror pairs (i, k) and (k, i) score equally in exact arithmetic, so
+    # the first pair within a relative 1e-12 of the maximum is reported
+    # rather than whichever member last-bit rounding favours.
+    score = np.maximum(delta, eps)
+    worst = int(np.argmax(score >= (1.0 - _WORST_TIE) * score.max()))
     columns = (left, right, *t_angles, delta, eps)
     records = [
         PairRecord(rotations[i], rotations[k], EulerAngles(a, b, g), d, e)

@@ -13,6 +13,11 @@ Conventions, fixed once here and relied on everywhere else:
   double-cover sign that relates the two charts.
 * Composition runs through the spin-1/2 representation, where the group
   law is exact and the double-cover sign is visible.
+* One Wigner-d kernel serves wigner_d, wigner_d_matrix and the monopole
+  harmonics: the Jacobi form d^j_mn ~ sin^a(beta/2) cos^b(beta/2)
+  P_k^(a,b)(cos beta) with nonnegative a, b, its polynomials from one
+  three-term recurrence (_jacobi) and its prefactor in the log domain.
+  It is stable and finite at every j, in O(dim^2) memory for a matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._logfact import ln_factorial
 from .spin_core import HalfInt, Operator, _spin
 
 __all__ = [
@@ -243,118 +247,207 @@ def inverse(r: EulerAngles) -> EulerAngles:
     return EulerAngles(-r.gamma, -r.beta, -r.alpha)
 
 
-def _d_entry(two_j: int, two_m: int, two_n: int, ch: float, sh: float) -> float:
-    """One little-d entry via the alternating half-angle monomial sum."""
-    jm = (two_j + two_m) // 2
-    jmm = (two_j - two_m) // 2
-    jn = (two_j + two_n) // 2
-    jnn = (two_j - two_n) // 2
-    mn = (two_m - two_n) // 2
-    s_lo = max(0, -mn)
-    s_hi = min(jn, jmm)
-    if s_hi < s_lo:
-        return 0.0
-    ln_pref = 0.5 * (
-        ln_factorial(jm) + ln_factorial(jmm) + ln_factorial(jn) + ln_factorial(jnn)
-    )
-    sign_pref = -1.0 if mn % 2 else 1.0
-    ln_ch = math.log(abs(ch)) if ch != 0.0 else -math.inf
-    ln_sh = math.log(abs(sh)) if sh != 0.0 else -math.inf
-    logs = []
-    signs = []
-    for s in range(s_lo, s_hi + 1):
-        p = jn + jmm - 2 * s  # 2j + n - m - 2s
-        q = mn + 2 * s
-        ln_t = -(
-            ln_factorial(s)
-            + ln_factorial(jn - s)
-            + ln_factorial(mn + s)
-            + ln_factorial(jmm - s)
+_HUGE_EXP = 512
+_RESCALE_EVERY = 8
+_HUGE = 2.0**_HUGE_EXP
+_UNHUGE = 2.0**-_HUGE_EXP
+# Cody-Waite split of log(2): q * _LN2_HI is exact for |q| < 2**20.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _jacobi(n, a, b, x0, dx) -> tuple[np.ndarray, np.ndarray]:
+    """P_n^(a,b)(x0 + dx) = p * 2**e elementwise, by the three-term
+    recurrence in the degree.
+
+    n, a, b are nonnegative integers (not checked), x0 integers in
+    {-1, 0, 1} and dx floats; all five broadcast.  Nonnegative parameters
+    keep every recurrence coefficient positive (no 0/0 cases); the
+    coefficients are integers, exact in floating point while
+    2n + a + b < 2**17.
+
+    The argument is split so that x near +/-1 keeps the relative
+    precision of 1 -/+ x: each step forms c1 * dx + (c2 + c1 * x0) with
+    the integer part exact, which for x0 = 0 is c1 * x + c2 bit for bit.
+
+    One pass runs the degree up to max(n), updating at degree k only the
+    entries with n >= k.  Scalar inputs stay Python scalars, so a single
+    polynomial at many points computes its coefficients once per degree,
+    and a single entry recurs on scalars alone.  Every _RESCALE_EVERY
+    degrees an entry past 2**512 is scaled by the exact power 2**-512,
+    counted in e; one step grows the larger of the last two values by a
+    factor below 2(a + b) + 4, so nothing overflows in between, and
+    p * 2**e is the unscaled recurrence bit for bit.
+    """
+    shape = np.broadcast(n, a, b, x0, dx).shape
+    size = math.prod(shape)
+    # Descending degree: the entries still recurring at degree k are a prefix,
+    # counts[k] long.
+    if isinstance(n, np.ndarray) and n.ndim:
+        n = np.broadcast_to(n, shape).ravel()
+        order = np.argsort(-n, kind="stable")
+        unsort = np.empty_like(order)
+        unsort[order] = np.arange(size)
+        counts = np.searchsorted(-n[order], -np.arange(int(n.max()) + 2), side="right").tolist()
+    else:
+        order = unsort = slice(None)
+        counts = [size] * (int(n) + 1) + [0]
+
+    def sorted_or_scalar(v):
+        if not (isinstance(v, np.ndarray) and v.ndim):
+            return float(v)
+        if v.shape != shape:
+            v = np.broadcast_to(v, shape)
+        return v.astype(float, copy=False).ravel()[order]
+
+    a, b, x0, dx = (sorted_or_scalar(v) for v in (a, b, x0, dx))
+    inputs = (a, b, a + b, a * a - b * b, x0, dx)
+    top = len(counts) - 2
+    out = np.ones(size)
+    e = np.zeros(size, dtype=np.int64)
+
+    def active(c):
+        return [v[:c] if isinstance(v, np.ndarray) else v for v in inputs]
+
+    c = counts[1]
+    a, b, s, a2_b2, x0, dx = active(c)
+    half_s = 1.0 + 0.5 * s
+    # A single entry recurs on scalars, many on arrays of the active prefix.
+    p_prev = np.ones(c) if shape else 1.0
+    p_cur = ((0.5 * (a - b) + half_s * x0) + half_s * dx) * p_prev
+    for k in range(2, top + 1):
+        if counts[k] < c:
+            out[counts[k] : c] = p_cur[counts[k] :]
+            c = counts[k]
+            a, b, s, a2_b2, x0, dx = active(c)
+            p_cur, p_prev = p_cur[:c], p_prev[:c]
+        tk = s + 2.0 * k
+        c0 = 2.0 * k * (k + s) * (tk - 2.0)
+        c1 = (tk - 1.0) * tk * (tk - 2.0)
+        c2 = (tk - 1.0) * a2_b2 + c1 * x0
+        c3 = 2.0 * (k - 1.0 + a) * (k - 1.0 + b) * tk
+        p_prev, p_cur = p_cur, ((c1 * dx + c2) * p_cur - c3 * p_prev) / c0
+        if k % _RESCALE_EVERY == 0:
+            big = np.maximum(np.abs(p_cur), np.abs(p_prev)) > _HUGE
+            if np.any(big):
+                p_cur = np.where(big, p_cur * _UNHUGE, p_cur)
+                p_prev = np.where(big, p_prev * _UNHUGE, p_prev)
+                e[:c] += np.where(big, _HUGE_EXP, 0)
+    out[:c] = p_cur
+    return out[unsort].reshape(shape), e[unsort].reshape(shape)
+
+
+def _ln_binomials(n: int, ks: np.ndarray) -> np.ndarray:
+    """log C(n, k) elementwise, from the exact integers: rounding error
+    about eps * log C(n, k), where a log-factorial difference carries
+    eps * log n!."""
+    uniq, inv = np.unique(ks, return_inverse=True)
+    vals = np.array([math.log(math.comb(n, int(k))) for k in uniq])
+    return vals[inv].reshape(np.shape(ks))
+
+
+def _fold(tm, tn):
+    """Map labels (twice m, twice n) into the domain m >= |n|.
+
+    Returns (tm', tn', sign) with d_mn = sign * d_m'n', by the symmetries
+    d_mn = (-1)^(m-n) d_nm = d_{-n,-m}.
+    """
+    tm, tn = np.broadcast_arrays(np.asarray(tm), np.asarray(tn))
+    flip = np.abs(tn) > np.abs(tm)
+    tm, tn = np.where(flip, tn, tm), np.where(flip, tm, tn)
+    neg = tm < 0
+    sign = np.where((flip ^ neg) & ((tm - tn) // 2 % 2 == 1), -1.0, 1.0)
+    return np.where(neg, -tm, tm), np.where(neg, -tn, tn), sign
+
+
+def _wigner_d_values(tj: int, tm, tn, beta) -> np.ndarray:
+    """d^j_{mn}(beta) elementwise over broadcast arrays of doubled labels
+    tm, tn and angles beta, by the Jacobi form (see wigner_d_matrix)."""
+    tm, tn, sign = _fold(tm, tn)
+    beta = np.asarray(beta, dtype=float)
+    ch, sh = _half_angles(beta)
+    a = (tm - tn) // 2
+    b = (tm + tn) // 2
+    # cos(beta) = x0 + dx, with 1 -/+ cos(beta) = 2 sin^2 or 2 cos^2 of beta/2
+    x = np.cos(beta)
+    x0 = np.where(x > 0.5, 1, np.where(x < -0.5, -1, 0))
+    dx = np.where(x0 == 1, -2.0 * sh * sh, np.where(x0 == -1, 2.0 * ch * ch, x))
+    p, e = _jacobi((tj - tm) // 2, a, b, x0, dx)
+    ln_pref = 0.5 * (_ln_binomials(tj, (tj + tn) // 2) - _ln_binomials(tj, (tj + tm) // 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (
+            ln_pref
+            + np.where(a == 0, 0.0, a * np.log(np.abs(sh)))
+            + np.where(b == 0, 0.0, b * np.log(np.abs(ch)))
         )
-        ln_t += 0.0 if p == 0 else p * ln_ch
-        ln_t += 0.0 if q == 0 else q * ln_sh
-        if ln_t == -math.inf:
-            continue
-        sign = -1.0 if s % 2 else 1.0
-        if ch < 0.0 and p % 2:
-            sign = -sign
-        if sh < 0.0 and q % 2:
-            sign = -sign
-        logs.append(float(ln_t))
-        signs.append(sign)
-    if not logs:
-        return 0.0
-    shift = max(logs)
-    acc = sum(s * math.exp(t - shift) for t, s in zip(logs, signs))
-    return sign_pref * math.exp(ln_pref + shift) * acc
+    # (-1)^(m-n) * sign(sh)^a * sign(ch)^b * sign(p), with a = m - n
+    flips = a + a * (sh < 0.0) + b * (ch < 0.0) + (p < 0.0)
+    sign = np.where(flips % 2 == 1, -sign, sign)
+    # |p| 2^e exp(t) = frac * 2^(e + ex + q) * exp(t - q log 2), with
+    # frac in [1/2, 1) and |t - q log 2| <= log(2)/2: nothing overflows.
+    zero = t == -np.inf
+    t = np.where(zero, 0.0, t)
+    frac, ex = np.frexp(np.abs(p))
+    q = np.rint(t / math.log(2.0))
+    r = (t - q * _LN2_HI) - q * _LN2_LO
+    mag = np.ldexp(frac * np.exp(r), e + ex + q.astype(np.int64))
+    return np.where(zero, 0.0, sign * mag)
+
+
+def _finite_angle(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def wigner_d(j, m, n, beta: float) -> float:
-    """Little-d matrix element d^j_{m,n}(beta); real by construction."""
+    """Little-d matrix element d^j_{m,n}(beta); real by construction.
+
+    The same Jacobi-form kernel as wigner_d_matrix, for one entry.
+    """
     j = _spin(j)
     m = HalfInt.of(m)
     n = HalfInt.of(n)
     for label in (m, n):
         if (j.twice - label.twice) % 2 != 0 or abs(label.twice) > j.twice:
             raise ValueError(f"label {label.value} invalid for spin {j.value}")
-    ch, sh = _half_angle(float(beta))
-    return _d_entry(j.twice, m.twice, n.twice, ch, sh)
+    beta = _finite_angle("beta", beta)
+    return float(_wigner_d_values(j.twice, m.twice, n.twice, beta))
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full real little-d matrix, rows/cols in descending m and n.
 
-    Vectorized over the (m, n, s) grid in the log domain; the summation
-    shift is taken per (m, n) entry so large-j prefactors never overflow.
+    Entries with m >= |n| come from the Jacobi form
+
+        d^j_mn(beta) = (-1)^(m-n) sqrt((j+m)!(j-m)!/((j+n)!(j-n)!))
+                       * sin^(m-n)(beta/2) cos^(m+n)(beta/2)
+                       * P_(j-m)^(m-n, m+n)(cos beta),
+
+    with the polynomials from one three-term recurrence over all entries
+    (_jacobi) and the prefactor in the log domain; the symmetries
+    d_mn = (-1)^(m-n) d_nm = d_{-n,-m} fill the rest.  Memory is O(dim^2)
+    and no intermediate overflows at any j.  beta = 0 and +/-2pi give
+    exactly +/-1 times the identity, beta = +/-pi exactly the signed
+    antidiagonal.
     """
     j = _spin(j)
     tj = j.twice
-    dim = j.dim
-    ch, sh = _half_angle(float(beta))
-    lf = ln_factorial(np.arange(tj + 1))
-    two_m = tj - 2 * np.arange(dim)
-    jm = (tj + two_m) // 2  # j + m, descending from 2j to 0
-
-    m_ax = jm[:, None, None]  # j+m for the row
-    n_ax = jm[None, :, None]  # j+n for the column
-    s_ax = np.arange(tj + 1)[None, None, :]
-
-    p = n_ax - m_ax + tj - 2 * s_ax  # 2j + n - m - 2s
-    q = m_ax - n_ax + 2 * s_ax  # m - n + 2s
-    # All four factorial arguments nonnegative: s, j+n-s, m-n+s, j-m-s.
-    valid = (m_ax - n_ax + s_ax >= 0) & (s_ax <= n_ax) & (s_ax <= tj - m_ax)
-
-    ln_ch = math.log(abs(ch)) if ch != 0.0 else -math.inf
-    ln_sh = math.log(abs(sh)) if sh != 0.0 else -math.inf
-
-    with np.errstate(invalid="ignore"):
-        ln_t = np.where(p == 0, 0.0, p * ln_ch) + np.where(q == 0, 0.0, q * ln_sh)
-    denom = (
-        lf[s_ax]
-        + lf[np.clip(n_ax - s_ax, 0, tj)]
-        + lf[np.clip(m_ax - n_ax + s_ax, 0, tj)]
-        + lf[np.clip(tj - m_ax - s_ax, 0, tj)]
-    )
-    ln_t = np.where(valid, ln_t - denom, -np.inf)
-
-    sign = np.where(s_ax % 2 == 0, 1.0, -1.0)
-    if ch < 0.0:
-        sign = sign * np.where(p % 2 == 0, 1.0, -1.0)
-    if sh < 0.0:
-        sign = sign * np.where(q % 2 == 0, 1.0, -1.0)
-
-    shift = np.max(ln_t, axis=2, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    acc = np.sum(np.where(valid, sign * np.exp(ln_t - shift), 0.0), axis=2)
-
-    ln_pref = 0.5 * (lf[jm][:, None] + lf[tj - jm][:, None] + lf[jm][None, :] + lf[tj - jm][None, :])
-    sign_pref = np.where(((jm[:, None] - jm[None, :]) % 2) == 0, 1.0, -1.0)
-    return sign_pref * np.exp(ln_pref + shift[:, :, 0]) * acc
+    beta = _finite_angle("beta", beta)
+    two = tj - 2 * np.arange(j.dim)  # twice m, descending
+    rows, cols = np.nonzero(np.abs(two)[None, :] <= two[:, None])
+    fund = np.zeros((j.dim, j.dim))
+    fund[rows, cols] = _wigner_d_values(tj, two[rows], two[cols], beta)
+    tm, tn, sign = _fold(two[:, None], two[None, :])
+    return sign * fund[(tj - tm) // 2, (tj - tn) // 2]
 
 
 def wigner_D_matrix(j, r: EulerAngles) -> Operator:
     """X_R on the spin-j space: e^{-i alpha m} d^j_{mn}(beta) e^{-i gamma n}."""
     j = _spin(j)
+    for name in ("alpha", "gamma"):
+        _finite_angle(name, getattr(r, name))
     mv = (j.twice - 2 * np.arange(j.dim)) / 2.0
     d = wigner_d_matrix(j, r.beta)
     left = np.exp(-1j * r.alpha * mv)

@@ -282,3 +282,77 @@ def test_disentangle_check():
     assert disentangle_check(HalfInt(24), SphPoint(1.5, 0.9)) < 1e-7
     with pytest.raises(ValueError):
         disentangle_check(HalfInt(5), SphPoint(math.pi, 0.0))
+
+
+def _dense_diagonal_operator(j, symbol, band_limit=None, n_phi=None, phi_multiple=1):
+    """The direct quadrature sum over every node, with the rule sized as
+    diagonal_operator sizes it: the reference for the factorized form."""
+    j = HalfInt.of(j)
+    tj = j.twice
+    if band_limit is not None:
+        degree = 2 * tj + band_limit[1]
+        n_phi = tj + band_limit[0] + 1 if n_phi is None else n_phi
+    else:
+        degree = 2 * tj
+        n_phi = 2 * tj + 2 if n_phi is None else n_phi
+    rule = sphere_quadrature(degree=degree, n_phi=n_phi, phi_multiple=phi_multiple)
+    tt, pp, ww = rule.grids()
+    values = np.asarray(symbol(tt, pp), dtype=complex)
+    v = coherent_amplitudes(j, tt, pp)
+    return (v * (ww * values * (tj + 1) / (4.0 * math.pi))[None, :]) @ v.conj().T
+
+
+def _assert_close_to_dense(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("twice", [1, 6, 17, 32])
+def test_diagonal_operator_matches_dense_quadrature_sum(twice):
+    from spinqec.lll_codes import equatorial_qudit, hermitian_check_ops, logical_operators
+
+    j = HalfInt(twice)
+    for tm in range(-twice, twice + 1, 2 if twice < 8 else 8):
+        k_max = (twice - tm) // 2
+        _assert_close_to_dense(
+            momentum_kick(j, HalfInt(tm)).realized.mat,
+            _dense_diagonal_operator(j, y_symbol(j, HalfInt(tm)), band_limit=(k_max, twice)),
+        )
+    for d in (2, 3):
+        zbar = _dense_diagonal_operator(j, lambda t, p: np.exp(1j * p), (1, 0), phi_multiple=d)
+        zcheck = _dense_diagonal_operator(j, lambda t, p: np.exp(1j * d * p), (d, 0), phi_multiple=d)
+        if j.is_integer:  # equatorial qudits need integer j
+            logical = logical_operators(equatorial_qudit(j, d))
+            _assert_close_to_dense(logical.zbar.mat, zbar)
+            _assert_close_to_dense(logical.zcheck.mat, zcheck)
+        else:
+            got = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), (d, 0), phi_multiple=d)
+            _assert_close_to_dense(got.realized.mat, zcheck)
+        cos_op, sin_op = hermitian_check_ops(j, d)
+        _assert_close_to_dense(cos_op.mat, _dense_diagonal_operator(j, lambda t, p: np.cos(d * p), (d, 0)))
+        _assert_close_to_dense(sin_op.mat, _dense_diagonal_operator(j, lambda t, p: np.sin(d * p), (d, 0)))
+
+    def rough(t, p):
+        # not band-limited: approximate=True, modes alias on the azimuthal grid
+        return np.exp(np.cos(t)) * np.sin(3.0 * p) ** 2 + 1j * np.abs(np.cos(5.0 * p))
+
+    op = diagonal_operator(j, rough)
+    assert op.approximate
+    _assert_close_to_dense(op.realized.mat, _dense_diagonal_operator(j, rough))
+    _assert_close_to_dense(
+        diagonal_operator(j, rough, n_phi=2 * twice + 5).realized.mat,
+        _dense_diagonal_operator(j, rough, n_phi=2 * twice + 5),
+    )
+
+
+def test_momentum_kick_memory_at_j_64():
+    import tracemalloc
+
+    momentum_kick(64, 63)  # fills the cached colatitude rule
+    tracemalloc.start()
+    try:
+        kick = momentum_kick(64, 63)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(kick.realized.mat))
+    assert peak < 50e6

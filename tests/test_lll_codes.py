@@ -63,6 +63,13 @@ def test_antipodal_logical_x(twice, sign):
     assert np.max(np.abs(square - sign * np.eye(j.dim))) < 1e-12
 
 
+@pytest.mark.parametrize("twice", [199, 200])
+def test_antipodal_logical_x_at_large_j(twice):
+    xbar = antipodal_logical_x(HalfInt(twice), 0.9).mat
+    assert np.all(np.isfinite(xbar))
+    assert np.max(np.abs(xbar @ xbar - (-1.0) ** twice * np.eye(twice + 1))) < 1e-12
+
+
 def test_equatorial_points_and_phases():
     # codeword k sits at azimuth 2 pi k / d with phase exp(-2 pi i (jk mod d)/d)
     code = build_codewords(equatorial_qudit(HalfInt(8), 3))
@@ -106,6 +113,14 @@ def test_xbar_power_is_bitwise_identity():
 @pytest.mark.parametrize("twice", [8, 12, 16])
 def test_clock_shift_covariance(d, twice):
     logical = logical_operators(equatorial_qudit(HalfInt(twice), d))
+    zx = logical.zbar.mat @ logical.xbar.mat
+    xz = logical.xbar.mat @ logical.zbar.mat
+    assert np.max(np.abs(zx - np.exp(2j * math.pi / d) * xz)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_clock_shift_covariance_at_j_64(d):
+    logical = logical_operators(equatorial_qudit(64, d))
     zx = logical.zbar.mat @ logical.xbar.mat
     xz = logical.xbar.mat @ logical.zbar.mat
     assert np.max(np.abs(zx - np.exp(2j * math.pi / d) * xz)) < 1e-10

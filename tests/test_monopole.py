@@ -53,6 +53,17 @@ def test_dual_route_agreement(tj, tl, tm):
         assert abs(a - b) < 1e-10
 
 
+@pytest.mark.parametrize("tl", [41, 81, 201])
+def test_routes_agree_at_large_l_over_arrays(tl):
+    rng = np.random.default_rng(tl)
+    thetas = rng.uniform(0.05, math.pi - 0.05, 16)
+    phis = rng.uniform(0.0, 2.0 * math.pi, 16)
+    jac = monopole_Y(HalfInt(1), HalfInt(tl), HalfInt(1))(thetas, phis)
+    dual = monopole_Y(HalfInt(1), HalfInt(tl), HalfInt(1), route="wigner-d")(thetas, phis)
+    assert dual.shape == thetas.shape
+    assert np.max(np.abs(jac - dual)) < 1e-10
+
+
 def test_pole_values_exact():
     # the north pole only supports m = -j (half-angle sine exponent
     # |m + j| vanishes), the south pole only m = +j; off-support values

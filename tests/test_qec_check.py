@@ -94,6 +94,17 @@ def test_kl_check_antipodal_small_angles():
     assert match and abs(max(match[0].delta, match[0].eps) - worst) < 1e-15
 
 
+def test_worst_pair_is_first_of_a_mirror_tie():
+    # T = R(-0.2)^(-1) R(0.2) and its mirror score equally in exact
+    # arithmetic; the earlier pair in scan order is reported
+    report = kl_check(build_codewords(equatorial_qudit(40, 3)), equatorial_z(0.2, 32), seed=0)
+    scores = np.array([max(p.delta, p.eps) for p in report.pairs])
+    tied = [(p.r1, p.r2) for p, s in zip(report.pairs, scores) if s >= (1.0 - 1e-12) * scores.max()]
+    low, high = EulerAngles.about_z(-0.2), EulerAngles.about_z(0.2)
+    assert (low, high) in tied and (high, low) in tied
+    assert report.worst_pair == tied[0] == (low, high)
+
+
 def test_kl_check_brute_force_agrees():
     j = HalfInt(10)
     code = build_codewords(antipodal(j, 0.3))

@@ -182,3 +182,96 @@ def test_haar_determinism():
     assert len(seq) == 3
     assert seq == haar_random_sequence(5, 3)
     assert haar_random(5) != haar_random(6)
+
+
+def _eigh_route(j, beta):
+    return matexp_antihermitian(axis_operator(j, (0.0, 1.0, 0.0)), beta).mat
+
+
+@pytest.mark.parametrize("j", [50, 100, 200, 400])
+def test_wigner_d_matrix_large_j_against_eigh(j):
+    unitarity = 1e-12 if j <= 200 else 3e-12
+    for beta in (0.0, 0.1, math.pi / 2.0, 2.5, math.pi):
+        d = wigner_d_matrix(j, beta)
+        assert np.all(np.isfinite(d))
+        assert np.max(np.abs(d - _eigh_route(j, beta))) < 1e-12
+        assert np.max(np.abs(d.T @ d - np.eye(2 * j + 1))) < unitarity
+
+
+@pytest.mark.parametrize("twice", [1, 14, 199, 200])
+def test_wigner_d_matrix_exact_at_multiples_of_pi(twice):
+    j = HalfInt(twice)
+    eye = np.eye(j.dim)
+    assert np.array_equal(wigner_d_matrix(j, 0.0), eye)
+    for beta in (2.0 * math.pi, -2.0 * math.pi):
+        assert np.array_equal(wigner_d_matrix(j, beta), (-1.0) ** twice * eye)
+    # d_{m,-m}(pi) = (-1)^(j+m) and d_{m,-m}(-pi) = (-1)^(j-m), zero elsewhere
+    j_plus_m = twice - np.arange(j.dim)
+    anti = np.fliplr(eye)
+    assert np.array_equal(wigner_d_matrix(j, math.pi), anti * np.where(j_plus_m % 2, -1.0, 1.0)[:, None])
+    j_minus_m = np.arange(j.dim)
+    assert np.array_equal(wigner_d_matrix(j, -math.pi), anti * np.where(j_minus_m % 2, -1.0, 1.0)[:, None])
+
+
+def _mp_wigner_d(j, m, n, beta):
+    """The explicit alternating sum in exact-enough arithmetic: every term
+    is carried to more digits than the largest of them has."""
+    import mpmath as mp
+
+    jm, jmm, jn, jnn, mn = (int(v) for v in (j + m, j - m, j + n, j - n, m - n))
+    with mp.workdps(int(2 * j * 0.31) + 40):
+        b = mp.mpf(beta)
+        ch, sh = mp.cos(b / 2), mp.sin(b / 2)
+        ratio = -(sh * sh) / (ch * ch)
+        lo = max(0, -mn)
+        term = (-1) ** (mn + lo) * ch ** (jn + jmm - 2 * lo) * sh ** (mn + 2 * lo) / (
+            mp.factorial(lo) * mp.factorial(jn - lo) * mp.factorial(mn + lo) * mp.factorial(jmm - lo)
+        )
+        total = mp.mpf(0)
+        for s in range(lo, min(jn, jmm) + 1):
+            total += term
+            term *= ratio * (jn - s) * (jmm - s) / ((s + 1) * (mn + s + 1))
+        pref = mp.sqrt(mp.factorial(jm) * mp.factorial(jmm) * mp.factorial(jn) * mp.factorial(jnn))
+        return float(pref * total)
+
+
+@pytest.mark.parametrize(
+    "j,m,n,beta",
+    [
+        (2000, 0, 0, 0.3),
+        (2000, 600, 600, 2.5),
+        (2000, 700, -600, 0.7),
+        (2000, 2000, 1999, 0.01),
+        (1999.5, 0.5, -0.5, 2.9),
+    ],
+)
+def test_wigner_d_scalar_at_j_2000_against_mpmath(j, m, n, beta):
+    # at (600, 600, 2.5) and (700, -600, 0.7) the raw Jacobi polynomial
+    # is about 1e600 and 1e591, past the float range
+    assert abs(wigner_d(j, m, n, beta) - _mp_wigner_d(j, m, n, beta)) < 1e-12
+
+
+def test_wigner_d_matrix_memory_is_quadratic():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for beta in (0.1, 2.5, math.pi):
+            wigner_d_matrix(100, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_non_finite_angles_rejected():
+    with pytest.raises(ValueError, match="beta"):
+        wigner_d_matrix(3, math.nan)
+    with pytest.raises(ValueError, match="beta"):
+        wigner_d(3, 1, 0, math.inf)
+    with pytest.raises(ValueError, match="alpha"):
+        wigner_D_matrix(3, EulerAngles(math.nan, 0.3, 0.2))
+    with pytest.raises(ValueError, match="gamma"):
+        wigner_D_matrix(3, EulerAngles(0.1, 0.3, -math.inf))
+    with pytest.raises(ValueError, match="beta"):
+        wigner_D_matrix(3, EulerAngles(0.1, math.nan, 0.2))
