@@ -1,0 +1,82 @@
+"""Pinned CLI output bytes.
+
+Each case runs one subcommand in-process and compares the sha256 digest
+of its output file with a digest recorded before the closed forms were
+routed through their array kernels.  A refactor that moves a single last
+bit of any printed number changes the digest.
+
+The digests are tied to the installed numpy build (recorded with
+numpy 2.4.6 on x86-64): a different numpy or libm may round transcendental
+functions differently and move last bits without any change here.  If
+that happens, re-record them on the parent commit of the change under
+test, never on the change itself.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from spinqec.cli import main
+
+# name -> (argv, --config overrides or None, sha256 of the output file)
+CASES = {
+    "harmonics-defaults": (
+        ["harmonics"],
+        None,
+        "be47c997fed99796ca2aaccff3b7c5b1fc734363a18fb1ce5a1897c66c596c95",
+    ),
+    "harmonics-half-lmax-6.5-json": (
+        ["harmonics", "--j", "0.5", "--lmax", "6.5", "--samples", "5", "--format", "json"],
+        None,
+        "dc3eed221cb0ddf5964b50043833f0b5f81762801a7f29d36683ecfc7213760f",
+    ),
+    "harmonics-negative-weight-phis": (
+        ["harmonics", "--lmax", "4.5", "--samples", "7"],
+        {"j": -1.5, "phis": [0.0, 1.3, 4.0]},
+        "f36632a5f0207cfac986214eaf611ef0cfcd11acf03c6d2ce278fd4d8c617e45",
+    ),
+    "kl-scan-defaults": (
+        ["kl-scan"],
+        None,
+        "767afdbedbc0a26260270c271e6537dfd0fccab27306ec8946f6c56d65aa817f",
+    ),
+    "kl-scan-equatorial-40-3": (
+        ["kl-scan", "--j", "40", "--d", "3", "--theta-max", "0.2", "--samples", "32"],
+        None,
+        "8bb83e65e95e9229cfd12fb75e0c2e8ee69003ec2b2c846dd70a0c31f2bc13c9",
+    ),
+    "recovery-sweep-defaults": (
+        ["recovery-sweep"],
+        None,
+        "cb0f8b9c9d906f54ce47e6bd6d83146871f8be2293d65391770c5eedb85d45da",
+    ),
+    "recovery-sweep-d3": (
+        ["recovery-sweep", "--j", "20", "--d", "3", "--delta", "0.05", "--samples", "20"],
+        None,
+        "1dd79cfb5c04936b9b08e09a1698ff0b4babe8f500534926a5cb3a94badf9533",
+    ),
+    "overlap-curve-defaults": (
+        ["overlap-curve"],
+        None,
+        "c3679215f767ad10e3d3c3989c1f0454255a3fffb741d00a62813107eee12abc",
+    ),
+    "overlap-curve-phi0-1.3": (
+        ["overlap-curve"],
+        {"phi0": 1.3},
+        "2de179d4c96e960367a1e1bdcff1f8c10de3b4e594731d693d2f3ea3f3c8f417",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_bytes_pinned(tmp_path, name):
+    argv, overrides, digest = CASES[name]
+    argv = list(argv)
+    if overrides is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
