@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._logfact import ln_binomial
-from .rotations import EulerAngles, rotate_vector, _half_angle, _half_angles
+from .rotations import EulerAngles, rotate_vector, _half_angles
 from .spin_core import HalfInt, Operator, StateVec, _spin
 
 __all__ = [
@@ -102,7 +102,7 @@ class SphPoint:
         )
 
     def half_angles(self) -> tuple[float, float]:
-        return _half_angle(self.theta)
+        return tuple(float(v) for v in _half_angles(self.theta))
 
 
 def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
@@ -144,16 +144,6 @@ def coherent_state(j, p: SphPoint) -> StateVec:
     return StateVec(j, amps)
 
 
-def _pow_two_j(base: complex, tj: int) -> complex:
-    """base**(2j) via the principal log, clamped to exact 0 on underflow."""
-    if base == 0.0:
-        return 0.0 + 0.0j
-    ln_mag = tj * math.log(abs(base))
-    if ln_mag < -700.0:
-        return 0.0 + 0.0j
-    return cmath.exp(tj * cmath.log(base))
-
-
 def rotation_matrix_elements(j, out, r, inp, with_underflow: bool = False):
     """(xi_out^H U_R xi_in)^(2j), elementwise over points and rotations.
 
@@ -191,8 +181,10 @@ def rotation_matrix_elements(j, out, r, inp, with_underflow: bool = False):
 
 
 def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise _pow_two_j in polar form: (values, clamped mask).
+    """base**(2j) elementwise in polar form: (values, clamped mask).
 
+    The one 2j-th-power kernel of the package: zero gives exact zero, and
+    magnitudes below exp(-700) are clamped to zero and flagged in the mask.
     The 2j-th power multiplies every rounding of arg(base) by 2j, so the
     phase is split exactly: base = i^q |base| exp(i a) with |a| <= pi/4,
     found by swapping and negating parts, and i^(2j q) is exact.  Only
@@ -200,6 +192,8 @@ def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray
     log|base| is taken as cmath.log takes it, through log1p near
     |base| = 1.
     """
+    if tj == 0:  # spin 0 has one state: every contraction to the 0th power is 1
+        return np.ones_like(base, dtype=complex), np.zeros(np.shape(base), dtype=bool)
     x, y = base.real, base.imag
     big, small = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
     swap = np.abs(y) > np.abs(x)
@@ -224,17 +218,13 @@ def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray
 
 
 def overlap(j, p1: SphPoint, p2: SphPoint) -> complex:
-    """<Omega1|Omega2> in closed form.
+    """<Omega1|Omega2> in closed form: rotation_matrix_elements at R = 1.
 
     base = cos(t1/2)cos(t2/2) + exp(i(phi2 - phi1)) sin(t1/2)sin(t2/2),
     overlap = base^(2j); the phase convention has the ket azimuth with
     the + sign.
     """
-    j = _spin(j)
-    c1, s1 = p1.half_angles()
-    c2, s2 = p2.half_angles()
-    base = c1 * c2 + cmath.exp(1j * (p2.phi - p1.phi)) * s1 * s2
-    return _pow_two_j(base, j.twice)
+    return complex(rotation_matrix_elements(j, (p1.theta, p1.phi), (0,) * 3, (p2.theta, p2.phi)))
 
 
 def overlap_magnitude(j, p1: SphPoint, p2: SphPoint) -> float:
@@ -275,14 +265,15 @@ def equatorial_matrix_element(j, phi_out: float, big_theta: float, phi_in: float
 
     Equals ((exp(-i Theta/2) + exp(i Theta/2) exp(i(phi_in - phi_out)))/2)^(2j);
     the magnitude is ((1 + cos(Theta + phi_in - phi_out))/2)^j, peaked where
-    the rotated azimuth phi_in + Theta meets phi_out.
+    the rotated azimuth phi_in + Theta meets phi_out.  The base divides by
+    an exact 1/2, where the general kernel would multiply by cos^2(pi/4).
     """
     j = _spin(j)
     base = (
         cmath.exp(-0.5j * big_theta)
         + cmath.exp(0.5j * big_theta) * cmath.exp(1j * (phi_in - phi_out))
     ) / 2.0
-    return _pow_two_j(base, j.twice)
+    return complex(_pow_two_j_arrays(np.asarray(base), j.twice)[0])
 
 
 def rotate_point(r: EulerAngles, p: SphPoint) -> SphPoint:

@@ -25,13 +25,12 @@ import numpy as np
 
 from .coherent import (
     SphPoint,
-    coherent_state,
+    coherent_amplitudes,
     diagonal_operator,
-    overlap,
     rotation_matrix_elements,
 )
 from .rotations import EulerAngles, wigner_D_matrix
-from .spin_core import HalfInt, Operator, StateVec, _spin, m_values
+from .spin_core import HalfInt, Operator, StateVec, _spin
 
 __all__ = [
     "CodeSpec",
@@ -106,9 +105,12 @@ class Codewords:
     """Codeword basis with its gram matrix and coherent decomposition.
 
     components[k] lists (point, coefficient) pairs such that the k-th
-    codeword equals sum_i coefficient_i |Omega_i>; the gram matrix is
-    assembled from closed-form overlaps, so antipodal off-diagonals are
-    exact zeros.
+    codeword equals sum_i coefficient_i |Omega_i>.  The basis adds the
+    columns of one coherent_amplitudes table in component order, as a sum
+    of coherent_state vectors would.  The gram matrix is C^H P C, with C
+    the coefficient of each point in each codeword and P[i, k] =
+    <Omega_i|Omega_k> from one rotation_matrix_elements call at R = 1;
+    antipodal off-diagonals are exact zeros.
     """
 
     spec: CodeSpec
@@ -168,8 +170,17 @@ def cyclic_normalization(j, n_cosets: int) -> float:
     return n * _coset_filter(j.twice, n, 0.0, 0).real
 
 
+def _point_arrays(components) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, thetas, phis, coefficients) over every coherent point of a
+    code, in component order; owner[i] is the codeword point i belongs to."""
+    points = [(k, p.theta, p.phi, c) for k, comp in enumerate(components) for p, c in comp]
+    return tuple(np.array(v) for v in zip(*points))
+
+
 def build_codewords(spec: CodeSpec) -> Codewords:
-    """Construct the codeword basis for the given family."""
+    """Construct the codeword basis for the given family, with its gram
+    matrix, from one amplitude table and one overlap table over all the
+    points (see Codewords)."""
     j = spec.j
     components: list[list[tuple[SphPoint, complex]]] = []
     if spec.family == "Antipodal":
@@ -194,21 +205,19 @@ def build_codewords(spec: CodeSpec) -> Codewords:
                     for s in range(n)
                 ]
             )
-    basis = []
-    for comp in components:
-        amps = np.zeros(j.dim, dtype=complex)
-        for point, coeff in comp:
-            amps = amps + coeff * coherent_state(j, point).amps
-        basis.append(StateVec(j, amps))
-    size = len(components)
-    gram = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            gram[a, b] = sum(
-                ca.conjugate() * cb * overlap(j, pa, pb)
-                for pa, ca in components[a]
-                for pb, cb in components[b]
-            )
+    owner, thetas, phis, coeffs = _point_arrays(components)
+    # One product amps @ C would round differently from these running sums.
+    amps = np.zeros((len(components), j.dim), dtype=complex)
+    columns = coherent_amplitudes(j, thetas, phis).T
+    for k, coeff, column in zip(owner.tolist(), coeffs.tolist(), columns):
+        amps[k] = amps[k] + coeff * column
+    basis = [StateVec(j, row) for row in amps]
+    overlaps = rotation_matrix_elements(
+        j, (thetas[:, None], phis[:, None]), (0,) * 3, (thetas, phis)
+    )
+    cmat = np.zeros((len(owner), len(components)), dtype=complex)
+    cmat[np.arange(len(owner)), owner] = coeffs
+    gram = cmat.conj().T @ overlaps @ cmat
     return Codewords(spec, basis, gram, components)
 
 
@@ -307,16 +316,16 @@ def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
     """
     j = code.spec.j
     size = len(code.components)
-    points = [(k, p, c) for k, comp in enumerate(code.components) for p, c in comp]
-    thetas = np.array([p.theta for _, p, _ in points])
-    phis = np.array([p.phi for _, p, _ in points])
+    owner, thetas, phis, coeffs = _point_arrays(code.components)
+    points = list(zip(owner.tolist(), coeffs.tolist()))
     angles = tuple(np.asarray(x, dtype=float).reshape(-1, 1) for x in angles)
     tables = np.zeros((len(angles[0]), size, size), dtype=complex)
-    for o, (k, _, c_out) in enumerate(points):
-        # Coefficient products first: conj(c) c is exactly real, so the
-        # diagonal of a single-point codeword carries no phase rounding.
+    for o, (k, c_out) in enumerate(points):
+        # Coefficient products first, in Python complex arithmetic: conj(c) c
+        # is exactly real, so the diagonal of a single-point codeword carries
+        # no phase rounding.
         weights = np.zeros((len(points), size), dtype=complex)
-        for i, (b, _, c_in) in enumerate(points):
+        for i, (b, c_in) in enumerate(points):
             weights[i, b] = c_out.conjugate() * c_in
         row = rotation_matrix_elements(j, (thetas[o], phis[o]), angles, (thetas, phis))
         tables[:, k, :] += row @ weights

@@ -20,7 +20,9 @@ provided:
                |m| < |j|.  All shifted parameters are nonnegative, so
                the polynomial is evaluated by the stable three-term
                recurrence in the degree (rotations._jacobi, the one
-               shared by the Wigner-d kernel).
+               shared by the Wigner-d kernel).  One function evaluates
+               it for label arrays: harmonic_table makes one call per
+               (l, m) over its grid, a Landau code one call in all.
   wigner-d  -- sqrt((2l+1)/4pi) e^{i(m+j)phi} d^l_{j,-m}(theta).
 
 The z-axis gauge is the one regular at the north pole: jY^l_m(0, phi) =
@@ -99,46 +101,47 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
     if (l.twice - j.twice) % 2 or (l.twice - m.twice) % 2:
         raise ValueError("l, m, j must share integer offsets (parity)")
 
-    aa = (m.twice + j.twice) // 2  # m + j, integer of either sign
-    bb = (m.twice - j.twice) // 2  # m - j
-    norm = math.sqrt((l.twice + 1) / _FOUR_PI)
-
-    if route == "wigner-d":
-
-        def evaluator(theta, phi):
-            th = np.asarray(theta, dtype=float)
-            ph = np.asarray(phi, dtype=float)
-            d_vals = _wigner_d_values(l.twice, j.twice, -m.twice, th)
-            out = norm * d_vals * np.exp(1j * aa * ph)
-            return out if out.ndim else complex(out)
-
-        return MonopoleHarmonic(j, l, m, evaluator)
-    if route != "jacobi":
+    if route not in ("jacobi", "wigner-d"):
         raise ValueError(f"unknown route {route!r}")
 
-    lm = (l.twice - m.twice) // 2
-    lpm = (l.twice + m.twice) // 2
-    lj = (l.twice - j.twice) // 2
-    lpj = (l.twice + j.twice) // 2
-    ln_half = 0.5 * float(
-        ln_factorial(lm) + ln_factorial(lpm) - ln_factorial(lj) - ln_factorial(lpj)
-    )
-    ln_fact = ln_half if abs(m.twice) >= abs(j.twice) else -ln_half
-    sign = -1.0 if (aa > 0 and aa % 2) else 1.0
-    pref = sign * norm * math.exp(ln_fact)
-    deg = (l.twice - max(abs(m.twice), abs(j.twice))) // 2
-    pa, pb = abs(aa), abs(bb)
-
     def evaluator(theta, phi):
-        th = np.asarray(theta, dtype=float)
-        ch, sh = _half_angles(th)
-        x = np.where(th == math.pi, -1.0, np.cos(th))
-        ph = np.asarray(phi, dtype=float)
-        p, e = _jacobi(deg, pa, pb, 0, x)
-        out = np.ldexp(pref * sh**pa * ch**pb * p, e) * np.exp(1j * aa * ph)
+        if route == "jacobi":
+            out = _jacobi_route(j.twice, l.twice, m.twice, theta, phi)
+        else:
+            d_vals = _wigner_d_values(l.twice, j.twice, -m.twice, np.asarray(theta, dtype=float))
+            phase = np.exp(1j * ((m.twice + j.twice) // 2) * np.asarray(phi, dtype=float))
+            out = math.sqrt((l.twice + 1) / _FOUR_PI) * d_vals * phase
         return out if out.ndim else complex(out)
 
     return MonopoleHarmonic(j, l, m, evaluator)
+
+
+def _jacobi_route(tj: int, tl, tm, theta, phi) -> np.ndarray:
+    """jY^l_m(theta, phi) by the folded Jacobi form (module docstring).
+
+    tj, tl, tm are twice j, l, m; tl and tm may be integer arrays that
+    broadcast with theta and phi, many harmonics in one recurrence pass.
+    Python-int labels keep Python-int exponents and a math.exp prefactor,
+    the arithmetic behind the `harmonics` CLI bytes; array labels agree
+    with them to a few ulp.
+    """
+    aa = (tm + tj) // 2  # m + j, integer of either sign
+    bb = (tm - tj) // 2  # m - j
+    ln_half = 0.5 * (
+        ln_factorial((tl - tm) // 2) + ln_factorial((tl + tm) // 2)
+        - ln_factorial((tl - tj) // 2) - ln_factorial((tl + tj) // 2)
+    )
+    ln_fact = np.where(abs(tm) >= abs(tj), ln_half, -ln_half)
+    sign = np.where((aa > 0) & (aa % 2 == 1), -1.0, 1.0)
+    scale = np.exp(ln_fact) if np.ndim(ln_fact) else math.exp(ln_fact)
+    pref = sign * np.sqrt((tl + 1) / _FOUR_PI) * scale
+    deg = (tl - np.maximum(abs(tm), abs(tj))) // 2
+    th = np.asarray(theta, dtype=float)
+    ch, sh = _half_angles(th)
+    x = np.where(th == math.pi, -1.0, np.cos(th))
+    ph = np.asarray(phi, dtype=float)
+    p, e = _jacobi(deg, abs(aa), abs(bb), 0, x)
+    return np.ldexp(pref * sh ** abs(aa) * ch ** abs(bb) * p, e) * np.exp(1j * aa * ph)
 
 
 def lowest_level_bridge(j, m, n_theta: int = 8, n_phi: int = 8) -> float:
@@ -229,18 +232,19 @@ def build_full_landau_code(N: int, j, l_max=None) -> FullLandauCode:
     if l_max.twice < j.twice or (l_max.twice - j.twice) % 2:
         raise ValueError("l_max must be j plus a nonnegative integer")
 
+    labels = [
+        (tl, p)
+        for tl in range(j.twice, l_max.twice + 1, 2)
+        for p in range(math.ceil((j.twice - tl) / (2 * N)), (j.twice + tl) // (2 * N) + 1)
+    ]
+    tl, p = np.array(labels).T
+    amps = _jacobi_route(j.twice, tl, 2 * p * N - j.twice, math.pi / 2.0, 0.0).real
     sqrt_n = math.sqrt(N)
     entries = []
-    for tl in range(j.twice, l_max.twice + 1, 2):
-        l = HalfInt(tl)
-        p_lo = math.ceil((j.twice - tl) / (2 * N))
-        p_hi = math.floor((j.twice + tl) / (2 * N))
-        for p in range(p_lo, p_hi + 1):
-            m = HalfInt(2 * p * N - j.twice)
-            amp = float(np.real(monopole_Y(j, l, m)(math.pi / 2.0, 0.0)))
-            c0 = sqrt_n * amp
-            c1 = c0 if p % 2 == 0 else -c0
-            entries.append(LandauEntry(l, p, m, amp, c0, c1))
+    for (tl, p), amp in zip(labels, amps.tolist()):
+        c0 = sqrt_n * amp
+        c1 = c0 if p % 2 == 0 else -c0
+        entries.append(LandauEntry(HalfInt(tl), p, HalfInt(2 * p * N - j.twice), amp, c0, c1))
 
     norm_sq = sum(e.c0 * e.c0 for e in entries)
     inner = sum(e.c0 * e.c1 for e in entries)
@@ -295,17 +299,14 @@ def harmonic_table(j, l_max, thetas, phis) -> list[tuple[float, ...]]:
     """Rows (l, m, theta, phi, re, im) for every harmonic up to l_max."""
     j = HalfInt.of(j)
     l_max = HalfInt.of(l_max)
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
+    tt, pp = np.meshgrid(np.asarray(thetas, float), np.asarray(phis, float), indexing="ij")
+    grid = list(zip(tt.ravel().tolist(), pp.ravel().tolist()))
     rows = []
     for tl in range(abs(j.twice), l_max.twice + 1, 2):
-        l = HalfInt(tl)
         for tm in range(-tl, tl + 1, 2):
-            m = HalfInt(tm)
-            harm = monopole_Y(j, l, m)
-            for th in thetas:
-                vals = harm(np.full_like(phis, th), phis)
-                vals = np.atleast_1d(vals)
-                for ph, v in zip(phis, vals):
-                    rows.append((l.value, m.value, float(th), float(ph), v.real, v.imag))
+            vals = _jacobi_route(j.twice, tl, tm, tt, pp).ravel()
+            rows.extend(
+                (tl / 2.0, tm / 2.0, th, ph, re, im)
+                for (th, ph), re, im in zip(grid, vals.real.tolist(), vals.imag.tolist())
+            )
     return rows

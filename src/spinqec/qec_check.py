@@ -71,6 +71,9 @@ class ErrorSet:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error-set kind {self.kind!r}")
+        for name in ("max_angle", "phi0", "x_angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "ExplicitList":
             if not self.rotations:
                 raise ValueError("ExplicitList needs at least one rotation")

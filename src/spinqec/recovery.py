@@ -41,9 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import coherent_amplitudes, theta_rule
+from .coherent import coherent_amplitudes, rotation_matrix_elements, theta_rule
 from .lll_codes import build_codewords, equatorial_qudit
-from .spin_core import HalfInt, StateVec, _spin
+from .spin_core import HalfInt, _spin
 
 __all__ = [
     "SyndromeRun",
@@ -78,15 +78,11 @@ def _collapse_state(tj: int, d: int, phi_state: float, phi_m: float) -> np.ndarr
     """
     j = HalfInt(tj)
     thetas, weights = theta_rule(2 * tj)
-    ch = np.cos(0.5 * thetas)
-    sh = np.sin(0.5 * thetas)
-    eq = math.sqrt(0.5)
     u = np.zeros(tj + 1, dtype=complex)
     for k in range(d):
         phi_u = phi_m - _TWO_PI * k / d
-        # <theta', phi_u | pi/2, phi_state> = base^(2j)
-        base = ch * eq + np.exp(1j * (phi_state - phi_u)) * sh * eq
-        ovl = base**tj
+        # <theta', phi_u | pi/2, phi_state> in closed form
+        ovl = rotation_matrix_elements(j, (thetas, phi_u), (0,) * 3, (math.pi / 2.0, phi_state))
         v = coherent_amplitudes(j, thetas, np.full_like(thetas, phi_u))
         u = u + v @ (weights * ovl)
     return u
@@ -220,7 +216,8 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
     2 I_z(a, a) at z = (1 - sin(epsilon/2))/2 = sin^2((pi - epsilon)/4),
     evaluated directly (not as 1 minus the window) so the j = 400 tails
     near 1e-8 keep full relative accuracy.  The asymptotic reference is
-    sqrt(2/(pi j)) exp(-j eps^2/2)/eps.
+    sqrt(2/(pi j)) exp(-j eps^2/2)/eps.  The ratio is taken from the two
+    log tails, so it stays finite where both tails underflow to 0.
     """
     j = _spin(j)
     if j.twice == 0:
@@ -229,19 +226,21 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
     if not 0.0 < epsilon <= math.pi:
         raise ValueError("epsilon must lie in (0, pi]")
 
-    if epsilon == math.pi:
-        numeric = 0.0
-    else:
-        a = j.twice + 0.5
-        s = math.sin(0.25 * (math.pi - epsilon))
-        c = math.cos(0.25 * (math.pi - epsilon))
-        # z^a (1 - z)^a / (a B(a, a)), with z = s^2 and 1 - z = c^2
-        ln_beta = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
-        ln_front = 2.0 * a * math.log(s * c) - math.log(a) - ln_beta
-        numeric = min(1.0, 2.0 * math.exp(ln_front) * _beta_cf(a, s * s))
     jv = j.value
     laplace = math.sqrt(2.0 / (math.pi * jv)) * math.exp(-jv * epsilon * epsilon / 2.0) / epsilon
-    ratio = numeric / laplace if laplace > 0.0 else math.inf
+    if epsilon == math.pi:
+        return TailEstimate(j, epsilon, 0.0, laplace, 0.0)
+    a = j.twice + 0.5
+    s = math.sin(0.25 * (math.pi - epsilon))
+    c = math.cos(0.25 * (math.pi - epsilon))
+    # z^a (1 - z)^a / (a B(a, a)), with z = s^2 and 1 - z = c^2
+    ln_beta = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
+    ln_front = 2.0 * a * math.log(s * c) - math.log(a) - ln_beta
+    cf = _beta_cf(a, s * s)
+    numeric = min(1.0, 2.0 * math.exp(ln_front) * cf)
+    ln_numeric = min(0.0, math.log(2.0) + ln_front + math.log(cf))
+    ln_laplace = 0.5 * math.log(2.0 / (math.pi * jv)) - jv * epsilon**2 / 2.0 - math.log(epsilon)
+    ratio = math.exp(ln_numeric - ln_laplace)
     return TailEstimate(j, epsilon, numeric, laplace, ratio)
 
 
@@ -352,6 +351,8 @@ def recover(
         raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
     k = int(k) % d
     delta_phi = float(delta_phi)
+    if not math.isfinite(delta_phi):
+        raise ValueError(f"delta_phi must be finite, got {delta_phi}")
     out_of_cell = not abs(delta_phi) < math.pi / d
     rng = np.random.default_rng(seed)
     peak = int(rng.integers(d))

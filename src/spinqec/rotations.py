@@ -113,29 +113,20 @@ def su2_from_euler(r: EulerAngles) -> Su2:
     """Spin-1/2 matrix of X_R; the group law downstairs is exact."""
     half_sum = 0.5 * (r.alpha + r.gamma)
     half_diff = 0.5 * (r.alpha - r.gamma)
-    ch, sh = _half_angle(r.beta)
-    a = cmath.exp(-1j * half_sum) * ch
-    b = cmath.exp(1j * half_diff) * sh
+    ch, sh = _half_angles(r.beta)
+    a = cmath.exp(-1j * half_sum) * float(ch)
+    b = cmath.exp(1j * half_diff) * float(sh)
     return Su2(a, b)
 
 
-def _half_angle(beta: float) -> tuple[float, float]:
-    """cos(beta/2), sin(beta/2) with exact zeros at beta = 0, pi, 2pi.
+def _half_angles(beta) -> tuple[np.ndarray, np.ndarray]:
+    """cos(beta/2), sin(beta/2) elementwise, with exact zeros at beta = pi
+    and 2pi (either sign).
 
     Exact multiples of pi mean the exact rotation, so the vanishing
     half-angle function is snapped to 0.0 rather than left at ~1e-16.
+    The one half-angle helper of the package: scalars give 0-d arrays.
     """
-    ch = math.cos(0.5 * beta)
-    sh = math.sin(0.5 * beta)
-    if beta == math.pi or beta == -math.pi:
-        ch = 0.0
-    if beta == 2.0 * math.pi or beta == -2.0 * math.pi:
-        sh = 0.0
-    return ch, sh
-
-
-def _half_angles(beta) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise _half_angle over an array of angles, with the same snaps."""
     beta = np.asarray(beta, dtype=float)
     ch = np.where(np.abs(beta) == math.pi, 0.0, np.cos(0.5 * beta))
     sh = np.where(np.abs(beta) == 2.0 * math.pi, 0.0, np.sin(0.5 * beta))

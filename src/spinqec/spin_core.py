@@ -51,6 +51,8 @@ class HalfInt:
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return HalfInt(2 * int(value))
         doubled = 2.0 * float(value)
+        if not math.isfinite(doubled):
+            raise ValueError(f"value must be a finite half-integer, got {value!r}")
         rounded = round(doubled)
         if abs(doubled - rounded) > 1e-9:
             raise ValueError(f"{value!r} is not a half-integer")

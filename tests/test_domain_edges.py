@@ -1,0 +1,74 @@
+"""Inputs at the edge of the accepted domain: finite results or a
+ValueError that names the offending argument."""
+
+import math
+
+import mpmath as mp
+import pytest
+
+from spinqec.qec_check import ErrorSet, conjugated_y, conjugated_z_about_x, equatorial_z
+from spinqec.recovery import recover, tail_failure
+from spinqec.spin_core import HalfInt
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_halfint_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="value must be a finite half-integer"):
+        HalfInt.of(value)
+
+
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda: equatorial_z(math.nan, 8), "max_angle"),
+        (lambda: equatorial_z(math.inf, 8), "max_angle"),
+        (lambda: conjugated_y(math.nan, 0.1), "phi0"),
+        (lambda: conjugated_z_about_x(0.1, math.nan), "x_angle"),
+        (lambda: ErrorSet("EquatorialZ", max_angle=0.1, phi0=-math.inf), "phi0"),
+    ],
+)
+def test_error_set_rejects_non_finite(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
+@pytest.mark.parametrize("delta_phi", [math.nan, math.inf])
+def test_recover_rejects_non_finite_delta(delta_phi):
+    with pytest.raises(ValueError, match="delta_phi"):
+        recover(8, 2, 0, delta_phi, 0)
+
+
+def _mp_tail_ratio(j, eps):
+    """Tail mass over the Laplace reference, from a 30-digit quadrature of
+    cos^(4j)(x/2) split at multiples of its decay length 1/(j eps)."""
+    with mp.workdps(30):
+        j, eps = mp.mpf(j), mp.mpf(eps)
+        width = 1 / (j * eps)
+        cuts = [eps + k * width for k in (0, 1, 4, 16, 64, 256)]
+        cuts = [c for c in cuts if c < mp.pi] + [mp.pi]
+        tail = 2 * mp.quad(lambda x: mp.exp(4 * j * mp.log(mp.cos(x / 2))), cuts)
+        mass = 2 * mp.pi * mp.exp(mp.loggamma(4 * j + 1) - 2 * mp.loggamma(2 * j + 1) - 4 * j * mp.log(2))
+        laplace = mp.sqrt(2 / (mp.pi * j)) * mp.exp(-j * eps**2 / 2) / eps
+        return float(tail / mass / laplace)
+
+
+def test_tail_ratio_finite_where_both_tails_underflow():
+    est = tail_failure(1e6, 0.1)
+    assert est.numeric_tail == 0.0 and est.laplace_tail == 0.0
+    assert math.isfinite(est.ratio)
+    # the Laplace reference drops the quartic term of log cos, a factor
+    # exp(-j eps^4/48) = 0.125 here, so the ratio is far from 1 but exact;
+    # the remaining 2e-8 comes from lgamma cancellation at a = 2e6 + 1/2
+    assert abs(est.ratio / _mp_tail_ratio(1e6, 0.1) - 1.0) < 1e-7
+    # where j eps^4 is small the ratio is near 1 even though both tails underflow
+    est = tail_failure(2e7, 0.01)
+    assert est.numeric_tail == 0.0 and est.laplace_tail == 0.0
+    assert abs(est.ratio - 1.0) < 0.05
+    assert abs(est.ratio / _mp_tail_ratio(2e7, 0.01) - 1.0) < 1e-7
+
+
+def test_tail_ratio_unchanged_where_tails_are_normal():
+    est = tail_failure(100, 0.3)
+    assert abs(est.ratio - est.numeric_tail / est.laplace_tail) < 1e-14 * est.ratio
+    assert abs(est.ratio / _mp_tail_ratio(100, 0.3) - 1.0) < 1e-12
+    assert tail_failure(100, math.pi).ratio == 0.0
