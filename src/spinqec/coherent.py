@@ -21,13 +21,14 @@ therefore one spinor contraction raised to the 2j-th power,
 which rotation_matrix_elements evaluates elementwise over arrays of
 points and rotations.
 
-The quadrature: Gauss-Legendre nodes in x = cos(theta) are exact for
-polynomials in x, but coherent-state integrands are half-angle monomials
-cos^a(theta/2) sin^b(theta/2) whose odd-parity families fall outside
-that class.  A minimum-norm least-squares correction adjusts the weights
-to integrate all four parity families exactly up to the requested
-degree; azimuthal integrals use a uniform rule that is exact for every
-mode |k| < n_phi.
+The quadrature: coherent-state integrands are half-angle monomials
+cos^a(theta/2) sin^b(theta/2) times sin(theta), in all four parity
+families of (a, b).  In psi = theta/2 each is a trigonometric polynomial
+of degree a + b + 2 on the quarter period [0, pi/2], so the colatitude
+rule is a subperiodic trigonometric Gaussian rule: degree + 3 nodes
+psi = pi/4 + 2 asin(sin(pi/8) xi), with xi and the positive weights from
+one Golub-Welsch eigenproblem.  Azimuthal integrals use a uniform rule
+that is exact for every mode |k| < n_phi.
 """
 
 from __future__ import annotations
@@ -120,11 +121,12 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     return _amplitude_magnitudes(j.twice, thetas) * phase
 
 
-def _amplitude_magnitudes(tj: int, thetas: np.ndarray) -> np.ndarray:
+def _amplitude_magnitudes(tj: int, thetas: np.ndarray, jm=None) -> np.ndarray:
     """|c_m(theta)| = sqrt(C(2j, j+m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2),
-    shape (2j+1, nodes), in the log domain."""
+    shape (rows, nodes), in the log domain.  The rows are the values of
+    j + m in jm, by default every level in descending order 2j..0."""
     ch, sh = _half_angles(thetas)
-    jm = tj - np.arange(tj + 1)  # j + m, descending 2j..0
+    jm = tj - np.arange(tj + 1) if jm is None else np.asarray(jm)
     jmm = tj - jm  # j - m
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_ch = np.where(ch > 0.0, np.log(np.where(ch > 0.0, ch, 1.0)), -np.inf)
@@ -289,89 +291,64 @@ def rotate_point(r: EulerAngles, p: SphPoint) -> SphPoint:
 # ----------------------------------------------------------------------
 
 
-def _chebyshev_rows(x: np.ndarray, r_max: int) -> np.ndarray:
-    """T_r(x) for r = 0..r_max, shape (r_max+1, len(x))."""
-    psi = np.arccos(np.clip(x, -1.0, 1.0))
-    return np.cos(np.arange(r_max + 1)[:, None] * psi[None, :])
-
-
-def _even_even_moments(r_max: int) -> np.ndarray:
-    r = np.arange(r_max + 1)
-    with np.errstate(divide="ignore"):
-        mu = np.where(r % 2 == 0, 2.0 / (1.0 - r.astype(float) ** 2), 0.0)
-    return mu
-
-
-def _odd_odd_moments(r_max: int) -> np.ndarray:
-    mu = np.zeros(r_max + 1)
-    mu[0] = math.pi / 2.0
-    if r_max >= 2:
-        mu[2] = -math.pi / 4.0
-    return mu
-
-
-def _cos_half_moments(r_max: int) -> np.ndarray:
-    def jj(r: int) -> float:
-        return 2.0 / (1.0 - 4.0 * r * r)
-
-    return np.array([jj(r) + (jj(r + 1) + jj(r - 1)) / 2.0 for r in range(r_max + 1)])
-
-
-def _sin_half_moments(r_max: int) -> np.ndarray:
-    def ii(r: int) -> float:
-        return 2.0 * (-1.0) ** (r + 1) / (4.0 * r * r - 1.0)
-
-    return np.array([ii(r) - (ii(r + 1) + ii(r - 1)) / 2.0 for r in range(r_max + 1)])
-
-
 @lru_cache(maxsize=64)
-def _theta_rule_cached(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = 2 * degree + 4
-    x, w = np.polynomial.legendre.leggauss(n)
-    rows = []
-    moments = []
-
-    r_max = degree // 2
-    rows.append(_chebyshev_rows(x, r_max))
-    moments.append(_even_even_moments(r_max))
-
-    if degree >= 2:
-        r_max = (degree - 2) // 2
-        rows.append(np.sqrt(1.0 - x * x)[None, :] * _chebyshev_rows(x, r_max))
-        moments.append(_odd_odd_moments(r_max))
-
-    if degree >= 1:
-        r_max = (degree - 1) // 2
-        rows.append(np.sqrt((1.0 + x) / 2.0)[None, :] * _chebyshev_rows(x, r_max))
-        moments.append(_cos_half_moments(r_max))
-        rows.append(np.sqrt((1.0 - x) / 2.0)[None, :] * _chebyshev_rows(x, r_max))
-        moments.append(_sin_half_moments(r_max))
-
-    a = np.vstack(rows)
-    b = np.concatenate(moments)
-    correction, *_ = np.linalg.lstsq(a, b - a @ w, rcond=None)
-    w = w + correction
-    residual = float(np.max(np.abs(a @ w - b)))
+def _theta_rule_cached(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # psi = theta/2 on [0, pi/2] is the arc pi/4 + [-pi/4, pi/4]; the
+    # subperiodic map psi = pi/4 + 2 asin(s xi), s = sin(pi/8), turns a
+    # trigonometric polynomial of degree D + 2 in psi into an integrand that
+    # a Gauss rule of D + 3 nodes for the weight 2s/sqrt(1 - s^2 xi^2) on
+    # [-1, 1] integrates exactly.
+    n = degree + 3
+    s = math.sin(math.pi / 8.0)
+    # Discretized Stieltjes procedure for the recurrence of that weight:
+    # orthonormal q_k on a Gauss-Legendre grid fine enough that the weight,
+    # analytic out to |xi| = 1/s, is resolved far below rounding.  The
+    # weight is even, so every alpha_k is zero.
+    x, w = np.polynomial.legendre.leggauss(n + 40)
+    w = w / np.sqrt(1.0 - (s * x) ** 2)
+    beta = np.empty(n)
+    beta[0] = w.sum()
+    q_prev, q = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(beta[0]))
+    for k in range(1, n):
+        r = x * q - math.sqrt(beta[k - 1]) * q_prev
+        beta[k] = np.dot(w, r * r)
+        q_prev, q = q, r / math.sqrt(beta[k])
+    # Golub-Welsch: nodes are the eigenvalues of the Jacobi matrix, weights
+    # beta_0 times the squared first eigenvector components.
+    off = np.sqrt(beta[1:])
+    xi, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    psi = math.pi / 4.0 + 2.0 * np.arcsin(s * xi)
+    w_psi = 2.0 * s * beta[0] * vec[0] ** 2
+    # self-check against every exact moment of exp(i k psi) on [0, pi/2], k <= D + 2
+    k = np.arange(1, degree + 3)
+    exact = np.concatenate(([math.pi / 2.0], (np.exp(0.5j * math.pi * k) - 1.0) / (1j * k)))
+    got = np.concatenate(([w_psi.sum()], np.exp(1j * np.outer(k, psi)) @ w_psi))
+    residual = float(np.max(np.abs(got - exact)))
     if residual > 1e-12:
         raise RuntimeError(f"theta rule construction failed, residual {residual:g}")
-    theta = np.arccos(np.clip(x, -1.0, 1.0))
-    for arr in (theta, x, w):
+    # sin(theta) dtheta = 2 sin(2 psi) dpsi
+    theta, weights = 2.0 * psi, 2.0 * np.sin(2.0 * psi) * w_psi
+    for arr in (theta, weights):
         arr.setflags(write=False)
-    return theta, x, w
+    return theta, weights
 
 
 def theta_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Colatitude rule (thetas, weights) for the measure sin(theta) dtheta.
 
-    Exact (residual < 1e-12) for every half-angle monomial
-    cos^a(theta/2) sin^b(theta/2) with a + b <= degree, covering all
-    four parity classes of (a, b).  Corrected weights may be slightly
-    negative; nodes are Gauss-Legendre interior points, never poles.
+    Exact for every half-angle monomial cos^a(theta/2) sin^b(theta/2)
+    with a + b <= degree, in all four parity classes of (a, b): with
+    psi = theta/2 each such integrand is a trigonometric polynomial of
+    degree degree + 2 on [0, pi/2], which the trigonometric Gaussian rule
+    of Da Fies & Vianello (ETNA 39, 102 (2012)) integrates with
+    degree + 3 nodes.  The weights are positive and the nodes lie
+    strictly inside (0, pi), in ascending order; construction checks the
+    rule against every exact moment of exp(i k psi), k <= degree + 2, to
+    1e-12.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    theta, _, w = _theta_rule_cached(int(degree))
-    return theta, w
+    return _theta_rule_cached(int(degree))
 
 
 @dataclass(frozen=True)
@@ -548,13 +525,11 @@ def y_symbol(j, m):
         raise ValueError(f"m = {idx_m.value} is not a level of spin {j.value}")
     jm = (j.twice + idx_m.twice) // 2
     jmm = (j.twice - idx_m.twice) // 2
-    ln_c = 0.5 * float(ln_binomial(j.twice, jm))
 
     def symbol(thetas, phis):
-        ch, sh = _half_angles(thetas)
-        phis = np.asarray(phis, dtype=float)
-        mag = math.exp(ln_c) * ch**jm * sh**jmm
-        return mag * np.exp(-1j * jmm * phis)
+        thetas = np.asarray(thetas, dtype=float)
+        mag = _amplitude_magnitudes(j.twice, thetas.ravel(), [jm])[0].reshape(thetas.shape)
+        return mag * np.exp(-1j * jmm * np.asarray(phis, dtype=float))
 
     return symbol
 

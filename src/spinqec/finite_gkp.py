@@ -23,6 +23,7 @@ and the errored code spaces tile C^N orthogonally.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,12 @@ class PauliWord:
         return PauliWord(self.n, -self.a, -self.b, -self.c + 2 * self.a * self.b)
 
     def power(self, k: int) -> "PauliWord":
-        out = PauliWord(self.n, 0, 0, 0)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        # (e^(i pi c/n) X^a Z^b)^k = e^(i pi (kc + ab k(k-1))/n) X^(ka) Z^(kb):
+        # each of the k(k-1)/2 moves of Z^b past X^a gives w^(ab), w = e^(2 pi i/n).
+        k = operator.index(k)
+        if k < 0:
+            return self.inverse().power(-k)
+        return PauliWord(self.n, k * self.a, k * self.b, k * self.c + self.a * self.b * k * (k - 1))
 
     @property
     def phase(self) -> complex:

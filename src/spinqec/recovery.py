@@ -41,7 +41,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import coherent_amplitudes, rotation_matrix_elements, theta_rule
+from .coherent import (
+    _pow_two_j_arrays,
+    coherent_amplitudes,
+    rotation_matrix_elements,
+    theta_rule,
+)
 from .lll_codes import build_codewords, equatorial_qudit
 from .spin_core import HalfInt, _spin
 
@@ -62,12 +67,6 @@ _TWO_PI = 2.0 * math.pi
 # ----------------------------------------------------------------------
 # Measurement density
 # ----------------------------------------------------------------------
-
-
-def _peak_term(x: np.ndarray, tj: int) -> np.ndarray:
-    """((1 + cos x)/2)^(2j), clamped against negative-zero rounding."""
-    base = np.maximum(0.0, (1.0 + np.cos(x)) / 2.0)
-    return base**tj
 
 
 def _collapse_state(tj: int, d: int, phi_state: float, phi_m: float) -> np.ndarray:
@@ -111,30 +110,31 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
     k = int(k) % d
     phi_state = _TWO_PI * k / d + float(delta_phi)
 
+    shifts = _TWO_PI * np.arange(d) / d
+
+    def peak_factors(phi_m):
+        # F_k = ((1 + exp(i x_k))/2)^(2j) at x_k = phi_m - 2 pi k/d - phi_state;
+        # |F_k|^2 = ((1 + cos x_k)/2)^(2j) is the k-th single peak.
+        phi_m = np.asarray(phi_m, dtype=float)
+        x = phi_m - shifts.reshape((d,) + (1,) * phi_m.ndim) - phi_state
+        return _pow_two_j_arrays((1.0 + np.exp(1j * x)) / 2.0, tj)[0]
+
     if mode == "leading":
 
         def density(phi_m):
-            phi_m = np.asarray(phi_m, dtype=float)
-            total = np.zeros_like(phi_m)
-            for kp in range(d):
-                total = total + _peak_term(phi_m - _TWO_PI * kp / d - phi_state, tj)
-            return total
+            return np.sum(np.abs(peak_factors(phi_m)) ** 2, axis=0)
 
         return density
 
     if mode == "full":
+        # sum_ab conj(F_a) S_ab F_b with the lattice-separation factors
+        # S_ab = ((1 + exp(-2 pi i (a - b)/d))/2)^(2j)
+        gaps = shifts[:, None] - shifts[None, :]
+        sep = _pow_two_j_arrays((1.0 + np.exp(-1j * gaps)) / 2.0, tj)[0]
 
         def density(phi_m):
-            phi_m = np.asarray(phi_m, dtype=float)
-            total = np.zeros_like(phi_m, dtype=complex)
-            for ka in range(d):
-                xa = phi_m - _TWO_PI * ka / d - phi_state
-                fa = ((1.0 + np.exp(-1j * xa)) / 2.0) ** tj
-                for kb in range(d):
-                    xb = phi_m - _TWO_PI * kb / d - phi_state
-                    fb = ((1.0 + np.exp(1j * xb)) / 2.0) ** tj
-                    sep = ((1.0 + np.exp(-2j * math.pi * (ka - kb) / d)) / 2.0) ** tj
-                    total = total + fa * fb * sep
+            f = peak_factors(phi_m)
+            total = np.sum(f.conj() * np.tensordot(sep, f, axes=1), axis=0)
             return np.maximum(total.real, 0.0)
 
         return density

@@ -190,6 +190,26 @@ def test_theta_rule_validation():
         theta_rule(-1)
 
 
+def test_theta_rule_positive_interior_nodes():
+    for degree in [*range(65), 128, 384, 1024]:
+        thetas, weights = theta_rule(degree)
+        assert len(thetas) == len(weights) == degree + 3, degree
+        assert np.all(thetas > 0.0) and np.all(thetas < math.pi), degree
+        assert np.all(weights > 0.0), degree
+
+
+def test_theta_rule_moments_at_high_degree():
+    degree = 1024
+    thetas, weights = theta_rule(degree)
+    ln_ch, ln_sh = np.log(np.cos(0.5 * thetas)), np.log(np.sin(0.5 * thetas))
+    for a in range(0, degree + 1, 17):  # both parities of a and b, and a + b = degree
+        b = np.append(np.arange(0, degree - a, 17), degree - a)
+        got = np.exp(a * ln_ch[None, :] + b[:, None] * ln_sh[None, :]) @ weights
+        ln_beta = gammaln(0.5 * a + 1.0) + gammaln(0.5 * b + 1.0) - gammaln(0.5 * (a + b) + 2.0)
+        want = 2.0 * np.exp(ln_beta)
+        assert np.max(np.abs(got / want - 1.0)) < 5e-12, a
+
+
 def test_phi_modes_exact():
     q = sphere_quadrature(degree=4, n_phi=7)
     _, pp, _ = q.grids()

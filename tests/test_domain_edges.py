@@ -4,8 +4,10 @@ ValueError that names the offending argument."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from spinqec.coherent import coherent_amplitudes, y_symbol
 from spinqec.qec_check import ErrorSet, conjugated_y, conjugated_z_about_x, equatorial_z
 from spinqec.recovery import recover, tail_failure
 from spinqec.spin_core import HalfInt
@@ -72,3 +74,16 @@ def test_tail_ratio_unchanged_where_tails_are_normal():
     assert abs(est.ratio - est.numeric_tail / est.laplace_tail) < 1e-14 * est.ratio
     assert abs(est.ratio / _mp_tail_ratio(100, 0.3) - 1.0) < 1e-12
     assert tail_failure(100, math.pi).ratio == 0.0
+
+
+@pytest.mark.parametrize("twice_j,twice_m", [(2200, 0), (10000, 9980)])
+def test_y_symbol_finite_at_large_j(twice_j, twice_m):
+    j, m = HalfInt(twice_j), HalfInt(twice_m)
+    thetas = np.array([0.05, 0.4, math.pi / 2.0, 2.9, math.pi])
+    phis = np.array([0.0, 1.3, 2.0, 4.5, 6.0])
+    got = y_symbol(j, m)(thetas, phis)
+    assert np.all(np.isfinite(got))
+    row = (twice_j - twice_m) // 2  # m_index counts down from m = j
+    want = np.conj(coherent_amplitudes(j, thetas, phis)[row])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert np.abs(y_symbol(j, m)(0.4, 1.3) - got[1]) <= 1e-12 * np.abs(got[1])

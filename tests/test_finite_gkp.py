@@ -81,11 +81,21 @@ def test_pauli_word_inverse_and_power():
     assert ident.a == 0 and ident.b == 0 and ident.c == 0
     assert np.array_equal(ident.to_operator().mat, np.eye(n))
     assert np.array_equal((w.inverse() * w).to_operator().mat, np.eye(n))
-    # power by repeated squaring agrees with iterated product
+    # the closed-form power agrees with the iterated product
     acc = PauliWord(n, 0, 0)
     for _ in range(5):
         acc = acc * w
     assert w.power(5) == acc
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        word = PauliWord(m, *(int(v) for v in rng.integers(-3 * m, 3 * m, size=3)))
+        for k in range(-7, 8):
+            step = word if k >= 0 else word.inverse()
+            acc = PauliWord(m, 0, 0)
+            for _ in range(abs(k)):
+                acc = acc * step
+            assert word.power(k) == acc, (word, k)
     with pytest.raises(ValueError):
         PauliWord(n, 0, 0) * PauliWord(n + 2, 0, 0)
 
