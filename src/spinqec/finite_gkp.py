@@ -18,10 +18,19 @@ with |a| < r1/2 and |b| < r2/2 are undone exactly; larger shifts alias
 into the window and leave a logical error, which is reported.  When r1
 and r2 are both odd the in-window error set has exactly r1 r2 elements
 and the errored code spaces tile C^N orthogonally.
+
+A round does a few array passes and no per-call set-up.  The code of
+each GkpParams (its codewords, words and the (K x r2) table of comb
+positions) is built once and kept in a bounded cache (16 codes; an entry
+holds K N complex amplitudes).  build_gkp_code returns the cached code,
+so its codewords are shared between callers and their amplitude arrays
+are read-only.  Every Pauli phase exp(i pi e / N) is read from one
+cached table of the 2N roots, indexed by the integer exponent e.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -132,27 +141,37 @@ class PauliWord:
 
     @property
     def phase(self) -> complex:
-        return complex(np.exp(1j * math.pi * self.c / self.n))
+        return complex(_roots(self.n)[self.c])
+
+    def _exponents(self) -> np.ndarray:
+        # Total phase on column x is exp(i pi e / n) with the integer
+        # exponent e = 2 (b x mod n) + c mod 2n = (2 b x + c) mod 2n.
+        n = self.n
+        return (2 * self.b * np.arange(n) + self.c) % (2 * n)
 
     def to_operator(self) -> Operator:
         n = self.n
         x = np.arange(n)
-        # Total phase on column x is exp(i pi e / n) with the exponent
-        # e = 2 (b x mod n) + c reduced mod 2n, kept integer throughout.
-        e = (2 * ((self.b * x) % n) + self.c) % (2 * n)
         mat = np.zeros((n, n), dtype=complex)
-        mat[(x + self.a) % n, x] = np.exp(1j * math.pi * e / n)
+        mat[(x + self.a) % n, x] = _roots(n)[self._exponents()]
         return Operator(HalfInt(n - 1), mat)
 
     def apply(self, vec: StateVec) -> StateVec:
         """Shift and phase the amplitudes directly, without the matrix."""
-        n = self.n
-        if vec.j.dim != n:
+        if vec.j.dim != self.n:
             raise ValueError("state dimension does not match modulus")
-        x = np.arange(n)
-        e = (2 * ((self.b * x) % n) + self.c) % (2 * n)
-        amps = np.roll(vec.amps * np.exp(1j * math.pi * e / n), self.a)
-        return StateVec(vec.j, amps)
+        phased = vec.amps * _roots(self.n)[self._exponents()]
+        # X^a moves entry x to x + a mod n: a cyclic roll by a, 0 <= a < n.
+        cut = self.n - self.a
+        return StateVec(vec.j, np.concatenate((phased[cut:], phased[:cut])))
+
+
+@functools.lru_cache(maxsize=64)
+def _roots(n: int) -> np.ndarray:
+    """exp(i pi e / n) for e = 0 .. 2n - 1: every phase of a word on C^n."""
+    roots = np.exp(1j * math.pi * np.arange(2 * n) / n)
+    roots.setflags(write=False)
+    return roots
 
 
 def clock_shift(n: int) -> tuple[Operator, Operator]:
@@ -180,29 +199,36 @@ class GkpCode:
         return np.stack([w.amps for w in self.codewords])
 
     def support(self, s: int) -> list[int]:
-        p = self.params
-        return [((p.k * i + s) * p.r1) % p.n for i in range(p.r2)]
+        return _tables(self.params)[1][s].tolist()
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
+    """The code of params and its (k x r2) comb table, entry (s, i) = (k i + s) r1."""
+    k, r1, r2, n = params.k, params.r1, params.r2, params.n
+    comb = (k * np.arange(r2) + np.arange(k)[:, None]) * r1
+    comb.setflags(write=False)
+    amps = np.zeros((k, n), dtype=complex)
+    np.put_along_axis(amps, comb, 1.0 / math.sqrt(r2), axis=1)
+    code = GkpCode(
+        params=params,
+        codewords=tuple(StateVec(params.spin_label, row) for row in amps),
+        xbar=PauliWord(n, r1, 0),
+        zbar=PauliWord(n, 0, r2),
+        stabilizer_x=PauliWord(n, k * r1, 0),
+        stabilizer_z=PauliWord(n, 0, k * r2),
+    )
+    return code, comb
 
 
 def build_gkp_code(params: GkpParams) -> GkpCode:
-    """Codewords |xbar = s> = r2^(-1/2) sum_i |(k i + s) r1>, s = 0..k-1."""
-    n = params.n
-    j = params.spin_label
-    amp = 1.0 / math.sqrt(params.r2)
-    words = []
-    for s in range(params.k):
-        amps = np.zeros(n, dtype=complex)
-        for i in range(params.r2):
-            amps[(params.k * i + s) * params.r1] = amp
-        words.append(StateVec(j, amps))
-    return GkpCode(
-        params=params,
-        codewords=tuple(words),
-        xbar=PauliWord(n, params.r1, 0),
-        zbar=PauliWord(n, 0, params.r2),
-        stabilizer_x=PauliWord(n, params.k * params.r1, 0),
-        stabilizer_z=PauliWord(n, 0, params.k * params.r2),
-    )
+    """Codewords |xbar = s> = r2^(-1/2) sum_i |(k i + s) r1>, s = 0..k-1.
+
+    The code is built once per GkpParams and cached (bounded, 16 codes):
+    every call with equal params returns the same GkpCode, whose
+    codewords are shared and read-only.
+    """
+    return _tables(params)[0]
 
 
 def strict_window(r: int) -> range:
@@ -220,16 +246,15 @@ def tiling_window(r: int) -> range:
     return range(-((r - 1) // 2), r // 2 + 1)
 
 
-def _residue_masses(amps: np.ndarray, r: int) -> np.ndarray:
-    return np.array([float(np.sum(np.abs(amps[rho::r]) ** 2)) for rho in range(r)])
-
-
 def _read_residue(amps: np.ndarray, r: int) -> int:
-    """The single residue class mod r carrying the state's mass."""
-    masses = _residue_masses(amps, r)
-    rho = int(np.argmax(masses))
-    total = float(np.sum(masses))
-    if masses[rho] < (1.0 - 1e-10) * total:
+    """The single residue class mod r carrying the state's mass.
+
+    len(amps) is a multiple of r, so row-major rows of r entries put
+    index x in column x mod r and the class masses are column sums.
+    """
+    masses = (np.abs(amps) ** 2).reshape(-1, r).sum(axis=0)
+    rho = int(masses.argmax())
+    if masses[rho] < (1.0 - 1e-10) * float(masses.sum()):
         raise ValueError(
             f"support spreads over several residue classes mod {r}; "
             "state is not an errored codeword"
@@ -272,14 +297,21 @@ def syndrome_and_recover(
     residual on the code space is Xbar^((a-ahat)/r1) Zbar^((b-bhat)/r2)
     up to stabilizers, so the round is logically clean exactly when both
     quotients vanish mod k.
+
+    The code and its comb table come from the per-GkpParams cache of
+    build_gkp_code; the code-space check projects onto the combs through
+    that table rather than through dense (k x N) products.
     """
-    code = build_gkp_code(params)
+    _, comb = _tables(params)
     n = params.n
     if state.j.dim != n:
         raise ValueError("state dimension does not match the code")
-    basis = code.basis_matrix()
-    coeffs = basis.conj() @ state.amps
-    if np.linalg.norm(basis.T @ coeffs - state.amps) > 1e-10 * state.norm:
+    # Distance to the code: every amplitude off the combs, and each tooth's
+    # deviation from its comb's mean (the projection onto the codeword).
+    residual = state.amps.copy()
+    teeth = residual[comb]
+    residual[comb] = teeth - teeth.sum(axis=1)[:, None] / params.r2
+    if np.linalg.norm(residual) > 1e-10 * state.norm:
         raise ValueError("input state is not in the code space")
 
     errored = PauliWord(n, a, b).apply(state)

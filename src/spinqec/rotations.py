@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _TIE = 1e-14
+# The snapped half-angle value for float inputs, typed like np.cos's result.
+_ZERO = np.float64(0.0)
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,19 @@ def _half_angles(beta) -> tuple[np.ndarray, np.ndarray]:
 
     Exact multiples of pi mean the exact rotation, so the vanishing
     half-angle function is snapped to 0.0 rather than left at ~1e-16.
-    The one half-angle helper of the package: scalars give 0-d arrays.
+    The one half-angle helper of the package.  A float gives numpy float
+    scalars, taken by the same ufuncs as arrays (so bit for bit equal to
+    the array entries) but without 0-d array overhead; anything else
+    gives arrays, 0-d for other scalars.
     """
-    beta = np.asarray(beta, dtype=float)
-    ch = np.where(np.abs(beta) == math.pi, 0.0, np.cos(0.5 * beta))
-    sh = np.where(np.abs(beta) == 2.0 * math.pi, 0.0, np.sin(0.5 * beta))
-    return ch, sh
+    scalar = isinstance(beta, float)
+    if not scalar:
+        beta = np.asarray(beta, dtype=float)
+    ch, sh = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    at_pi, at_two_pi = abs(beta) == math.pi, abs(beta) == 2.0 * math.pi
+    if scalar:
+        return (_ZERO if at_pi else ch), (_ZERO if at_two_pi else sh)
+    return np.where(at_pi, 0.0, ch), np.where(at_two_pi, 0.0, sh)
 
 
 def euler_from_su2(u: Su2) -> tuple[EulerAngles, int]:

@@ -21,6 +21,21 @@ from spinqec.cli import main
 
 # name -> (argv, --config overrides or None, sha256 of the output file)
 CASES = {
+    "gkp-table-defaults": (
+        ["gkp-table"],
+        None,
+        "3afcb847d561ff9b60b85bff219cfb74160e09147271d5d64b5ce0e09abbd0ec",
+    ),
+    "gkp-table-2-4-6": (
+        ["gkp-table", "--K", "2", "--r1", "4", "--r2", "6"],
+        None,
+        "794bc8ac30a96270de2492b3003af650ca269ada26c4398a0377acdef545e98b",
+    ),
+    "gkp-table-2-21-21": (
+        ["gkp-table", "--K", "2", "--r1", "21", "--r2", "21"],
+        None,
+        "a2df3e6f70888a5766f2ba6d3f86182d4e083520b8ce2c5061b464cbc964a930",
+    ),
     "harmonics-defaults": (
         ["harmonics"],
         None,

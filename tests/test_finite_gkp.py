@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from spinqec import finite_gkp
 from spinqec.finite_gkp import (
     GkpParams,
     PauliWord,
@@ -101,14 +102,17 @@ def test_pauli_word_inverse_and_power():
 
 
 def test_pauli_word_apply_matches_matrix():
-    n = 9
     rng = np.random.default_rng(5)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    state = StateVec(PauliWord(n, 0, 0).to_operator().j, amps / np.linalg.norm(amps))
-    w = PauliWord(n, 4, 2, 1)
-    via_apply = w.apply(state).amps
-    via_matrix = w.to_operator().mat @ state.amps
-    assert np.max(np.abs(via_apply - via_matrix)) < 1e-14
+    for n, a, b, c in ((9, 4, 2, 1), (882, 451, 860, 1763), (900, 0, 899, 3)):
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state = StateVec(PauliWord(n, 0, 0).to_operator().j, amps / np.linalg.norm(amps))
+        w = PauliWord(n, a, b, c)
+        via_apply = w.apply(state).amps
+        mat = w.to_operator().mat
+        via_matrix = mat @ state.amps
+        assert np.max(np.abs(via_apply - via_matrix)) < 1e-14
+        # column 0 of the matrix carries the bare phase, read from the same roots
+        assert w.phase == mat[w.a, 0]
 
 
 def test_params_validation():
@@ -273,11 +277,71 @@ def test_even_spacing_boundary_is_ambiguous():
 
 
 def test_invalid_states_rejected():
-    params = GkpParams(2, 3, 3)
-    n = params.n
-    flat = StateVec(params.spin_label, np.ones(n) / math.sqrt(n))
-    with pytest.raises(ValueError):
-        syndrome_and_recover(params, 0, 0, flat)
     small = StateVec(GkpParams(2, 3, 2).spin_label, np.ones(12) / math.sqrt(12.0))
-    with pytest.raises(ValueError):
-        syndrome_and_recover(params, 0, 0, small)
+    for params in (GkpParams(2, 3, 3), GkpParams(2, 21, 21)):
+        n = params.n
+        flat = StateVec(params.spin_label, np.ones(n) / math.sqrt(n))
+        with pytest.raises(ValueError, match="code space"):
+            syndrome_and_recover(params, 0, 0, flat)
+        with pytest.raises(ValueError, match="dimension"):
+            syndrome_and_recover(params, 0, 0, small)
+        # a codeword plus its one-step shift spreads over two residue classes
+        word = build_gkp_code(params).codewords[0]
+        spread = StateVec(params.spin_label, (word.amps + np.roll(word.amps, 1)) / math.sqrt(2.0))
+        with pytest.raises(ValueError, match="code space"):
+            syndrome_and_recover(params, 0, 0, spread)
+        with pytest.raises(ValueError, match="spreads over several residue classes"):
+            finite_gkp._read_residue(spread.amps, params.r1)
+        # on the comb's teeth but not a uniform comb: still off the code space
+        skewed = word.amps.copy()
+        skewed[0] *= 2.0
+        with pytest.raises(ValueError, match="code space"):
+            syndrome_and_recover(params, 0, 0, StateVec(params.spin_label, skewed).normalized())
+
+
+def _residues_from_eigenphases(params, state):
+    # <Z^(k r2)> = exp(2 pi i a / r1) and <X^(k r1)> = exp(-2 pi i b / r2)
+    phase_z, phase_x = stabilizer_eigenphases(params, state)
+    turns_a = np.angle(phase_z) * params.r1 / (2.0 * math.pi)
+    turns_b = -np.angle(phase_x) * params.r2 / (2.0 * math.pi)
+    return round(turns_a) % params.r1, round(turns_b) % params.r2
+
+
+@pytest.mark.parametrize("dims", [(2, 21, 21), (4, 15, 15)])
+def test_rounds_at_benchmark_size(dims):
+    # The code sizes the syndrome_rounds benchmark runs (n = 882, 900),
+    # against dense matrices: a seeded sample of tiling-window shifts, each
+    # also moved by a whole number of spacings to exercise logical errors.
+    params = GkpParams(*dims)
+    k, r1, r2, n = params.k, params.r1, params.r2, params.n
+    finite_gkp._tables.cache_clear()
+    code = build_gkp_code(params)
+    assert build_gkp_code(GkpParams(*dims)) is code
+    for word in code.codewords:
+        assert not word.amps.flags.writeable
+        with pytest.raises(ValueError):
+            word.amps[0] = 1.0
+    rng = np.random.default_rng(8)
+    window_a, window_b = list(tiling_window(r1)), list(tiling_window(r2))
+    rounds = 0
+    for _ in range(6):
+        a0, b0 = int(rng.choice(window_a)), int(rng.choice(window_b))
+        qa, qb = (int(v) for v in rng.integers(0, k + 1, size=2))
+        for a, b, quotients in ((a0, b0, (0, 0)), (a0 + qa * r1, b0 + qb * r2, (qa, qb))):
+            forward = PauliWord(n, a, b).to_operator().mat
+            back = PauliWord(n, a0, b0).inverse().to_operator().mat
+            for word in code.codewords:
+                out = syndrome_and_recover(params, a, b, word)
+                rounds += 1
+                assert (out.a_hat, out.b_hat) == (a0, b0)
+                assert np.max(np.abs(out.recovered.amps - back @ (forward @ word.amps))) < 1e-13
+                errored = PauliWord(n, a, b).apply(word)
+                assert (out.syndrome_a, out.syndrome_b) == _residues_from_eigenphases(params, errored)
+                # the residual is Xbar^((a - ahat)/r1) Zbar^((b - bhat)/r2)
+                assert (a - out.a_hat) % r1 == 0 and (b - out.b_hat) % r2 == 0
+                assert out.logical_error == bool(quotients[0] % k or quotients[1] % k)
+                assert not out.ambiguous
+    # all the rounds (and eigenphase reads) share one cached code
+    info = finite_gkp._tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > rounds
+    assert info.maxsize is not None and finite_gkp._roots.cache_info().maxsize is not None

@@ -151,22 +151,32 @@ def test_overlap_exact_cases():
 
 
 def test_half_angles_snap_scalars_and_arrays():
-    for beta, want in ((math.pi, (0.0, 1.0)), (-math.pi, (0.0, -1.0)), (2.0 * math.pi, (-1.0, 0.0))):
-        ch, sh = _half_angles(beta)
-        assert (float(ch), float(sh)) == want
-        ch, sh = _half_angles(np.array([beta, 0.3]))
-        assert (ch[0], sh[0]) == want
+    # (beta, (cos, sin) of beta/2) with the signs of any zeros: the snaps
+    # give +0.0, and sin(-0.0 / 2) keeps its sign
+    snaps = (
+        (math.pi, (0.0, 1.0)),
+        (-math.pi, (0.0, -1.0)),
+        (2.0 * math.pi, (-1.0, 0.0)),
+        (-2.0 * math.pi, (-1.0, 0.0)),
+        (-0.0, (1.0, -0.0)),
+    )
+    for beta, want in snaps:
+        signs = tuple(math.copysign(1.0, v) for v in want)
+        for ch, sh in (_half_angles(beta), (v[0] for v in _half_angles(np.array([beta, 0.3])))):
+            assert (float(ch), float(sh)) == want
+            assert (math.copysign(1.0, ch), math.copysign(1.0, sh)) == signs, beta
     assert SphPoint.south().half_angles() == (0.0, 1.0)
     assert all(type(v) is float for v in SphPoint(0.3, 0.0).half_angles())
     u = su2_from_euler(EulerAngles(0.4, math.pi, -0.4))
     assert u.a == 0.0 and abs(abs(u.b) - 1.0) < 1e-16
     # scalar and array evaluations agree bit for bit
     rng = np.random.default_rng(2)
-    betas = rng.uniform(-7.0, 7.0, 500)
+    betas = np.concatenate([rng.uniform(-7.0, 7.0, 500), [beta for beta, _ in snaps]])
     ch, sh = _half_angles(betas)
     for i, beta in enumerate(betas.tolist()):
-        c, s = _half_angles(beta)
-        assert float(c) == ch[i] and float(s) == sh[i]
+        for c, s in (_half_angles(beta), _half_angles(np.asarray(beta))):
+            assert np.float64(c).tobytes() == ch[i].tobytes()
+            assert np.float64(s).tobytes() == sh[i].tobytes()
 
 
 @pytest.mark.parametrize("n,j", [(4, 0.5), (8, 1), (16, 2.5), (5, 0)])
