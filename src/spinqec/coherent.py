@@ -42,7 +42,7 @@ import numpy as np
 
 from ._logfact import ln_binomial
 from .rotations import EulerAngles, rotate_vector, _half_angles
-from .spin_core import HalfInt, Operator, StateVec, _spin
+from .spin_core import HalfInt, Operator, StateVec, _spin, m_index
 
 __all__ = [
     "SphPoint",
@@ -232,6 +232,8 @@ def overlap(j, p1: SphPoint, p2: SphPoint) -> complex:
 def overlap_magnitude(j, p1: SphPoint, p2: SphPoint) -> float:
     """|<Omega1|Omega2>| = ((1 + n1.n2)/2)^j."""
     j = _spin(j)
+    if j.twice == 0:  # base^0 = 1, also for antipodal points
+        return 1.0
     dot = float(np.dot(p1.n, p2.n))
     base = max(0.0, (1.0 + dot) / 2.0)
     if base == 0.0:
@@ -520,11 +522,8 @@ def y_symbol(j, m):
     moves population toward the m-th level.
     """
     j = _spin(j)
-    idx_m = HalfInt.of(m)
-    if (j.twice - idx_m.twice) % 2 != 0 or abs(idx_m.twice) > j.twice:
-        raise ValueError(f"m = {idx_m.value} is not a level of spin {j.value}")
-    jm = (j.twice + idx_m.twice) // 2
-    jmm = (j.twice - idx_m.twice) // 2
+    jmm = m_index(j, m)
+    jm = j.twice - jmm
 
     def symbol(thetas, phis):
         thetas = np.asarray(thetas, dtype=float)
@@ -537,9 +536,7 @@ def y_symbol(j, m):
 def momentum_kick(j, m) -> DiagonalOp:
     """Diagonal operator with symbol y^j_m; shifts levels by j - m."""
     j = _spin(j)
-    idx_m = HalfInt.of(m)
-    k_max = (j.twice - idx_m.twice) // 2
-    return diagonal_operator(j, y_symbol(j, idx_m), band_limit=(k_max, j.twice))
+    return diagonal_operator(j, y_symbol(j, m), band_limit=(m_index(j, m), j.twice))
 
 
 def disentangle_check(j, p: SphPoint) -> float:

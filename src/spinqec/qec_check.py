@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,17 +152,28 @@ class KLReport:
     delta_star is the largest spread among diagonal entries <k|X_T|k>
     (global-phase invariant); eps_star the largest off-diagonal
     magnitude; worst_pair is the first pair in scan order whose
-    max(delta, eps) is within a relative 1e-12 of the largest.
+    max(delta, eps) is within a relative 1e-12 of the largest; equality
+    and hashing use these three.  pairs is built on its first read from
+    the scan arrays kl_check keeps in _scan.
     """
 
     delta_star: float
     eps_star: float
     worst_pair: tuple[EulerAngles, EulerAngles]
-    pairs: list[PairRecord] = field(repr=False)
+    _scan: tuple = field(default=((),), repr=False, compare=False)  # no rotations: no pairs
 
     def __post_init__(self):
         if self.delta_star < 0.0 or self.eps_star < 0.0:
             raise ValueError("discrepancies must be nonnegative")
+
+    @cached_property
+    def pairs(self) -> list[PairRecord]:
+        """One PairRecord per scanned pair, in scan order."""
+        rotations, *columns = self._scan
+        return [
+            PairRecord(rotations[i], rotations[k], EulerAngles(a, b, g), d, e)
+            for i, k, a, b, g, d, e in zip(*(x.tolist() for x in columns))
+        ]
 
 
 def _pair_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,13 +248,9 @@ def kl_check(code: Codewords, errs: ErrorSet, seed: int, brute_force: bool = Fal
     # rather than whichever member last-bit rounding favours.
     score = np.maximum(delta, eps)
     worst = int(np.argmax(score >= (1.0 - _WORST_TIE) * score.max()))
-    columns = (left, right, *t_angles, delta, eps)
-    records = [
-        PairRecord(rotations[i], rotations[k], EulerAngles(a, b, g), d, e)
-        for i, k, a, b, g, d, e in zip(*(x.tolist() for x in columns))
-    ]
     worst_pair = (rotations[left[worst]], rotations[right[worst]])
-    return KLReport(float(delta.max()), float(eps.max()), worst_pair, records)
+    scan = (rotations, left, right, *t_angles, delta, eps)
+    return KLReport(float(delta.max()), float(eps.max()), worst_pair, scan)
 
 
 def diagonal_scan(code: Codewords, errs: ErrorSet, seed: int) -> list[tuple[EulerAngles, np.ndarray]]:
@@ -278,6 +286,8 @@ def correctable_angle(j, d: int, eps: float) -> CorrectableAngle:
         raise ValueError("eps must lie in (0, 1)")
     if d < 2:
         raise ValueError("d must be at least 2")
+    if j.twice == 0:
+        raise ValueError("j must be positive: spin 0 has no correctable angle")
     arg = 2.0 * eps ** (1.0 / j.value) - 1.0
     arg = max(-1.0, min(1.0, arg))
     budget = 2.0 * math.pi / d - math.acos(arg)
@@ -290,8 +300,8 @@ def equatorial_offdiag_bound(j, d: int, t_max: float) -> float:
     """((1 + cos(2pi/d - t_max))/2)^j: the nearest-neighbor overlap bound
     for relative rotations up to t_max."""
     j = _spin(j)
+    if d < 2:
+        raise ValueError("d must be at least 2")
     base = (1.0 + math.cos(2.0 * math.pi / d - t_max)) / 2.0
-    base = max(0.0, min(1.0, base))
-    if base == 0.0:
-        return 0.0
-    return math.exp(j.value * math.log(base)) if base < 1.0 else 1.0
+    # float pow: 0^0 = 1 at spin 0, and underflow gives 0 without raising
+    return max(0.0, min(1.0, base)) ** j.value

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import HalfInt, Operator, _spin
+from .spin_core import HalfInt, Operator, _spin, m_index
 
 __all__ = [
     "EulerAngles",
@@ -407,13 +407,9 @@ def wigner_d(j, m, n, beta: float) -> float:
     The same Jacobi-form kernel as wigner_d_matrix, for one entry.
     """
     j = _spin(j)
-    m = HalfInt.of(m)
-    n = HalfInt.of(n)
-    for label in (m, n):
-        if (j.twice - label.twice) % 2 != 0 or abs(label.twice) > j.twice:
-            raise ValueError(f"label {label.value} invalid for spin {j.value}")
+    tm, tn = (j.twice - 2 * m_index(j, label) for label in (m, n))
     beta = _finite_angle("beta", beta)
-    return float(_wigner_d_values(j.twice, m.twice, n.twice, beta))
+    return float(_wigner_d_values(j.twice, tm, tn, beta))
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:

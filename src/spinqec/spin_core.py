@@ -229,12 +229,9 @@ def ladder_operators(j) -> tuple[Operator, Operator]:
     """
     j = _spin(j)
     jv = j.value
-    mv = m_values(j)
-    lp = np.zeros((j.dim, j.dim), dtype=complex)
-    # Column c holds m = mv[c]; raising lands on row c-1 (m+1).
-    for c in range(1, j.dim):
-        m = mv[c]
-        lp[c - 1, c] = math.sqrt(jv * (jv + 1.0) - m * (m + 1.0))
+    m = m_values(j)[1:]
+    # Column c holds m = m_values[c]; raising lands on row c-1 (m+1).
+    lp = np.diag(np.sqrt(jv * (jv + 1.0) - m * (m + 1.0)), k=1).astype(complex)
     return Operator(j, lp), Operator(j, lp.conj().T)
 
 

@@ -61,6 +61,17 @@ CASES = {
         None,
         "8bb83e65e95e9229cfd12fb75e0c2e8ee69003ec2b2c846dd70a0c31f2bc13c9",
     ),
+    "kl-scan-defaults-csv": (
+        ["kl-scan", "--format", "csv"],
+        None,
+        "1cbf91c4f074a486a38f8fe6afafa47be832d04d1f9339625b295580087d548d",
+    ),
+    "kl-scan-equatorial-40-3-csv": (
+        ["kl-scan", "--j", "40", "--d", "3", "--theta-max", "0.2", "--samples", "32"]
+        + ["--format", "csv"],
+        None,
+        "e0913bdf5190b3ca18968bcc09e60005f51d042b6cf680d5a2fa92e4b274dbc7",
+    ),
     "recovery-sweep-defaults": (
         ["recovery-sweep"],
         None,

@@ -7,8 +7,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from spinqec.coherent import coherent_amplitudes, y_symbol
-from spinqec.qec_check import ErrorSet, conjugated_y, conjugated_z_about_x, equatorial_z
+from spinqec.coherent import SphPoint, coherent_amplitudes, overlap_magnitude, y_symbol
+from spinqec.qec_check import (
+    ErrorSet,
+    conjugated_y,
+    conjugated_z_about_x,
+    correctable_angle,
+    equatorial_offdiag_bound,
+    equatorial_z,
+)
 from spinqec.recovery import recover, tail_failure
 from spinqec.spin_core import HalfInt
 
@@ -32,6 +39,32 @@ def test_halfint_rejects_non_finite(value):
 def test_error_set_rejects_non_finite(make, name):
     with pytest.raises(ValueError, match=name):
         make()
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: correctable_angle(0, 2, 0.1), "j must be positive"),
+        (lambda: equatorial_offdiag_bound(4, 0, 0.1), "d must be at least 2"),
+    ],
+    ids=["correctable_angle-spin-0", "equatorial_offdiag_bound-d-0"],
+)
+def test_closed_form_bounds_reject_empty_domain(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: equatorial_offdiag_bound(0, 2, 0.0),
+        lambda: overlap_magnitude(0, SphPoint.north(), SphPoint.south()),
+    ],
+    ids=["equatorial_offdiag_bound-spin-0", "overlap_magnitude-spin-0-antipodal"],
+)
+def test_spin_zero_powers_are_one(call):
+    # base^0 = 1 also where base = 0, as overlap(0, north, south) is
+    assert call() == 1.0
 
 
 @pytest.mark.parametrize("delta_phi", [math.nan, math.inf])

@@ -175,7 +175,25 @@ def test_cyclic_matches_scalar_reference(n, j, kind):
     _assert_matches_reference(code, _error_sets(4)[kind], seed=5)
 
 
-def test_stratified_cap_matches_scalar_reference():
+def _eager_pairs(code, errs, seed, brute_force):
+    """Reference for KLReport.pairs: the records built eagerly from
+    _scan_tables.  The classes are read from qec_check at call time, so a
+    patched class compares equal under dataclass equality."""
+    rotations, left, right, t_angles, tables = qec_check._scan_tables(code, errs, seed, brute_force)
+    diag = np.diagonal(tables, axis1=1, axis2=2)
+    delta = np.max(np.abs(diag[:, :, None] - diag[:, None, :]), axis=(1, 2))
+    off = np.abs(tables)
+    size = off.shape[1]
+    off[:, np.arange(size), np.arange(size)] = 0.0
+    eps = np.max(off, axis=(1, 2))
+    columns = (left, right, *t_angles, delta, eps)
+    return [
+        qec_check.PairRecord(rotations[i], rotations[k], qec_check.EulerAngles(a, b, g), d, e)
+        for i, k, a, b, g, d, e in zip(*(x.tolist() for x in columns))
+    ]
+
+
+def test_stratified_cap_matches_scalar_reference(monkeypatch):
     # 128 samples give 16384 > 10^4 pairs, so the stratified cap applies
     code = build_codewords(equatorial_qudit(8, 2))
     errs = conjugated_y(0.4, 0.3, 128)
@@ -183,6 +201,31 @@ def test_stratified_cap_matches_scalar_reference():
     assert len(pairs) == 128 * (_PAIR_CAP // 128)
     rots = sample_rotations(errs, 9)
     assert [(p.r1, p.r2) for p in report.pairs] == [(rots[i], rots[k]) for i, k in pairs]
+    # kl_check keeps arrays, and the first read of pairs builds one record
+    # and one T angle per pair.  The explicit list hands back the sampled
+    # objects, so sampling constructs nothing either.
+    counts = dict.fromkeys(("PairRecord", "EulerAngles"), 0)
+    for name in counts:
+        base = getattr(qec_check, name)
+
+        def counted_init(self, *args, _base=base, _name=name):
+            counts[_name] += 1
+            _base.__init__(self, *args)
+
+        monkeypatch.setattr(qec_check, name, type(name, (base,), {"__init__": counted_init}))
+    same_rots = explicit_list(rots)
+    for brute_force in (False, True):
+        lazy = kl_check(code, same_rots, seed=9, brute_force=brute_force)
+        assert counts == {"PairRecord": 0, "EulerAngles": 0}
+        records = lazy.pairs
+        assert counts == {"PairRecord": len(pairs), "EulerAngles": len(pairs)}
+        assert lazy.pairs is records
+        assert records == _eager_pairs(code, same_rots, 9, brute_force)
+        assert all(rec.r1 is rots[i] and rec.r2 is rots[k] for rec, (i, k) in zip(records, pairs))
+        counts.update(PairRecord=0, EulerAngles=0)
+    # equality and hashing read delta_star, eps_star and worst_pair only
+    lazy = kl_check(code, same_rots, seed=9)
+    assert lazy == report and hash(lazy) == hash(report)
 
 
 @pytest.mark.parametrize("kind", range(4), ids=_KIND_IDS)
