@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -395,6 +396,8 @@ _HANDLERS = {
 }
 
 
+# Built once per process: parse_args reads the parser and never changes it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinqec",

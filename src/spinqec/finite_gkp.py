@@ -25,7 +25,12 @@ positions) is built once and kept in a bounded cache (16 codes; an entry
 holds K N complex amplitudes).  build_gkp_code returns the cached code,
 so its codewords are shared between callers and their amplitude arrays
 are read-only.  Every Pauli phase exp(i pi e / N) is read from one
-cached table of the 2N roots, indexed by the integer exponent e.
+cached table of the 2N roots, indexed by the integer exponent
+e = (b 2x + c) mod 2N with the positions 2x cached per N.  One helper
+applies a word to an amplitude array; PauliWord.apply wraps it, and the
+round calls it on plain arrays for the error and for the inverse of the
+decoded shift, builds no PauliWord, and hands only the recovered array,
+uncopied and read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -68,10 +73,7 @@ class GkpParams:
 
     def __post_init__(self):
         for name in ("k", "r1", "r2"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.k < 2:
             raise ValueError(f"logical dimension k must be >= 2, got {self.k}")
         if self.r1 < 1 or self.r2 < 1:
@@ -105,15 +107,13 @@ class PauliWord:
     c: int = 0
 
     def __post_init__(self):
-        for name in ("n", "a", "b", "c"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {v!r}")
-        if self.n < 1:
-            raise ValueError(f"modulus n must be >= 1, got {self.n}")
-        object.__setattr__(self, "a", int(self.a) % self.n)
-        object.__setattr__(self, "b", int(self.b) % self.n)
-        object.__setattr__(self, "c", int(self.c) % (2 * self.n))
+        n, a, b, c = (_integer(name, getattr(self, name)) for name in ("n", "a", "b", "c"))
+        if n < 1:
+            raise ValueError(f"modulus n must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a % n)
+        object.__setattr__(self, "b", b % n)
+        object.__setattr__(self, "c", c % (2 * n))
 
     def __mul__(self, other: "PauliWord") -> "PauliWord":
         if not isinstance(other, PauliWord):
@@ -143,27 +143,25 @@ class PauliWord:
     def phase(self) -> complex:
         return complex(_roots(self.n)[self.c])
 
-    def _exponents(self) -> np.ndarray:
-        # Total phase on column x is exp(i pi e / n) with the integer
-        # exponent e = 2 (b x mod n) + c mod 2n = (2 b x + c) mod 2n.
-        n = self.n
-        return (2 * self.b * np.arange(n) + self.c) % (2 * n)
-
     def to_operator(self) -> Operator:
         n = self.n
         x = np.arange(n)
         mat = np.zeros((n, n), dtype=complex)
-        mat[(x + self.a) % n, x] = _roots(n)[self._exponents()]
+        mat[(x + self.a) % n, x] = _roots(n)[_exponents(n, self.b, self.c)]
         return Operator(HalfInt(n - 1), mat)
 
     def apply(self, vec: StateVec) -> StateVec:
         """Shift and phase the amplitudes directly, without the matrix."""
         if vec.j.dim != self.n:
             raise ValueError("state dimension does not match modulus")
-        phased = vec.amps * _roots(self.n)[self._exponents()]
-        # X^a moves entry x to x + a mod n: a cyclic roll by a, 0 <= a < n.
-        cut = self.n - self.a
-        return StateVec(vec.j, np.concatenate((phased[cut:], phased[:cut])))
+        return StateVec._owning(vec.j, _apply_word(vec.amps, self.n, self.a, self.b, self.c))
+
+
+def _integer(name: str, v) -> int:
+    """v as a Python int; a bool, a float or any other non-integer raises TypeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 @functools.lru_cache(maxsize=64)
@@ -174,10 +172,34 @@ def _roots(n: int) -> np.ndarray:
     return roots
 
 
+@functools.lru_cache(maxsize=64)
+def _doubled_positions(n: int) -> np.ndarray:
+    """2x for x = 0 .. n - 1, the position part of every phase exponent."""
+    twice = 2 * np.arange(n)
+    twice.setflags(write=False)
+    return twice
+
+
+def _exponents(n: int, b: int, c: int) -> np.ndarray:
+    # Total phase on column x is exp(i pi e / n) with the integer
+    # exponent e = 2 (b x mod n) + c mod 2n = (b 2x + c) mod 2n.
+    return (b * _doubled_positions(n) + c) % (2 * n)
+
+
+def _apply_word(amps: np.ndarray, n: int, a: int, b: int, c: int) -> np.ndarray:
+    """exp(i pi c / n) X^a Z^b on an amplitude array, 0 <= a, b < n, 0 <= c < 2n.
+
+    Returns a fresh array: the phases from the roots table, then X^a
+    moves entry x to x + a mod n, a cyclic roll by a.
+    """
+    phased = amps * _roots(n)[_exponents(n, b, c)]
+    cut = n - a
+    return np.concatenate((phased[cut:], phased[:cut]))
+
+
 def clock_shift(n: int) -> tuple[Operator, Operator]:
     """The shift X and clock Z on C^n; for n = 2 these are Pauli X, Z."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer, got {n!r}")
+    n = _integer("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return PauliWord(n, 1, 0).to_operator(), PauliWord(n, 0, 1).to_operator()
@@ -300,7 +322,9 @@ def syndrome_and_recover(
 
     The code and its comb table come from the per-GkpParams cache of
     build_gkp_code; the code-space check projects onto the combs through
-    that table rather than through dense (k x N) products.
+    that table rather than through dense (k x N) products.  Both words
+    act on plain amplitude arrays, and only the recovered array is
+    wrapped, without a copy, in a StateVec.
     """
     _, comb = _tables(params)
     n = params.n
@@ -314,21 +338,23 @@ def syndrome_and_recover(
     if np.linalg.norm(residual) > 1e-10 * state.norm:
         raise ValueError("input state is not in the code space")
 
-    errored = PauliWord(n, a, b).apply(state)
-    syndrome_a = _read_residue(errored.amps, params.r1)
-    syndrome_b = _read_residue(np.fft.fft(errored.amps), params.r2)
+    a, b = _integer("a", a), _integer("b", b)
+    errored = _apply_word(state.amps, n, a % n, b % n, 0)
+    syndrome_a = _read_residue(errored, params.r1)
+    syndrome_b = _read_residue(np.fft.fft(errored), params.r2)
     a_hat, amb_a = _center(syndrome_a, params.r1)
     b_hat, amb_b = _center(syndrome_b, params.r2)
 
-    recovered = PauliWord(n, a_hat, b_hat).inverse().apply(errored)
-    logical_x = ((int(a) - a_hat) // params.r1) % params.k
-    logical_z = ((int(b) - b_hat) // params.r2) % params.k
+    # (X^ahat Z^bhat)^-1 = exp(2 pi i ahat bhat / n) X^-ahat Z^-bhat, as PauliWord.inverse
+    undo = _apply_word(errored, n, -a_hat % n, -b_hat % n, 2 * a_hat * b_hat % (2 * n))
+    logical_x = ((a - a_hat) // params.r1) % params.k
+    logical_z = ((b - b_hat) // params.r2) % params.k
     return SyndromeOutcome(
         syndrome_a=syndrome_a,
         syndrome_b=syndrome_b,
         a_hat=a_hat,
         b_hat=b_hat,
-        recovered=recovered,
+        recovered=StateVec._owning(state.j, undo),
         logical_error=bool(logical_x or logical_z),
         ambiguous=amb_a or amb_b,
     )

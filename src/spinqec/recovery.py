@@ -28,7 +28,10 @@ nearest lattice azimuth, acts on the errored codeword and leaves the
 residual rotation exp(i (offset - delta_phi) L3).  A final decode projects
 onto the code span, so the recorded fidelity is degraded only by weight
 the residual pushes onto other codewords; the pre-decode overlap is kept
-alongside as raw_fidelity.
+alongside as raw_fidelity.  Each (j, d) has one decoder table, built on
+first use and kept in a bounded cache (32 entries): the renormalized
+codeword rows, their gram matrix and the m-values of L3, all read-only,
+so a round computes only its rotation, overlaps and solve.
 
 Only numpy and the standard library are used at run time.
 """
@@ -48,7 +51,7 @@ from .coherent import (
     theta_rule,
 )
 from .lll_codes import build_codewords, equatorial_qudit
-from .spin_core import HalfInt, _spin
+from .spin_core import HalfInt, _spin, m_values
 
 __all__ = [
     "SyndromeRun",
@@ -209,6 +212,26 @@ def _beta_cf(a: float, x: float) -> float:
     raise ValueError("incomplete beta continued fraction did not converge")
 
 
+# ln Gamma(a + 1/2) - ln Gamma(a) - (ln a)/2 = sum_i c_i a^-(2i+1) as a -> oo
+_HALF_STEP_SERIES = (-1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0)
+
+
+def _ln_gamma_half_step(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a) for a > 0.
+
+    lgamma's difference below a = 40; above, the asymptotic series, whose
+    first omitted term is below 1e-17 there, so the difference never
+    cancels two large logarithms.
+    """
+    if a < 40.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    inv_sq = 1.0 / (a * a)
+    tail = 0.0
+    for coeff in reversed(_HALF_STEP_SERIES):
+        tail = tail * inv_sq + coeff
+    return 0.5 * math.log(a) + tail / a
+
+
 def tail_failure(j, epsilon: float) -> TailEstimate:
     """Mass of the single-peak density outside [-epsilon, epsilon].
 
@@ -232,10 +255,15 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
         return TailEstimate(j, epsilon, 0.0, laplace, 0.0)
     a = j.twice + 0.5
     s = math.sin(0.25 * (math.pi - epsilon))
-    c = math.cos(0.25 * (math.pi - epsilon))
-    # z^a (1 - z)^a / (a B(a, a)), with z = s^2 and 1 - z = c^2
-    ln_beta = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
-    ln_front = 2.0 * a * math.log(s * c) - math.log(a) - ln_beta
+    # z^a (1 - z)^a / (a B(a, a)) with z = s^2: z (1 - z) = cos^2(eps/2)/4, and
+    # 1/B(a, a) = 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by duplication
+    ln_front = (
+        2.0 * a * math.log1p(-2.0 * math.sin(0.25 * epsilon) ** 2)
+        - math.log(2.0)
+        - 0.5 * math.log(math.pi)
+        - math.log(a)
+        + _ln_gamma_half_step(a)
+    )
     cf = _beta_cf(a, s * s)
     numeric = min(1.0, 2.0 * math.exp(ln_front) * cf)
     ln_numeric = min(0.0, math.log(2.0) + ln_front + math.log(cf))
@@ -289,12 +317,21 @@ def _peak_offset(tj: int, rng) -> float:
 
 
 @lru_cache(maxsize=32)
-def _codeword_amps(tj: int, d: int) -> np.ndarray:
-    """Codeword amplitude rows, renormalized: the log-domain amplitudes
-    leave row norms off 1 by up to about 1e-12 at j = 2000."""
+def _codeword_amps(tj: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoder table of one (j, d): (basis, gram, m-values), read-only.
+
+    The codeword amplitude rows are renormalized (the log-domain
+    amplitudes leave row norms off 1 by up to about 1e-12 at j = 2000);
+    gram is their overlap matrix and the m-values are j, j-1, ..., -j.
+    """
     code = build_codewords(equatorial_qudit(HalfInt(tj), d))
     basis = np.stack([vec.amps for vec in code.basis])
-    return basis / np.linalg.norm(basis, axis=1)[:, None]
+    basis = basis / np.linalg.norm(basis, axis=1)[:, None]
+    gram = basis.conj() @ basis.T
+    mv = m_values(HalfInt(tj))
+    for table in (basis, gram, mv):
+        table.setflags(write=False)
+    return basis, gram, mv
 
 
 def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phi_m: float):
@@ -305,14 +342,12 @@ def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phi_m: float)
     the code span (gram-corrected, the basis is only numerically
     orthogonal for d > 2) and renormalizes.
     """
-    basis = _codeword_amps(tj, d)
+    basis, gram, mv = _codeword_amps(tj, d)
     lattice_index = round(phi_m * d / _TWO_PI)
     offset = phi_m - _TWO_PI * lattice_index / d
-    mv = (tj - 2 * np.arange(tj + 1)) / 2.0
     corrected = np.exp(1j * (offset - delta_phi) * mv) * basis[k]
 
     overlaps = basis.conj() @ corrected
-    gram = basis.conj() @ basis.T
     coeff = np.linalg.solve(gram, overlaps)
     decoded = basis.T @ coeff
     decoded = decoded / np.linalg.norm(decoded)

@@ -132,6 +132,22 @@ class StateVec:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _owning(cls, j: HalfInt, amps: np.ndarray) -> "StateVec":
+        """Wrap a fresh complex array without copying it.
+
+        The caller hands the array over: it must own its data, have
+        shape (2j+1,) for a validated spin label j, and have no other
+        writer.  It is marked read-only, as the public constructor's copy is.
+        """
+        if amps.dtype != np.complex128 or amps.shape != (j.dim,) or amps.base is not None:
+            raise ValueError(f"expected a fresh complex array of shape ({j.dim},)")
+        amps.setflags(write=False)
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "j", j)
+        object.__setattr__(vec, "amps", amps)
+        return vec
+
     @staticmethod
     def basis_state(j, m) -> "StateVec":
         j = _spin(j)

@@ -62,6 +62,26 @@ def test_unknown_subcommand_exits_via_argparse():
         main(["frobnicate"])
 
 
+def test_parser_reused_without_leaking_flags(tmp_path, capsys):
+    from spinqec.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    paths = [tmp_path / f"{i}.csv" for i in range(3)]
+    assert main(["gkp-table", "--out", str(paths[0])]) == 0
+    assert main(["gkp-table", "--K", "2", "--r1", "4", "--r2", "6", "--out", str(paths[1])]) == 0
+    assert main(["gkp-table", "--out", str(paths[2])]) == 0
+    first, flagged, again = (p.read_bytes() for p in paths)
+    assert again == first and flagged != first
+    # --r1 from an earlier call would be rejected by tail-check
+    assert main(["tail-check"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["tail-check", "--bogus"])
+    assert exc.value.code == 2
+    assert main(["tail-check", "--r1", "5"]) == 2
+    assert main(["tail-check"]) == 0
+
+
 def test_overlap_curve_endpoints_and_doubling(tmp_path):
     out4 = tmp_path / "j4.csv"
     out8 = tmp_path / "j8.csv"

@@ -82,6 +82,16 @@ CASES = {
         None,
         "1dd79cfb5c04936b9b08e09a1698ff0b4babe8f500534926a5cb3a94badf9533",
     ),
+    "recovery-sweep-j2000-d4": (
+        ["recovery-sweep", "--j", "2000", "--d", "4", "--delta", "0.1", "--samples", "20"],
+        None,
+        "fe16ccb4781663e9fd8442a54a025d7296a5fd4e3c7491e77c57c106b17b9c37",
+    ),
+    "recovery-sweep-j50-d3-ancilla": (
+        ["recovery-sweep", "--j", "50", "--d", "3", "--delta", "0.2", "--samples", "20"],
+        {"j_anc": 20, "input_k": 2},
+        "756c591e9e3c1b3761464e2f72d8e30f0404bd1d28d256033c7eee4fe8b69d7d",
+    ),
     "overlap-curve-defaults": (
         ["overlap-curve"],
         None,

@@ -1,5 +1,6 @@
 """Finite clock-shift comb codes with exact integer phase bookkeeping."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -103,16 +104,23 @@ def test_pauli_word_inverse_and_power():
 
 def test_pauli_word_apply_matches_matrix():
     rng = np.random.default_rng(5)
-    for n, a, b, c in ((9, 4, 2, 1), (882, 451, 860, 1763), (900, 0, 899, 3)):
+    words = [(9, 4, 2, 1), (882, 451, 860, 1763), (900, 0, 899, 3)]
+    words += [(n, *(int(v) for v in rng.integers(-3 * n, 3 * n, size=3))) for n in (9, 882)]
+    for n, a, b, c in words:
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         state = StateVec(PauliWord(n, 0, 0).to_operator().j, amps / np.linalg.norm(amps))
         w = PauliWord(n, a, b, c)
-        via_apply = w.apply(state).amps
+        applied = w.apply(state)
+        via_apply = applied.amps
         mat = w.to_operator().mat
         via_matrix = mat @ state.amps
         assert np.max(np.abs(via_apply - via_matrix)) < 1e-14
         # column 0 of the matrix carries the bare phase, read from the same roots
         assert w.phase == mat[w.a, 0]
+        # a fresh read-only array, never the input's
+        assert not via_apply.flags.writeable and not np.shares_memory(via_apply, state.amps)
+        undone = w.inverse().apply(applied).amps
+        assert np.max(np.abs(undone - state.amps)) < 1e-14
 
 
 def test_params_validation():
@@ -297,6 +305,42 @@ def test_invalid_states_rejected():
         skewed[0] *= 2.0
         with pytest.raises(ValueError, match="code space"):
             syndrome_and_recover(params, 0, 0, StateVec(params.spin_label, skewed).normalized())
+
+
+def test_round_shift_types_and_fresh_output():
+    params = GkpParams(2, 3, 3)
+    word = build_gkp_code(params).codewords[0]
+    for a, b in ((1.0, 0), (True, 0), (0, 1.0), (0, False), (0, "1")):
+        with pytest.raises(TypeError, match="must be an integer"):
+            syndrome_and_recover(params, a, b, word)
+    assert syndrome_and_recover(params, np.int64(7), np.int32(-1), word).a_hat == 1
+    for a, b in ((0, 0), (1, -1), (6, 0)):
+        out = syndrome_and_recover(params, a, b, word)
+        assert not out.recovered.amps.flags.writeable
+        assert not np.shares_memory(out.recovered.amps, word.amps)
+        assert out.recovered.j == word.j
+
+
+# The seven codes of the syndrome_rounds benchmark.
+BENCHMARK_CODES = ((2, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 8), (4, 7, 9), (2, 21, 21), (4, 15, 15))
+
+
+def test_round_outputs_pinned():
+    # sha256 of recovered.amps over every codeword and every tiling-window
+    # shift of the benchmark codes, recorded before the round moved onto
+    # plain arrays (numpy 2.4.6, x86-64): any moved bit changes it.
+    digest = hashlib.sha256()
+    rounds = 0
+    for dims in BENCHMARK_CODES:
+        params = GkpParams(*dims)
+        for word in build_gkp_code(params).codewords:
+            for a in tiling_window(params.r1):
+                for b in tiling_window(params.r2):
+                    out = syndrome_and_recover(params, a, b, word)
+                    digest.update(out.recovered.amps.tobytes())
+                    rounds += 1
+    assert rounds == 2255
+    assert digest.hexdigest() == "056669633a3a76010d35767d9b20d46e6aeccb7d12eb82a22923299fcfdfa53a"
 
 
 def _residues_from_eigenphases(params, state):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,8 +14,9 @@ from spinqec.recovery import (
     syndrome_density,
     tail_failure,
 )
+from spinqec import recovery
 from spinqec.recovery import _correct_and_decode
-from spinqec.spin_core import HalfInt
+from spinqec.spin_core import HalfInt, m_values
 
 
 def _dkw_bound(n, alpha=0.01):
@@ -148,6 +150,46 @@ def test_tail_failure_matches_quad(j):
             assert abs(got / math.exp(ln_want) - 1.0) < 1e-10, (j, eps, got)
 
 
+def _mp_ln_tail(j, eps):
+    # ln 2 I_z(a, a), a = 2j + 1/2, z = sin^2((pi - eps)/4), at 40 digits through
+    # I_z(a, a) = z^a (1 - z)^a 2F1(2a, 1; a + 1; z) / (a B(a, a))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(2 * j) + mpmath.mpf(1) / 2
+        z = mpmath.sin((mpmath.pi - mpmath.mpf(eps)) / 4) ** 2
+        ln_beta = 2 * mpmath.loggamma(a) - mpmath.loggamma(2 * a)
+        series = mpmath.hyp2f1(2 * a, 1, a + 1, z, maxterms=10**6)
+        return mpmath.log(2) + a * mpmath.log(z * (1 - z)) - mpmath.log(a) - ln_beta + mpmath.log(series)
+
+
+@pytest.mark.parametrize("j,eps", [(1e6, 0.1), (1e5, 0.05), (400, 0.3), (2.5, 0.7)])
+def test_tail_failure_large_j_against_mpmath(j, eps):
+    # the ratio to the Laplace reference, where the tails themselves underflow;
+    # at (1e6, 0.1) ln B(a, a) from two lgammas was off by 1.7e-8
+    est = tail_failure(j, eps)
+    with mpmath.workdps(40):
+        jv, e = mpmath.mpf(j), mpmath.mpf(eps)
+        ln_laplace = mpmath.log(mpmath.sqrt(2 / (mpmath.pi * jv))) - jv * e**2 / 2 - mpmath.log(e)
+        ratio = mpmath.exp(_mp_ln_tail(j, eps) - ln_laplace)
+    assert abs(est.ratio / ratio - 1) <= 1e-11, (j, eps, est.ratio)
+
+
+def test_half_step_series_coefficients():
+    # sum_i c_i a^-(2i+1) against ln Gamma(a + 1/2) - ln Gamma(a) - (ln a)/2 in
+    # mpmath: at a = 40 the last kept term is 7e-15, the first dropped 6e-18
+    with mpmath.workdps(40):
+        for a in (40, 100):
+            a = mpmath.mpf(a)
+            exact = mpmath.loggamma(a + 0.5) - mpmath.loggamma(a) - mpmath.log(a) / 2
+            series = sum(
+                mpmath.mpf(c) / a ** (2 * i + 1) for i, c in enumerate(recovery._HALF_STEP_SERIES)
+            )
+            assert abs(series - exact) < 1e-17 / (a / 40) ** 9
+        for a in (0.5, 3.0, 39.5, 40.0, 40.5, 1e3, 2e6 + 0.5):
+            exact = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+            got = recovery._ln_gamma_half_step(a)
+            assert abs(got - exact) <= (6e-14 if a < 40 else 4e-16 * abs(exact)), a
+
+
 def test_tail_failure_edges():
     est = tail_failure(HalfInt(100), math.pi)
     assert est.numeric_tail == 0.0
@@ -165,6 +207,23 @@ def test_correct_and_decode_pinned_peak():
         assert recovered_k == k
         assert abs(fidelity - 1.0) < 1e-12
         assert abs(raw - 1.0) < 1e-12
+
+
+def test_decoder_table_cached_read_only():
+    recovery._codeword_amps.cache_clear()
+    for seed in range(3):
+        recover(HalfInt(40), 3, 1, 0.05, seed=seed)
+    info = recovery._codeword_amps.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, 32)
+    basis, gram, mv = recovery._codeword_amps(40, 3)
+    assert basis.shape == (3, 41) and gram.shape == (3, 3)
+    for table in (basis, gram, mv):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    assert np.array_equal(gram, basis.conj() @ basis.T)
+    assert np.array_equal(mv, m_values(HalfInt(40)))
+    assert np.max(np.abs(np.linalg.norm(basis, axis=1) - 1.0)) < 1e-15
 
 
 def test_recover_run_fields_and_determinism():

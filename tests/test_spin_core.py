@@ -163,6 +163,22 @@ def test_statevec_amps_read_only():
         vec.amps[0] = 2.0
 
 
+def test_statevec_owning_path_takes_the_array():
+    j = HalfInt(2)
+    fresh = np.array([1.0, 1.0j, 0.0])
+    vec = StateVec._owning(j, fresh)
+    assert vec.amps is fresh and not fresh.flags.writeable
+    assert vec.j == j and np.array_equal(vec.amps, StateVec(j, [1.0, 1.0j, 0.0]).amps)
+    # the public constructor still copies
+    source = np.array([1.0, 0.0, 0.0], dtype=complex)
+    public = StateVec(j, source)
+    assert not np.shares_memory(public.amps, source) and source.flags.writeable
+    # only a fresh complex array of the right shape is taken over
+    for bad in (np.zeros(3), np.zeros(4, dtype=complex), np.zeros(6, dtype=complex)[::2]):
+        with pytest.raises(ValueError, match="fresh complex array"):
+            StateVec._owning(j, bad)
+
+
 def test_operator_algebra():
     j = HalfInt(1)
     ident = Operator.identity(j)
