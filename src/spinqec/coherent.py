@@ -353,7 +353,7 @@ def theta_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _theta_rule_cached(int(degree))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
     """Product rule on the sphere for the measure sin(theta) dtheta dphi."""
 
@@ -431,7 +431,7 @@ def sphere_quadrature(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalOp:
     """A symbol P(Omega) together with its realized matrix.
 

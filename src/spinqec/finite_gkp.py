@@ -205,7 +205,7 @@ def clock_shift(n: int) -> tuple[Operator, Operator]:
     return PauliWord(n, 1, 0).to_operator(), PauliWord(n, 0, 1).to_operator()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GkpCode:
     """K orthonormal comb codewords with their logical and stabilizer words."""
 
@@ -295,7 +295,7 @@ def _center(residue: int, r: int) -> tuple[int, bool]:
     return shifted, (r % 2 == 0) and (shifted == r // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyndromeOutcome:
     """Result of one error / measure / recover round."""
 

@@ -100,7 +100,7 @@ def cyclic_qubit(j, n_cosets: int) -> CodeSpec:
     return CodeSpec(HalfInt.of(j), "CyclicQubit", n_cosets=int(n_cosets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codewords:
     """Codeword basis with its gram matrix and coherent decomposition.
 
@@ -233,7 +233,7 @@ def _clock_diagonal(j: HalfInt, d: int, power: int = 1) -> np.ndarray:
     return np.array([cmath.exp(-2j * math.pi * r / d) for r in residues])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicalSet:
     """Clock-shift logical pair and the Z-type check for an equatorial qudit."""
 

@@ -25,13 +25,24 @@ then x from that law; the finite-ancilla readout blur is the same law with
 j -> j_anc, and the tail mass is the regularized incomplete beta function
 of the same B.  The correction exp(+i offset L3), offset = phi_m minus the
 nearest lattice azimuth, acts on the errored codeword and leaves the
-residual rotation exp(i (offset - delta_phi) L3).  A final decode projects
-onto the code span, so the recorded fidelity is degraded only by weight
-the residual pushes onto other codewords; the pre-decode overlap is kept
-alongside as raw_fidelity.  Each (j, d) has one decoder table, built on
-first use and kept in a bounded cache (32 entries): the renormalized
-codeword rows, their gram matrix and the m-values of L3, all read-only,
-so a round computes only its rotation, overlaps and solve.
+residual rotation exp(i s L3), s = offset - delta_phi.  A final decode
+projects onto the code span, so the recorded fidelity is degraded only by
+weight the residual pushes onto other codewords; the pre-decode overlap is
+kept alongside as raw_fidelity.
+
+The decode needs no state vector.  Codeword a is p_a |pi/2, phi_a>, with
+phi_a = 2 pi a/d and p_a its Option1 phase, and exp(i s L3) maps
+|pi/2, phi> to exp(i s j) |pi/2, phi - s>.  So every overlap is the
+closed form ((1 + exp(i y))/2)^(2j) = exp(i j y) cos^(2j)(y/2) of
+equatorial coherent states: ov_a = <abar|exp(i s L3)|kbar> has magnitude
+v_a = |cos(y_a/2)|^(2j), y_a = phi_k - phi_a - s, and the gram matrix has
+magnitudes C_ab = |cos(pi (b - a)/d)|^(2j), a real symmetric circulant
+with C_aa = 1.  The phases p_a, exp(i j s) and exp(i j (phi_k - phi_a))
+enter ov and the gram matrix only as diagonal unitaries, so they cancel
+exactly from ov^H G^-1 ov = v^T C^-1 v, and the round reads d real
+numbers.  C is circulant, so its eigenvalues are known exactly; each
+(j, d) keeps the DFT that diagonalizes it, scaled by them, read-only in a
+bounded cache (32 entries).
 
 Only numpy and the standard library are used at run time.
 """
@@ -39,6 +50,7 @@ Only numpy and the standard library are used at run time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,8 +62,7 @@ from .coherent import (
     rotation_matrix_elements,
     theta_rule,
 )
-from .lll_codes import build_codewords, equatorial_qudit
-from .spin_core import HalfInt, _spin, m_values
+from .spin_core import HalfInt, _spin
 
 __all__ = [
     "SyndromeRun",
@@ -316,44 +327,87 @@ def _peak_offset(tj: int, rng) -> float:
     return 2.0 * math.asin(2.0 * b - 1.0)
 
 
-@lru_cache(maxsize=32)
-def _codeword_amps(tj: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The decoder table of one (j, d): (basis, gram, m-values), read-only.
+def _ln_overlap_magnitude(y: float, tj: int) -> float:
+    """ln |((1 + exp(i y))/2)^(2j)| = 2j ln|cos(y/2)|, any real y.
 
-    The codeword amplitude rows are renormalized (the log-domain
-    amplitudes leave row norms off 1 by up to about 1e-12 at j = 2000);
-    gram is their overlap matrix and the m-values are j, j-1, ..., -j.
+    y is first reduced into [-pi, pi].  Up to |y| = pi/2, where
+    |cos(y/2)| >= cos(pi/4), about where _pow_two_j_arrays switches to
+    log1p, |cos(y/2)| = 1 - 2 sin^2(y/4) goes through log1p, whose
+    argument stays above -0.3; beyond, it is sin((pi - |y|)/2), exactly 0
+    at |y| = pi, where the result is -inf.
     """
-    code = build_codewords(equatorial_qudit(HalfInt(tj), d))
-    basis = np.stack([vec.amps for vec in code.basis])
-    basis = basis / np.linalg.norm(basis, axis=1)[:, None]
-    gram = basis.conj() @ basis.T
-    mv = m_values(HalfInt(tj))
-    for table in (basis, gram, mv):
+    y = abs(math.remainder(y, _TWO_PI))
+    if y <= 0.5 * math.pi:
+        return tj * math.log1p(-2.0 * math.sin(0.25 * y) ** 2)
+    mag = math.sin(0.5 * (math.pi - y))
+    return tj * math.log(mag) if mag > 0.0 else -math.inf
+
+
+@lru_cache(maxsize=32)
+def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whitening factor of C for one (j, d): (W, r), read-only.
+
+    C is circulant, so the DFT diagonalizes it: v^T C^-1 v = |W v|^2 with
+    W_fa = exp(-2 pi i a f/d)/sqrt(d lambda_f).  cos^(2j)(x) =
+    sum_t C(2j, j + t) exp(2 i t x)/4^j gives lambda_f = d P(t = f mod d)
+    under the binomial law of t: sums of positive terms, with full
+    relative accuracy however small (d = 2j + 1 at j = 100 has lambda
+    down to 1e-58, where C itself has lost them).  The weights
+    C(2j, j + t)/C(2j, j) come from their ratio recurrence, until they
+    leave the normal doubles (|t| near 27 sqrt(j)).  r_f =
+    sqrt(lambda_f/d), with lambda_f floored at the smallest normal double
+    for a class whose every weight lies beyond that point.
+    """
+    j = tj // 2
+    classes = [0.0] * d
+    classes[0] = weight = 1.0
+    for t in range(1, j + 1):
+        weight *= (j - t + 1) / (j + t)
+        if weight < sys.float_info.min:
+            break
+        classes[t % d] += weight
+        classes[-t % d] += weight
+    spectrum = np.array(classes) * (d / math.fsum(classes))
+    root = np.sqrt(np.maximum(spectrum, sys.float_info.min) / d)
+    freqs = np.arange(d)
+    whitening = np.exp(-2j * math.pi * (np.outer(freqs, freqs) % d) / d) / (d * root[:, None])
+    for table in (whitening, root):
         table.setflags(write=False)
-    return basis, gram, mv
+    return whitening, root
 
 
 def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phi_m: float):
     """Correction rotation at the reported azimuth, then decode.
 
     Returns (recovered_k, fidelity, raw_fidelity).  The corrected state
-    is exp(i (offset - delta_phi) L3)|kbar>; decoding projects it onto
-    the code span (gram-corrected, the basis is only numerically
-    orthogonal for d > 2) and renormalizes.
-    """
-    basis, gram, mv = _codeword_amps(tj, d)
-    lattice_index = round(phi_m * d / _TWO_PI)
-    offset = phi_m - _TWO_PI * lattice_index / d
-    corrected = np.exp(1j * (offset - delta_phi) * mv) * basis[k]
+    is exp(i s L3)|kbar>, s = offset - delta_phi; decoding projects it
+    onto the code span and renormalizes.  With the overlap magnitudes v
+    and the gram magnitudes C of the module docstring,
 
-    overlaps = basis.conj() @ corrected
-    coeff = np.linalg.solve(gram, overlaps)
-    decoded = basis.T @ coeff
-    decoded = decoded / np.linalg.norm(decoded)
-    recovered_k = int(np.argmax(np.abs(overlaps)))
-    fidelity = float(np.abs(basis[k].conj() @ decoded) ** 2)
-    raw_fidelity = float(np.abs(overlaps[k]) ** 2)
+        fidelity = v_k^2 / (v^T C^-1 v),  raw_fidelity = v_k^2,
+        recovered_k = argmax_a v_a.
+
+    v is taken in the log domain and divided by its largest entry before
+    the quadratic form, which the ratio does not see, so the fidelity
+    stays defined where every overlap underflows, and capped at 1, which
+    rounding in the eigenvalues of C can pass by an ulp; raw_fidelity is
+    exp(2 ln v_k), 0.0 below the double range.  v^T C^-1 v is |W v|^2
+    (see _gram_factor).  The exact modes obey |(W v)_f| <= r_f/max(v),
+    by the triangle inequality on the class sums, and capping the
+    computed ones there keeps rounding in v from being divided by a small
+    lambda_f.  Where max(v) < exp(-300), d is far below sqrt(j), every
+    lambda_f is near 1 and the cap, taken at exp(300), is idle.
+    """
+    lattice_index = round(phi_m * d / _TWO_PI)
+    s = phi_m - _TWO_PI * lattice_index / d - delta_phi
+    ln_v = [_ln_overlap_magnitude(_TWO_PI * ((k - a) % d) / d - s, tj) for a in range(d)]
+    top = max(ln_v)
+    recovered_k = ln_v.index(top)
+    whitening, root = _gram_factor(tj, d)
+    v = np.array([math.exp(x - top) for x in ln_v])
+    capped = np.minimum(np.abs(whitening @ v), root * math.exp(min(-top, 300.0)))
+    fidelity = min(1.0, math.exp(2.0 * (ln_v[k] - top)) / float(capped @ capped))
+    raw_fidelity = math.exp(2.0 * ln_v[k])
     return recovered_k, fidelity, raw_fidelity
 
 

@@ -116,12 +116,23 @@ def m_index(j, m) -> int:
     return (j.twice - m.twice) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVec:
-    """A vector in the spin-j space, basis descending in m."""
+    """A vector in the spin-j space, basis descending in m.
+
+    Equal when the spin labels and every amplitude are equal; unhashable,
+    as the amplitudes are an array.
+    """
 
     j: HalfInt
     amps: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVec):
+            return NotImplemented
+        return self.j == other.j and np.array_equal(self.amps, other.amps)
+
+    __hash__ = None
 
     def __post_init__(self):
         j = _spin(self.j)
@@ -175,12 +186,23 @@ class StateVec:
         return abs(self.inner(other)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """A dense operator on the spin-j space."""
+    """A dense operator on the spin-j space.
+
+    Equal when the spin labels and every entry are equal; unhashable, as
+    the entries are an array.
+    """
 
     j: HalfInt
     mat: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return self.j == other.j and np.array_equal(self.mat, other.mat)
+
+    __hash__ = None
 
     def __post_init__(self):
         j = _spin(self.j)

@@ -75,22 +75,22 @@ CASES = {
     "recovery-sweep-defaults": (
         ["recovery-sweep"],
         None,
-        "cb0f8b9c9d906f54ce47e6bd6d83146871f8be2293d65391770c5eedb85d45da",
+        "661cdd3280792faec5c4316d824dfb853cc8de63ec0c23a6904135be8646bcc2",
     ),
     "recovery-sweep-d3": (
         ["recovery-sweep", "--j", "20", "--d", "3", "--delta", "0.05", "--samples", "20"],
         None,
-        "1dd79cfb5c04936b9b08e09a1698ff0b4babe8f500534926a5cb3a94badf9533",
+        "dac4396a6847ba7fd476eaf529f3fb2e89a047b880873e6f932c830d2aeae3dc",
     ),
     "recovery-sweep-j2000-d4": (
         ["recovery-sweep", "--j", "2000", "--d", "4", "--delta", "0.1", "--samples", "20"],
         None,
-        "fe16ccb4781663e9fd8442a54a025d7296a5fd4e3c7491e77c57c106b17b9c37",
+        "dae0545200ff5f36b7ff4b8fe212d15562d8862b098e70d00878879b80e2d67f",
     ),
     "recovery-sweep-j50-d3-ancilla": (
         ["recovery-sweep", "--j", "50", "--d", "3", "--delta", "0.2", "--samples", "20"],
         {"j_anc": 20, "input_k": 2},
-        "756c591e9e3c1b3761464e2f72d8e30f0404bd1d28d256033c7eee4fe8b69d7d",
+        "6123d3fa42b85def4c0b4c4e9cf4d36674fc44f9c901d2076412f06bcf0c0f89",
     ),
     "overlap-curve-defaults": (
         ["overlap-curve"],

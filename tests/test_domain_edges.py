@@ -73,6 +73,19 @@ def test_recover_rejects_non_finite_delta(delta_phi):
         recover(8, 2, 0, delta_phi, 0)
 
 
+@pytest.mark.parametrize("j_anc", [None, 20])
+def test_recover_finite_at_j_one_million(j_anc):
+    # every overlap of a missed correction underflows at this j; the decode
+    # divides by the largest before the solve, so the fidelity stays defined
+    for seed in range(4):
+        run = recover(10**6, 4, 1, 0.1, seed, j_anc=j_anc)
+        assert math.isfinite(run.fidelity) and 0.0 <= run.fidelity <= 1.0 + 1e-12
+        assert 0.0 <= run.raw_fidelity <= run.fidelity + 1e-12
+        assert run.recovered_k in range(4)
+        if j_anc is None:  # the peak width 1/sqrt(j) is far inside the cell
+            assert run.recovered_k == 1 and abs(run.fidelity - 1.0) < 1e-12
+
+
 def _mp_tail_ratio(j, eps):
     """Tail mass over the Laplace reference, from a 30-digit quadrature of
     cos^(4j)(x/2) split at multiples of its decay length 1/(j eps)."""

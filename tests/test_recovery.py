@@ -1,6 +1,9 @@
 """Azimuth syndrome densities and the measure-correct-decode cycle."""
 
+import fractions
+import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,7 +19,8 @@ from spinqec.recovery import (
 )
 from spinqec import recovery
 from spinqec.recovery import _correct_and_decode
-from spinqec.spin_core import HalfInt, m_values
+from spinqec.lll_codes import build_codewords, equatorial_qudit
+from spinqec.spin_core import HalfInt
 
 
 def _dkw_bound(n, alpha=0.01):
@@ -209,21 +213,150 @@ def test_correct_and_decode_pinned_peak():
         assert abs(raw - 1.0) < 1e-12
 
 
-def test_decoder_table_cached_read_only():
-    recovery._codeword_amps.cache_clear()
+@functools.lru_cache(maxsize=None)
+def _mp_level_weights(j, dps):
+    """C(2j, n)/4^j for n = 2j, ..., 0 at dps digits, highest power first."""
+    with mpmath.workdps(dps):
+        return [mpmath.binomial(2 * j, n) / mpmath.mpf(4) ** j for n in range(2 * j, -1, -1)]
+
+
+def _mp_bracket(j, phi_a, phi_b, shift):
+    """<pi/2, phi_a| exp(i shift L3) |pi/2, phi_b> in mpmath.
+
+    Up to j = 200 a dense sum over the levels: <m|pi/2, phi> = |c_m| exp(i n phi)
+    with n = j - m and |c_m|^2 = C(2j, n)/4^j, so the bracket is
+    exp(i j shift) sum_n C(2j, n)/4^j z^n, z = exp(i (phi_b - phi_a - shift)).
+    Beyond, the closed form exp(i j shift) ((1 + z)/2)^(2j).
+    """
+    z = mpmath.expj(phi_b - phi_a - shift)
+    if j <= 200:
+        total = mpmath.polyval(_mp_level_weights(j, mpmath.mp.dps), z)
+    else:
+        total = ((1 + z) / 2) ** (2 * j)
+    return mpmath.expj(j * shift) * total
+
+
+def _mp_decode_at(j, d, k, delta_phi, phi_m):
+    index = round(phi_m * d / (2.0 * math.pi))
+    s = mpmath.mpf(phi_m) - 2 * mpmath.pi * index / d - mpmath.mpf(delta_phi)
+    phis = [2 * mpmath.pi * a / d for a in range(d)]
+    # Option1 codeword phases exp(-2 pi i (j a mod d)/d)
+    phases = [mpmath.expjpi(mpmath.mpf(-2 * ((j * a) % d)) / d) for a in range(d)]
+
+    def bracket(a, b, shift):
+        return mpmath.conj(phases[a]) * phases[b] * _mp_bracket(j, phis[a], phis[b], shift)
+
+    ov = [bracket(a, k, s) for a in range(d)]
+    gram = mpmath.matrix([[bracket(a, b, 0) for b in range(d)] for a in range(d)])
+    coeff = mpmath.lu_solve(gram, mpmath.matrix(ov))
+    norm_sq = mpmath.re(sum(mpmath.conj(ov[a]) * coeff[a] for a in range(d)))
+    mags = [abs(x) for x in ov]
+    return mags, abs(ov[k]) ** 2 / norm_sq
+
+
+def _mp_decode(j, d, k, delta_phi, phi_m):
+    """(recovered_k, fidelity, raw_fidelity) of the decode, from the complex
+    overlaps of the phased codewords and a complex gram solve in mpmath.
+
+    The dense sums of terms below 1 cancel down to the overlaps (near 1e-46
+    from terms near 0.04 at j = 200), so their precision doubles until every
+    overlap that is checked keeps 20 digits; the closed form cancels nothing.
+    """
+    dps = 40
+    while True:
+        with mpmath.workdps(dps):
+            mags, fidelity = _mp_decode_at(j, d, k, delta_phi, phi_m)
+            raw = mags[k] ** 2
+            checked = [max(mags)] + ([mags[k]] if raw > mpmath.mpf(10) ** -300 else [])
+            if j > 200 or min(checked) > mpmath.mpf(10) ** (20 - dps):
+                return mags.index(max(mags)), float(fidelity), float(raw)
+        dps *= 2
+
+
+def _assert_matches_mp(got, want):
+    recovered_k, fidelity, raw = got
+    want_k, want_fidelity, want_raw = want
+    assert recovered_k == want_k
+    assert abs(fidelity - want_fidelity) <= 1e-10 * want_fidelity, (fidelity, want_fidelity)
+    if want_raw > 1e-300:
+        assert abs(raw - want_raw) <= 1e-10 * want_raw, (raw, want_raw)
+
+
+@pytest.mark.parametrize("j_anc", [None, 20])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("j", [8, 50, 200, 2000, 10**5])
+def test_recover_matches_mp_decode(j, d, j_anc):
+    # with j_anc = 20 the correction misses by |s| ~ 0.1-0.3, and at large j
+    # every overlap sits far below 1e-16
     for seed in range(3):
-        recover(HalfInt(40), 3, 1, 0.05, seed=seed)
-    info = recovery._codeword_amps.cache_info()
+        k = seed % d
+        run = recover(j, d, k, 0.1, seed, j_anc=j_anc)
+        want = _mp_decode(j, d, k, 0.1, run.measured_phi)
+        _assert_matches_mp((run.recovered_k, run.fidelity, run.raw_fidelity), want)
+
+
+@pytest.mark.parametrize(
+    "j,d,k,delta_phi,phi_m",
+    [
+        (200, 2, 0, 0.0, -1.39),  # true raw_fidelity 8.9e-92: the overlaps are near 3e-46
+        (1, 2, 1, 0.0, 0.0),  # y = -pi on the other codeword, an exact zero
+        (1, 3, 2, 0.0, 2.0),  # d = 2j + 1
+        (4, 9, 5, 0.0, 0.61),  # d = 2j + 1
+        (10**5, 2, 0, 0.0, 0.5 * math.pi - 1e-9),  # both overlaps underflow
+        # s = -1.2 lands nearest codeword 2, not its mirror image 0
+        (8, 4, 1, 0.5, 0.5 * math.pi - 0.7),
+        (50, 3, 0, -1.0, 0.2),  # fidelity near 1e-8
+    ],
+)
+def test_correct_and_decode_matches_mp_at_edges(j, d, k, delta_phi, phi_m):
+    got = _correct_and_decode(2 * j, d, k, delta_phi, phi_m)
+    want = _mp_decode(j, d, k, delta_phi, phi_m)
+    _assert_matches_mp(got, want)
+    if want[2] < 1e-300:
+        assert got[2] < 1e-300
+
+
+def test_gram_factor_cached_read_only():
+    recovery._gram_factor.cache_clear()
+    for seed in range(3):
+        recover(HalfInt(8), 5, 1, 0.05, seed=seed)
+    info = recovery._gram_factor.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 2, 32)
-    basis, gram, mv = recovery._codeword_amps(40, 3)
-    assert basis.shape == (3, 41) and gram.shape == (3, 3)
-    for table in (basis, gram, mv):
+    whitening, root = recovery._gram_factor(8, 5)
+    assert whitening.shape == (5, 5) and root.shape == (5,)
+    for table in (whitening, root):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
-    assert np.array_equal(gram, basis.conj() @ basis.T)
-    assert np.array_equal(mv, m_values(HalfInt(40)))
-    assert np.max(np.abs(np.linalg.norm(basis, axis=1) - 1.0)) < 1e-15
+    # C^-1 = W^H W, and C is the magnitude of the codeword gram matrix; at
+    # j = 4, d = 5 its off-diagonals cos^8(pi/5) and cos^8(2 pi/5) are far from 0
+    inverse = whitening.conj().T @ whitening
+    assert np.max(np.abs(inverse.imag)) < 1e-14
+    gram = np.abs(build_codewords(equatorial_qudit(HalfInt(8), 5)).gram)
+    assert np.max(np.abs(np.linalg.inv(inverse.real) - gram)) < 1e-14
+
+
+@pytest.mark.parametrize("j,d", [(4, 5), (8, 3), (50, 101), (200, 7), (600, 1201)])
+def test_gram_spectrum_is_exact(j, d):
+    # lambda_f = d sum_{t = f mod d} C(2j, j + t)/4^j, in exact integers
+    _, root = recovery._gram_factor(2 * j, d)
+    for f in range(d):
+        want = d * fractions.Fraction(
+            sum(math.comb(2 * j, j + t) for t in range(-j, j + 1) if (t - f) % d == 0), 4**j
+        )
+        if want < 1e-300:  # underflowed classes are floored
+            assert d * root[f] ** 2 <= 1e-300
+        else:
+            assert abs(d * root[f] ** 2 / want - 1) < 1e-13, (f, float(want))
+
+
+@pytest.mark.parametrize("j", [2, 20, 100, 1000])
+def test_full_level_count_decode_is_identity(j):
+    # 2j + 1 codewords span the space, so the decode changes nothing and
+    # fidelity = raw_fidelity, while C has eigenvalues down to 4^-j
+    for seed in range(5):
+        run = recover(j, 2 * j + 1, 3, 0.01, seed)
+        assert abs(run.fidelity - run.raw_fidelity) <= 1e-13 * run.raw_fidelity
 
 
 def test_recover_run_fields_and_determinism():
@@ -256,6 +389,47 @@ def test_recover_fidelity_contract_at_large_j(d):
         run = recover(2000, d, 1, 0.05, seed=seed)
         assert 0.0 <= run.raw_fidelity <= run.fidelity + 1e-12
         assert run.fidelity <= 1.0 + 1e-12
+
+
+def test_wrong_codeword_rate_follows_tail_law():
+    # The decode returns k + round((delta_phi + x) d/2 pi) - round(x d/2 pi)
+    # for the peak draw x, so it errs when x falls within |delta_phi| of
+    # +-pi/d: a rate [T(pi/d - |dphi|) - T(pi/d + |dphi|)]/2 with T the tail
+    # mass, up to wraps beyond 3 pi/d.  At delta_phi = 0 it never errs.
+    j, d, n = 8, 4, 4000
+    half_cell = math.pi / d
+    assert sum(recover(j, d, 1, 0.0, seed=s).recovered_k != 1 for s in range(n // 2)) == 0
+    for delta_phi in (0.3 * half_cell, -0.3 * half_cell):
+        width = abs(delta_phi)
+        tail = lambda eps: tail_failure(j, eps).numeric_tail
+        assert tail(3.0 * half_cell - width) < 1e-6
+        rate = 0.5 * (tail(half_cell - width) - tail(half_cell + width))
+        wrong = sum(recover(j, d, 1, delta_phi, seed=s).recovered_k != 1 for s in range(n))
+        assert abs(wrong - n * rate) < 4.0 * math.sqrt(n * rate * (1.0 - rate)), (wrong, n * rate)
+
+
+def test_recover_round_memory_is_o_of_d():
+    # a (2j + 1)-wide float array alone would take 16 MB at j = 10^6; the
+    # round at small j first loads what numpy sets up on first use
+    recover(8, 4, 1, 0.1, 3, j_anc=20)
+    recovery._gram_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        run = recover(10**6, 4, 1, 0.1, 3, j_anc=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert math.isfinite(run.fidelity) and 0.0 <= run.fidelity <= 1.0 + 1e-12
+    assert math.isfinite(run.raw_fidelity) and run.raw_fidelity <= run.fidelity + 1e-12
+
+
+def test_recover_ancilla_mean_fidelity_at_large_j():
+    # the blurred readout misses by |s| ~ 0.1-0.3, where every overlap is far
+    # below 1e-16, yet the nearest codeword is still the input one
+    runs = [recover(2000, 4, 1, 0.1, seed, j_anc=20) for seed in range(200)]
+    assert all(run.recovered_k == 1 for run in runs)
+    assert abs(np.mean([run.fidelity for run in runs]) - 1.0) < 1e-12
 
 
 def test_recover_outcomes_follow_exact_density():
