@@ -17,6 +17,7 @@ from .spin_core import (
     ladder_operators,
     axis_operator,
     matexp_antihermitian,
+    MAX_DENSE_DIM,
 )
 from .rotations import (
     EulerAngles,

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._logfact import ln_binomial
 from .rotations import EulerAngles, rotate_vector, _half_angles
-from .spin_core import HalfInt, Operator, StateVec, _spin, m_index
+from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin, m_index
 
 __all__ = [
     "SphPoint",
@@ -478,6 +478,7 @@ def diagonal_operator(
     """
     j = _spin(j)
     tj = j.twice
+    _require_dense(j, j.dim, 16)
     if band_limit is not None:
         k_max, theta_degree = band_limit
         degree = 2 * tj + int(theta_degree)

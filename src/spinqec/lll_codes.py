@@ -30,7 +30,7 @@ from .coherent import (
     rotation_matrix_elements,
 )
 from .rotations import EulerAngles, wigner_D_matrix
-from .spin_core import HalfInt, Operator, StateVec, _spin
+from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin
 
 __all__ = [
     "CodeSpec",
@@ -182,6 +182,8 @@ def build_codewords(spec: CodeSpec) -> Codewords:
     matrix, from one amplitude table and one overlap table over all the
     points (see Codewords)."""
     j = spec.j
+    # one amplitude row per codeword point: 2, d or 2n of them
+    _require_dense(j, spec.d or 2 * (spec.n_cosets or 1), 16)
     components: list[list[tuple[SphPoint, complex]]] = []
     if spec.family == "Antipodal":
         components.append([(SphPoint.north(), 1.0 + 0.0j)])

@@ -19,11 +19,16 @@ provided:
                (l-m)!(l+m)!/((l-j)!(l+j)!) with the minus branch when
                |m| < |j|.  All shifted parameters are nonnegative, so
                the polynomial is evaluated by the stable three-term
-               recurrence in the degree (rotations._jacobi, the one
-               shared by the Wigner-d kernel).  One function evaluates
-               it for label arrays: harmonic_table makes one call per
-               (l, m) over its grid, a Landau code one call in all.
-  wigner-d  -- sqrt((2l+1)/4pi) e^{i(m+j)phi} d^l_{j,-m}(theta).
+               recurrence in the degree (rotations._jacobi, used by
+               this route alone).  Prefactors beyond 2**+-200 join the
+               recurrence's power-of-two exponent, so no l overflows.
+               One function evaluates it for label arrays:
+               harmonic_table makes one call per (l, m) over its grid,
+               a Landau code one call in all.
+  wigner-d  -- sqrt((2l+1)/4pi) e^{i(m+j)phi} d^l_{j,-m}(theta), from the
+               Wigner-d kernel (rotations._d_columns: tridiagonal
+               eigenvectors, no Jacobi polynomials), so the two routes
+               are independent computations.
 
 The z-axis gauge is the one regular at the north pole: jY^l_m(0, phi) =
 sqrt((2l+1)/4pi) delta_{m,-j}, with the antipodal-gauge counterpart
@@ -52,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from ._logfact import ln_factorial
-from .rotations import _half_angles, _jacobi, _wigner_d_values
+from .rotations import _LN2_HI, _LN2_LO, _half_angles, _jacobi, _wigner_d_entries
 from .spin_core import HalfInt
 
 __all__ = [
@@ -108,7 +113,7 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
         if route == "jacobi":
             out = _jacobi_route(j.twice, l.twice, m.twice, theta, phi)
         else:
-            d_vals = _wigner_d_values(l.twice, j.twice, -m.twice, np.asarray(theta, dtype=float))
+            d_vals = _wigner_d_entries(l.twice, j.twice, -m.twice, theta)
             phase = np.exp(1j * ((m.twice + j.twice) // 2) * np.asarray(phi, dtype=float))
             out = math.sqrt((l.twice + 1) / _FOUR_PI) * d_vals * phase
         return out if out.ndim else complex(out)
@@ -123,7 +128,10 @@ def _jacobi_route(tj: int, tl, tm, theta, phi) -> np.ndarray:
     broadcast with theta and phi, many harmonics in one recurrence pass.
     Python-int labels keep Python-int exponents and a math.exp prefactor,
     the arithmetic behind the `harmonics` CLI bytes; array labels agree
-    with them to a few ulp.
+    with them to a few ulp.  The factorial prefactor and the half-angle
+    powers join the recurrence's power-of-two exponent where they leave
+    2**+-200 (_exp_parts), so nothing overflows at any l; below that they
+    are the plain factors, bit for bit.
     """
     aa = (tm + tj) // 2  # m + j, integer of either sign
     bb = (tm - tj) // 2  # m - j
@@ -133,7 +141,7 @@ def _jacobi_route(tj: int, tl, tm, theta, phi) -> np.ndarray:
     )
     ln_fact = np.where(abs(tm) >= abs(tj), ln_half, -ln_half)
     sign = np.where((aa > 0) & (aa % 2 == 1), -1.0, 1.0)
-    scale = np.exp(ln_fact) if np.ndim(ln_fact) else math.exp(ln_fact)
+    scale, k_fact = _exp_parts(ln_fact)
     pref = sign * np.sqrt((tl + 1) / _FOUR_PI) * scale
     deg = (tl - np.maximum(abs(tm), abs(tj))) // 2
     th = np.asarray(theta, dtype=float)
@@ -141,7 +149,47 @@ def _jacobi_route(tj: int, tl, tm, theta, phi) -> np.ndarray:
     x = np.where(th == math.pi, -1.0, np.cos(th))
     ph = np.asarray(phi, dtype=float)
     p, e = _jacobi(deg, abs(aa), abs(bb), 0, x)
-    return np.ldexp(pref * sh ** abs(aa) * ch ** abs(bb) * p, e) * np.exp(1j * aa * ph)
+    sh_pow, k_sh = _power_parts(sh, abs(aa))
+    ch_pow, k_ch = _power_parts(ch, abs(bb))
+    mag = np.ldexp(pref * sh_pow * ch_pow * p, e + (k_fact + k_sh + k_ch))
+    return mag * np.exp(1j * aa * ph)
+
+
+# A factor within 2**+-200 of 1 is taken as it is; beyond, as m * 2**k
+# with m near 1, so that four such factors multiply without overflow.
+_SAFE_LN = 200.0 * math.log(2.0)
+_SAFE_MIN = 2.0**-200
+
+
+def _exp_parts(ln_value):
+    """exp(ln_value) = value * 2**k, with k = 0 and value = exp(ln_value)
+    (math.exp for a scalar) while |ln_value| <= _SAFE_LN."""
+    if np.ndim(ln_value) == 0:
+        ln_value = float(ln_value)
+        if abs(ln_value) <= _SAFE_LN:
+            return math.exp(ln_value), 0
+        k = round(ln_value / math.log(2.0))
+        return math.exp((ln_value - k * _LN2_HI) - k * _LN2_LO), k
+    if np.max(np.abs(ln_value), initial=0.0) <= _SAFE_LN:
+        return np.exp(ln_value), 0
+    far = np.abs(ln_value) > _SAFE_LN
+    k = np.where(far, np.rint(ln_value / math.log(2.0)), 0.0)
+    return np.exp(np.where(far, (ln_value - k * _LN2_HI) - k * _LN2_LO, ln_value)), k.astype(np.int64)
+
+
+def _power_parts(base, n):
+    """base**n = value * 2**k for |base| <= 1 and integers n >= 0, with
+    k = 0 and value = base**n itself down to 2**-200."""
+    value = base**n
+    far = (np.abs(value) < _SAFE_MIN) & (base != 0.0)
+    if not far.any():
+        return value, 0
+    with np.errstate(divide="ignore"):
+        ln = n * np.log(np.abs(np.where(far, base, 1.0)))
+    k = np.rint(ln / math.log(2.0))
+    r = (ln - k * _LN2_HI) - k * _LN2_LO
+    sign = np.where((base < 0.0) & (n % 2 == 1), -1.0, 1.0)
+    return np.where(far, sign * np.exp(r), value), k.astype(np.int64)
 
 
 def lowest_level_bridge(j, m, n_theta: int = 8, n_phi: int = 8) -> float:

@@ -243,6 +243,9 @@ def _ln_gamma_half_step(a: float) -> float:
     return 0.5 * math.log(a) + tail / a
 
 
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+
+
 def tail_failure(j, epsilon: float) -> TailEstimate:
     """Mass of the single-peak density outside [-epsilon, epsilon].
 
@@ -265,11 +268,19 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
     if epsilon == math.pi:
         return TailEstimate(j, epsilon, 0.0, laplace, 0.0)
     a = j.twice + 0.5
-    s = math.sin(0.25 * (math.pi - epsilon))
+    # pi - epsilon to full relative precision: math.pi alone is off by 1.2e-16,
+    # 5e-11 relative to pi - epsilon at epsilon = 3.14159
+    rest = (math.pi - epsilon) + _PI_LO
+    s = math.sin(0.25 * rest)
     # z^a (1 - z)^a / (a B(a, a)) with z = s^2: z (1 - z) = cos^2(eps/2)/4, and
-    # 1/B(a, a) = 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by duplication
+    # 1/B(a, a) = 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by duplication;
+    # ln cos(eps/2) is ln sin(rest/2) past pi/2, where log1p would cancel
+    if epsilon <= 0.5 * math.pi:
+        ln_cos = _ln_overlap_magnitude(epsilon, 2.0 * a)
+    else:
+        ln_cos = 2.0 * a * math.log(math.sin(0.5 * rest))
     ln_front = (
-        2.0 * a * math.log1p(-2.0 * math.sin(0.25 * epsilon) ** 2)
+        ln_cos
         - math.log(2.0)
         - 0.5 * math.log(math.pi)
         - math.log(a)

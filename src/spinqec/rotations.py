@@ -13,11 +13,16 @@ Conventions, fixed once here and relied on everywhere else:
   double-cover sign that relates the two charts.
 * Composition runs through the spin-1/2 representation, where the group
   law is exact and the double-cover sign is visible.
-* One Wigner-d kernel serves wigner_d, wigner_d_matrix and the monopole
-  harmonics: the Jacobi form d^j_mn ~ sin^a(beta/2) cos^b(beta/2)
-  P_k^(a,b)(cos beta) with nonnegative a, b, its polynomials from one
-  three-term recurrence (_jacobi) and its prefactor in the log domain.
-  It is stable and finite at every j, in O(dim^2) memory for a matrix.
+* One Wigner-d kernel (_d_columns) serves wigner_d, wigner_d_matrix,
+  wigner_D_matrix and the monopole wigner-d route: column n of d^j(beta)
+  is the eigenvector, with eigenvalue n, of the tridiagonal
+  cos(beta) L3 + sin(beta) L1, found by one vectorized three-term sweep
+  toward each column's peak.  O(j^2) work for a matrix, O(j) for an
+  entry, no overflow or cancellation at any j or angle.  Where a half
+  angle is exactly zero (beta a multiple of pi) the matrix is the signed
+  identity or antidiagonal, written directly.
+* _jacobi, the three-term recurrence of Jacobi polynomials, serves only
+  the monopole jacobi route, so the two harmonic routes are independent.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import HalfInt, Operator, _spin, m_index
+from .spin_core import HalfInt, Operator, _require_dense, _spin, m_index
 
 __all__ = [
     "EulerAngles",
@@ -337,61 +342,271 @@ def _jacobi(n, a, b, x0, dx) -> tuple[np.ndarray, np.ndarray]:
     return out[unsort].reshape(shape), e[unsort].reshape(shape)
 
 
-def _ln_binomials(n: int, ks: np.ndarray) -> np.ndarray:
-    """log C(n, k) elementwise, from the exact integers: rounding error
-    about eps * log C(n, k), where a log-factorial difference carries
-    eps * log n!."""
-    uniq, inv = np.unique(ks, return_inverse=True)
-    vals = np.array([math.log(math.comb(n, int(k))) for k in uniq])
-    return vals[inv].reshape(np.shape(ks))
+# Error-free transformations (Dekker 1971, Knuth TAOCP 2): a * b = p + e and
+# a + b = s + e exactly, elementwise, while nothing overflows.
+_SPLIT = 134217729.0  # 2**27 + 1
 
 
-def _fold(tm, tn):
-    """Map labels (twice m, twice n) into the domain m >= |n|.
+def _two_prod(a, b):
+    p = a * b
+    ca, cb = _SPLIT * a, _SPLIT * b
+    a_hi, b_hi = ca - (ca - a), cb - (cb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
-    Returns (tm', tn', sign) with d_mn = sign * d_m'n', by the symmetries
-    d_mn = (-1)^(m-n) d_nm = d_{-n,-m}.
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+# A sweep step multiplies a column by at most 4 sqrt(2j) + 2; the pair it
+# carries is rescaled to [1/2, 1) often enough that it neither grows past
+# 2**_GROWTH_BITS nor, in the sin-scaled variable, shrinks below
+# 2**-_SHRINK_BITS in between.
+_GROWTH_BITS = 200
+_SHRINK_BITS = 800
+# Rows beyond the two shared ones on either side of a column's split that
+# the least-squares match may use.
+_MATCH = 8
+# Entries per temporary in the passes over the whole array.
+_CHUNK = 1 << 18
+# A power-of-two exponent that takes any finite double to zero.
+_DROP = -3000
+
+
+def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
+    """Columns n_k of d^j(beta_k): a (2j+1, K) array, rows in descending m.
+
+    tn is a 1-D integer array of twice n_k; beta is one float for all
+    columns or a 1-D array, one angle per column.  Column K-1-k must be
+    (-n_k, beta_k): each column's lower part is read from that mirror.
+    Neither half angle may be zero (see wigner_d_matrix for those).
+
+    Column n of d^j(beta) is the eigenvector, with eigenvalue n, of the
+    real symmetric tridiagonal T = cos(beta) L3 + sin(beta) L1, since
+    exp(-i beta L2) L3 exp(i beta L2) = T.  With e_i = sin(beta)/2 *
+    sqrt((i+1)(2j-i)) coupling rows i and i+1,
+
+        e_(i-1) v_(i-1) + (m_i cos(beta) - n) v_i + e_i v_(i+1) = 0,
+
+    and the column peaks near row m = n cos(beta).  From either end the
+    column grows toward that row, the direction in which the recurrence
+    for it is stable (Gautschi, SIAM Rev. 9, 24 (1967)).  One sweep runs
+    it from v_0 = 1 down to one row past the peak, for every column at
+    once; the active columns shrink to a prefix as they reach their stop
+    row, so the work is about (2j+1)^2/2 multiply-adds.  The rest of
+    column n is column -n upside down, d_mn = (-1)^(m-n) d_(-m,-n).  The
+    two pieces share two rows at the split, and up to _MATCH more on
+    either side where the column oscillates (there the recurrence is
+    stable both ways); they are matched by least squares on those rows,
+    then normalized to 1.  The sign comes from the top entry,
+    sign d^j_(j,n) = (-1)^(j-n) sgn(sin(beta/2))^(j-n) sgn(cos(beta/2))^(j+n),
+    known even where that entry underflows.
+
+    Nothing overflows or underflows on the way: the sweep carries
+    v_i = 2^(q i) x_i with 2^q |sin(beta)| in [1/2, 1], which keeps its
+    coefficients below 4 sqrt(2j) + 2 for every beta, and rescales the
+    pair it carries by powers of two, recorded per block of rows.  The
+    coefficients (n rho - m cos(beta))/(2^q e_i) are rounded once, with
+    rho = |(cos(beta), sin(beta))| as rounded to doubles: n is then an
+    exact eigenvalue of the T those doubles define, the rotation by an
+    angle within an ulp of beta.
+
+    Accuracy: at j = 1000, max|d^T d - 1| is 2.2e-15, 1.7e-14 and 7.9e-15
+    at beta = 0.1, pi/2, 2.5 and at most 1.7e-14 over 21 random angles.
+    A match on the two shared rows alone gave up to 2.5e-13 (they sit on
+    a node of the columns next to n = +/-j); coefficients rounded term by
+    term, without rho, give up to 3.6e-14 (7.2e-14 at j = 2000).
     """
-    tm, tn = np.broadcast_arrays(np.asarray(tm), np.asarray(tn))
-    flip = np.abs(tn) > np.abs(tm)
-    tm, tn = np.where(flip, tn, tm), np.where(flip, tm, tn)
-    neg = tm < 0
-    sign = np.where((flip ^ neg) & ((tm - tn) // 2 % 2 == 1), -1.0, 1.0)
-    return np.where(neg, -tm, tm), np.where(neg, -tn, tn), sign
-
-
-def _wigner_d_values(tj: int, tm, tn, beta) -> np.ndarray:
-    """d^j_{mn}(beta) elementwise over broadcast arrays of doubled labels
-    tm, tn and angles beta, by the Jacobi form (see wigner_d_matrix)."""
-    tm, tn, sign = _fold(tm, tn)
+    dim = tj + 1
+    size = tn.size
+    if tj == 0:
+        return np.ones((1, size))
     beta = np.asarray(beta, dtype=float)
     ch, sh = _half_angles(beta)
-    a = (tm - tn) // 2
-    b = (tm + tn) // 2
     # cos(beta) = x0 + dx, with 1 -/+ cos(beta) = 2 sin^2 or 2 cos^2 of beta/2
     x = np.cos(beta)
-    x0 = np.where(x > 0.5, 1, np.where(x < -0.5, -1, 0))
-    dx = np.where(x0 == 1, -2.0 * sh * sh, np.where(x0 == -1, 2.0 * ch * ch, x))
-    p, e = _jacobi((tj - tm) // 2, a, b, x0, dx)
-    ln_pref = 0.5 * (_ln_binomials(tj, (tj + tn) // 2) - _ln_binomials(tj, (tj + tm) // 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (
-            ln_pref
-            + np.where(a == 0, 0.0, a * np.log(np.abs(sh)))
-            + np.where(b == 0, 0.0, b * np.log(np.abs(ch)))
+    x0 = np.where(x > 0.5, 1.0, np.where(x < -0.5, -1.0, 0.0))
+    dx = np.where(x0 == 1.0, -2.0 * sh * sh, np.where(x0 == -1.0, 2.0 * ch * ch, x))
+    s = np.sin(beta)
+    q = np.maximum(-np.frexp(s)[1], 0)
+    sigma = np.ldexp(s, q)
+    # rho - 1 = (cos^2 + sin^2 - 1)/2 to first order, summed from exact parts
+    acc, err = x0 * x0 - 1.0, 0.0
+    for part in (2.0 * x0 * dx, *_two_prod(dx, dx), *_two_prod(s, s)):
+        acc, e = _two_sum(acc, part)
+        err = err + e
+    rho_1 = 0.5 * (acc + err)
+
+    n = 0.5 * tn
+    peak = (0.5 * tj - n * x0) - n * dx  # the row of m = n cos(beta)
+    stop = np.clip(np.floor(peak).astype(np.int64) + 1, 1, tj)
+    stop = np.maximum(stop, dim - stop[::-1])  # the two pieces share two rows
+    # Inside the classically allowed rows, |m - n cos(beta)| below about
+    # |sin(beta)| sqrt((j + 1/2)^2 - n^2), the recurrence is stable both ways:
+    # the match uses up to _MATCH rows on either side of the shared two.
+    allowed = np.abs(s) * np.sqrt(np.maximum(0.0, (0.5 * tj + 0.5) ** 2 - n * n))
+    width = np.minimum(np.minimum(allowed // 2, _MATCH).astype(np.int64), np.minimum(stop - 1, tj - stop))
+    reach = np.minimum(stop + _MATCH, tj)
+    # Work order: reach nonincreasing, so the active columns are a prefix.
+    steps = np.diff(reach)
+    if np.all(steps <= 0):
+        order = slice(None)
+    elif np.all(steps >= 0):
+        order = slice(None, None, -1)
+    else:
+        order = np.argsort(-reach, kind="stable")
+    work_reach = reach[order]
+    per_column = beta.ndim > 0
+    x0_w, dx_w, sigma_w, rho_w = (
+        (v[order] for v in (x0, dx, sigma, rho_1)) if per_column else (x0, dx, sigma, rho_1)
+    )
+    n_w = n[order]
+
+    # Row i + 1 starts as the coefficient A_i = (n rho - m_i cos(beta))/(2^q e_i).
+    # m_i cos(beta) = hi + lo exactly, hi on a grid that makes n - hi exact.
+    m = 0.5 * (tj - 2 * np.arange(tj))[:, None]
+    prod, prod_err = _two_prod(m, dx_w)
+    total, total_err = _two_sum(m * x0_w, prod)
+    grid = 3.0 * 2.0 ** (tj + 2).bit_length()
+    hi = (total + grid) - grid
+    lo = (total - hi) + (total_err + prod_err)
+    rows = np.arange(tj)
+    e_hat = 0.5 * np.sqrt((rows + 1.0) * (tj - rows))
+    scale_rows = sigma_w * e_hat[:, None]
+    block = max(1, _CHUNK // size)
+    work = np.empty((dim, size))
+    work[0] = 1.0
+    for r0 in range(0, tj, block):
+        part = slice(r0, r0 + block)
+        coef = work[1 + r0 : 1 + r0 + block]
+        np.subtract(n_w, hi[part], out=coef)  # exact
+        coef += n_w * rho_w - lo[part]
+        coef /= scale_rows[part]
+    # B_i = e_(i-1)/(2^(2q) e_i): per column, or one float per row
+    e_ratio = np.zeros(tj)
+    e_ratio[1:] = e_hat[:-1] / e_hat[1:]
+    if per_column:
+        damp = np.ldexp(1.0, -2 * q[order])
+        back_coef = e_ratio[:, None] * damp
+    else:
+        back_coef = (e_ratio * np.ldexp(1.0, -2 * q)).tolist()
+
+    every = max(1, min(
+        int(_GROWTH_BITS / math.log2(4.0 * math.sqrt(tj) + 2.0)),
+        _SHRINK_BITS // max(1, int(np.max(q))),
+    ))
+    top = int(work_reach[0])
+    counts = np.searchsorted(-work_reach, -np.arange(top + 1), side="right").tolist()
+    shifts = np.zeros((dim // every + 2, size), dtype=np.int64)
+    shift = np.zeros(size, dtype=np.int64)
+    prev = cur = work[0]
+    for i in range(top):
+        c = counts[i + 1]
+        row = work[i + 1, :c]
+        row *= cur[:c]
+        if i:
+            row -= (back_coef[i][:c] if per_column else back_coef[i]) * prev[:c]
+        prev, cur = cur[:c], row
+        if (i + 1) % every == 0:
+            step = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+            np.ldexp(prev, -step, out=prev)
+            np.ldexp(cur, -step, out=cur)
+            shift[:c] += step
+            shifts[(i + 1) // every] = shift
+    shifts[top // every + 1 :] = shift
+
+    if isinstance(order, slice):
+        cols, shifts = work[:, order], shifts[:, order]
+    else:
+        back = np.empty_like(order)
+        back[order] = np.arange(size)
+        cols, shifts = work[:, back], shifts[:, back]
+    # Row i of column k holds v / 2^(shifts[(i + 1) // every, k] + q_k i).
+    # Each column's frame puts the larger of its rows stop-1, stop in [1/2, 1).
+    k = np.arange(size)
+    q_col = np.broadcast_to(q, (size,))
+
+    def exponent(i, col):
+        return shifts[(i + 1) // every, col] + q_col[col] * i
+
+    def frame_exponent(i):
+        v = cols[i, k]
+        return np.where(v != 0.0, exponent(i, k) + np.frexp(v)[1], np.iinfo(np.int64).min // 2)
+
+    base = np.maximum(frame_exponent(stop - 1), frame_exponent(stop))
+
+    def in_frame(i, col):
+        return np.ldexp(cols[i, col], exponent(i, col) - base[col])
+
+    # The two pieces on the rows they share, for the least-squares match;
+    # the lower piece is the mirror upside down, times (-1)^(m - n).
+    mirror = k[::-1]
+    offsets = np.arange(-1 - _MATCH, _MATCH + 1)[:, None]
+    used = (offsets >= -1 - width) & (offsets <= width)
+    shared = np.where(used, stop + offsets, stop - 1)
+    upper = np.where(used, in_frame(shared, k), 0.0)
+    flip = np.where(((tj - 2 * shared - tn) // 2) % 2 == 1, -1.0, 1.0)
+    lower = np.where(used, flip * in_frame(tj - shared, mirror), 0.0)
+
+    # Into the frame; rows from stop on go to 0.
+    sums = np.zeros(size)
+    for r0 in range(0, dim, block):
+        i = np.arange(r0, min(dim, r0 + block))[:, None]
+        exps = shifts[(i[:, 0] + 1) // every] - base + q_col * i
+        exps[i >= stop] = _DROP
+        chunk = cols[r0 : r0 + block]
+        np.ldexp(chunk, exps, out=chunk)
+        sums += np.einsum("ij,ij->j", chunk, chunk)
+    alpha = np.einsum("ij,ij->j", upper, lower) / np.einsum("ij,ij->j", lower, lower)
+    # Column k's lower part is rows 0 .. dim-1-stop_k of its mirror: all its
+    # kept rows, less the last one where the two stop rows add to dim + 1.
+    overlap = np.where(stop + stop[::-1] == dim + 1, cols[stop[::-1] - 1, mirror] ** 2, 0.0)
+    norm = np.sqrt(sums + alpha * alpha * (sums[::-1] - overlap))
+    j_minus_n, j_plus_n = (tj - tn) // 2, (tj + tn) // 2
+    flips = j_minus_n * (1 + (sh < 0.0)) + j_plus_n * (ch < 0.0)
+    scale = np.where(flips % 2 == 1, -1.0, 1.0) / norm
+    cols *= scale
+    # lower entries: (-1)^(m - n) alpha_k scale_k / scale_k' times the mirror's
+    factor = np.where(j_minus_n % 2 == 1, -alpha, alpha) * scale / scale[::-1]
+    turned = cols[::-1, ::-1]
+    for r0 in range(0, dim, block):
+        i = np.arange(r0, min(dim, r0 + block))[:, None]
+        parity = np.where(i % 2 == 1, -1.0, 1.0)
+        np.copyto(cols[r0 : r0 + block], turned[r0 : r0 + block] * (parity * factor), where=i >= stop)
+    return cols
+
+
+def _exact_d(tj: int, tm, tn, ch, sh):
+    """d^j_mn where a half angle is exactly zero (beta a multiple of pi),
+    elementwise over broadcast doubled labels and half angles.
+
+    sin(beta/2) = 0 gives cos(beta/2)^(2|m|) on the diagonal, cos(beta/2) = 0
+    gives (-1)^(j+m) sin(beta/2)^(2|m|) on the antidiagonal; both are +/-1.
+    """
+    tm, tn = np.asarray(tm), np.asarray(tn)
+    diagonal = np.where(tm == tn, ch ** np.abs(tm), 0.0)
+    anti = np.where((tj + tm) // 2 % 2 == 1, -1.0, 1.0) * sh ** np.abs(tm)
+    return np.where(sh == 0.0, diagonal, np.where(tm == -tn, anti, 0.0))
+
+
+def _wigner_d_entries(tj: int, tm: int, tn: int, beta) -> np.ndarray:
+    """d^j_mn(beta) for one pair of doubled labels over an array of angles
+    (any shape): one column n and its mirror -n per angle."""
+    beta = np.asarray(beta, dtype=float)
+    flat = beta.ravel()
+    ch, sh = _half_angles(flat)
+    out = _exact_d(tj, tm, tn, ch, sh)
+    general = (ch != 0.0) & (sh != 0.0)
+    if np.any(general):
+        angles = flat[general]
+        cols = _d_columns(
+            tj, np.repeat(np.array([tn, -tn]), angles.size), np.concatenate([angles, angles[::-1]])
         )
-    # (-1)^(m-n) * sign(sh)^a * sign(ch)^b * sign(p), with a = m - n
-    flips = a + a * (sh < 0.0) + b * (ch < 0.0) + (p < 0.0)
-    sign = np.where(flips % 2 == 1, -sign, sign)
-    # |p| 2^e exp(t) = frac * 2^(e + ex + q) * exp(t - q log 2), with
-    # frac in [1/2, 1) and |t - q log 2| <= log(2)/2: nothing overflows.
-    zero = t == -np.inf
-    t = np.where(zero, 0.0, t)
-    frac, ex = np.frexp(np.abs(p))
-    q = np.rint(t / math.log(2.0))
-    r = (t - q * _LN2_HI) - q * _LN2_LO
-    mag = np.ldexp(frac * np.exp(r), e + ex + q.astype(np.int64))
-    return np.where(zero, 0.0, sign * mag)
+        out[general] = cols[(tj - tm) // 2, : angles.size]
+    return out.reshape(beta.shape)
 
 
 def _finite_angle(name: str, value) -> float:
@@ -404,39 +619,46 @@ def _finite_angle(name: str, value) -> float:
 def wigner_d(j, m, n, beta: float) -> float:
     """Little-d matrix element d^j_{m,n}(beta); real by construction.
 
-    The same Jacobi-form kernel as wigner_d_matrix, for one entry.
+    The same kernel as wigner_d_matrix: column n (and its mirror -n),
+    O(j) work.
     """
     j = _spin(j)
     tm, tn = (j.twice - 2 * m_index(j, label) for label in (m, n))
     beta = _finite_angle("beta", beta)
-    return float(_wigner_d_values(j.twice, tm, tn, beta))
+    return float(_wigner_d_entries(j.twice, tm, tn, beta))
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full real little-d matrix, rows/cols in descending m and n.
 
-    Entries with m >= |n| come from the Jacobi form
+    Column n is the eigenvector, with eigenvalue n, of the tridiagonal
+    T = cos(beta) L3 + sin(beta) L1, found by one vectorized three-term
+    sweep from the top row toward each column's peak near m = n cos(beta);
+    each column's lower part is its mirror -n upside down (see
+    _d_columns).  Work is O(j^2), memory one (2j+1)^2 array plus bounded
+    temporaries (37 MB at j = 1000), and nothing overflows at any j.
+    max|d^T d - 1| is below 2e-14 at j = 1000 at every angle tried.
 
-        d^j_mn(beta) = (-1)^(m-n) sqrt((j+m)!(j-m)!/((j+n)!(j-n)!))
-                       * sin^(m-n)(beta/2) cos^(m+n)(beta/2)
-                       * P_(j-m)^(m-n, m+n)(cos beta),
-
-    with the polynomials from one three-term recurrence over all entries
-    (_jacobi) and the prefactor in the log domain; the symmetries
-    d_mn = (-1)^(m-n) d_nm = d_{-n,-m} fill the rest.  Memory is O(dim^2)
-    and no intermediate overflows at any j.  beta = 0 and +/-2pi give
-    exactly +/-1 times the identity, beta = +/-pi exactly the signed
-    antidiagonal.
+    Where a half angle is exactly zero, T is diagonal and the matrix is
+    written directly: beta = 0 and +/-2pi give exactly +/-1 times the
+    identity, beta = +/-pi exactly the signed antidiagonal.  Their zero
+    entries carry the sign the fold d_mn = (-1)^(m-n) d_nm = d_{-n,-m}
+    gives +0.0: these matrices are pinned byte for byte, zeros included.
     """
     j = _spin(j)
     tj = j.twice
     beta = _finite_angle("beta", beta)
+    _require_dense(j, j.dim, 8)
     two = tj - 2 * np.arange(j.dim)  # twice m, descending
-    rows, cols = np.nonzero(np.abs(two)[None, :] <= two[:, None])
-    fund = np.zeros((j.dim, j.dim))
-    fund[rows, cols] = _wigner_d_values(tj, two[rows], two[cols], beta)
-    tm, tn, sign = _fold(two[:, None], two[None, :])
-    return sign * fund[(tj - tm) // 2, (tj - tn) // 2]
+    ch, sh = _half_angles(beta)
+    if ch != 0.0 and sh != 0.0:
+        return _d_columns(tj, two, beta)
+    tm, tn = two[:, None], two[None, :]
+    negative = ((tm - tn) // 2 % 2 == 1) & np.where(np.abs(tn) > np.abs(tm), tn > 0, tm < 0)
+    out = np.where(negative, -0.0, 0.0)
+    diagonal = np.arange(j.dim) if sh == 0.0 else np.arange(j.dim)[::-1]
+    out[np.arange(j.dim), diagonal] = _exact_d(tj, two, two[diagonal], ch, sh)
+    return out
 
 
 def wigner_D_matrix(j, r: EulerAngles) -> Operator:
@@ -444,6 +666,7 @@ def wigner_D_matrix(j, r: EulerAngles) -> Operator:
     j = _spin(j)
     for name in ("alpha", "gamma"):
         _finite_angle(name, getattr(r, name))
+    _require_dense(j, j.dim, 16)
     mv = (j.twice - 2 * np.arange(j.dim)) / 2.0
     d = wigner_d_matrix(j, r.beta)
     left = np.exp(-1j * r.alpha * mv)

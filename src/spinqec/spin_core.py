@@ -23,7 +23,14 @@ __all__ = [
     "ladder_operators",
     "axis_operator",
     "matexp_antihermitian",
+    "MAX_DENSE_DIM",
 ]
+
+MAX_DENSE_DIM = 8192
+"""Largest dimension 2j + 1 for which the package builds a dense table
+(2j+1)-wide in m: Wigner d and D matrices, realized diagonal operators,
+codeword tables.  At this size a dense complex (2j+1)^2 operator takes
+1 GiB; above it those builders raise ValueError before allocating."""
 
 
 @dataclass(frozen=True, order=True)
@@ -99,6 +106,16 @@ def _spin(j) -> HalfInt:
     if j.twice < 0:
         raise ValueError(f"spin label must be nonnegative, got {j.value}")
     return j
+
+
+def _require_dense(j: HalfInt, rows: int, itemsize: int) -> None:
+    """Raise ValueError, naming j and the bytes needed, if a dense
+    rows x (2j+1) table of itemsize-byte entries is beyond MAX_DENSE_DIM."""
+    if j.dim > MAX_DENSE_DIM:
+        raise ValueError(
+            f"j = {j.value:g}: 2j + 1 = {j.dim} exceeds MAX_DENSE_DIM = {MAX_DENSE_DIM}; "
+            f"the dense {rows} x {j.dim} table would need {rows * j.dim * itemsize:,} bytes"
+        )
 
 
 def m_values(j) -> np.ndarray:

@@ -133,3 +133,18 @@ def test_y_symbol_finite_at_large_j(twice_j, twice_m):
     want = np.conj(coherent_amplitudes(j, thetas, phis)[row])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     assert np.abs(y_symbol(j, m)(0.4, 1.3) - got[1]) <= 1e-12 * np.abs(got[1])
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, math.pi / 2.0])
+def test_monopole_jacobi_route_finite_at_l_2000(theta):
+    # the factorial prefactor here is exp(1385): it joins the recurrence's
+    # power-of-two exponent instead of overflowing; the value at 0.3 underflows
+    # in both routes, near pi/2 it is about 2.  The jacobi route's prefactor is
+    # a difference of log-factorials near 2.9e4, which carries about 3e-12
+    # relative; the wigner-d route is the closer of the two.
+    from spinqec.monopole import monopole_Y
+
+    jac = monopole_Y(2000, 2000, 10)(theta, 0.2)
+    dual = monopole_Y(2000, 2000, 10, route="wigner-d")(theta, 0.2)
+    assert np.isfinite(jac) and np.isfinite(dual)
+    assert abs(jac - dual) <= 1e-11 * abs(dual) + 1e-300

@@ -501,3 +501,15 @@ def test_recover_accepts_the_full_level_count():
     # d = 2j + 1 equatorial states still span the space
     run = recover(HalfInt(4), 5, 1, 0.01, seed=1)
     assert 0.0 <= run.fidelity <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("j,eps", [(5, 3.14159), (20, 3.1)])
+def test_tail_failure_near_pi_against_mpmath(j, eps):
+    # near eps = pi the prefactor is 2a ln sin((pi - eps)/2), with pi - eps
+    # taken past math.pi's own rounding
+    est = tail_failure(j, eps)
+    with mpmath.workdps(40):
+        jv, e = mpmath.mpf(j), mpmath.mpf(eps)
+        ln_laplace = mpmath.log(mpmath.sqrt(2 / (mpmath.pi * jv))) - jv * e**2 / 2 - mpmath.log(e)
+        ratio = mpmath.exp(_mp_ln_tail(j, eps) - ln_laplace)
+    assert abs(est.ratio / ratio - 1) <= 1e-13, (j, eps, est.ratio)
