@@ -439,7 +439,8 @@ class DiagonalOp:
     evaluated on the product quadrature (see diagonal_operator for how
     the sum is factorized).  approximate is False when the declared band
     limit puts the whole integrand inside the rule's exactness class,
-    True for a plain callable with no declared limit.
+    True for a plain callable with no declared limit.  Off a declared
+    band |a - b| <= min(k_max, 2j), realized is exactly zero.
     """
 
     j: HalfInt
@@ -472,9 +473,10 @@ def diagonal_operator(
         F_theta(k) = w_phi sum_phi P(theta, phi) exp(i k phi),
 
     and F comes from one inverse FFT along the equally spaced azimuths,
-    equal to the direct sum, aliasing included.  Each of the 4j+1
-    diagonals is then one (dim x n_theta) by (n_theta) product; memory
-    stays O(dim * n_theta + n_theta * n_phi).
+    equal to the direct sum, aliasing included.  Each diagonal k = a - b
+    is then one (dim x n_theta) by (n_theta) product, for |k| <= min(k_max, 2j)
+    with a declared band (the rest are exact zeros, not quadrature noise)
+    and all 4j + 1 without; memory stays O(dim * n_theta + n_theta * n_phi).
     """
     j = _spin(j)
     tj = j.twice
@@ -501,9 +503,10 @@ def diagonal_operator(
     modes = _TWO_PI * np.fft.ifft(values.reshape(rule.n_theta, rule.n_phi), axis=1)
     modes *= (rule.theta_weights * (tj + 1) / (4.0 * math.pi))[:, None]
     mag = _amplitude_magnitudes(tj, rule.thetas)
-    mat = np.empty((j.dim, j.dim), dtype=complex)
+    mat = np.zeros((j.dim, j.dim), dtype=complex)
     rows = np.arange(j.dim)
-    for k in range(-tj, tj + 1):
+    k_top = tj if approximate else min(int(k_max), tj)
+    for k in range(-k_top, k_top + 1):
         lo, hi = max(0, k), j.dim + min(0, k)
         diagonal = (mag[lo:hi] * mag[lo - k : hi - k]) @ modes[:, k % rule.n_phi]
         mat[rows[lo:hi], rows[lo - k : hi - k]] = diagonal

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,21 +103,36 @@ def cyclic_qubit(j, n_cosets: int) -> CodeSpec:
 
 @dataclass(frozen=True, eq=False)
 class Codewords:
-    """Codeword basis with its gram matrix and coherent decomposition.
+    """Codewords as their coherent decomposition; basis and gram on first read.
 
     components[k] lists (point, coefficient) pairs such that the k-th
-    codeword equals sum_i coefficient_i |Omega_i>.  The basis adds the
+    codeword equals sum_i coefficient_i |Omega_i>.  basis adds the
     columns of one coherent_amplitudes table in component order, as a sum
-    of coherent_state vectors would.  The gram matrix is C^H P C, with C
-    the coefficient of each point in each codeword and P[i, k] =
-    <Omega_i|Omega_k> from one rotation_matrix_elements call at R = 1;
-    antipodal off-diagonals are exact zeros.
+    of coherent_state vectors would.  gram[a, b] = <a|b> is
+    matrix_element_table at R = 1, read-only like every cached table;
+    antipodal off-diagonals are exact zeros.  A closed-form KL scan reads
+    neither.
     """
 
     spec: CodeSpec
-    basis: list[StateVec] = field(repr=False)
-    gram: np.ndarray = field(repr=False)
     components: list[list[tuple[SphPoint, complex]]] = field(repr=False)
+
+    @cached_property
+    def basis(self) -> list[StateVec]:
+        j = self.spec.j
+        owner, thetas, phis, coeffs = _point_arrays(self.components)
+        # One product amps @ C would round differently from these running sums.
+        amps = np.zeros((len(self.components), j.dim), dtype=complex)
+        columns = coherent_amplitudes(j, thetas, phis).T
+        for k, coeff, column in zip(owner.tolist(), coeffs.tolist(), columns):
+            amps[k] = amps[k] + coeff * column
+        return [StateVec(j, row) for row in amps]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        gram = matrix_element_table(self, EulerAngles(0.0, 0.0, 0.0))
+        gram.setflags(write=False)
+        return gram
 
     def to_json_dict(self) -> dict:
         spec = self.spec
@@ -178,11 +194,10 @@ def _point_arrays(components) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 
 def build_codewords(spec: CodeSpec) -> Codewords:
-    """Construct the codeword basis for the given family, with its gram
-    matrix, from one amplitude table and one overlap table over all the
-    points (see Codewords)."""
+    """The coherent decomposition of the family's codewords; basis and
+    gram are built on first read (see Codewords)."""
     j = spec.j
-    # one amplitude row per codeword point: 2, d or 2n of them
+    # the basis, read later, is dense: one amplitude row per codeword point
     _require_dense(j, spec.d or 2 * (spec.n_cosets or 1), 16)
     components: list[list[tuple[SphPoint, complex]]] = []
     if spec.family == "Antipodal":
@@ -207,20 +222,7 @@ def build_codewords(spec: CodeSpec) -> Codewords:
                     for s in range(n)
                 ]
             )
-    owner, thetas, phis, coeffs = _point_arrays(components)
-    # One product amps @ C would round differently from these running sums.
-    amps = np.zeros((len(components), j.dim), dtype=complex)
-    columns = coherent_amplitudes(j, thetas, phis).T
-    for k, coeff, column in zip(owner.tolist(), coeffs.tolist(), columns):
-        amps[k] = amps[k] + coeff * column
-    basis = [StateVec(j, row) for row in amps]
-    overlaps = rotation_matrix_elements(
-        j, (thetas[:, None], phis[:, None]), (0,) * 3, (thetas, phis)
-    )
-    cmat = np.zeros((len(owner), len(components)), dtype=complex)
-    cmat[np.arange(len(owner)), owner] = coeffs
-    gram = cmat.conj().T @ overlaps @ cmat
-    return Codewords(spec, basis, gram, components)
+    return Codewords(spec, components)
 
 
 def _clock_diagonal(j: HalfInt, d: int, power: int = 1) -> np.ndarray:
@@ -252,20 +254,16 @@ class LogicalSet:
 def logical_operators(spec: CodeSpec) -> LogicalSet:
     """X-bar = exp(-i(2pi/d) L3); Z-bar and the Z-check by exact quadrature.
 
-    The azimuthal node count is forced to a multiple of d so the clock
-    rotation permutes the quadrature nodes exactly; the covariance
-    Z-bar X-bar = exp(2pi i/d) X-bar Z-bar then holds to rounding.
+    Z-bar (exp(i phi)) and the Z-check (exp(i d phi)) are filled only on
+    their declared bands |a - b| <= 1 and d, exact zeros elsewhere, so
+    Z-bar X-bar = exp(2pi i/d) X-bar Z-bar holds to rounding.
     """
     if spec.family != "EquatorialQudit":
         raise ValueError("logical_operators applies to EquatorialQudit specs")
     j, d = spec.j, spec.d
     xbar = Operator(j, np.diag(_clock_diagonal(j, d)))
-    zbar = diagonal_operator(
-        j, lambda t, p: np.exp(1j * p), band_limit=(1, 0), phi_multiple=d
-    ).realized
-    zcheck = diagonal_operator(
-        j, lambda t, p: np.exp(1j * d * p), band_limit=(d, 0), phi_multiple=d
-    ).realized
+    zbar = diagonal_operator(j, lambda t, p: np.exp(1j * p), band_limit=(1, 0)).realized
+    zcheck = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), band_limit=(d, 0)).realized
     return LogicalSet(spec, xbar, zbar, zcheck)
 
 

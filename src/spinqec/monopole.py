@@ -19,8 +19,8 @@ provided:
                (l-m)!(l+m)!/((l-j)!(l+j)!) with the minus branch when
                |m| < |j|.  All shifted parameters are nonnegative, so
                the polynomial is evaluated by the stable three-term
-               recurrence in the degree (rotations._jacobi, used by
-               this route alone).  Prefactors beyond 2**+-200 join the
+               recurrence in the degree (_jacobi, used by this
+               route alone).  Prefactors beyond 2**+-200 join the
                recurrence's power-of-two exponent, so no l overflows.
                One function evaluates it for label arrays:
                harmonic_table makes one call per (l, m) over its grid,
@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from ._logfact import ln_factorial
-from .rotations import _LN2_HI, _LN2_LO, _half_angles, _jacobi, _wigner_d_entries
+from .rotations import _half_angles, _wigner_d_entries
 from .spin_core import HalfInt
 
 __all__ = [
@@ -148,11 +148,95 @@ def _jacobi_route(tj: int, tl, tm, theta, phi) -> np.ndarray:
     ch, sh = _half_angles(th)
     x = np.where(th == math.pi, -1.0, np.cos(th))
     ph = np.asarray(phi, dtype=float)
-    p, e = _jacobi(deg, abs(aa), abs(bb), 0, x)
+    p, e = _jacobi(deg, abs(aa), abs(bb), x)
     sh_pow, k_sh = _power_parts(sh, abs(aa))
     ch_pow, k_ch = _power_parts(ch, abs(bb))
     mag = np.ldexp(pref * sh_pow * ch_pow * p, e + (k_fact + k_sh + k_ch))
     return mag * np.exp(1j * aa * ph)
+
+
+_HUGE_EXP = 512
+_RESCALE_EVERY = 8
+_HUGE = 2.0**_HUGE_EXP
+_UNHUGE = 2.0**-_HUGE_EXP
+# Cody-Waite split of log(2): q * _LN2_HI is exact for |q| < 2**20.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _jacobi(n, a, b, x) -> tuple[np.ndarray, np.ndarray]:
+    """P_n^(a,b)(x) = p * 2**e elementwise, by the three-term recurrence
+    in the degree.
+
+    n, a, b are nonnegative integers (not checked) and x floats; all four
+    broadcast.  Nonnegative parameters keep every recurrence coefficient
+    positive (no 0/0 cases); the coefficients are integers, exact in
+    floating point while 2n + a + b < 2**17.
+
+    One pass runs the degree up to max(n), updating at degree k only the
+    entries with n >= k.  Scalar inputs stay Python scalars, so a single
+    polynomial at many points computes its coefficients once per degree,
+    and a single entry recurs on scalars alone.  Every _RESCALE_EVERY
+    degrees an entry past 2**512 is scaled by the exact power 2**-512,
+    counted in e; one step grows the larger of the last two values by a
+    factor below 2(a + b) + 4, so nothing overflows in between, and
+    p * 2**e is the unscaled recurrence bit for bit.
+    """
+    shape = np.broadcast(n, a, b, x).shape
+    size = math.prod(shape)
+    # Descending degree: the entries still recurring at degree k are a prefix,
+    # counts[k] long.
+    if isinstance(n, np.ndarray) and n.ndim:
+        n = np.broadcast_to(n, shape).ravel()
+        order = np.argsort(-n, kind="stable")
+        unsort = np.empty_like(order)
+        unsort[order] = np.arange(size)
+        counts = np.searchsorted(-n[order], -np.arange(int(n.max()) + 2), side="right").tolist()
+    else:
+        order = unsort = slice(None)
+        counts = [size] * (int(n) + 1) + [0]
+
+    def sorted_or_scalar(v):
+        if not (isinstance(v, np.ndarray) and v.ndim):
+            return float(v)
+        if v.shape != shape:
+            v = np.broadcast_to(v, shape)
+        return v.astype(float, copy=False).ravel()[order]
+
+    a, b, x = (sorted_or_scalar(v) for v in (a, b, x))
+    inputs = (a, b, a + b, a * a - b * b, x)
+    top = len(counts) - 2
+    out = np.ones(size)
+    e = np.zeros(size, dtype=np.int64)
+
+    def active(c):
+        return [v[:c] if isinstance(v, np.ndarray) else v for v in inputs]
+
+    c = counts[1]
+    a, b, s, a2_b2, x = active(c)
+    # A single entry recurs on scalars, many on arrays of the active prefix.
+    p_prev = np.ones(c) if shape else 1.0
+    p_cur = (0.5 * (a - b) + (1.0 + 0.5 * s) * x) * p_prev
+    for k in range(2, top + 1):
+        if counts[k] < c:
+            out[counts[k] : c] = p_cur[counts[k] :]
+            c = counts[k]
+            a, b, s, a2_b2, x = active(c)
+            p_cur, p_prev = p_cur[:c], p_prev[:c]
+        tk = s + 2.0 * k
+        c0 = 2.0 * k * (k + s) * (tk - 2.0)
+        c1 = (tk - 1.0) * tk * (tk - 2.0)
+        c2 = (tk - 1.0) * a2_b2
+        c3 = 2.0 * (k - 1.0 + a) * (k - 1.0 + b) * tk
+        p_prev, p_cur = p_cur, ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
+        if k % _RESCALE_EVERY == 0:
+            big = np.maximum(np.abs(p_cur), np.abs(p_prev)) > _HUGE
+            if np.any(big):
+                p_cur = np.where(big, p_cur * _UNHUGE, p_cur)
+                p_prev = np.where(big, p_prev * _UNHUGE, p_prev)
+                e[:c] += np.where(big, _HUGE_EXP, 0)
+    out[:c] = p_cur
+    return out[unsort].reshape(shape), e[unsort].reshape(shape)
 
 
 # A factor within 2**+-200 of 1 is taken as it is; beyond, as m * 2**k

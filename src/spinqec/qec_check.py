@@ -234,7 +234,7 @@ def kl_check(code: Codewords, errs: ErrorSet, seed: int, brute_force: bool = Fal
     codewords with X_T built from one eigendecomposition of L_y, as an
     independent check.
     """
-    if len(code.basis) < 2:
+    if len(code.components) < 2:
         raise ValueError("need at least two codewords")
     rotations, left, right, t_angles, tables = _scan_tables(code, errs, seed, brute_force)
     diag = np.diagonal(tables, axis1=1, axis2=2)

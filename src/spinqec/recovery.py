@@ -191,12 +191,17 @@ class TailEstimate:
 
 
 def single_peak_mass(j) -> float:
-    """Exact total mass of one peak: 2 pi C(4j, 2j)/2^(4j), about sqrt(2 pi/j)."""
-    j = _spin(j)
-    tj = j.twice
-    # C(4j, 2j)/2^(4j) in the log domain via lgamma; exact comb overflows float
-    ln = math.lgamma(2 * tj + 1) - 2.0 * math.lgamma(tj + 1) - 2 * tj * math.log(2.0)
-    return _TWO_PI * math.exp(ln)
+    """Exact total mass of one peak: 2 pi C(4j, 2j)/2^(4j), about sqrt(2 pi/j).
+
+    With n = 2j, C(2n, n)/4^n = Gamma(n + 1/2)/(sqrt(pi) Gamma(n + 1)): one
+    half-step series, which does not cancel as lgamma(2n + 1) - 2 lgamma(n + 1)
+    does.  Below n = 40, where the half step is an lgamma difference, the
+    integer ratio is divided exactly instead.
+    """
+    tj = _spin(j).twice
+    if tj < 40:
+        return _TWO_PI * (math.comb(2 * tj, tj) / 4**tj)
+    return 2.0 * math.sqrt(math.pi) * math.exp(_ln_gamma_half_step(tj) - math.log(tj))
 
 
 def _beta_cf(a: float, x: float) -> float:

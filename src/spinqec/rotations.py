@@ -21,8 +21,6 @@ Conventions, fixed once here and relied on everywhere else:
   entry, no overflow or cancellation at any j or angle.  Where a half
   angle is exactly zero (beta a multiple of pi) the matrix is the signed
   identity or antidiagonal, written directly.
-* _jacobi, the three-term recurrence of Jacobi polynomials, serves only
-  the monopole jacobi route, so the two harmonic routes are independent.
 """
 
 from __future__ import annotations
@@ -250,96 +248,6 @@ def compose(r1: EulerAngles, r2: EulerAngles) -> tuple[EulerAngles, int]:
 def inverse(r: EulerAngles) -> EulerAngles:
     """Euler angles (exact, unreduced) of the inverse rotation."""
     return EulerAngles(-r.gamma, -r.beta, -r.alpha)
-
-
-_HUGE_EXP = 512
-_RESCALE_EVERY = 8
-_HUGE = 2.0**_HUGE_EXP
-_UNHUGE = 2.0**-_HUGE_EXP
-# Cody-Waite split of log(2): q * _LN2_HI is exact for |q| < 2**20.
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-
-
-def _jacobi(n, a, b, x0, dx) -> tuple[np.ndarray, np.ndarray]:
-    """P_n^(a,b)(x0 + dx) = p * 2**e elementwise, by the three-term
-    recurrence in the degree.
-
-    n, a, b are nonnegative integers (not checked), x0 integers in
-    {-1, 0, 1} and dx floats; all five broadcast.  Nonnegative parameters
-    keep every recurrence coefficient positive (no 0/0 cases); the
-    coefficients are integers, exact in floating point while
-    2n + a + b < 2**17.
-
-    The argument is split so that x near +/-1 keeps the relative
-    precision of 1 -/+ x: each step forms c1 * dx + (c2 + c1 * x0) with
-    the integer part exact, which for x0 = 0 is c1 * x + c2 bit for bit.
-
-    One pass runs the degree up to max(n), updating at degree k only the
-    entries with n >= k.  Scalar inputs stay Python scalars, so a single
-    polynomial at many points computes its coefficients once per degree,
-    and a single entry recurs on scalars alone.  Every _RESCALE_EVERY
-    degrees an entry past 2**512 is scaled by the exact power 2**-512,
-    counted in e; one step grows the larger of the last two values by a
-    factor below 2(a + b) + 4, so nothing overflows in between, and
-    p * 2**e is the unscaled recurrence bit for bit.
-    """
-    shape = np.broadcast(n, a, b, x0, dx).shape
-    size = math.prod(shape)
-    # Descending degree: the entries still recurring at degree k are a prefix,
-    # counts[k] long.
-    if isinstance(n, np.ndarray) and n.ndim:
-        n = np.broadcast_to(n, shape).ravel()
-        order = np.argsort(-n, kind="stable")
-        unsort = np.empty_like(order)
-        unsort[order] = np.arange(size)
-        counts = np.searchsorted(-n[order], -np.arange(int(n.max()) + 2), side="right").tolist()
-    else:
-        order = unsort = slice(None)
-        counts = [size] * (int(n) + 1) + [0]
-
-    def sorted_or_scalar(v):
-        if not (isinstance(v, np.ndarray) and v.ndim):
-            return float(v)
-        if v.shape != shape:
-            v = np.broadcast_to(v, shape)
-        return v.astype(float, copy=False).ravel()[order]
-
-    a, b, x0, dx = (sorted_or_scalar(v) for v in (a, b, x0, dx))
-    inputs = (a, b, a + b, a * a - b * b, x0, dx)
-    top = len(counts) - 2
-    out = np.ones(size)
-    e = np.zeros(size, dtype=np.int64)
-
-    def active(c):
-        return [v[:c] if isinstance(v, np.ndarray) else v for v in inputs]
-
-    c = counts[1]
-    a, b, s, a2_b2, x0, dx = active(c)
-    half_s = 1.0 + 0.5 * s
-    # A single entry recurs on scalars, many on arrays of the active prefix.
-    p_prev = np.ones(c) if shape else 1.0
-    p_cur = ((0.5 * (a - b) + half_s * x0) + half_s * dx) * p_prev
-    for k in range(2, top + 1):
-        if counts[k] < c:
-            out[counts[k] : c] = p_cur[counts[k] :]
-            c = counts[k]
-            a, b, s, a2_b2, x0, dx = active(c)
-            p_cur, p_prev = p_cur[:c], p_prev[:c]
-        tk = s + 2.0 * k
-        c0 = 2.0 * k * (k + s) * (tk - 2.0)
-        c1 = (tk - 1.0) * tk * (tk - 2.0)
-        c2 = (tk - 1.0) * a2_b2 + c1 * x0
-        c3 = 2.0 * (k - 1.0 + a) * (k - 1.0 + b) * tk
-        p_prev, p_cur = p_cur, ((c1 * dx + c2) * p_cur - c3 * p_prev) / c0
-        if k % _RESCALE_EVERY == 0:
-            big = np.maximum(np.abs(p_cur), np.abs(p_prev)) > _HUGE
-            if np.any(big):
-                p_cur = np.where(big, p_cur * _UNHUGE, p_cur)
-                p_prev = np.where(big, p_prev * _UNHUGE, p_prev)
-                e[:c] += np.where(big, _HUGE_EXP, 0)
-    out[:c] = p_cur
-    return out[unsort].reshape(shape), e[unsort].reshape(shape)
 
 
 # Error-free transformations (Dekker 1971, Knuth TAOCP 2): a * b = p + e and

@@ -376,3 +376,54 @@ def test_momentum_kick_memory_at_j_64():
         tracemalloc.stop()
     assert np.all(np.isfinite(kick.realized.mat))
     assert peak < 50e6
+
+
+def _all_diagonals(j, symbol, band_limit):
+    """The factorized quadrature filled on every one of the 4j + 1
+    diagonals, the rule sized as diagonal_operator sizes it for a
+    declared band: the reference for the band-only fill."""
+    from spinqec.coherent import _amplitude_magnitudes
+
+    tj = j.twice
+    k_max, theta_degree = band_limit
+    rule = sphere_quadrature(degree=2 * tj + theta_degree, n_phi=tj + k_max + 1)
+    tt, pp, _ = rule.grids()
+    values = np.asarray(symbol(tt, pp), dtype=complex)
+    modes = 2.0 * math.pi * np.fft.ifft(values.reshape(rule.n_theta, rule.n_phi), axis=1)
+    modes *= (rule.theta_weights * (tj + 1) / (4.0 * math.pi))[:, None]
+    mag = _amplitude_magnitudes(tj, rule.thetas)
+    mat = np.empty((j.dim, j.dim), dtype=complex)
+    rows = np.arange(j.dim)
+    for k in range(-tj, tj + 1):
+        lo, hi = max(0, k), j.dim + min(0, k)
+        diagonal = (mag[lo:hi] * mag[lo - k : hi - k]) @ modes[:, k % rule.n_phi]
+        mat[rows[lo:hi], rows[lo - k : hi - k]] = diagonal
+    return mat
+
+
+def _assert_band_only(got, j, symbol, band_limit):
+    ref = _all_diagonals(j, symbol, band_limit)
+    rows = np.arange(j.dim)
+    band = np.abs(rows[:, None] - rows[None, :]) <= min(band_limit[0], j.twice)
+    assert np.all(got[~band] == 0.0)
+    assert np.max(np.abs(got[band] - ref[band])) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("twice", [1, 4, 7, 12, 21])
+def test_declared_band_is_filled_alone(twice):
+    from spinqec.lll_codes import equatorial_qudit, hermitian_check_ops, logical_operators
+
+    j = HalfInt(twice)
+    for tm in range(-twice, twice + 1, 2):
+        k_max = (twice - tm) // 2
+        kick = momentum_kick(j, HalfInt(tm)).realized.mat
+        _assert_band_only(kick, j, y_symbol(j, HalfInt(tm)), (k_max, twice))
+    if j.is_integer:
+        for d in (2, 3, 4):
+            logical = logical_operators(equatorial_qudit(j, d))
+            _assert_band_only(logical.zbar.mat, j, lambda t, p: np.exp(1j * p), (1, 0))
+            _assert_band_only(logical.zcheck.mat, j, lambda t, p: np.exp(1j * d * p), (d, 0))
+    for d in (1, 2, 3):
+        cos_op, sin_op = hermitian_check_ops(j, d)
+        _assert_band_only(cos_op.mat, j, lambda t, p: np.cos(d * p), (d, 0))
+        _assert_band_only(sin_op.mat, j, lambda t, p: np.sin(d * p), (d, 0))

@@ -1,6 +1,7 @@
 """Codeword families on the sphere and their logical clock-shift pairs."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from spinqec.lll_codes import (
+    Codewords,
     antipodal,
     antipodal_logical_x,
     build_codewords,
@@ -21,6 +23,7 @@ from spinqec.lll_codes import (
     matrix_element_table,
 )
 from spinqec.coherent import SphPoint, coherent_state
+from spinqec.qec_check import equatorial_z, kl_check
 from spinqec.rotations import EulerAngles, haar_random, wigner_D_matrix
 from spinqec.spin_core import HalfInt, m_values
 
@@ -298,3 +301,28 @@ def test_cyclic_closed_forms_at_large_j_match_exact_fractions(j, n):
     )
     exact = complex(Fraction(num_re, total), Fraction(num_im, total))
     assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def test_codewords_hold_only_their_decomposition():
+    assert [f.name for f in dataclasses.fields(Codewords)] == ["spec", "components"]
+    code = build_codewords(equatorial_qudit(HalfInt(12), 3))
+    kl_check(code, equatorial_z(0.3, samples=6), seed=1)
+    assert "basis" not in code.__dict__ and "gram" not in code.__dict__
+    kl_check(code, equatorial_z(0.3, samples=6), seed=1, brute_force=True)
+    assert "basis" in code.__dict__ and "gram" not in code.__dict__
+    gram = code.gram
+    assert code.gram is gram
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("twice", [2, 8, 34, 100, 200])
+def test_clock_shift_covariance_to_rounding_up_to_j_100(twice):
+    # Z-bar X-bar = exp(2 pi i/d) X-bar Z-bar, with Z-bar filled on its band alone
+    j = HalfInt(twice)
+    for d in (2, 3, 4, 5):
+        logical = logical_operators(equatorial_qudit(j, d))
+        xbar, zbar = logical.xbar.mat, logical.zbar.mat
+        residual = np.max(np.abs(zbar @ xbar - cmath.exp(2j * math.pi / d) * xbar @ zbar))
+        assert residual <= 1e-14, (twice, d, residual)

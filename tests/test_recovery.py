@@ -111,6 +111,16 @@ def test_single_peak_mass_exact_and_asymptotic():
     assert abs(ratio - 0.9993751959) < 1e-9
 
 
+@pytest.mark.parametrize("j", [0.5, 1.5, 10, 13, 19.5, 40.5, 100, 1e3, 1e6, 1e7])
+def test_single_peak_mass_against_mpmath(j):
+    # lgamma(4j + 1) - 2 lgamma(2j + 1) lost 2.2e-8 relative at j = 1e7; the
+    # half-step series alone, below 2j = 40 an lgamma difference, 1.1e-14 at j = 13
+    n = int(2 * j)
+    with mpmath.workdps(50):
+        want = 2 * mpmath.pi * mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n
+        assert abs(single_peak_mass(j) / want - 1) <= 2e-15
+
+
 def test_density_mass_counts_peaks():
     # the leading-mode density integrates to d single-peak masses
     j, d = HalfInt(20), 4
