@@ -10,10 +10,11 @@ A code with K logical states stores |xbar = s> as a comb of r2 position
 spikes spaced K r1 apart, starting at s r1.  The logical operators are
 Xbar = X^r1 and Zbar = Z^r2; the stabilizers X^(K r1) and Z^(K r2)
 commute exactly and their eigenphases on an errored state reveal the
-shift residues a mod r1 and b mod r2.  Syndrome extraction here is a
-projective residue decomposition, not a sampled measurement: position
-residues are read from the support of the state directly, momentum
-residues from the support of its discrete Fourier transform.  Shifts
+shift residues a mod r1 and b mod r2.  Syndrome extraction here is
+projective, not a sampled measurement: a shifted code state is an exact
+eigenstate of both stabilizers, so once the input is checked to lie in
+the code space the syndromes are the residues a mod r1 and b mod r2
+themselves, integer arithmetic with no transform of the state.  Shifts
 with |a| < r1/2 and |b| < r2/2 are undone exactly; larger shifts alias
 into the window and leave a logical error, which is reported.  When r1
 and r2 are both odd the in-window error set has exactly r1 r2 elements
@@ -27,10 +28,11 @@ so its codewords are shared between callers and their amplitude arrays
 are read-only.  Every Pauli phase exp(i pi e / N) is read from one
 cached table of the 2N roots, indexed by the integer exponent
 e = (b 2x + c) mod 2N with the positions 2x cached per N.  One helper
-applies a word to an amplitude array; PauliWord.apply wraps it, and the
-round calls it on plain arrays for the error and for the inverse of the
-decoded shift, builds no PauliWord, and hands only the recovered array,
-uncopied and read-only, to a StateVec.
+applies a word to an amplitude array, and PauliWord.apply wraps it.  The
+round builds no PauliWord: it multiplies the error's phases and those of
+the inverse of the decoded shift into the input's amplitudes, rolls once
+by the net shift, and hands only the recovered array, uncopied and
+read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -268,22 +270,6 @@ def tiling_window(r: int) -> range:
     return range(-((r - 1) // 2), r // 2 + 1)
 
 
-def _read_residue(amps: np.ndarray, r: int) -> int:
-    """The single residue class mod r carrying the state's mass.
-
-    len(amps) is a multiple of r, so row-major rows of r entries put
-    index x in column x mod r and the class masses are column sums.
-    """
-    masses = (np.abs(amps) ** 2).reshape(-1, r).sum(axis=0)
-    rho = int(masses.argmax())
-    if masses[rho] < (1.0 - 1e-10) * float(masses.sum()):
-        raise ValueError(
-            f"support spreads over several residue classes mod {r}; "
-            "state is not an errored codeword"
-        )
-    return rho
-
-
 def _center(residue: int, r: int) -> tuple[int, bool]:
     """Map a residue to its in-window shift; flag the even-r boundary.
 
@@ -311,42 +297,53 @@ class SyndromeOutcome:
 def syndrome_and_recover(
     params: GkpParams, a: int, b: int, state: StateVec
 ) -> SyndromeOutcome:
-    """Apply X^a Z^b to a code state, measure residues, undo the shift.
+    """Apply X^a Z^b to a code state, read the syndromes, undo the shift.
 
-    The syndromes are read projectively: a mod r1 from the position
-    support, b mod r2 from the Fourier support.  Recovery applies the
-    inverse of X^ahat Z^bhat for the in-window representatives.  The
-    residual on the code space is Xbar^((a-ahat)/r1) Zbar^((b-bhat)/r2)
+    A code state shifted by X^a Z^b is an exact eigenstate of both
+    stabilizers, so the projective readout is decided by the shift alone:
+    its position support lies in the class a mod r1 and its Fourier
+    support in the class b mod r2.  Once the state passes the code-space
+    check the syndromes are these residues, with no array pass.  Recovery
+    applies the inverse of X^ahat Z^bhat for the in-window representatives.
+    The residual on the code space is Xbar^((a-ahat)/r1) Zbar^((b-bhat)/r2)
     up to stabilizers, so the round is logically clean exactly when both
     quotients vanish mod k.
 
-    The code and its comb table come from the per-GkpParams cache of
+    A zero, infinite or NaN state raises ValueError naming its norm.  The
+    code and its comb table come from the per-GkpParams cache of
     build_gkp_code; the code-space check projects onto the combs through
-    that table rather than through dense (k x N) products.  Both words
-    act on plain amplitude arrays, and only the recovered array is
-    wrapped, without a copy, in a StateVec.
+    that table rather than through dense (k x N) products.  The error and
+    the undo are one phase pass over the input's positions and one roll,
+    the same products as applying the two words in turn; only the
+    recovered array is wrapped, without a copy, in a StateVec.
     """
     _, comb = _tables(params)
     n = params.n
     if state.j.dim != n:
         raise ValueError("state dimension does not match the code")
+    norm = state.norm
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"state norm must be finite and nonzero, got {norm}")
     # Distance to the code: every amplitude off the combs, and each tooth's
     # deviation from its comb's mean (the projection onto the codeword).
     residual = state.amps.copy()
     teeth = residual[comb]
     residual[comb] = teeth - teeth.sum(axis=1)[:, None] / params.r2
-    if np.linalg.norm(residual) > 1e-10 * state.norm:
+    if np.linalg.norm(residual) > 1e-10 * norm:
         raise ValueError("input state is not in the code space")
 
     a, b = _integer("a", a), _integer("b", b)
-    errored = _apply_word(state.amps, n, a % n, b % n, 0)
-    syndrome_a = _read_residue(errored, params.r1)
-    syndrome_b = _read_residue(np.fft.fft(errored), params.r2)
+    syndrome_a, syndrome_b = a % params.r1, b % params.r2
     a_hat, amb_a = _center(syndrome_a, params.r1)
     b_hat, amb_b = _center(syndrome_b, params.r2)
 
-    # (X^ahat Z^bhat)^-1 = exp(2 pi i ahat bhat / n) X^-ahat Z^-bhat, as PauliWord.inverse
-    undo = _apply_word(errored, n, -a_hat % n, -b_hat % n, 2 * a_hat * b_hat % (2 * n))
+    # (X^ahat Z^bhat)^-1 = exp(2 pi i ahat bhat / n) X^-ahat Z^-bhat, as
+    # PauliWord.inverse.  Its phase at position x + a is its exponent at x
+    # plus 2 b2 a, so both phases act before the one roll by a - ahat.
+    roots, b2 = _roots(n), -b_hat % n
+    undo = state.amps * roots[_exponents(n, b % n, 0)]
+    undo *= roots[_exponents(n, b2, (2 * a_hat * b_hat + 2 * b2 * a) % (2 * n))]
+    cut = n - (a - a_hat) % n
     logical_x = ((a - a_hat) // params.r1) % params.k
     logical_z = ((b - b_hat) // params.r2) % params.k
     return SyndromeOutcome(
@@ -354,7 +351,7 @@ def syndrome_and_recover(
         syndrome_b=syndrome_b,
         a_hat=a_hat,
         b_hat=b_hat,
-        recovered=StateVec._owning(state.j, undo),
+        recovered=StateVec._owning(state.j, np.concatenate((undo[cut:], undo[:cut]))),
         logical_error=bool(logical_x or logical_z),
         ambiguous=amb_a or amb_b,
     )

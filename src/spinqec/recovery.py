@@ -195,8 +195,8 @@ def single_peak_mass(j) -> float:
 
     With n = 2j, C(2n, n)/4^n = Gamma(n + 1/2)/(sqrt(pi) Gamma(n + 1)): one
     half-step series, which does not cancel as lgamma(2n + 1) - 2 lgamma(n + 1)
-    does.  Below n = 40, where the half step is an lgamma difference, the
-    integer ratio is divided exactly instead.
+    does.  Below n = 40 the integer ratio is divided exactly instead, as
+    Python rounds int / int correctly.
     """
     tj = _spin(j).twice
     if tj < 40:
@@ -235,17 +235,20 @@ _HALF_STEP_SERIES = (-1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0)
 def _ln_gamma_half_step(a: float) -> float:
     """ln Gamma(a + 1/2) - ln Gamma(a) for a > 0.
 
-    lgamma's difference below a = 40; above, the asymptotic series, whose
-    first omitted term is below 1e-17 there, so the difference never
-    cancels two large logarithms.
+    The asymptotic series at a >= 40, whose first omitted term is below
+    1e-17 there, so the difference never cancels two large logarithms.
+    Below, Gamma(x + 1) = x Gamma(x) steps up to a + m >= 40: the series
+    there minus sum_{i < m} log1p(1/(2(a + i))), terms below 1 that do not
+    cancel either.
     """
-    if a < 40.0:
-        return math.lgamma(a + 0.5) - math.lgamma(a)
+    steps = math.ceil(40.0 - a) if a < 40.0 else 0
+    climb = math.fsum(math.log1p(0.5 / (a + i)) for i in range(steps))
+    a += steps
     inv_sq = 1.0 / (a * a)
     tail = 0.0
     for coeff in reversed(_HALF_STEP_SERIES):
         tail = tail * inv_sq + coeff
-    return 0.5 * math.log(a) + tail / a
+    return 0.5 * math.log(a) + tail / a - climb
 
 
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi

@@ -298,13 +298,23 @@ def test_invalid_states_rejected():
         spread = StateVec(params.spin_label, (word.amps + np.roll(word.amps, 1)) / math.sqrt(2.0))
         with pytest.raises(ValueError, match="code space"):
             syndrome_and_recover(params, 0, 0, spread)
-        with pytest.raises(ValueError, match="spreads over several residue classes"):
-            finite_gkp._read_residue(spread.amps, params.r1)
         # on the comb's teeth but not a uniform comb: still off the code space
         skewed = word.amps.copy()
         skewed[0] *= 2.0
         with pytest.raises(ValueError, match="code space"):
             syndrome_and_recover(params, 0, 0, StateVec(params.spin_label, skewed).normalized())
+
+
+def test_zero_and_nonfinite_states_rejected():
+    for params in (GkpParams(2, 3, 3), GkpParams(2, 21, 21)):
+        word = build_gkp_code(params).codewords[0].amps
+        bad = [np.zeros(params.n, dtype=complex)]
+        for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+            bad.append(word.copy())
+            bad[-1][params.r1] = value
+        for amps in bad:
+            with pytest.raises(ValueError, match="norm"):
+                syndrome_and_recover(params, 1, 1, StateVec(params.spin_label, amps))
 
 
 def test_round_shift_types_and_fresh_output():
@@ -389,3 +399,35 @@ def test_rounds_at_benchmark_size(dims):
     info = finite_gkp._tables.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits > rounds
     assert info.maxsize is not None and finite_gkp._roots.cache_info().maxsize is not None
+
+
+def _read_residue(amps, r):
+    # The numerical readout the round once used: the residue class mod r
+    # that carries all of |amps|^2.
+    masses = (np.abs(amps) ** 2).reshape(-1, r).sum(axis=0)
+    rho = int(masses.argmax())
+    assert masses[rho] >= (1.0 - 1e-10) * masses.sum()
+    return rho
+
+
+@pytest.mark.parametrize("dims", BENCHMARK_CODES)
+def test_closed_form_round_matches_fourier_readout(dims):
+    # Syndromes against the position and Fourier residue masses of the
+    # errored state, and recovered amplitudes against the error and the
+    # undo applied as two separate words, byte for byte.
+    params = GkpParams(*dims)
+    k, r1, r2, n = params.k, params.r1, params.r2, params.n
+    basis = build_gkp_code(params).basis_matrix()
+    rng = np.random.default_rng(sum(dims))
+    shifts = [(0, 0), (-1, 1), (n, -n), (-n - 1, n + 1), (2 * n, -2 * n), (n + r1, -n - r2 // 2)]
+    shifts += [tuple(int(v) for v in rng.integers(-2 * n, 2 * n + 1, size=2)) for _ in range(14)]
+    for a, b in shifts:
+        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        state = StateVec(params.spin_label, coeffs @ basis).normalized()
+        out = syndrome_and_recover(params, a, b, state)
+        errored = finite_gkp._apply_word(state.amps, n, a % n, b % n, 0)
+        assert out.syndrome_a == _read_residue(errored, r1), (a, b)
+        assert out.syndrome_b == _read_residue(np.fft.fft(errored), r2), (a, b)
+        a_hat, b_hat = out.a_hat, out.b_hat
+        undo = finite_gkp._apply_word(errored, n, -a_hat % n, -b_hat % n, 2 * a_hat * b_hat % (2 * n))
+        assert out.recovered.amps.tobytes() == undo.tobytes(), (a, b)

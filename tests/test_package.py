@@ -22,6 +22,18 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_gkp_table_loads_no_fft(tmp_path):
+    # a GKP round reads its syndromes from the shift, not from a transform
+    code = (
+        "import sys\n"
+        "from spinqec.cli import main\n"
+        f"assert main(['gkp-table', '--K', '2', '--r1', '21', '--r2', '21', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "print('numpy.fft' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_ln_factorial_matches_gammaln_bitwise():
     # the log-factorial prefactors reproduce scipy.special.gammaln exactly,
     # so Wigner-d matrices and harmonic tables keep their values bit for bit

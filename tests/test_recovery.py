@@ -204,6 +204,15 @@ def test_half_step_series_coefficients():
             assert abs(got - exact) <= (6e-14 if a < 40 else 4e-16 * abs(exact)), a
 
 
+def test_half_step_below_40_against_mpmath():
+    # the upward recurrence to a + m >= 40 keeps the half step at rounding
+    # level where lgamma(a + 1/2) - lgamma(a) was up to 1.4e-14 off
+    with mpmath.workdps(40):
+        for a in [k / 2 for k in range(1, 82)] + [0.01, 0.3, 7.3, 39.99]:
+            exact = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+            assert abs(recovery._ln_gamma_half_step(a) - exact) <= 1e-15, a
+
+
 def test_tail_failure_edges():
     est = tail_failure(HalfInt(100), math.pi)
     assert est.numeric_tail == 0.0

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqec import monopole, rotations
+from spinqec import monopole
 from spinqec.coherent import diagonal_operator
 from spinqec.lll_codes import antipodal, antipodal_logical_x, build_codewords, cyclic_qubit, equatorial_qudit
 from spinqec.monopole import monopole_Y
@@ -109,7 +109,7 @@ def test_antipodal_logical_x_byte_for_byte():
 
 def test_wigner_routes_do_not_use_the_jacobi_recurrence(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the Wigner-d kernel reached rotations._jacobi")
+        raise AssertionError("the Wigner-d kernel reached monopole._jacobi")
 
     monkeypatch.setattr(monopole, "_jacobi", refuse)
     for beta in (0.3, math.pi, 2.5):
