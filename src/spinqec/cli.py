@@ -16,7 +16,9 @@ every output file.  Numbers are printed with 17 significant digits so
 repeated runs are byte-identical; output goes to a uniquely named
 temporary file in the target directory and is renamed into place, never
 left partial and never clobbering another file.  Rows are computed
-serially, one writer renders every table.
+serially and reach the one table writer, _emit, as columns of cells
+already rendered as JSON text; kl-scan takes its columns straight from
+the scan arrays and formats each float column in one pass.
 
 CSV output uses '.' decimals, comma separators, and a header row, with
 the config on a leading '#' comment line.  JSON output is line-oriented
@@ -128,6 +130,9 @@ _FLAGS = (
 # deterministic serialization
 
 
+_FLOAT = "%.17g"
+
+
 def _jtext(obj) -> str:
     """JSON with floats at 17 significant digits and complex as (re, im)."""
     if obj is None:
@@ -137,9 +142,9 @@ def _jtext(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
+        return _FLOAT % float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return "[%s, %s]" % ("%.17g" % obj.real, "%.17g" % obj.imag)
+        return "[%s, %s]" % (_FLOAT % obj.real, _FLOAT % obj.imag)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -150,6 +155,22 @@ def _jtext(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _float_cells(values: np.ndarray) -> list[str]:
+    """_jtext of every entry of a float64 array, in one pass.
+
+    Each distinct bit pattern is formatted once (a scan column is often
+    all zeros); keying on bits keeps -0.0 apart from 0.0.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [_FLOAT % v for v in bits.view(np.float64).tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
+def _columns(header: list[str], rows: list[dict]) -> dict[str, list[str]]:
+    """The rows' values as columns of _jtext cells, in header order."""
+    return {h: [_jtext(row[h]) for row in rows] for h in header}
+
+
 def _echoed(subcommand: str, cfg: dict) -> dict:
     echo = {"subcommand": subcommand}
     for key in sorted(cfg):
@@ -158,29 +179,36 @@ def _echoed(subcommand: str, cfg: dict) -> dict:
     return echo
 
 
-def _emit(
-    cfg: dict, name: str, header: list[str], rows: list[dict], summary: dict | None = None
-) -> None:
-    """Render the rows as cfg["format"] and write them to cfg["out"].
+def _emit(cfg: dict, name: str, columns: dict[str, list[str]], summary: dict | None = None) -> None:
+    """Render the table as cfg["format"] and write it to cfg["out"].
 
-    JSON is one object per line, config first.  A summary (kl-scan)
-    makes the JSON a single {config, summary, pairs} document and adds a
-    second comment line to the CSV.
+    columns maps each header field, in order, to its cells rendered as
+    JSON text (_columns, _float_cells).  JSON is one object per row and
+    line, config first; a row object holds every column, as _jtext
+    would print the row's dict.  A summary (kl-scan) makes the JSON a
+    single {config, summary, pairs} document and adds a second comment
+    line to the CSV.
     """
     echo = _echoed(name, cfg)
+    rows = zip(*columns.values())
     if cfg["format"] == "json":
+        fields = (json.dumps(h).replace("%", "%%") + ": %s" for h in columns)
+        template = "{" + ", ".join(fields) + "}"
+        objects = [template % cells for cells in rows]
         if summary is not None:
-            text = _jtext({"config": echo, "summary": summary, "pairs": rows}) + "\n"
+            text = '{"config": %s, "summary": %s, "pairs": [%s]}\n' % (
+                _jtext(echo), _jtext(summary), ", ".join(objects)
+            )
         else:
-            text = "".join(_jtext(obj) + "\n" for obj in [{"config": echo}, *rows])
+            text = "".join(obj + "\n" for obj in [_jtext({"config": echo}), *objects])
     else:
         buf = io.StringIO()
         buf.write("# config: " + _jtext(echo) + "\n")
         if summary is not None:
             buf.write("# summary: " + _jtext(summary) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_jtext(row[h]) for h in header] for row in rows)
+        writer.writerow(columns.keys())
+        writer.writerows(rows)
         text = buf.getvalue()
     _write_output(cfg["out"], text)
 
@@ -273,17 +301,9 @@ def cmd_kl_scan(cfg: dict) -> int:
         "passed": passed,
         "worst_pair": [_angles_list(report.worst_pair[0]), _angles_list(report.worst_pair[1])],
     }
-    rows = [
-        {
-            "t_alpha": rec.t.alpha,
-            "t_beta": rec.t.beta,
-            "t_gamma": rec.t.gamma,
-            "delta": rec.delta,
-            "eps": rec.eps,
-        }
-        for rec in report.pairs
-    ]
-    _emit(cfg, "kl-scan", ["t_alpha", "t_beta", "t_gamma", "delta", "eps"], rows, summary)
+    header = ["t_alpha", "t_beta", "t_gamma", "delta", "eps"]
+    columns = dict(zip(header, map(_float_cells, report._pair_columns())))
+    _emit(cfg, "kl-scan", columns, summary)
     return 0 if passed else 1
 
 
@@ -298,7 +318,7 @@ def cmd_overlap_curve(cfg: dict) -> int:
         }
         for theta in thetas
     ]
-    _emit(cfg, "overlap-curve", ["theta", "magnitude"], rows)
+    _emit(cfg, "overlap-curve", _columns(["theta", "magnitude"], rows))
     return 0
 
 
@@ -323,7 +343,7 @@ def cmd_recovery_sweep(cfg: dict) -> int:
         "raw_fidelity",
         "out_of_cell",
     ]
-    _emit(cfg, "recovery-sweep", header, rows)
+    _emit(cfg, "recovery-sweep", _columns(header, rows))
     return 0
 
 
@@ -350,7 +370,7 @@ def cmd_gkp_table(cfg: dict) -> int:
                 }
             )
     header = ["a", "b", "syndrome_a", "syndrome_b", "a_hat", "b_hat", "ambiguous", "corrected"]
-    _emit(cfg, "gkp-table", header, rows)
+    _emit(cfg, "gkp-table", _columns(header, rows))
     return 0
 
 
@@ -367,7 +387,7 @@ def cmd_harmonics(cfg: dict) -> int:
         {"l": l, "m": m, "theta": t, "phi": p, "re": re, "im": im}
         for (l, m, t, p, re, im) in table
     ]
-    _emit(cfg, "harmonics", ["l", "m", "theta", "phi", "re", "im"], rows)
+    _emit(cfg, "harmonics", _columns(["l", "m", "theta", "phi", "re", "im"], rows))
     return 0
 
 
@@ -382,7 +402,8 @@ def cmd_tail_check(cfg: dict) -> int:
             "ratio": est.ratio,
         }
     ]
-    _emit(cfg, "tail-check", ["j", "epsilon", "numeric_tail", "laplace_tail", "ratio"], rows)
+    header = ["j", "epsilon", "numeric_tail", "laplace_tail", "ratio"]
+    _emit(cfg, "tail-check", _columns(header, rows))
     return 0
 
 

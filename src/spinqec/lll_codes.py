@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _FAMILIES = ("Antipodal", "EquatorialQudit", "CyclicQubit")
+# Complex entries per rotation_matrix_elements call in matrix_element_tables
+# (output points x rotations x input points).
+_TABLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,11 @@ class Codewords:
     components[k] lists (point, coefficient) pairs such that the k-th
     codeword equals sum_i coefficient_i |Omega_i>.  basis adds the
     columns of one coherent_amplitudes table in component order, as a sum
-    of coherent_state vectors would.  gram[a, b] = <a|b> is
-    matrix_element_table at R = 1, read-only like every cached table;
-    antipodal off-diagonals are exact zeros.  A closed-form KL scan reads
-    neither.
+    of coherent_state vectors would; it is the one dense read, so it
+    raises ValueError when 2j + 1 exceeds MAX_DENSE_DIM.  gram[a, b] =
+    <a|b> is matrix_element_table at R = 1, read-only like every cached
+    table; antipodal off-diagonals are exact zeros.  A closed-form KL scan
+    reads neither, so it runs at any j.
     """
 
     spec: CodeSpec
@@ -121,6 +125,8 @@ class Codewords:
     def basis(self) -> list[StateVec]:
         j = self.spec.j
         owner, thetas, phis, coeffs = _point_arrays(self.components)
+        # the one dense read: a points x (2j+1) amplitude table
+        _require_dense(j, len(thetas), 16)
         # One product amps @ C would round differently from these running sums.
         amps = np.zeros((len(self.components), j.dim), dtype=complex)
         columns = coherent_amplitudes(j, thetas, phis).T
@@ -195,10 +201,12 @@ def _point_arrays(components) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 def build_codewords(spec: CodeSpec) -> Codewords:
     """The coherent decomposition of the family's codewords; basis and
-    gram are built on first read (see Codewords)."""
+    gram are built on first read (see Codewords).
+
+    Nothing here is (2j+1)-wide, so every j is accepted; only reading
+    basis is refused beyond MAX_DENSE_DIM.
+    """
     j = spec.j
-    # the basis, read later, is dense: one amplitude row per codeword point
-    _require_dense(j, spec.d or 2 * (spec.n_cosets or 1), 16)
     components: list[list[tuple[SphPoint, complex]]] = []
     if spec.family == "Antipodal":
         components.append([(SphPoint.north(), 1.0 + 0.0j)])
@@ -310,25 +318,35 @@ def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
 
     angles = (alphas, betas, gammas) holds equal-length arrays of Euler
     angles; the result has shape (rotations, codewords, codewords).
-    Closed-form point elements are accumulated one output point at a
-    time, so temporaries stay O(rotations * points) however many points
-    a codeword has.
+    Closed-form point elements come from one rotation_matrix_elements
+    call per block of output points, broadcast as (output point,
+    rotation, input point); a block holds as many output points as fit
+    in _TABLE_BLOCK entries, and at least one, so temporaries stay
+    O(max(_TABLE_BLOCK, rotations * points)).  Each output point's row
+    is then accumulated into its codeword in point order, so every sum
+    rounds as it would one point at a time.
     """
     j = code.spec.j
     size = len(code.components)
     owner, thetas, phis, coeffs = _point_arrays(code.components)
     points = list(zip(owner.tolist(), coeffs.tolist()))
-    angles = tuple(np.asarray(x, dtype=float).reshape(-1, 1) for x in angles)
-    tables = np.zeros((len(angles[0]), size, size), dtype=complex)
-    for o, (k, c_out) in enumerate(points):
-        # Coefficient products first, in Python complex arithmetic: conj(c) c
-        # is exactly real, so the diagonal of a single-point codeword carries
-        # no phase rounding.
-        weights = np.zeros((len(points), size), dtype=complex)
+    # Coefficient products first, in Python complex arithmetic: conj(c) c is
+    # exactly real, so the diagonal of a single-point codeword carries no
+    # phase rounding.
+    weights = np.zeros((len(points), len(points), size), dtype=complex)
+    for o, (_, c_out) in enumerate(points):
         for i, (b, c_in) in enumerate(points):
-            weights[i, b] = c_out.conjugate() * c_in
-        row = rotation_matrix_elements(j, (thetas[o], phis[o]), angles, (thetas, phis))
-        tables[:, k, :] += row @ weights
+            weights[o, i, b] = c_out.conjugate() * c_in
+    angles = tuple(np.asarray(x, dtype=float).reshape(1, -1, 1) for x in angles)
+    n_rot = angles[0].shape[1]
+    tables = np.zeros((n_rot, size, size), dtype=complex)
+    block = max(1, _TABLE_BLOCK // max(1, n_rot * len(points)))
+    for lo in range(0, len(points), block):
+        sl = slice(lo, lo + block)
+        out = (thetas[sl].reshape(-1, 1, 1), phis[sl].reshape(-1, 1, 1))
+        rows = rotation_matrix_elements(j, out, angles, (thetas, phis))
+        for o, row in enumerate(rows, start=lo):
+            tables[:, points[o][0], :] += row @ weights[o]
     return tables
 
 

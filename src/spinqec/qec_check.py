@@ -12,22 +12,22 @@ the coherent decomposition, for all sampled pairs in one array pass: the
 pair products are composed in SU(2), and each codeword table is a sum of
 spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
 path is independent of that closed form and of the Wigner-d kernel: it
-diagonalizes L_y once per check and sandwiches the codeword vectors with
-X_T = exp(-i alpha L_z) V exp(-i beta Lambda) V^H exp(-i gamma L_z),
-for cross-validation.
+diagonalizes L_y once per j (a small cache) and sandwiches the codeword
+vectors with X_T = exp(-i alpha L_z) V exp(-i beta Lambda) V^H
+exp(-i gamma L_z), for cross-validation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .lll_codes import Codewords, matrix_element_tables
 from .rotations import EulerAngles, Su2, euler_from_su2, relative_rotations, su2_from_euler
-from .spin_core import _spin, axis_operator, m_values
+from .spin_core import HalfInt, _spin, axis_operator, m_values
 
 __all__ = [
     "ErrorSet",
@@ -175,6 +175,11 @@ class KLReport:
             for i, k, a, b, g, d, e in zip(*(x.tolist() for x in columns))
         ]
 
+    def _pair_columns(self) -> tuple[np.ndarray, ...]:
+        """(t.alpha, t.beta, t.gamma, delta, eps) of a kl_check report's
+        pairs as float arrays, in scan order, without building the records."""
+        return self._scan[3:]
+
 
 def _pair_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Left and right sample indices of the scanned pairs, in scan order."""
@@ -187,18 +192,29 @@ def _pair_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(n), quota), right
 
 
+@lru_cache(maxsize=4)
+def _ly_eigenbasis(j: HalfInt) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda, V^H) of L_y = V Lambda V^H, read-only and cached by j."""
+    lam, vecs = np.linalg.eigh(axis_operator(j, (0.0, 1.0, 0.0)).mat)
+    vecs_conj = vecs.conj()
+    lam.setflags(write=False)
+    vecs_conj.setflags(write=False)
+    return lam, vecs_conj.T
+
+
 def _dense_tables(code: Codewords, alpha, beta, gamma) -> np.ndarray:
-    """<a| X_T |b> from one eigendecomposition L_y = V Lambda V^H.
+    """<a| X_T |b> from the eigendecomposition L_y = V Lambda V^H.
 
     X_T = D_z(alpha) V exp(-i beta Lambda) V^H D_z(gamma) with
     D_z(t) = exp(-i t L_z) diagonal, applied to the codeword vectors in
-    blocks of pairs so temporaries stay bounded.
+    blocks of pairs so temporaries stay bounded.  The eigendecomposition
+    is taken once per j (_ly_eigenbasis).
     """
     j = code.spec.j
     m = m_values(j)
-    lam, vecs = np.linalg.eigh(axis_operator(j, (0.0, 1.0, 0.0)).mat)
-    vecs_h = vecs.conj().T
+    # basis first: its guard refuses a j whose dense L_y would not fit
     words = np.array([vec.amps for vec in code.basis]).T  # (dim, codewords)
+    lam, vecs_h = _ly_eigenbasis(j)
     size = words.shape[1]
     tables = np.empty((len(alpha), size, size), dtype=complex)
     block = max(1, _BRUTE_BLOCK // (j.dim * size))

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from spinqec.cli import main
+from spinqec.lll_codes import antipodal, build_codewords
+from spinqec.qec_check import conjugated_y, kl_check
 
 
 def _csv_rows(text):
@@ -28,6 +30,26 @@ def test_kl_scan_default_passes(tmp_path):
     assert doc["summary"]["eps_star"] <= doc["summary"]["epsilon_threshold"]
     assert len(doc["pairs"]) == 32 * 32
     assert set(doc["pairs"][0]) == {"t_alpha", "t_beta", "t_gamma", "delta", "eps"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_kl_scan_rows_match_report_pairs(tmp_path, fmt):
+    # the rows are written from the scan columns; report.pairs is built
+    # from the same arrays as records, and the two must not drift apart
+    out = tmp_path / f"scan.{fmt}"
+    argv = ["kl-scan", "--j", "7.5", "--theta-max", "0.3", "--samples", "12", "--seed", "5"]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    if fmt == "json":
+        rows = json.loads(out.read_text())["pairs"]
+    else:
+        rows = [{k: float(v) for k, v in row.items()} for row in _csv_rows(out.read_text())]
+    report = kl_check(build_codewords(antipodal(7.5, 0.0)), conjugated_y(0.0, 0.3, 12), 5)
+    assert len(rows) == len(report.pairs) == 144
+    assert any(rec.t.beta != 0.0 for rec in report.pairs)
+    for row, rec in zip(rows, report.pairs):
+        want = {"t_alpha": rec.t.alpha, "t_beta": rec.t.beta, "t_gamma": rec.t.gamma,
+                "delta": rec.delta, "eps": rec.eps}
+        assert row == want
 
 
 def test_kl_scan_failing_threshold_still_writes(tmp_path):

@@ -72,6 +72,16 @@ CASES = {
         None,
         "e0913bdf5190b3ca18968bcc09e60005f51d042b6cf680d5a2fa92e4b274dbc7",
     ),
+    "kl-scan-equatorial-100-4-64": (
+        ["kl-scan", "--j", "100", "--d", "4", "--samples", "64"],
+        None,
+        "96568696ad39b1161a8edb473f00bfd3156f6c29ea8977f043e4bb324196046f",
+    ),
+    "kl-scan-equatorial-100-4-64-csv": (
+        ["kl-scan", "--j", "100", "--d", "4", "--samples", "64", "--format", "csv"],
+        None,
+        "3ebe02e402dc252ac6c43e216917b77281831a4ed7db18ad806f289c92fb5f15",
+    ),
     "recovery-sweep-defaults": (
         ["recovery-sweep"],
         None,

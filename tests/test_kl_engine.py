@@ -8,6 +8,7 @@ at a time.  It is kept here, and only here, as the oracle.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,3 +324,95 @@ def test_cyclic_kl_check_finite_at_large_j():
     report = kl_check(code, equatorial_z(0.2, 8), seed=3)
     assert np.isfinite(report.delta_star) and np.isfinite(report.eps_star)
     assert all(np.isfinite(p.delta) and np.isfinite(p.eps) for p in report.pairs)
+
+
+def _per_point_tables(code, angles):
+    """matrix_element_tables as it was: one kernel call per output point."""
+    j = code.spec.j
+    size = len(code.components)
+    owner, thetas, phis, coeffs = lll_codes._point_arrays(code.components)
+    points = list(zip(owner.tolist(), coeffs.tolist()))
+    angles = tuple(np.asarray(x, dtype=float).reshape(-1, 1) for x in angles)
+    tables = np.zeros((len(angles[0]), size, size), dtype=complex)
+    for o, (k, c_out) in enumerate(points):
+        weights = np.zeros((len(points), size), dtype=complex)
+        for i, (b, c_in) in enumerate(points):
+            weights[i, b] = c_out.conjugate() * c_in
+        row = rotation_matrix_elements(j, (thetas[o], phis[o]), angles, (thetas, phis))
+        tables[:, k, :] += row @ weights
+    return tables
+
+
+@pytest.mark.parametrize(
+    "spec, rotations, kernel_calls",
+    [
+        (equatorial_qudit(40, 3), 256, 1),
+        (cyclic_qubit(40, 8), 256, 8),  # 16 points: 2 output points per block
+        (antipodal(40, 0.7), 256, 1),
+        (antipodal(40, 0.7), 1, 1),
+        (equatorial_qudit(40, 3), 2000, 3),  # one output point per block
+    ],
+    ids=["qudit-40-3", "cyclic-40-8", "antipodal-40", "antipodal-40-one", "qudit-40-3-split"],
+)
+def test_batched_tables_match_per_point_loop_bitwise(monkeypatch, spec, rotations, kernel_calls):
+    code = build_codewords(spec)
+    rng = np.random.default_rng(7)
+    angles = (rng.uniform(-math.pi, math.pi, rotations), rng.uniform(0.0, math.pi, rotations),
+              rng.uniform(-math.pi, math.pi, rotations))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rotation_matrix_elements(*args, **kwargs)
+
+    monkeypatch.setattr(lll_codes, "rotation_matrix_elements", counted)
+    got = lll_codes.matrix_element_tables(code, angles)
+    assert len(calls) == kernel_calls
+    assert got.tobytes() == _per_point_tables(code, angles).tobytes()
+
+
+def test_oracle_eigenbasis_cache_is_read_only_and_bitwise_stable():
+    code = build_codewords(equatorial_qudit(24, 3))
+    errs = conjugated_y(0.7, 0.2, 6)
+    qec_check._ly_eigenbasis.cache_clear()
+    cold = kl_check(code, errs, seed=3, brute_force=True)
+    warm = kl_check(code, errs, seed=3, brute_force=True)
+    info = qec_check._ly_eigenbasis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.float64(cold.delta_star).tobytes() == np.float64(warm.delta_star).tobytes()
+    assert np.float64(cold.eps_star).tobytes() == np.float64(warm.eps_star).tobytes()
+    for a, b in zip(cold._pair_columns(), warm._pair_columns()):
+        assert a.tobytes() == b.tobytes()
+    lam, vecs_h = qec_check._ly_eigenbasis(code.spec.j)
+    for arr in (lam, vecs_h, vecs_h.base):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        vecs_h[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("j", [20_000, 10**6])
+def test_closed_form_kl_check_runs_beyond_max_dense_dim(monkeypatch, j):
+    errs = equatorial_z(0.05, 8)
+    reference = kl_check(build_codewords(cyclic_qubit(2000, 4)), errs, 1)
+    assert 0.0 < reference.eps_star < 1e-100  # 8.5e-105
+    tracemalloc.start()
+    try:
+        code = build_codewords(cyclic_qubit(j, 4))
+        report = kl_check(code, errs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # nothing (2j+1)-wide was built
+    assert math.isfinite(report.delta_star) and math.isfinite(report.eps_star)
+    assert report.eps_star <= reference.eps_star
+    with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM"):
+        code.basis
+
+    # the brute-force oracle is refused by the basis guard before it builds
+    # the dense (2j+1)^2 generator
+    def refuse(*args):
+        raise AssertionError("dense L_y built beyond MAX_DENSE_DIM")
+
+    monkeypatch.setattr(qec_check, "axis_operator", refuse)
+    with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM"):
+        kl_check(code, errs, 1, brute_force=True)

@@ -129,9 +129,9 @@ def test_wigner_routes_do_not_use_the_jacobi_recurrence(monkeypatch):
         lambda j: wigner_D_matrix(j, EulerAngles(0.1, 0.2, 0.3)),
         lambda j: antipodal_logical_x(j, 0.2),
         lambda j: diagonal_operator(j, lambda t, p: np.cos(p)),
-        lambda j: build_codewords(equatorial_qudit(j, 3)),
-        lambda j: build_codewords(antipodal(j)),
-        lambda j: build_codewords(cyclic_qubit(j, 4)),
+        lambda j: build_codewords(equatorial_qudit(j, 3)).basis,
+        lambda j: build_codewords(antipodal(j)).basis,
+        lambda j: build_codewords(cyclic_qubit(j, 4)).basis,
     ],
     ids=["wigner_d_matrix", "wigner_D_matrix", "antipodal_logical_x", "diagonal_operator",
          "build_codewords-qudit", "build_codewords-antipodal", "build_codewords-cyclic"],
