@@ -20,19 +20,27 @@ into the window and leave a logical error, which is reported.  When r1
 and r2 are both odd the in-window error set has exactly r1 r2 elements
 and the errored code spaces tile C^N orthogonally.
 
-A round does a few array passes and no per-call set-up.  The code of
-each GkpParams (its codewords, words and the (K x r2) table of comb
+A round does a few array passes and no per-call set-up.  The code of each
+GkpParams (its codewords, words and the (K x r2) table of comb
 positions) is built once and kept in a bounded cache (16 codes; an entry
 holds K N complex amplitudes).  build_gkp_code returns the cached code,
 so its codewords are shared between callers and their amplitude arrays
-are read-only.  Every Pauli phase exp(i pi e / N) is read from one
-cached table of the 2N roots, indexed by the integer exponent
-e = (b 2x + c) mod 2N with the positions 2x cached per N.  One helper
-applies a word to an amplitude array, and PauliWord.apply wraps it.  The
-round builds no PauliWord: it multiplies the error's phases and those of
-the inverse of the decoded shift into the input's amplitudes, rolls once
-by the net shift, and hands only the recovered array, uncopied and
-read-only, to a StateVec.
+are read-only.  Every Pauli phase exp(i pi e / N) has the integer
+exponent e = (2 b x mod 2N) + c.  Its position part is one read-only intp
+index array per (N, min(b, N - b)), b taken mod N, kept in a bounded
+cache (256 arrays); the 2N roots are cached once per N and stored twice,
+so a word with phase c costs one integer add (or, for b > N/2, one
+subtraction from 2N + c) and one gather, with no multiply and no
+reduction.  PauliWord.to_operator, the helper that applies a word to an
+amplitude array (which PauliWord.apply wraps) and the round share this
+one phase path.  A round's error key b mod N and undo key -bhat mod N lie
+in one symmetric window and fold onto |b| and |bhat|, so the rounds of a
+code read about r2/2 + 1 index arrays.  The round builds no PauliWord: it
+takes the norm and the code-space residual as direct sums of squares,
+rescaled as StateVec.norm rescales when they leave the double range,
+multiplies the error's phases and those of the inverse of the decoded
+shift into the input's amplitudes, rolls once by the net shift, and
+hands only the recovered array, uncopied and read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import HalfInt, Operator, StateVec
+from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _unit_scaled
 
 __all__ = [
     "GkpParams",
@@ -149,7 +157,7 @@ class PauliWord:
         n = self.n
         x = np.arange(n)
         mat = np.zeros((n, n), dtype=complex)
-        mat[(x + self.a) % n, x] = _roots(n)[_exponents(n, self.b, self.c)]
+        mat[(x + self.a) % n, x] = _phases(n, self.b, self.c)
         return Operator(HalfInt(n - 1), mat)
 
     def apply(self, vec: StateVec) -> StateVec:
@@ -168,33 +176,53 @@ def _integer(name: str, v) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _roots(n: int) -> np.ndarray:
-    """exp(i pi e / n) for e = 0 .. 2n - 1: every phase of a word on C^n."""
+    """exp(i pi e / n) for e = 0 .. 4n - 1: the 2n roots, stored twice.
+
+    Every phase of a word on C^n is one of the 2n roots; the second copy
+    lets an exponent e + c or 2n + c - e with 0 <= e, c < 2n index the
+    table without a reduction mod 2n.
+    """
     roots = np.exp(1j * math.pi * np.arange(2 * n) / n)
-    roots.setflags(write=False)
-    return roots
+    doubled = np.concatenate((roots, roots))
+    doubled.setflags(write=False)
+    return doubled
 
 
-@functools.lru_cache(maxsize=64)
-def _doubled_positions(n: int) -> np.ndarray:
-    """2x for x = 0 .. n - 1, the position part of every phase exponent."""
-    twice = 2 * np.arange(n)
-    twice.setflags(write=False)
-    return twice
+@functools.lru_cache(maxsize=256)
+def _phase_index(n: int, b: int) -> np.ndarray:
+    """(2 b x) mod 2n for x = 0 .. n - 1 and 0 <= b <= n / 2, read-only.
+
+    The position part of the phase exponent of Z^b: the phase on column x
+    is exp(i pi e / n) with e = 2 (b x mod n) + c.  Stored as intp, the
+    index type numpy gathers with; an int32 index is cast on every gather.
+    """
+    index = (2 * b * np.arange(n, dtype=np.intp)) % (2 * n)
+    index.setflags(write=False)
+    return index
 
 
-def _exponents(n: int, b: int, c: int) -> np.ndarray:
-    # Total phase on column x is exp(i pi e / n) with the integer
-    # exponent e = 2 (b x mod n) + c mod 2n = (b 2x + c) mod 2n.
-    return (b * _doubled_positions(n) + c) % (2 * n)
+def _phases(n: int, b: int, c: int) -> np.ndarray:
+    """exp(i pi c / n) Z^b as its diagonal, 0 <= b < n, 0 <= c < 2n.
+
+    One integer add or subtract (none when c = 0 and b <= n / 2) and one
+    gather from the roots table.  Z^b and Z^(n-b) share an index array:
+    (2 (n - b) x) mod 2n = 2n - (2 b x mod 2n) modulo 2n, and the doubled
+    table absorbs the 2n, so the same roots are read.
+    """
+    if 2 * b <= n:
+        index = _phase_index(n, b)
+        return _roots(n)[index + c if c else index]
+    return _roots(n)[(2 * n + c) - _phase_index(n, n - b)]
 
 
 def _apply_word(amps: np.ndarray, n: int, a: int, b: int, c: int) -> np.ndarray:
     """exp(i pi c / n) X^a Z^b on an amplitude array, 0 <= a, b < n, 0 <= c < 2n.
 
-    Returns a fresh array: the phases from the roots table, then X^a
-    moves entry x to x + a mod n, a cyclic roll by a.
+    Returns a fresh array: the phases of _phases, read through the cached
+    index array of (n, min(b, n - b)) from the doubled roots table, then
+    X^a moves entry x to x + a mod n, a cyclic roll by a.
     """
-    phased = amps * _roots(n)[_exponents(n, b, c)]
+    phased = amps * _phases(n, b, c)
     cut = n - a
     return np.concatenate((phased[cut:], phased[:cut]))
 
@@ -309,10 +337,13 @@ def syndrome_and_recover(
     up to stabilizers, so the round is logically clean exactly when both
     quotients vanish mod k.
 
-    A zero, infinite or NaN state raises ValueError naming its norm.  The
-    code and its comb table come from the per-GkpParams cache of
-    build_gkp_code; the code-space check projects onto the combs through
-    that table rather than through dense (k x N) products.  The error and
+    A zero, infinite or NaN state raises ValueError naming its norm; a
+    finite state whose sum of squares overflows or underflows is checked
+    on amps / max|amps| and recovered as given.  The code and its comb
+    table come from the per-GkpParams cache of build_gkp_code; the
+    code-space check projects onto the combs through that table rather
+    than through dense (k x N) products, and compares the residual's sum
+    of squares with 1e-20 times the state's.  The error and
     the undo are one phase pass over the input's positions and one roll,
     the same products as applying the two words in turn; only the
     recovered array is wrapped, without a copy, in a StateVec.
@@ -321,15 +352,22 @@ def syndrome_and_recover(
     n = params.n
     if state.j.dim != n:
         raise ValueError("state dimension does not match the code")
-    norm = state.norm
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise ValueError(f"state norm must be finite and nonzero, got {norm}")
+    # Sums of squares as StateVec.norm takes its range: out of range, the
+    # check runs on amps / max|amps|, and a zero, infinite or NaN state
+    # has that maximum as its norm.
+    amps = state.amps
+    norm_sq = np.vdot(amps, amps).real
+    if not _SQ_MIN <= norm_sq <= _SQ_MAX:
+        amps, scale = _unit_scaled(amps)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"state norm must be finite and nonzero, got {scale}")
+        norm_sq = np.vdot(amps, amps).real
     # Distance to the code: every amplitude off the combs, and each tooth's
     # deviation from its comb's mean (the projection onto the codeword).
-    residual = state.amps.copy()
+    residual = amps.copy()
     teeth = residual[comb]
     residual[comb] = teeth - teeth.sum(axis=1)[:, None] / params.r2
-    if np.linalg.norm(residual) > 1e-10 * norm:
+    if np.vdot(residual, residual).real > 1e-20 * norm_sq:
         raise ValueError("input state is not in the code space")
 
     a, b = _integer("a", a), _integer("b", b)
@@ -340,9 +378,9 @@ def syndrome_and_recover(
     # (X^ahat Z^bhat)^-1 = exp(2 pi i ahat bhat / n) X^-ahat Z^-bhat, as
     # PauliWord.inverse.  Its phase at position x + a is its exponent at x
     # plus 2 b2 a, so both phases act before the one roll by a - ahat.
-    roots, b2 = _roots(n), -b_hat % n
-    undo = state.amps * roots[_exponents(n, b % n, 0)]
-    undo *= roots[_exponents(n, b2, (2 * a_hat * b_hat + 2 * b2 * a) % (2 * n))]
+    b2 = -b_hat % n
+    undo = state.amps * _phases(n, b % n, 0)
+    undo *= _phases(n, b2, (2 * a_hat * b_hat + 2 * b2 * a) % (2 * n))
     cut = n - (a - a_hat) % n
     logical_x = ((a - a_hat) // params.r1) % params.k
     logical_z = ((b - b_hat) // params.r2) % params.k

@@ -325,6 +325,28 @@ def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
     O(max(_TABLE_BLOCK, rotations * points)).  Each output point's row
     is then accumulated into its codeword in point order, so every sum
     rounds as it would one point at a time.
+
+    Error bound.  Entry (a, b) is the sum over the P_a points o of
+    codeword a and the P_b points i of codeword b of the terms
+    conj(c_o) c_i <Omega_o|X_R|Omega_i>.  Each element has modulus at
+    most 1, so the terms total at most S_ab = (sum_a |c|)(sum_b |c|),
+    and the sum cancels to an entry far smaller than S_ab when codewords
+    have more points than levels: on cyclic_qubit(8, 16), 16 points per
+    codeword in 17 levels, S_ab is about 3.3e4 for entries of order 0.1.
+    A term passes one complex product and at most P_a + P_b - 2 additions
+    (the row product, then the accumulation; zero weights add exactly), so
+    by the summation bound of Higham, Accuracy and Stability of Numerical
+    Algorithms (2nd ed., ch. 4, with Lemma 3.5 for complex products)
+
+        |computed - exact| <= (sqrt(2) gamma_(P_a + P_b + 3) + eta) S_ab,
+        gamma_n = n u / (1 - n u),  u = 2^-53,
+
+    where eta bounds the absolute error of one closed-form element: the
+    base, a sum of products of unit-modulus factors, is good to about 16 u,
+    and its 2j-th power scales that by 2j, so eta = 8 (2j + 1) u covers the
+    measured errors (at most 5 (2j) u).  The bound is about 180 u S_ab, or
+    7e-10, on cyclic_qubit(8, 16); the error a 40-digit evaluation finds
+    there is about 1e-12, and it is 1e-15 on cyclic_qubit(8, 8).
     """
     j = code.spec.j
     size = len(code.components)

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .lll_codes import Codewords, matrix_element_tables
-from .rotations import EulerAngles, Su2, euler_from_su2, relative_rotations, su2_from_euler
+from .rotations import EulerAngles, Su2, _relative_angles, euler_from_su2, su2_from_euler
 from .spin_core import HalfInt, _spin, axis_operator, m_values
 
 __all__ = [
@@ -235,7 +235,7 @@ def _scan_tables(code: Codewords, errs: ErrorSet, seed: int, brute_force: bool):
     """
     rotations = sample_rotations(errs, seed)
     left, right = _pair_indices(len(rotations), seed)
-    alpha, beta, gamma, _ = relative_rotations(rotations, left, right)
+    alpha, beta, gamma = _relative_angles(rotations, left, right)
     if brute_force:
         tables = _dense_tables(code, alpha, beta, gamma)
     else:

@@ -193,6 +193,16 @@ def euler_from_su2_arrays(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    alpha, beta, gamma = _euler_angles_arrays(a, b)
+    probe_a, probe_b = su2_arrays(alpha, beta, gamma)
+    overlap = (probe_a * a.conj() + probe_b * b.conj()).real
+    sign = np.where(overlap > 0.0, 1, -1)
+    return alpha, beta, gamma, sign
+
+
+def _euler_angles_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angles of euler_from_su2_arrays on complex arrays, without the
+    sign, which costs a second su2_arrays pass."""
     mag_a, mag_b = np.abs(a), np.abs(b)
     arg_a, arg_b = np.angle(a), np.angle(b)
     pole = mag_b <= _TIE
@@ -202,10 +212,7 @@ def euler_from_su2_arrays(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     alpha = np.where(pole, -2.0 * arg_a, np.where(flip, 2.0 * arg_b, arg_b - arg_a))
     alpha = alpha % (2.0 * math.pi)
     gamma = np.where(tie, 0.0, (-arg_b - arg_a) % (2.0 * math.pi))
-    probe_a, probe_b = su2_arrays(alpha, beta, gamma)
-    overlap = (probe_a * a.conj() + probe_b * b.conj()).real
-    sign = np.where(overlap > 0.0, 1, -1)
-    return alpha, beta, gamma, sign
+    return alpha, beta, gamma
 
 
 def relative_rotations(rotations, left, right):
@@ -215,13 +222,21 @@ def relative_rotations(rotations, left, right):
     computed once.  Returns (alpha, beta, gamma, sign) arrays equal to
     compose(inverse(rotations[i]), rotations[k]) for every index pair.
     """
+    return euler_from_su2_arrays(*_relative_su2(rotations, left, right))
+
+
+def _relative_angles(rotations, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """relative_rotations without the double-cover sign."""
+    return _euler_angles_arrays(*_relative_su2(rotations, left, right))
+
+
+def _relative_su2(rotations, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) elements (a, b) of R_left^(-1) R_right over index pairs."""
     angles = np.array([(r.alpha, r.beta, r.gamma) for r in rotations], dtype=float)
     a, b = su2_arrays(angles[:, 0], angles[:, 1], angles[:, 2])
     a_l, b_l, a_r, b_r = a[left], b[left], a[right], b[right]
     # Su2.__matmul__ with the inverse (conj(a_l), -b_l) on the left.
-    return euler_from_su2_arrays(
-        _cmul(a_l.conj(), a_r) + _cmul(b_l.conj(), b_r), _cmul(a_l, b_r) - _cmul(b_l, a_r)
-    )
+    return _cmul(a_l.conj(), a_r) + _cmul(b_l.conj(), b_r), _cmul(a_l, b_r) - _cmul(b_l, a_r)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

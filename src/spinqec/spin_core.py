@@ -32,6 +32,14 @@ MAX_DENSE_DIM = 8192
 codeword tables.  At this size a dense complex (2j+1)^2 operator takes
 1 GiB; above it those builders raise ValueError before allocating."""
 
+# A plain sum of squares in [_SQ_MIN, _SQ_MAX] is used as it stands: at
+# 2^-969, the smallest normal double times 2^53, squares that fall into the
+# subnormal range cost it less than an ulp, and at half the largest double
+# no partial sum can overflow.  Outside it (or NaN) amplitudes are first
+# divided by their largest magnitude, as LAPACK's dnrm2 scales.
+_SQ_MIN = 2.0**-969
+_SQ_MAX = 2.0**1023
+
 
 @dataclass(frozen=True, order=True)
 class HalfInt:
@@ -133,6 +141,16 @@ def m_index(j, m) -> int:
     return (j.twice - m.twice) // 2
 
 
+def _unit_scaled(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """(amps / s, s) with s = max|amps|, for a sum of squares out of range.
+
+    A zero, infinite or NaN s is the norm itself (0, inf or NaN); amps is
+    then returned undivided.
+    """
+    scale = float(np.abs(amps).max())
+    return (amps / scale if 0.0 < scale < math.inf else amps), scale
+
+
 @dataclass(frozen=True, eq=False)
 class StateVec:
     """A vector in the spin-j space, basis descending in m.
@@ -185,7 +203,19 @@ class StateVec:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """The 2-norm, without overflow or underflow in its sum of squares.
+
+        np.vdot's sum of squares, which overflows to inf or NaN without a
+        warning, decides the range: inside it the result is np.linalg.norm's;
+        outside it the sum is taken over amps / max|amps|.
+        """
+        amps = self.amps
+        if _SQ_MIN <= np.vdot(amps, amps).real <= _SQ_MAX:
+            return float(np.linalg.norm(amps))
+        unit, scale = _unit_scaled(amps)
+        if not 0.0 < scale < math.inf:
+            return scale
+        return scale * math.sqrt(np.vdot(unit, unit).real)
 
     def normalized(self) -> "StateVec":
         n = self.norm

@@ -123,6 +123,57 @@ def test_pauli_word_apply_matches_matrix():
         assert np.max(np.abs(undone - state.amps)) < 1e-14
 
 
+def _old_roots(n):
+    return np.exp(1j * math.pi * np.arange(2 * n) / n)
+
+
+def _old_phases(n, b, c):
+    # The phase path before the cached index tables: the exponent
+    # (b 2x + c) mod 2n rebuilt on every call.
+    return _old_roots(n)[(b * (2 * np.arange(n)) + c) % (2 * n)]
+
+
+def test_phase_tables_match_the_rebuilt_exponents_byte_for_byte():
+    rng = np.random.default_rng(17)
+    words = [(1, 0, 0, 0), (1, 0, 0, 1), (1, -3, 5, -1), (2, 1, 1, 3), (2, -1, -1, -1), (2, 0, 1, 2)]
+    for n in (1, 2, 3, 9, 18, 882, 900):
+        words.append((n, 0, n - 1, 2 * n - 1))
+        words.append((n, n - 1, 1, 2 * n - 1))
+        words.append((n, 1, n - 1, 0))
+        words.append((n, 2, n // 2 + 1, 0))
+        words += [(n, *(int(v) for v in rng.integers(-3 * n, 3 * n, size=3))) for _ in range(6)]
+    for n, a, b, c in words:
+        w = PauliWord(n, a, b, c)
+        assert 0 <= w.b < n and 0 <= w.c < 2 * n
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        phased = amps * _old_phases(n, w.b, w.c)
+        want = np.concatenate((phased[n - w.a:], phased[:n - w.a]))
+        got = finite_gkp._apply_word(amps, n, w.a, w.b, w.c)
+        assert got.tobytes() == want.tobytes(), (n, a, b, c)
+        state = StateVec(PauliWord(n, 0, 0).to_operator().j, amps)
+        assert w.apply(state).amps.tobytes() == want.tobytes()
+        x = np.arange(n)
+        mat = np.zeros((n, n), dtype=complex)
+        mat[(x + w.a) % n, x] = _old_phases(n, w.b, w.c)
+        assert w.to_operator().mat.tobytes() == mat.tobytes(), (n, a, b, c)
+        assert w.phase == complex(_old_roots(n)[w.c])
+
+
+def test_phase_tables_are_bounded_and_read_only():
+    info = finite_gkp._phase_index.cache_info()
+    assert info.maxsize is not None and finite_gkp._roots.cache_info().maxsize is not None
+    index = finite_gkp._phase_index(900, 7)
+    roots = finite_gkp._roots(900)
+    # intp: the index type numpy gathers with, so no per-gather cast
+    assert index.dtype == np.intp and index.shape == (900,) and roots.shape == (3600,)
+    for table in (index, roots):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert index.tolist() == [(2 * 7 * x) % 1800 for x in range(900)]
+    assert np.array_equal(roots[1800:], roots[:1800])
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         GkpParams(1, 3, 3)
@@ -351,6 +402,39 @@ def test_round_outputs_pinned():
                     rounds += 1
     assert rounds == 2255
     assert digest.hexdigest() == "056669633a3a76010d35767d9b20d46e6aeccb7d12eb82a22923299fcfdfa53a"
+
+
+def test_rounds_add_one_phase_table_per_shift_class():
+    # A round's error key b mod n and undo key -bhat mod n lie in one
+    # symmetric window, and b and n - b share a table, so every
+    # tiling-window round of a code reads at most r2 // 2 + 1 index tables.
+    finite_gkp._phase_index.cache_clear()
+    for dims in BENCHMARK_CODES:
+        params = GkpParams(*dims)
+        before = finite_gkp._phase_index.cache_info().currsize
+        for word in build_gkp_code(params).codewords:
+            for a in tiling_window(params.r1):
+                for b in tiling_window(params.r2):
+                    syndrome_and_recover(params, a, b, word)
+        assert finite_gkp._phase_index.cache_info().currsize - before <= params.r2 // 2 + 1, dims
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_round_on_a_scaled_code_state(scale):
+    # A finite code state whose sum of squares overflows or underflows is
+    # checked on amps / max|amps|: the round returns the scaled recovery.
+    for params in (GkpParams(2, 3, 3), GkpParams(4, 15, 15)):
+        word = build_gkp_code(params).codewords[1]
+        scaled = StateVec(params.spin_label, word.amps * scale)
+        for a, b in ((0, 0), (1, -1), (params.r1 + 1, 2 * params.r2 - 1)):
+            plain = syndrome_and_recover(params, a, b, word)
+            out = syndrome_and_recover(params, a, b, scaled)
+            assert (out.a_hat, out.b_hat, out.logical_error) == (plain.a_hat, plain.b_hat, plain.logical_error)
+            assert np.max(np.abs(out.recovered.amps / scale - plain.recovered.amps)) < 1e-15
+        skewed = word.amps.copy()
+        skewed[params.r1] *= 2.0  # the first tooth of codeword 1
+        with pytest.raises(ValueError, match="code space"):
+            syndrome_and_recover(params, 0, 0, StateVec(params.spin_label, skewed * scale))
 
 
 def _residues_from_eigenphases(params, state):

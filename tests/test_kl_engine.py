@@ -262,6 +262,30 @@ def test_relative_rotation_signs_match_compose():
     assert np.all(alpha[same] == 0.0) and np.all(beta[same] == 0.0) and np.all(gamma[same] == 0.0)
 
 
+def test_sign_free_angles_match_relative_rotations_bytes():
+    # The scan's sign-free path against the public one, for every error-set
+    # kind; the explicit list holds pairs whose T sits on the beta = 0 and
+    # beta = pi ties.
+    ties = [EulerAngles(0.3, 0.0, 0.0), EulerAngles(1.1, math.pi, 0.2), EulerAngles(4.0, math.pi, 5.9)]
+    sets = [
+        equatorial_z(0.4, 12),
+        conjugated_y(1.3, 0.25, 12),
+        conjugated_z_about_x(0.5, 0.9, 12),
+        explicit_list(ties + haar_random_sequence(5, 5)),
+    ]
+    at_pole = at_flip = 0
+    for errs in sets:
+        rots = sample_rotations(errs, 7)
+        left, right = np.divmod(np.arange(len(rots) ** 2), len(rots))
+        want = relative_rotations(rots, left, right)[:3]
+        got = rotations._relative_angles(rots, left, right)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), errs.kind
+        at_pole += int(np.sum(got[1] == 0.0))
+        at_flip += int(np.sum(got[1] == math.pi))
+    assert at_pole > 0 and at_flip > 0
+
+
 @pytest.mark.parametrize("j", [24, 60, 100])
 def test_brute_force_matches_closed_form_at_large_j(j):
     code = build_codewords(equatorial_qudit(j, 3))

@@ -6,9 +6,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from spinqec import lll_codes
 from spinqec.lll_codes import (
     Codewords,
     antipodal,
@@ -21,10 +23,11 @@ from spinqec.lll_codes import (
     hermitian_check_ops,
     logical_operators,
     matrix_element_table,
+    matrix_element_tables,
 )
 from spinqec.coherent import SphPoint, coherent_state
 from spinqec.qec_check import equatorial_z, kl_check
-from spinqec.rotations import EulerAngles, haar_random, wigner_D_matrix
+from spinqec.rotations import EulerAngles, haar_random, haar_random_sequence, wigner_D_matrix
 from spinqec.spin_core import HalfInt, m_values
 
 
@@ -326,3 +329,45 @@ def test_clock_shift_covariance_to_rounding_up_to_j_100(twice):
         xbar, zbar = logical.xbar.mat, logical.zbar.mat
         residual = np.max(np.abs(zbar @ xbar - cmath.exp(2j * math.pi / d) * xbar @ zbar))
         assert residual <= 1e-14, (twice, d, residual)
+
+
+@pytest.mark.parametrize("n_cosets", [16, 8])
+def test_matrix_element_tables_within_the_summation_bound(n_cosets):
+    # 40-digit evaluation of the same sums from the same double inputs:
+    # the error stays within (sqrt(2) gamma_(P_a + P_b + 3) + eta) S_ab of
+    # the matrix_element_tables docstring, eta = 8 (2j + 1) u.
+    code = build_codewords(cyclic_qubit(8, n_cosets))
+    tj = code.spec.j.twice
+    rots = haar_random_sequence(3, 6)
+    got = matrix_element_tables(code, [[getattr(r, k) for r in rots] for k in ("alpha", "beta", "gamma")])
+    owner, thetas, phis, coeffs = lll_codes._point_arrays(code.components)
+    u = 2.0**-53
+    worst = 0.0
+    with mp.workdps(40):
+        points = [
+            (mp.cos(mp.mpf(t) / 2), mp.sin(mp.mpf(t) / 2), mp.expj(mp.mpf(p)))
+            for t, p in zip(thetas.tolist(), phis.tolist())
+        ]
+        cs = [mp.mpc(c) for c in coeffs.tolist()]
+        for r, rot in enumerate(rots):
+            alpha, beta, gamma = (mp.mpf(x) for x in (rot.alpha, rot.beta, rot.gamma))
+            a = mp.expj(-(alpha + gamma) / 2) * mp.cos(beta / 2)
+            b = mp.expj((alpha - gamma) / 2) * mp.sin(beta / 2)
+            exact = [[mp.mpc(0)] * 2 for _ in range(2)]
+            for o, (c_o, s_o, e_o) in enumerate(points):
+                for i, (c_i, s_i, e_i) in enumerate(points):
+                    base = c_o * (a * c_i - mp.conj(b) * e_i * s_i) + mp.conj(e_o) * s_o * (
+                        b * c_i + mp.conj(a) * e_i * s_i
+                    )
+                    exact[owner[o]][owner[i]] += mp.conj(cs[o]) * cs[i] * base**tj
+            for x in range(2):
+                for y in range(2):
+                    p_x, p_y = int(np.sum(owner == x)), int(np.sum(owner == y))
+                    s_xy = float(np.sum(np.abs(coeffs[owner == x])) * np.sum(np.abs(coeffs[owner == y])))
+                    m = p_x + p_y + 3
+                    bound = (math.sqrt(2.0) * m * u / (1.0 - m * u) + 8 * (tj + 1) * u) * s_xy
+                    err = float(abs(mp.mpc(complex(got[r, x, y])) - exact[x][y]))
+                    assert err <= bound, (r, x, y, err, bound)
+                    worst = max(worst, err / s_xy)
+    # the observed error is a small share of the bound, not near it
+    assert worst < 10 * u

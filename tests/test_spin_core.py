@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -155,6 +156,39 @@ def test_statevec_basics():
         StateVec(j, [1.0, 0.0])
     with pytest.raises(ValueError):
         StateVec(j, np.zeros(3)).normalized()
+
+
+def _exact_norm(amps):
+    with mpmath.workdps(40):
+        return mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(v.real)) ** 2 + mpmath.mpf(float(v.imag)) ** 2 for v in amps))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
+def test_statevec_norm_outside_the_plain_range(scale):
+    # Sums of squares that overflow or underflow: the norm is taken over
+    # amps / max|amps| and stays within 1e-15 of the exact value.
+    rng = np.random.default_rng(4)
+    for dim in (1, 6, 900):
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        big = StateVec(HalfInt(dim - 1), amps / np.linalg.norm(amps) * scale)
+        exact = _exact_norm(big.amps)
+        assert abs(big.norm - exact) <= 1e-15 * exact
+        assert abs(big.normalized().norm - 1.0) < 1e-15
+
+
+def test_statevec_norm_keeps_plain_bits_in_range():
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 7, 64, 900):
+        for scale in (1.0, 1e-100, 3e120, 1e-140, 1e150):
+            amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * scale
+            assert StateVec(HalfInt(dim - 1), amps).norm == float(np.linalg.norm(amps))
+    j = HalfInt(2)
+    assert StateVec(j, np.zeros(3)).norm == 0.0
+    assert StateVec(j, [1.0, np.inf, 0.0]).norm == math.inf
+    assert math.isnan(StateVec(j, [1.0, np.nan, 0.0]).norm)
+    assert StateVec(j, [1e308, 1e308, 1e308]).norm == math.sqrt(3.0) * 1e308
+    # a norm past the largest double is inf, without a warning
+    assert StateVec(HalfInt(4), np.full(5, 1e308)).norm == math.inf
 
 
 def test_statevec_amps_read_only():
