@@ -67,6 +67,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# Magnitudes below exp(_LN_FLOOR) are returned as exact zeros.
+_LN_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,11 @@ class SphPoint:
         theta = float(self.theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        object.__setattr__(self, "phi", phi % _TWO_PI)
 
     @staticmethod
     def north() -> "SphPoint":
@@ -207,7 +212,7 @@ def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray
             0.5 * np.log1p((big - 1.0) * (big + 1.0) + small * small),
             np.log(mag),
         )
-    clamped = ~zero & (ln_mag < -700.0)
+    clamped = ~zero & (ln_mag < _LN_FLOOR)
     keep = ~(zero | clamped)
     # base = i^q |base| exp(i a): q = 0, 2 when |x| >= |y|, q = 1, 3 otherwise
     quarter = np.where(swap, 3 - 2 * (y > 0.0), 2 * (x < 0.0))
@@ -230,16 +235,47 @@ def overlap(j, p1: SphPoint, p2: SphPoint) -> complex:
 
 
 def overlap_magnitude(j, p1: SphPoint, p2: SphPoint) -> float:
-    """|<Omega1|Omega2>| = ((1 + n1.n2)/2)^j."""
+    """|<Omega1|Omega2>| = |cos(gamma/2)|^(2j) = ((1 + n1.n2)/2)^j.
+
+    gamma, the angle between the two points, is 2 atan2(|n1 - n2|,
+    |n1 + n2|), accurate at every separation (Kahan, "Miscalculating Area
+    and Angles of a Needle-like Triangle", 2014), where 1 + n1.n2 loses
+    all relative accuracy near the antipode and 1 - n1.n2 near
+    coincidence.  The power is _ln_overlap_magnitude's; values below
+    exp(-700) are exact zeros.
+    """
     j = _spin(j)
-    if j.twice == 0:  # base^0 = 1, also for antipodal points
-        return 1.0
-    dot = float(np.dot(p1.n, p2.n))
-    base = max(0.0, (1.0 + dot) / 2.0)
-    if base == 0.0:
-        return 0.0
-    ln_mag = j.value * math.log(base) if base < 1.0 else 0.0
-    return math.exp(ln_mag) if ln_mag > -700.0 else 0.0
+    n1, n2 = p1.n, p2.n
+    gamma = 2.0 * math.atan2(math.dist(n1, n2), math.dist(n1, -n2))
+    ln_mag = _ln_overlap_magnitude(gamma, j.twice)
+    return math.exp(ln_mag) if ln_mag > _LN_FLOOR else 0.0
+
+
+def _ln_overlap_magnitude(y: float, tj) -> float:
+    """ln |((1 + exp(i y))/2)^(2j)| = 2j ln|cos(y/2)|, any finite real y.
+
+    The one real kernel of the overlap law |<Omega1|Omega2>| =
+    |cos(gamma/2)|^(2j): recovery's decode (_correct_and_decode) and
+    tail_failure, lll_codes._coset_filter (cyclic_normalization,
+    cyclic_overlap_closed_form), qec_check.equatorial_offdiag_bound and
+    overlap_magnitude all take it from here.  y is first reduced into
+    [-pi, pi].  Up to |y| = pi/2, where |cos(y/2)| >= cos(pi/4), about
+    where _pow_two_j_arrays switches to log1p, |cos(y/2)| =
+    1 - 2 sin^2(y/4) goes through log1p, whose argument stays above -0.3;
+    beyond, it is sin((pi - |y|)/2), exactly 0 at |y| = pi, where the
+    result is -inf, or 0.0 at spin 0 (tj = 0).
+
+    pi - |y| is taken with math.pi, which is right for angles built from
+    math.pi (lattice azimuths, 2 pi/d) or by atan2.  tail_failure's
+    epsilon is a user angle meant exactly, so past pi/2 it keeps its own
+    branch with the missing pi - math.pi; adding that here would move the
+    bits of recover's decode.
+    """
+    y = abs(math.remainder(y, _TWO_PI))
+    if y <= 0.5 * math.pi:
+        return tj * math.log1p(-2.0 * math.sin(0.25 * y) ** 2)
+    mag = math.sin(0.5 * (math.pi - y))
+    return tj * math.log(mag) if mag > 0.0 else (-math.inf if tj else 0.0)
 
 
 def rotation_matrix_element(

@@ -26,6 +26,7 @@ import numpy as np
 
 from .coherent import (
     SphPoint,
+    _ln_overlap_magnitude,
     coherent_amplitudes,
     diagonal_operator,
     rotation_matrix_elements,
@@ -163,8 +164,13 @@ def _coset_filter(tj: int, n: int, big_theta: float, odd: int) -> complex:
     sum_k (-1)^(k odd) exp(ik N Theta) C(2j, kN).  Every term is a
     product of magnitudes, not a difference, so large j neither
     overflows nor cancels: shifts by pi are reduced in integers, and
-    log cos(y) = log1p(-2 sin^2(y/2)) keeps the dominant terms accurate.
+    each |cos(y)|^(2j) is the overlap law's kernel at 2y
+    (coherent._ln_overlap_magnitude).
     """
+    if n < 1:
+        raise ValueError(f"n_cosets must be at least 1, got {n}")
+    if not math.isfinite(big_theta):
+        raise ValueError(f"big_theta must be finite, got {big_theta}")
     q = 2 * np.arange(n) + odd
     f = q % (2 * n)
     f = np.where(f > n, f - 2 * n, f)  # q/(2N) = f/(2N) + (q - f)/(2N), f in (-N, N]
@@ -174,9 +180,7 @@ def _coset_filter(tj: int, n: int, big_theta: float, odd: int) -> complex:
     # cos(x_r) = (-1)^shifts cos(y); fold that sign into the integer phase.
     shifts = (q - f) // (2 * n) + turns.astype(np.int64)
     phase = (tj * q + 2 * n * tj * shifts) % (4 * n)
-    with np.errstate(divide="ignore"):
-        ln_cos = np.log1p(np.maximum(-1.0, -2.0 * np.sin(0.5 * y) ** 2))
-    mag = np.exp(tj * ln_cos) if tj else np.ones(n)
+    mag = np.array([math.exp(_ln_overlap_magnitude(2.0 * v, tj)) for v in y.tolist()])
     return complex(np.sum(mag * np.exp(1j * math.pi * phase / (2 * n))))
 
 

@@ -245,35 +245,40 @@ _SAFE_LN = 200.0 * math.log(2.0)
 _SAFE_MIN = 2.0**-200
 
 
-def _exp_parts(ln_value):
-    """exp(ln_value) = value * 2**k, with k = 0 and value = exp(ln_value)
-    (math.exp for a scalar) while |ln_value| <= _SAFE_LN."""
-    if np.ndim(ln_value) == 0:
-        ln_value = float(ln_value)
-        if abs(ln_value) <= _SAFE_LN:
-            return math.exp(ln_value), 0
-        k = round(ln_value / math.log(2.0))
-        return math.exp((ln_value - k * _LN2_HI) - k * _LN2_LO), k
-    if np.max(np.abs(ln_value), initial=0.0) <= _SAFE_LN:
-        return np.exp(ln_value), 0
-    far = np.abs(ln_value) > _SAFE_LN
+def _exp_parts(ln_value, far=None):
+    """exp(ln_value) = value * 2**k, the package's one Cody-Waite split.
+
+    Entries of the mask far, by default those with |ln_value| > _SAFE_LN,
+    take k = round(ln_value / ln 2) and value = exp(ln_value - k ln 2)
+    with k ln 2 in two parts; the rest keep k = 0 and value =
+    exp(ln_value) (math.exp for a scalar with no mask).
+    """
+    if far is None:
+        if np.ndim(ln_value) == 0:
+            ln_value = float(ln_value)
+            if abs(ln_value) <= _SAFE_LN:
+                return math.exp(ln_value), 0
+            k = round(ln_value / math.log(2.0))
+            return math.exp((ln_value - k * _LN2_HI) - k * _LN2_LO), k
+        if np.max(np.abs(ln_value), initial=0.0) <= _SAFE_LN:
+            return np.exp(ln_value), 0
+        far = np.abs(ln_value) > _SAFE_LN
     k = np.where(far, np.rint(ln_value / math.log(2.0)), 0.0)
     return np.exp(np.where(far, (ln_value - k * _LN2_HI) - k * _LN2_LO, ln_value)), k.astype(np.int64)
 
 
 def _power_parts(base, n):
     """base**n = value * 2**k for |base| <= 1 and integers n >= 0, with
-    k = 0 and value = base**n itself down to 2**-200."""
+    k = 0 and value = base**n itself down to 2**-200; below, _exp_parts
+    splits n ln|base| (its mask is the value's, so a value an ulp below
+    2**-200 is split even where the logarithm rounds onto the threshold)."""
     value = base**n
     far = (np.abs(value) < _SAFE_MIN) & (base != 0.0)
     if not far.any():
         return value, 0
-    with np.errstate(divide="ignore"):
-        ln = n * np.log(np.abs(np.where(far, base, 1.0)))
-    k = np.rint(ln / math.log(2.0))
-    r = (ln - k * _LN2_HI) - k * _LN2_LO
+    scaled, k = _exp_parts(n * np.log(np.abs(np.where(far, base, 1.0))), far)
     sign = np.where((base < 0.0) & (n % 2 == 1), -1.0, 1.0)
-    return np.where(far, sign * np.exp(r), value), k.astype(np.int64)
+    return np.where(far, sign * scaled, value), k
 
 
 def lowest_level_bridge(j, m, n_theta: int = 8, n_phi: int = 8) -> float:

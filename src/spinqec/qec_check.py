@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .coherent import _ln_overlap_magnitude
 from .lll_codes import Codewords, matrix_element_tables
 from .rotations import EulerAngles, Su2, _relative_angles, euler_from_su2, su2_from_euler
 from .spin_core import HalfInt, _spin, axis_operator, m_values
@@ -313,11 +314,16 @@ def correctable_angle(j, d: int, eps: float) -> CorrectableAngle:
 
 
 def equatorial_offdiag_bound(j, d: int, t_max: float) -> float:
-    """((1 + cos(2pi/d - t_max))/2)^j: the nearest-neighbor overlap bound
-    for relative rotations up to t_max."""
+    """((1 + cos(2pi/d - t_max))/2)^j = |cos(pi/d - t_max/2)|^(2j): the
+    nearest-neighbor overlap bound for relative rotations up to t_max.
+
+    The overlap law's kernel (coherent._ln_overlap_magnitude) at
+    2pi/d - t_max, exponentiated: exact 1 at spin 0, 0.0 where it
+    underflows, and full relative accuracy where 1 + cos would cancel.
+    """
     j = _spin(j)
     if d < 2:
         raise ValueError("d must be at least 2")
-    base = (1.0 + math.cos(2.0 * math.pi / d - t_max)) / 2.0
-    # float pow: 0^0 = 1 at spin 0, and underflow gives 0 without raising
-    return max(0.0, min(1.0, base)) ** j.value
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
+    return math.exp(_ln_overlap_magnitude(2.0 * math.pi / d - t_max, j.twice))

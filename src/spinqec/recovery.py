@@ -40,7 +40,9 @@ magnitudes C_ab = |cos(pi (b - a)/d)|^(2j), a real symmetric circulant
 with C_aa = 1.  The phases p_a, exp(i j s) and exp(i j (phi_k - phi_a))
 enter ov and the gram matrix only as diagonal unitaries, so they cancel
 exactly from ov^H G^-1 ov = v^T C^-1 v, and the round reads d real
-numbers.  C is circulant, so its eigenvalues are known exactly; each
+numbers, each ln v_a from coherent._ln_overlap_magnitude, the package's
+one kernel of the real overlap law (the tail mass takes it too, up to
+epsilon = pi/2).  C is circulant, so its eigenvalues are known exactly; each
 (j, d) keeps the DFT that diagonalizes it, scaled by them, read-only in a
 bounded cache (32 entries).
 
@@ -57,6 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coherent import (
+    _ln_overlap_magnitude,
     _pow_two_j_arrays,
     coherent_amplitudes,
     rotation_matrix_elements,
@@ -282,7 +285,10 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
     s = math.sin(0.25 * rest)
     # z^a (1 - z)^a / (a B(a, a)) with z = s^2: z (1 - z) = cos^2(eps/2)/4, and
     # 1/B(a, a) = 2^(2a-1) Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) by duplication;
-    # ln cos(eps/2) is ln sin(rest/2) past pi/2, where log1p would cancel
+    # ln cos(eps/2) is ln sin(rest/2) past pi/2, where log1p would cancel.
+    # That branch stays here: the shared kernel takes pi - |y| with math.pi,
+    # right for its callers' math.pi-built angles, while epsilon is meant
+    # exactly and needs the extra pi - math.pi of rest.
     if epsilon <= 0.5 * math.pi:
         ln_cos = _ln_overlap_magnitude(epsilon, 2.0 * a)
     else:
@@ -344,22 +350,6 @@ def _peak_offset(tj: int, rng) -> float:
     """One exact draw x from the peak density cos^(2 tj)(x/2) on [-pi, pi]."""
     b = rng.beta(tj + 0.5, tj + 0.5)
     return 2.0 * math.asin(2.0 * b - 1.0)
-
-
-def _ln_overlap_magnitude(y: float, tj: int) -> float:
-    """ln |((1 + exp(i y))/2)^(2j)| = 2j ln|cos(y/2)|, any real y.
-
-    y is first reduced into [-pi, pi].  Up to |y| = pi/2, where
-    |cos(y/2)| >= cos(pi/4), about where _pow_two_j_arrays switches to
-    log1p, |cos(y/2)| = 1 - 2 sin^2(y/4) goes through log1p, whose
-    argument stays above -0.3; beyond, it is sin((pi - |y|)/2), exactly 0
-    at |y| = pi, where the result is -inf.
-    """
-    y = abs(math.remainder(y, _TWO_PI))
-    if y <= 0.5 * math.pi:
-        return tj * math.log1p(-2.0 * math.sin(0.25 * y) ** 2)
-    mag = math.sin(0.5 * (math.pi - y))
-    return tj * math.log(mag) if mag > 0.0 else -math.inf
 
 
 @lru_cache(maxsize=32)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinqec.coherent import SphPoint, coherent_amplitudes, overlap_magnitude, y_symbol
+from spinqec.lll_codes import cyclic_normalization, cyclic_overlap_closed_form
 from spinqec.qec_check import (
     ErrorSet,
     conjugated_y,
@@ -51,6 +52,40 @@ def test_error_set_rejects_non_finite(make, name):
 )
 def test_closed_form_bounds_reject_empty_domain(call, match):
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: equatorial_offdiag_bound(4, 3, math.nan), "t_max"),
+        (lambda: equatorial_offdiag_bound(4, 3, math.inf), "t_max"),
+        (lambda: cyclic_normalization(8, 0), "n_cosets"),
+        (lambda: cyclic_normalization(8, -2), "n_cosets"),
+        (lambda: cyclic_overlap_closed_form(8, 0, 0.3), "n_cosets"),
+        (lambda: cyclic_overlap_closed_form(8, 3, math.nan), "big_theta"),
+        (lambda: cyclic_overlap_closed_form(8, 3, -math.inf), "big_theta"),
+        (lambda: SphPoint(0.3, math.nan), "phi"),
+        (lambda: SphPoint(0.3, math.inf), "phi"),
+        (lambda: SphPoint(math.nan, 0.3), "theta"),
+    ],
+    ids=[
+        "equatorial_offdiag_bound-nan",
+        "equatorial_offdiag_bound-inf",
+        "cyclic_normalization-N-0",
+        "cyclic_normalization-N-negative",
+        "cyclic_overlap_closed_form-N-0",
+        "cyclic_overlap_closed_form-nan",
+        "cyclic_overlap_closed_form-inf",
+        "SphPoint-phi-nan",
+        "SphPoint-phi-inf",
+        "SphPoint-theta-nan",
+    ],
+)
+def test_overlap_law_callers_reject_bad_input(call, name):
+    # each of these used to come back as a silent number (1.0, 0.0, -0.0),
+    # a ZeroDivisionError or a numpy cast warning
+    with pytest.raises(ValueError, match=rf"^{name} "):
         call()
 
 

@@ -1,22 +1,37 @@
-"""Each closed form has one array kernel; its callers agree with the
-per-point evaluations it replaced and with 40-digit references."""
+"""Each closed form has one kernel; its callers agree with the
+per-point evaluations it replaced and with 40- and 50-digit references."""
 
+import importlib
 import math
+import pkgutil
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from spinqec import monopole
+import spinqec
+from spinqec import coherent, monopole, recovery
 from spinqec.coherent import (
     SphPoint,
+    _ln_overlap_magnitude,
     _pow_two_j_arrays,
     coherent_state,
     equatorial_matrix_element,
     overlap,
+    overlap_magnitude,
 )
-from spinqec.lll_codes import antipodal, build_codewords, cyclic_qubit, equatorial_qudit
+from spinqec.lll_codes import (
+    antipodal,
+    build_codewords,
+    cyclic_normalization,
+    cyclic_overlap_closed_form,
+    cyclic_qubit,
+    equatorial_qudit,
+)
 from spinqec.monopole import build_full_landau_code, harmonic_table, monopole_Y
+from spinqec.qec_check import equatorial_offdiag_bound
+from spinqec.recovery import recover, tail_failure
 from spinqec.rotations import EulerAngles, _half_angles, su2_from_euler
 from spinqec.spin_core import HalfInt
 
@@ -228,3 +243,251 @@ def test_one_jacobi_route_call_per_harmonic_and_per_code(monkeypatch):
     calls.clear()
     monopole_Y(0.5, 2.5, 0.5)(0.3, 0.2)
     assert calls == [(1, 5, 1)]
+
+
+# ----------------------------------------------------------------------
+# The real overlap law |cos(y/2)|^(2j): one kernel, _ln_overlap_magnitude
+# ----------------------------------------------------------------------
+
+
+def _mp_overlap_law(j, p1, p2):
+    """|<Omega1|Omega2>| = (|n1 + n2|^2/4)^j at 50 digits, from the stored doubles."""
+    with mp.workdps(50):
+        ns = []
+        for p in (p1, p2):
+            t, f = mp.mpf(p.theta), mp.mpf(p.phi)
+            ns.append((mp.sin(t) * mp.cos(f), mp.sin(t) * mp.sin(f), mp.cos(t)))
+        return (sum((a + b) ** 2 for a, b in zip(*ns)) / 4) ** mp.mpf(j)
+
+
+@pytest.mark.parametrize("j", [2, 50, 1000, 10**6])
+def test_overlap_magnitude_nearby_pairs_against_mpmath(j):
+    # separation about 1/sqrt(j) keeps the value O(1); (1 + n1.n2)/2 rounded
+    # the information 1 - |base| at absolute 2^-53, 1.5e-10 off at j = 10^6
+    rng = np.random.default_rng(j)
+    worst = 0.0
+    for _ in range(60):
+        t1, f1 = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+        sep, psi = rng.uniform(0.2, 2.0) / math.sqrt(j), rng.uniform(0.0, 2.0 * math.pi)
+        t2 = min(math.pi, max(0.0, t1 + sep * math.cos(psi)))
+        f2 = f1 + sep * math.sin(psi) / max(0.05, math.sin(t1))
+        p1, p2 = SphPoint(t1, f1), SphPoint(t2, f2)
+        ref = _mp_overlap_law(j, p1, p2)
+        worst = max(worst, float(abs(overlap_magnitude(j, p1, p2) / ref - 1)))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 2, 5])
+def test_overlap_magnitude_near_antipode_against_mpmath(j):
+    # 1e-7 to 1e-3 from the antipode; 1 + n1.n2 was up to 13 % off here
+    rng = np.random.default_rng(int(2 * j))
+    worst = 0.0
+    for _ in range(60):
+        t1, f1 = math.acos(rng.uniform(-0.9, 0.9)), rng.uniform(0.0, 2.0 * math.pi)
+        sep, psi = 10 ** rng.uniform(-7.0, -3.0), rng.uniform(0.0, 2.0 * math.pi)
+        t2 = math.pi - t1 + sep * math.cos(psi)
+        f2 = f1 + math.pi + sep * math.sin(psi) / math.sin(t1)
+        p1, p2 = SphPoint(t1, f1), SphPoint(t2, f2)
+        ref = _mp_overlap_law(j, p1, p2)
+        worst = max(worst, float(abs(overlap_magnitude(j, p1, p2) / ref - 1)))
+    assert worst < 1e-7
+
+
+def test_overlap_magnitude_exact_cases():
+    rng = np.random.default_rng(4)
+    points = [SphPoint(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 7.0)) for _ in range(20)]
+    points += [SphPoint.north(), SphPoint.south(0.4), SphPoint(math.pi / 2.0, 0.0)]
+    for twice in (0, 1, 2, 7, 4000):
+        for p in points:
+            assert overlap_magnitude(HalfInt(twice), p, p) == 1.0
+    for twice in (1, 2, 3, 4000):
+        for phi in (0.0, 0.4, 3.0):
+            assert overlap_magnitude(HalfInt(twice), SphPoint.north(), SphPoint.south(phi)) == 0.0
+    # spin 0 has one state: every overlap is exactly 1
+    for p, q in zip(points, points[1:]):
+        assert overlap_magnitude(HalfInt(0), p, q) == 1.0
+
+
+@pytest.mark.parametrize("j", [0.5, 1])
+@pytest.mark.parametrize("t_max", [1e-3, 1e-5, 1e-6])
+def test_equatorial_offdiag_bound_near_antipode_against_mpmath(j, t_max):
+    # (1 + cos(pi - t))/2 = sin^2(t/2) cancels in 1 + cos: 8.9e-5 off at
+    # j = 1, t = 1e-6; the reference takes pi exactly, so the 1.2e-16 of
+    # math.pi is in the error, about 1.2e-10 relative at t = 1e-6
+    with mp.workdps(50):
+        ref = ((1 + mp.cos(mp.pi - mp.mpf(t_max))) / 2) ** mp.mpf(j)
+        assert float(abs(equatorial_offdiag_bound(j, 2, t_max) / ref - 1)) < 1e-9
+
+
+def test_equatorial_offdiag_bound_exact_ends():
+    assert equatorial_offdiag_bound(5, 2, 0.0) == 0.0
+    assert equatorial_offdiag_bound(10**6, 3, 0.1) == 0.0
+    assert equatorial_offdiag_bound(12, 3, 2.0 * math.pi / 3.0) == 1.0
+
+
+@pytest.mark.parametrize("tj", list(range(0, 41)) + [255, 256, 511, 1000, 1023, 1024])
+def test_cyclic_normalization_against_binomial_sums(tj):
+    # N times a sum of N unit-bounded terms: the error is absolute, near
+    # N^2 2^-53, so where the binomial sum is small next to N^2 (N near 2j)
+    # the relative error grows, as it always has
+    row = [math.comb(tj, k) for k in range(tj + 1)]
+    for n in range(1, 17):
+        exact = Fraction(n * n * sum(row[::n]), 2**tj)
+        assert abs(Fraction(cyclic_normalization(HalfInt(tj), n)) - exact) < 1e-13
+
+
+def _former_ln_overlap_magnitude(y, tj):
+    # the kernel as it stood in recovery, verbatim
+    y = abs(math.remainder(y, 2.0 * math.pi))
+    if y <= 0.5 * math.pi:
+        return tj * math.log1p(-2.0 * math.sin(0.25 * y) ** 2)
+    mag = math.sin(0.5 * (math.pi - y))
+    return tj * math.log(mag) if mag > 0.0 else -math.inf
+
+
+def test_kernel_bytes_equal_former_recovery_kernel():
+    rng = np.random.default_rng(9)
+    ys = np.concatenate(
+        [
+            rng.uniform(-20.0, 20.0, 2000),
+            math.pi * np.array([0.5, -0.5, 1.0, -1.0, 2.0, 3.0]),
+            [math.nextafter(0.5 * math.pi, 0.0), math.nextafter(0.5 * math.pi, 4.0), 0.0, -0.0],
+        ]
+    ).tolist()
+    for tj in (1, 2, 5, 16, 101, 4000, 2 * 10**6, 4.0 * 7 + 1.0):
+        for y in ys:
+            got, want = _ln_overlap_magnitude(y, tj), _former_ln_overlap_magnitude(y, tj)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (y, tj)
+    # the one change: spin 0 is ln 1 = 0 also at |y| = pi, where it was -inf
+    assert _ln_overlap_magnitude(math.pi, 0) == 0.0
+    assert _ln_overlap_magnitude(-3.0 * math.pi, 0) == 0.0
+
+
+def _former_tail_failure(j, epsilon):
+    # tail_failure's arithmetic before the kernel moved, with its kernel inlined
+    j = HalfInt.of(j)
+    jv = j.value
+    laplace = math.sqrt(2.0 / (math.pi * jv)) * math.exp(-jv * epsilon * epsilon / 2.0) / epsilon
+    if epsilon == math.pi:
+        return 0.0, laplace, 0.0
+    a = j.twice + 0.5
+    rest = (math.pi - epsilon) + recovery._PI_LO
+    s = math.sin(0.25 * rest)
+    if epsilon <= 0.5 * math.pi:
+        ln_cos = _former_ln_overlap_magnitude(epsilon, 2.0 * a)
+    else:
+        ln_cos = 2.0 * a * math.log(math.sin(0.5 * rest))
+    ln_front = (
+        ln_cos
+        - math.log(2.0)
+        - 0.5 * math.log(math.pi)
+        - math.log(a)
+        + recovery._ln_gamma_half_step(a)
+    )
+    cf = recovery._beta_cf(a, s * s)
+    numeric = min(1.0, 2.0 * math.exp(ln_front) * cf)
+    ln_numeric = min(0.0, math.log(2.0) + ln_front + math.log(cf))
+    ln_laplace = 0.5 * math.log(2.0 / (math.pi * jv)) - jv * epsilon**2 / 2.0 - math.log(epsilon)
+    return numeric, laplace, math.exp(ln_numeric - ln_laplace)
+
+
+def test_tail_failure_bytes_equal_former_arithmetic():
+    half = 0.5 * math.pi
+    grid = np.concatenate(
+        [
+            np.linspace(1e-3, math.pi - 1e-6, 90),
+            [half, math.nextafter(half, 0.0), math.nextafter(half, 4.0), math.pi - 1e-6, math.pi],
+        ]
+    ).tolist()
+    for j in (0.5, 1, 3, 20, 400, 10**4):
+        for eps in grid:
+            est = tail_failure(j, eps)
+            got = (est.numeric_tail, est.laplace_tail, est.ratio)
+            assert np.array(got).tobytes() == np.array(_former_tail_failure(j, eps)).tobytes(), (j, eps)
+
+
+def _former_power_parts(base, n):
+    # the far branch of monopole._power_parts before it called _exp_parts
+    value = base**n
+    far = (np.abs(value) < 2.0**-200) & (base != 0.0)
+    if not far.any():
+        return value, 0
+    with np.errstate(divide="ignore"):
+        ln = n * np.log(np.abs(np.where(far, base, 1.0)))
+    k = np.rint(ln / math.log(2.0))
+    r = (ln - k * monopole._LN2_HI) - k * monopole._LN2_LO
+    sign = np.where((base < 0.0) & (n % 2 == 1), -1.0, 1.0)
+    return np.where(far, sign * np.exp(r), value), k.astype(np.int64)
+
+
+def test_power_parts_bytes_equal_former_far_branch():
+    rng = np.random.default_rng(6)
+    edge = 2.0**-200
+    ulps = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    base = np.concatenate(
+        [rng.uniform(-1.0, 1.0, 4000), ulps, [-u for u in ulps], [0.0, 1.0, -1.0]]
+    )
+    n = np.concatenate([rng.integers(0, 4000, 4000), np.ones(6, dtype=np.int64), [3, 7, 5]])
+    # bases whose n-th power lands within a few ulp of 2^-200
+    for m in range(1, 300):
+        near = 2.0 ** (-200.0 / m) * (1.0 + np.arange(-3, 4) * 2.0**-52)
+        base = np.concatenate([base, near])
+        n = np.concatenate([n, np.full(len(near), m)])
+    got, want = monopole._power_parts(base, n), _former_power_parts(base, n)
+    assert np.sum(np.abs(base**n) < edge) > 1000
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    for b, m in zip(base[::11].tolist(), n[::11].tolist()):  # 0-d inputs, as one harmonic passes
+        for g, w in zip(monopole._power_parts(np.asarray(b), m), _former_power_parts(np.asarray(b), m)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (b, m)
+
+
+def _modules_importing_kernel():
+    for info in pkgutil.iter_modules(spinqec.__path__):
+        module = importlib.import_module(f"spinqec.{info.name}")
+        if getattr(module, "_ln_overlap_magnitude", None) is coherent._ln_overlap_magnitude:
+            yield module
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [
+        (lambda: recover(8, 3, 1, 0.1, 0, j_anc=4), 3),
+        (lambda: tail_failure(8, 0.5), 1),
+        (lambda: tail_failure(8, 0.5 * math.pi), 1),
+        (lambda: cyclic_normalization(8, 5), 5),
+        (lambda: cyclic_overlap_closed_form(8, 5, 0.4), 10),
+        (lambda: equatorial_offdiag_bound(8, 3, 0.2), 1),
+        (lambda: overlap_magnitude(8, SphPoint(0.3, 0.1), SphPoint(2.5, 4.0)), 1),
+    ],
+    ids=[
+        "recover",
+        "tail_failure",
+        "tail_failure-half-pi",
+        "cyclic_normalization",
+        "cyclic_overlap_closed_form",
+        "equatorial_offdiag_bound",
+        "overlap_magnitude",
+    ],
+)
+def test_one_overlap_law_kernel_call_per_term(monkeypatch, call, count):
+    # every real |cos(y/2)|^(2j) goes through the one kernel: a caller that
+    # grows its own copy of the law stops calling it and fails here
+    calls = []
+    kernel = coherent._ln_overlap_magnitude
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    modules = list(_modules_importing_kernel())
+    assert {m.__name__ for m in modules} >= {
+        "spinqec.coherent",
+        "spinqec.lll_codes",
+        "spinqec.qec_check",
+        "spinqec.recovery",
+    }
+    for module in modules:
+        monkeypatch.setattr(module, "_ln_overlap_magnitude", counting)
+    call()
+    assert len(calls) == count
