@@ -44,7 +44,7 @@ import tempfile
 import numpy as np
 
 from .spin_core import HalfInt
-from .rotations import EulerAngles
+from .rotations import EulerAngles, _finite_angle
 from .lll_codes import antipodal, equatorial_qudit, build_codewords, matrix_element_table
 from .qec_check import conjugated_y, equatorial_z, explicit_list, kl_check
 from .recovery import recover, tail_failure
@@ -310,7 +310,7 @@ def cmd_kl_scan(cfg: dict) -> int:
 def cmd_overlap_curve(cfg: dict) -> int:
     j = HalfInt.of(cfg["j"])
     code = build_codewords(antipodal(j, cfg["phi0"]))
-    thetas = np.linspace(0.0, cfg["theta_max"], int(cfg["samples"]))
+    thetas = np.linspace(0.0, _finite_angle("theta_max", cfg["theta_max"]), int(cfg["samples"]))
     rows = [
         {
             "theta": float(theta),

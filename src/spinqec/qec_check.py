@@ -7,10 +7,13 @@ relative error T = R^(-1) R' between two family members stays in the
 family, so scanning pairs probes exactly the operators the recovery
 argument needs.
 
-Matrix elements between codewords are evaluated in closed form through
-the coherent decomposition, for all sampled pairs in one array pass: the
-pair products are composed in SU(2), and each codeword table is a sum of
-spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
+Members and relative errors run on the one SU(2) chart of rotations
+(su2_arrays, _su2_product, _euler_angles_arrays): sample_rotations builds
+a family's members in one array pass, member(t) is its one-element case,
+and the scan composes every pair product T in one more.  Matrix elements
+between codewords are evaluated in closed form through the coherent
+decomposition, for all sampled pairs in one array pass: each codeword
+table is a sum of spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
 path is independent of that closed form and of the Wigner-d kernel: it
 diagonalizes L_y once per j (a small cache) and sandwiches the codeword
 vectors with X_T = exp(-i alpha L_z) V exp(-i beta Lambda) V^H
@@ -27,7 +30,8 @@ import numpy as np
 
 from .coherent import _ln_overlap_magnitude
 from .lll_codes import Codewords, matrix_element_tables
-from .rotations import EulerAngles, Su2, _relative_angles, euler_from_su2, su2_from_euler
+from . import rotations as _rotations
+from .rotations import EulerAngles, _euler_angles_arrays, _relative_angles, _su2_product, su2_arrays
 from .spin_core import HalfInt, _spin, axis_operator, m_values
 
 __all__ = [
@@ -79,6 +83,11 @@ class ErrorSet:
         if self.kind == "ExplicitList":
             if not self.rotations:
                 raise ValueError("ExplicitList needs at least one rotation")
+            # the class read from rotations: rebinding this module's name
+            # does not change what an error set accepts
+            for index, r in enumerate(self.rotations):
+                if not isinstance(r, _rotations.EulerAngles):
+                    raise TypeError(f"rotations[{index}] must be EulerAngles, got {type(r).__name__}")
         elif self.max_angle < 0.0:
             raise ValueError("max_angle must be nonnegative")
         if self.samples < 1:
@@ -92,17 +101,26 @@ class ErrorSet:
 
     def member(self, t: float) -> EulerAngles:
         """The rotation at family parameter t."""
-        if self.kind == "EquatorialZ":
-            return EulerAngles(t, 0.0, 0.0)
-        if self.kind == "ConjugatedY":
-            return EulerAngles(self.phi0, t, -self.phi0)
-        if self.kind == "ConjugatedZaboutX":
-            x_half = 0.5 * self.x_angle
-            u_x = Su2(math.cos(x_half), -1j * math.sin(x_half))
-            u_z = su2_from_euler(EulerAngles(t, 0.0, 0.0))
-            angles, _ = euler_from_su2(u_x @ u_z @ u_x.inverse())
-            return angles
-        raise ValueError("ExplicitList has no parametric members")
+        return _members(self, np.array([t], dtype=float))[0]
+
+
+def _members(errs: ErrorSet, ts: np.ndarray) -> list[EulerAngles]:
+    """The rotations at the family parameters ts, in one array pass.
+
+    ConjugatedZaboutX members are u_x u_z(t) u_x^(-1), with u_x the
+    spin-1/2 rotation by x_angle about x, read back in the canonical chart.
+    """
+    if errs.kind == "EquatorialZ":
+        return [EulerAngles(t, 0.0, 0.0) for t in ts.tolist()]
+    if errs.kind == "ConjugatedY":
+        return [EulerAngles(errs.phi0, t, -errs.phi0) for t in ts.tolist()]
+    if errs.kind == "ConjugatedZaboutX":
+        x_half = 0.5 * errs.x_angle
+        a_x, b_x = np.complex128(math.cos(x_half)), np.complex128(-1j * math.sin(x_half))
+        a, b = _su2_product(a_x, b_x, *su2_arrays(ts, 0.0, 0.0))
+        angles = _euler_angles_arrays(*_su2_product(a, b, a_x.conj(), -b_x))
+        return [EulerAngles(*r) for r in zip(*(x.tolist() for x in angles))]
+    raise ValueError("ExplicitList has no parametric members")
 
 
 def equatorial_z(theta_max: float, samples: int = 32) -> ErrorSet:
@@ -128,11 +146,11 @@ def sample_rotations(errs: ErrorSet, seed: int) -> list[EulerAngles]:
         return list(errs.rotations)
     n_grid = max(2, errs.samples // 2) if errs.samples >= 2 else 1
     n_grid = min(n_grid, errs.samples)
-    ts = list(np.linspace(-errs.max_angle, errs.max_angle, n_grid))
+    ts = np.linspace(-errs.max_angle, errs.max_angle, n_grid)
     if errs.samples > n_grid:
         rng = np.random.default_rng(seed)
-        ts.extend(rng.uniform(-errs.max_angle, errs.max_angle, errs.samples - n_grid))
-    return [errs.member(float(t)) for t in ts]
+        ts = np.concatenate([ts, rng.uniform(-errs.max_angle, errs.max_angle, errs.samples - n_grid)])
+    return _members(errs, ts)
 
 
 @dataclass(frozen=True)

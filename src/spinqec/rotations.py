@@ -11,8 +11,16 @@ Conventions, fixed once here and relied on everywhere else:
   such as gamma = -phi.  Use canonicalize() to land in the canonical
   chart alpha, gamma in [0, 2pi), beta in [0, pi], together with the
   double-cover sign that relates the two charts.
-* Composition runs through the spin-1/2 representation, where the group
-  law is exact and the double-cover sign is visible.
+* One SU(2) chart, on arrays: su2_arrays maps Euler angles to the
+  spin-1/2 element (a, b), _su2_product multiplies elements, and
+  _euler_angles_arrays reads canonical angles back.  relative_rotations,
+  compose, canonicalize and the error families of qec_check all run on
+  these three kernels, where the group law is exact and the double-cover
+  sign is visible.  The scalar functions (su2_from_euler, Su2 @,
+  euler_from_su2) are their 0-d case: they pay numpy's per-call overhead
+  (tens of microseconds) so that a scalar and an array evaluation agree
+  bit for bit.  A libm twin would not: numpy's SIMD arctan2 and complex
+  abs differ from libm's in the last bit.
 * One Wigner-d kernel (_d_columns) serves wigner_d, wigner_d_matrix,
   wigner_D_matrix and the monopole wigner-d route: column n of d^j(beta)
   is the eigenvector, with eigenvalue n, of the tridiagonal
@@ -25,7 +33,6 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,18 +65,25 @@ _TIE = 1e-14
 _ZERO = np.float64(0.0)
 
 
+def _finite_angle(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class EulerAngles:
-    """z-y-z Euler angles, stored exactly as given (no reduction)."""
+    """z-y-z Euler angles, stored exactly as given (no reduction); a
+    non-finite angle raises ValueError."""
 
     alpha: float
     beta: float
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        for name in ("alpha", "beta", "gamma"):
+            object.__setattr__(self, name, _finite_angle(name, getattr(self, name)))
 
     @staticmethod
     def identity() -> "EulerAngles":
@@ -103,9 +117,7 @@ class Su2:
         )
 
     def __matmul__(self, other: "Su2") -> "Su2":
-        a = self.a * other.a - self.b.conjugate() * other.b
-        b = self.b * other.a + self.a.conjugate() * other.b
-        return Su2(a, b)
+        return Su2(*_su2_product(*map(np.complex128, (self.a, self.b, other.a, other.b))))
 
     def inverse(self) -> "Su2":
         return Su2(self.a.conjugate(), -self.b)
@@ -115,13 +127,8 @@ class Su2:
 
 
 def su2_from_euler(r: EulerAngles) -> Su2:
-    """Spin-1/2 matrix of X_R; the group law downstairs is exact."""
-    half_sum = 0.5 * (r.alpha + r.gamma)
-    half_diff = 0.5 * (r.alpha - r.gamma)
-    ch, sh = _half_angles(r.beta)
-    a = cmath.exp(-1j * half_sum) * float(ch)
-    b = cmath.exp(1j * half_diff) * float(sh)
-    return Su2(a, b)
+    """Spin-1/2 matrix of X_R: su2_arrays on one rotation."""
+    return Su2(*su2_arrays(r.alpha, r.beta, r.gamma))
 
 
 def _half_angles(beta) -> tuple[np.ndarray, np.ndarray]:
@@ -149,30 +156,11 @@ def euler_from_su2(u: Su2) -> tuple[EulerAngles, int]:
     """Canonical Euler angles of +/-u, and the sign that was absorbed.
 
     Returns (r, s) with su2_from_euler(r) = s * u, s in {+1, -1}, and r
-    in the canonical chart alpha, gamma in [0, 2pi), beta in [0, pi].
-    Ties beta = 0 or pi put all z-rotation into alpha (gamma = 0).
+    in the canonical chart alpha, gamma in [0, 2pi), beta in [0, pi]:
+    euler_from_su2_arrays on one element.
     """
-    mag_a, mag_b = abs(u.a), abs(u.b)
-    beta = 2.0 * math.atan2(mag_b, mag_a)
-    if mag_b <= _TIE:
-        alpha = (-2.0 * cmath.phase(u.a)) % (2.0 * math.pi)
-        gamma = 0.0
-        beta = 0.0
-    elif mag_a <= _TIE:
-        alpha = (2.0 * cmath.phase(u.b)) % (2.0 * math.pi)
-        gamma = 0.0
-        beta = math.pi
-    else:
-        arg_a = cmath.phase(u.a)
-        arg_b = cmath.phase(u.b)
-        alpha = (arg_b - arg_a) % (2.0 * math.pi)
-        gamma = (-arg_b - arg_a) % (2.0 * math.pi)
-    r = EulerAngles(alpha, beta, gamma)
-    probe = su2_from_euler(r)
-    # probe equals +/-u exactly up to rounding; recover the sign by overlap.
-    overlap = probe.a * u.a.conjugate() + probe.b * u.b.conjugate()
-    sign = 1 if overlap.real > 0.0 else -1
-    return r, sign
+    alpha, beta, gamma, sign = euler_from_su2_arrays(u.a, u.b)
+    return EulerAngles(alpha, beta, gamma), int(sign)
 
 
 def su2_arrays(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +176,9 @@ def su2_arrays(alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
 def euler_from_su2_arrays(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Elementwise euler_from_su2: canonical (alpha, beta, gamma) and signs.
 
-    The same _TIE rules apply: |b| <= _TIE puts all z-rotation into alpha
-    with beta = 0, and |a| <= _TIE does so with beta = pi.
+    Ties put all z-rotation into alpha (gamma = 0): |b| <= _TIE gives
+    beta = 0, and |a| <= _TIE gives beta = pi.  The sign is that of the
+    overlap of +/-(a, b) with the element the angles map back to.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -202,7 +191,7 @@ def euler_from_su2_arrays(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 def _euler_angles_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The angles of euler_from_su2_arrays on complex arrays, without the
-    sign, which costs a second su2_arrays pass."""
+    sign, which costs a second su2_arrays pass: the package's one chart."""
     mag_a, mag_b = np.abs(a), np.abs(b)
     arg_a, arg_b = np.angle(a), np.angle(b)
     pole = mag_b <= _TIE
@@ -234,9 +223,14 @@ def _relative_su2(rotations, left, right) -> tuple[np.ndarray, np.ndarray]:
     """The SU(2) elements (a, b) of R_left^(-1) R_right over index pairs."""
     angles = np.array([(r.alpha, r.beta, r.gamma) for r in rotations], dtype=float)
     a, b = su2_arrays(angles[:, 0], angles[:, 1], angles[:, 2])
-    a_l, b_l, a_r, b_r = a[left], b[left], a[right], b[right]
-    # Su2.__matmul__ with the inverse (conj(a_l), -b_l) on the left.
-    return _cmul(a_l.conj(), a_r) + _cmul(b_l.conj(), b_r), _cmul(a_l, b_r) - _cmul(b_l, a_r)
+    # the inverse of (a, b) is (conj(a), -b)
+    return _su2_product(a[left].conj(), -b[left], a[right], b[right])
+
+
+def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the product u1 u2, elementwise: the package's one SU(2)
+    product, for Su2 @ as for arrays."""
+    return _cmul(a1, a2) - _cmul(b1.conj(), b2), _cmul(b1, a2) + _cmul(a1.conj(), b2)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -532,13 +526,6 @@ def _wigner_d_entries(tj: int, tm: int, tn: int, beta) -> np.ndarray:
     return out.reshape(beta.shape)
 
 
-def _finite_angle(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 def wigner_d(j, m, n, beta: float) -> float:
     """Little-d matrix element d^j_{m,n}(beta); real by construction.
 
@@ -587,8 +574,6 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
 def wigner_D_matrix(j, r: EulerAngles) -> Operator:
     """X_R on the spin-j space: e^{-i alpha m} d^j_{mn}(beta) e^{-i gamma n}."""
     j = _spin(j)
-    for name in ("alpha", "gamma"):
-        _finite_angle(name, getattr(r, name))
     _require_dense(j, j.dim, 16)
     mv = (j.twice - 2 * np.arange(j.dim)) / 2.0
     d = wigner_d_matrix(j, r.beta)

@@ -7,8 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from spinqec.cli import main
 from spinqec.coherent import SphPoint, coherent_amplitudes, overlap_magnitude, y_symbol
-from spinqec.lll_codes import cyclic_normalization, cyclic_overlap_closed_form
+from spinqec.lll_codes import build_codewords, cyclic_normalization, cyclic_overlap_closed_form, equatorial_qudit
 from spinqec.qec_check import (
     ErrorSet,
     conjugated_y,
@@ -16,8 +17,11 @@ from spinqec.qec_check import (
     correctable_angle,
     equatorial_offdiag_bound,
     equatorial_z,
+    explicit_list,
+    kl_check,
 )
 from spinqec.recovery import recover, tail_failure
+from spinqec.rotations import EulerAngles, canonicalize, compose, inverse
 from spinqec.spin_core import HalfInt
 
 
@@ -40,6 +44,42 @@ def test_halfint_rejects_non_finite(value):
 def test_error_set_rejects_non_finite(make, name):
     with pytest.raises(ValueError, match=name):
         make()
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: compose(EulerAngles(math.nan, 0.1, 0.2), EulerAngles(0.0, 0.0, 0.0)), "alpha"),
+        (lambda: canonicalize(EulerAngles(math.inf, 0.3, 0.0)), "alpha"),
+        (lambda: inverse(EulerAngles(0.1, 0.2, -math.inf)), "gamma"),
+        (lambda: explicit_list([EulerAngles.identity(), EulerAngles(0.1, math.nan, 0.0)]), "beta"),
+    ],
+    ids=["compose-nan", "canonicalize-inf", "inverse-inf", "explicit_list-nan"],
+)
+def test_rotation_callers_reject_non_finite_angles(call, name):
+    # each of these used to return nan angles with sign -1, or keep the inf
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "entries,index",
+    [([(0.0, 0.1, 0.0)], 0), ([EulerAngles.identity(), EulerAngles.about_z(0.2), [0.0, 0.0, 0.0]], 2)],
+    ids=["tuple-first", "list-third"],
+)
+def test_explicit_list_rejects_entries_that_are_not_rotations(entries, index):
+    # the scan used to fail deep inside with an AttributeError on .alpha
+    code = build_codewords(equatorial_qudit(4, 2))
+    with pytest.raises(TypeError, match=rf"^rotations\[{index}\] must be EulerAngles"):
+        kl_check(code, explicit_list(entries), 0)
+
+
+def test_overlap_curve_rejects_infinite_theta_max(tmp_path, capsys):
+    # it used to print nan rows and exit 0
+    out = tmp_path / "curve.csv"
+    assert main(["overlap-curve", "--theta-max", "inf", "--out", str(out)]) == 2
+    assert "theta_max must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -286,6 +286,43 @@ def test_sign_free_angles_match_relative_rotations_bytes():
     assert at_pole > 0 and at_flip > 0
 
 
+def _family_parameters(errs, seed):
+    """The t of each sample_rotations entry: the grid half, then the seeded half."""
+    n_grid = min(max(2, errs.samples // 2), errs.samples)
+    ts = np.linspace(-errs.max_angle, errs.max_angle, n_grid).tolist()
+    draws = np.random.default_rng(seed).uniform(-errs.max_angle, errs.max_angle, errs.samples - n_grid)
+    return ts + draws.tolist()
+
+
+def _angle_bytes(r):
+    return np.array([r.alpha, r.beta, r.gamma]).tobytes()
+
+
+def test_scalar_chart_equals_array_chart_bytes():
+    # compose and member are the 0-d case of the array chart the scan uses,
+    # so they agree with it bit for bit, ties and wraps included
+    ties = [EulerAngles(0.3, 0.0, 0.0), EulerAngles(1.1, math.pi, 0.2), EulerAngles(4.0, math.pi, 5.9)]
+    sets = [
+        equatorial_z(0.4, 12),
+        conjugated_y(1.3, 0.25, 12),
+        conjugated_z_about_x(0.5, 0.9, 12),
+        conjugated_z_about_x(2.9, -2.2, 9),
+        explicit_list(ties + haar_random_sequence(5, 5)),
+        explicit_list(haar_random_sequence(3, 18)),
+    ]
+    for errs in sets:
+        rots = sample_rotations(errs, 7)
+        left, right = np.divmod(np.arange(len(rots) ** 2), len(rots))
+        alpha, beta, gamma, sign = relative_rotations(rots, left, right)
+        for p, (i, k) in enumerate(zip(left.tolist(), right.tolist())):
+            t, s = compose(inverse(rots[i]), rots[k])
+            assert _angle_bytes(t) == np.array([alpha[p], beta[p], gamma[p]]).tobytes(), (errs.kind, i, k)
+            assert s == sign[p]
+        if errs.closed_under_composition:
+            for t, r in zip(_family_parameters(errs, 7), rots):
+                assert _angle_bytes(errs.member(t)) == _angle_bytes(r), (errs.kind, t)
+
+
 @pytest.mark.parametrize("j", [24, 60, 100])
 def test_brute_force_matches_closed_form_at_large_j(j):
     code = build_codewords(equatorial_qudit(j, 3))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spinqec
-from spinqec import coherent, monopole, recovery
+from spinqec import coherent, monopole, recovery, rotations
 from spinqec.coherent import (
     SphPoint,
     _ln_overlap_magnitude,
@@ -30,9 +30,25 @@ from spinqec.lll_codes import (
     equatorial_qudit,
 )
 from spinqec.monopole import build_full_landau_code, harmonic_table, monopole_Y
-from spinqec.qec_check import equatorial_offdiag_bound
+from spinqec.qec_check import (
+    conjugated_y,
+    conjugated_z_about_x,
+    equatorial_offdiag_bound,
+    equatorial_z,
+    explicit_list,
+    kl_check,
+    sample_rotations,
+)
 from spinqec.recovery import recover, tail_failure
-from spinqec.rotations import EulerAngles, _half_angles, su2_from_euler
+from spinqec.rotations import (
+    EulerAngles,
+    _half_angles,
+    canonicalize,
+    compose,
+    euler_from_su2,
+    haar_random_sequence,
+    su2_from_euler,
+)
 from spinqec.spin_core import HalfInt
 
 _SPECS = [
@@ -226,15 +242,32 @@ def test_harmonic_table_rows_match_single_harmonics(j, l_max, thetas, phis):
     assert next(rows, None) is None
 
 
-def test_one_jacobi_route_call_per_harmonic_and_per_code(monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """Patch a counting wrapper over module.name into every spinqec module
+    that holds that same function, found by walking the package.
+
+    Returns the list that records each call's arguments and the names of
+    the patched modules.  A caller that grows its own copy of the kernel
+    stops calling it, and the count drops.
+    """
+    kernel = getattr(module, name)
     calls = []
-    route = monopole._jacobi_route
 
     def counting(*args):
-        calls.append(args[:3])
-        return route(*args)
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(monopole, "_jacobi_route", counting)
+    patched = set()
+    for info in pkgutil.iter_modules(spinqec.__path__):
+        holder = importlib.import_module(f"spinqec.{info.name}")
+        if getattr(holder, name, None) is kernel:
+            monkeypatch.setattr(holder, name, counting)
+            patched.add(holder.__name__)
+    return calls, patched
+
+
+def test_one_jacobi_route_call_per_harmonic_and_per_code(monkeypatch):
+    calls, _ = _count_calls(monkeypatch, monopole, "_jacobi_route")
     harmonic_table(0.5, 2.5, [0.1, 0.2, 0.3], [0.0, 1.0])
     assert len(calls) == 2 + 4 + 6
     calls.clear()
@@ -242,7 +275,7 @@ def test_one_jacobi_route_call_per_harmonic_and_per_code(monkeypatch):
     assert len(calls) == 1 and len(code.entries) > 100
     calls.clear()
     monopole_Y(0.5, 2.5, 0.5)(0.3, 0.2)
-    assert calls == [(1, 5, 1)]
+    assert [args[:3] for args in calls] == [(1, 5, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -442,13 +475,6 @@ def test_power_parts_bytes_equal_former_far_branch():
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (b, m)
 
 
-def _modules_importing_kernel():
-    for info in pkgutil.iter_modules(spinqec.__path__):
-        module = importlib.import_module(f"spinqec.{info.name}")
-        if getattr(module, "_ln_overlap_magnitude", None) is coherent._ln_overlap_magnitude:
-            yield module
-
-
 @pytest.mark.parametrize(
     "call,count",
     [
@@ -473,21 +499,49 @@ def _modules_importing_kernel():
 def test_one_overlap_law_kernel_call_per_term(monkeypatch, call, count):
     # every real |cos(y/2)|^(2j) goes through the one kernel: a caller that
     # grows its own copy of the law stops calling it and fails here
-    calls = []
-    kernel = coherent._ln_overlap_magnitude
+    calls, patched = _count_calls(monkeypatch, coherent, "_ln_overlap_magnitude")
+    assert patched >= {"spinqec.coherent", "spinqec.lll_codes", "spinqec.qec_check", "spinqec.recovery"}
+    call()
+    assert len(calls) == count
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
 
-    modules = list(_modules_importing_kernel())
-    assert {m.__name__ for m in modules} >= {
-        "spinqec.coherent",
-        "spinqec.lll_codes",
-        "spinqec.qec_check",
-        "spinqec.recovery",
-    }
-    for module in modules:
-        monkeypatch.setattr(module, "_ln_overlap_magnitude", counting)
+# ----------------------------------------------------------------------
+# The SU(2) chart: one array kernel, _euler_angles_arrays
+# ----------------------------------------------------------------------
+
+_CHART_CODE = build_codewords(equatorial_qudit(HalfInt(8), 3))
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [
+        (lambda: euler_from_su2(su2_from_euler(EulerAngles(0.3, 1.2, -0.4))), 1),
+        (lambda: canonicalize(EulerAngles(9.0, -0.7, -5.0)), 1),
+        (lambda: compose(EulerAngles(0.3, 1.2, -0.4), EulerAngles(-2.0, 0.6, 0.9)), 1),
+        (lambda: conjugated_z_about_x(0.2, 0.9, 4).member(0.1), 1),
+        (lambda: sample_rotations(conjugated_z_about_x(0.2, 0.9, 32), 3), 1),
+        (lambda: kl_check(_CHART_CODE, equatorial_z(0.2, 6), 1), 1),
+        (lambda: kl_check(_CHART_CODE, conjugated_y(0.4, 0.2, 6), 1, brute_force=True), 1),
+        (lambda: kl_check(_CHART_CODE, explicit_list(haar_random_sequence(2, 5)), 1), 1),
+        # the members' chart, then the scan's
+        (lambda: kl_check(_CHART_CODE, conjugated_z_about_x(0.2, 0.9, 6), 1), 2),
+    ],
+    ids=[
+        "euler_from_su2",
+        "canonicalize",
+        "compose",
+        "member",
+        "sample_rotations",
+        "kl_check-equatorial_z",
+        "kl_check-brute-conjugated_y",
+        "kl_check-explicit_list",
+        "kl_check-conjugated_z_about_x",
+    ],
+)
+def test_one_su2_chart_call_per_pass(monkeypatch, call, count):
+    # scalar and array paths read angles from the one chart: a caller that
+    # grows its own copy of it stops calling the kernel and fails here
+    calls, patched = _count_calls(monkeypatch, rotations, "_euler_angles_arrays")
+    assert patched == {"spinqec.rotations", "spinqec.qec_check"}
     call()
     assert len(calls) == count
