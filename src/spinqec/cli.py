@@ -271,6 +271,9 @@ def _angles_list(r: EulerAngles) -> list[float]:
 
 
 def cmd_kl_scan(cfg: dict) -> int:
+    for key in ("delta", "epsilon"):
+        if not 0.0 <= float(cfg[key]) < math.inf:
+            raise ValueError(f"{key} must be finite and nonnegative, got {cfg[key]!r}")
     j = HalfInt.of(cfg["j"])
     family = cfg["family"]
     if family is None:

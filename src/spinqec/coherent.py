@@ -42,7 +42,7 @@ import numpy as np
 
 from ._logfact import ln_binomial
 from .rotations import EulerAngles, rotate_vector, _half_angles
-from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin, m_index
+from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin, _tridiagonal_eigh, m_index
 
 __all__ = [
     "SphPoint",
@@ -352,9 +352,9 @@ def _theta_rule_cached(degree: int) -> tuple[np.ndarray, np.ndarray]:
         beta[k] = np.dot(w, r * r)
         q_prev, q = q, r / math.sqrt(beta[k])
     # Golub-Welsch: nodes are the eigenvalues of the Jacobi matrix, weights
-    # beta_0 times the squared first eigenvector components.
-    off = np.sqrt(beta[1:])
-    xi, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # beta_0 times the squared first eigenvector components.  Its positive
+    # off-diagonals make every phase of the kernel 1.
+    xi, vec, _ = _tridiagonal_eigh(np.zeros(n), np.sqrt(beta[1:]))
     psi = math.pi / 4.0 + 2.0 * np.arcsin(s * xi)
     w_psi = 2.0 * s * beta[0] * vec[0] ** 2
     # self-check against every exact moment of exp(i k psi) on [0, pi/2], k <= D + 2

@@ -60,6 +60,19 @@ def test_kl_scan_failing_threshold_still_writes(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("delta", "inf"), ("delta", "nan"), ("delta", "-0.5"), ("epsilon", "nan"), ("epsilon", "-1")],
+)
+def test_kl_scan_rejects_bad_thresholds(tmp_path, capsys, flag, value):
+    # inf used to pass every scan and write "delta": inf, which is not JSON;
+    # nan and negative thresholds ran the scan and wrote a verdict
+    out = tmp_path / "scan.json"
+    assert main(["kl-scan", f"--{flag}", value, "--out", str(out)]) == 2
+    assert f"{flag} must be finite and nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_kl_scan_equatorial_needs_integer_j(tmp_path, capsys):
     out = tmp_path / "scan.json"
     assert main(["kl-scan", "--j", "7.5", "--d", "3", "--out", str(out)]) == 2

@@ -22,7 +22,7 @@ from spinqec.qec_check import (
 )
 from spinqec.recovery import recover, tail_failure
 from spinqec.rotations import EulerAngles, canonicalize, compose, inverse
-from spinqec.spin_core import HalfInt
+from spinqec.spin_core import HalfInt, axis_operator, matexp_antihermitian
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -80,6 +80,22 @@ def test_overlap_curve_rejects_infinite_theta_max(tmp_path, capsys):
     assert main(["overlap-curve", "--theta-max", "inf", "--out", str(out)]) == 2
     assert "theta_max must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: axis_operator(3, (math.nan, 0.0, 0.0)), "axis"),
+        (lambda: matexp_antihermitian(axis_operator(3, (0.0, 1.0, 0.0)), math.nan), "t"),
+        (lambda: matexp_antihermitian(axis_operator(3, (0.0, 1.0, 0.0)), math.inf), "t"),
+        (lambda: matexp_antihermitian(axis_operator(3, (0.0, 1.0, 0.0)), -math.inf), "t"),
+    ],
+    ids=["axis_operator-nan", "matexp-nan", "matexp-inf", "matexp-minus-inf"],
+)
+def test_spin_core_rejects_non_finite_input(call, name):
+    # these used to return a NaN matrix, or warn and return one
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spinqec
-from spinqec import coherent, monopole, recovery, rotations
+from spinqec import coherent, monopole, qec_check, recovery, rotations, spin_core
 from spinqec.coherent import (
     SphPoint,
     _ln_overlap_magnitude,
@@ -20,6 +20,7 @@ from spinqec.coherent import (
     equatorial_matrix_element,
     overlap,
     overlap_magnitude,
+    theta_rule,
 )
 from spinqec.lll_codes import (
     antipodal,
@@ -543,5 +544,87 @@ def test_one_su2_chart_call_per_pass(monkeypatch, call, count):
     # grows its own copy of it stops calling the kernel and fails here
     calls, patched = _count_calls(monkeypatch, rotations, "_euler_angles_arrays")
     assert patched == {"spinqec.rotations", "spinqec.qec_check"}
+    call()
+    assert len(calls) == count
+
+
+# ----------------------------------------------------------------------
+# Hermitian tridiagonal generators: one eigensolver, _tridiagonal_eigh
+# ----------------------------------------------------------------------
+
+
+def _ladder_sum_axis_operator(j, n):
+    # axis_operator as it stood: n . L summed from dense L+, L- and L3
+    lp, lm = spin_core.ladder_operators(j)
+    l1 = (lp.mat + lm.mat) / 2.0
+    l2 = (lp.mat - lm.mat) / 2.0j
+    return n[0] * l1 + n[1] * l2 + n[2] * spin_core.l3_operator(j).mat
+
+
+def test_axis_operator_equals_ladder_sum():
+    rng = np.random.default_rng(12)
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, -0.8), (0.0, -0.6, 0.8)]
+    axes += [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(7, 3))]
+    for twice in (0, 1, 2, 3, 8, 17, 40, 101, 400):
+        for n in axes:
+            got = spin_core.axis_operator(HalfInt(twice), n).mat
+            assert np.array_equal(got, _ladder_sum_axis_operator(HalfInt(twice), n)), (twice, n)
+
+
+def _former_theta_rule(degree):
+    # coherent._theta_rule_cached's construction as it stood, with its own
+    # dense eigh of the Jacobi matrix
+    n = degree + 3
+    s = math.sin(math.pi / 8.0)
+    x, w = np.polynomial.legendre.leggauss(n + 40)
+    w = w / np.sqrt(1.0 - (s * x) ** 2)
+    beta = np.empty(n)
+    beta[0] = w.sum()
+    q_prev, q = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(beta[0]))
+    for k in range(1, n):
+        r = x * q - math.sqrt(beta[k - 1]) * q_prev
+        beta[k] = np.dot(w, r * r)
+        q_prev, q = q, r / math.sqrt(beta[k])
+    off = np.sqrt(beta[1:])
+    xi, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    psi = math.pi / 4.0 + 2.0 * np.arcsin(s * xi)
+    w_psi = 2.0 * s * beta[0] * vec[0] ** 2
+    return 2.0 * psi, 2.0 * np.sin(2.0 * psi) * w_psi
+
+
+@pytest.mark.parametrize("degree", [8, 64, 384, 1024])
+def test_theta_rule_bytes_equal_former_construction(degree):
+    for got, want in zip(theta_rule(degree), _former_theta_rule(degree)):
+        assert got.tobytes() == want.tobytes()
+
+
+_Y_AXIS = (0.0, 1.0, 0.0)
+
+
+def _dense_hermitian(twice):
+    rng = np.random.default_rng(twice)
+    a = rng.normal(size=(twice + 1, twice + 1)) + 1j * rng.normal(size=(twice + 1, twice + 1))
+    return spin_core.Operator(HalfInt(twice), a + a.conj().T)
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [
+        (lambda: spin_core.matexp_antihermitian(spin_core.axis_operator(5, _Y_AXIS), 0.3), 1),
+        (lambda: spin_core.matexp_antihermitian(spin_core.axis_operator(5, (0.6, 0.0, 0.8)), -1.1), 1),
+        (lambda: spin_core.matexp_antihermitian(spin_core.l3_operator(2.5), 0.7), 1),
+        (lambda: qec_check._ly_eigenbasis(HalfInt(11)), 1),
+        (lambda: theta_rule(21), 1),
+        (lambda: spin_core.matexp_antihermitian(_dense_hermitian(4), 0.3), 0),
+    ],
+    ids=["matexp-L_y", "matexp-axis", "matexp-L_z", "ly_eigenbasis", "theta_rule", "matexp-dense"],
+)
+def test_one_tridiagonal_eigensolver_call_per_generator(monkeypatch, call, count):
+    # every tridiagonal generator is diagonalized in real arithmetic through
+    # the one kernel; a dense Hermitian generator keeps the complex eigh
+    calls, patched = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
+    assert patched == {"spinqec.spin_core", "spinqec.coherent", "spinqec.qec_check"}
+    qec_check._ly_eigenbasis.cache_clear()
+    coherent._theta_rule_cached.cache_clear()
     call()
     assert len(calls) == count
