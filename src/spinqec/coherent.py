@@ -40,9 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._logfact import ln_binomial
-from .rotations import EulerAngles, rotate_vector, _half_angles
-from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin, _tridiagonal_eigh, m_index
+from ._logfact import ln_binomial, ln_factorial
+from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
+from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _spin, _tridiagonal_eigh
+from .spin_core import m_index, m_values
 
 __all__ = [
     "SphPoint",
@@ -580,32 +581,41 @@ def momentum_kick(j, m) -> DiagonalOp:
 
 
 def disentangle_check(j, p: SphPoint) -> float:
-    """Residual of the normal-ordered factorization of X_R at R = (phi, theta, -phi).
+    """Normwise residual of the normal-ordered factorization of X_R at R = (phi, theta, -phi).
 
-    Compares X_R against exp(z L-) cos^(2 L3)(theta/2) exp(-conj(z) L+)
-    with z = tan(theta/2) exp(i phi).  theta = pi is rejected: the
-    factorization needs cos(theta/2) > 0.
+    Compares X_R against F = exp(z L-) cos^(2 L3)(theta/2) exp(-conj(z) L+)
+    with z = tan(theta/2) exp(i phi) (Arecchi, Courtens, Gilmore & Thomas,
+    PRA 6, 2211 (1972)), and returns max|X_R - F| over the largest entry of
+    |exp(z L-)| cos^(2 L3)(theta/2) |exp(-conj(z) L+)|, a scale >= 1 (its
+    m = -j term is cos^(-2j)(theta/2)).  The factors are written in closed
+    form: exp(w L-) holds w^p / p! times the product of the L- band over
+    rows k .. k+p-1 at row k+p, column k, from one cumulative sum of the
+    band's logarithms (spin_core._axis_bands), and exp(w L+) is its
+    transpose.  theta = pi is rejected, as the factorization needs
+    cos(theta/2) > 0, and so is any (j, theta) whose scale exceeds the
+    double range.
     """
-    from .rotations import wigner_D_matrix
-    from .spin_core import l3_operator, ladder_operators
-
     j = _spin(j)
     if p.theta == math.pi:
         raise ValueError("factorization undefined at theta = pi")
-    z = math.tan(0.5 * p.theta) * cmath.exp(1j * p.phi)
-    lp, lm = ladder_operators(j)
-    dim = j.dim
-
-    def nilpotent_exp(mat: np.ndarray, coeff: complex) -> np.ndarray:
-        out = np.eye(dim, dtype=complex)
-        term = np.eye(dim, dtype=complex)
-        for k in range(1, j.twice + 1):
-            term = (coeff / k) * (term @ mat)
-            out = out + term
-        return out
-
-    mv = l3_operator(j).mat.diagonal().real
-    middle = np.diag(np.cos(0.5 * p.theta) ** (2.0 * mv)).astype(complex)
-    right = nilpotent_exp(lm.mat, z) @ middle @ nilpotent_exp(lp.mat, -z.conjugate())
-    left = wigner_D_matrix(j, EulerAngles(p.phi, p.theta, -p.phi)).mat
-    return float(np.max(np.abs(left - right)))
+    # first: its dense guard refuses a j whose (2j+1)^2 factors would not fit
+    x_r = wigner_D_matrix(j, EulerAngles(p.phi, p.theta, -p.phi)).mat
+    tan_half = math.tan(0.5 * p.theta)
+    ln_band = np.log(2.0 * _axis_bands(j, (1.0, 0.0, 0.0))[1].real)  # L-'s band is twice L1's
+    ln_prod = np.concatenate(([0.0], np.cumsum(ln_band)))
+    power = np.subtract.outer(np.arange(j.dim), np.arange(j.dim))  # row - column
+    # ln |z|^p, with z^0 = 1 also at theta = 0
+    ln_zp = np.multiply(power, math.log(tan_half) if tan_half else -math.inf,
+                        out=np.zeros(power.shape), where=power > 0)
+    # ln of |exp(z L-)| cos^(L3)(theta/2), half the middle factor on either
+    # side: F = A B^T, A and B these magnitudes under the phases of z^p and
+    # (-conj(z))^p
+    ln_mag = (ln_zp - ln_factorial(np.maximum(power, 0)) + np.subtract.outer(ln_prod, ln_prod)
+              + m_values(j) * math.log(math.cos(0.5 * p.theta)))
+    with np.errstate(over="ignore"):
+        mag = np.where(power >= 0, np.exp(ln_mag), 0.0)
+        scale = float(np.max(np.sum(mag * mag, axis=1)))
+    if not math.isfinite(scale):
+        raise ValueError(f"j = {j.value:g}, theta = {p.theta}: the factors' scale exceeds the double range")
+    left = mag * np.exp(1j * p.phi * power)
+    return float(np.max(np.abs(x_r - left @ (left.conj() * (-1.0) ** power).T))) / scale

@@ -15,9 +15,10 @@ between codewords are evaluated in closed form through the coherent
 decomposition, for all sampled pairs in one array pass: each codeword
 table is a sum of spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
 path is independent of that closed form and of the Wigner-d kernel: it
-diagonalizes L_y once per j (a small cache), in real arithmetic through
-spin_core's tridiagonal eigensolver (L_y = V Lambda V^H with V = D W, W
-real and D a diagonal of phases), and sandwiches the codeword vectors with
+diagonalizes L_y once per j (a small cache), from its two bands in real
+arithmetic through spin_core's tridiagonal eigensolver (L_y = V Lambda V^H
+with V = D W, W real and D a diagonal of phases), and sandwiches the
+codeword vectors with
 X_T = exp(-i alpha L_z) V exp(-i beta Lambda) V^H exp(-i gamma L_z), for
 cross-validation.
 """
@@ -34,7 +35,7 @@ from .coherent import _ln_overlap_magnitude
 from .lll_codes import Codewords, matrix_element_tables
 from . import rotations as _rotations
 from .rotations import EulerAngles, _euler_angles_arrays, _relative_angles, _su2_product, su2_arrays
-from .spin_core import HalfInt, _spin, _tridiagonal_eigh, axis_operator, m_values
+from .spin_core import HalfInt, _axis_bands, _spin, _tridiagonal_eigh, m_values
 
 __all__ = [
     "ErrorSet",
@@ -217,10 +218,10 @@ def _pair_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def _ly_eigenbasis(j: HalfInt) -> tuple[np.ndarray, np.ndarray]:
     """(Lambda, V^H) of L_y = V Lambda V^H, read-only and cached by j.
 
-    V = D W from the real tridiagonal eigensolver, D the diagonal of phases.
+    V = D W from the real tridiagonal eigensolver, fed L_y's two bands
+    (spin_core._axis_bands) with no dense L_y; D is the diagonal of phases.
     """
-    ly = axis_operator(j, (0.0, 1.0, 0.0)).mat
-    lam, vecs, phase = _tridiagonal_eigh(np.diagonal(ly).real, np.diagonal(ly, -1))
+    lam, vecs, phase = _tridiagonal_eigh(*_axis_bands(j, (0.0, 1.0, 0.0)))
     vecs_conj = phase.conj()[:, None] * vecs
     lam.setflags(write=False)
     vecs_conj.setflags(write=False)
@@ -237,7 +238,7 @@ def _dense_tables(code: Codewords, alpha, beta, gamma) -> np.ndarray:
     """
     j = code.spec.j
     m = m_values(j)
-    # basis first: its guard refuses a j whose dense L_y would not fit
+    # basis first: its guard refuses a j whose dense eigenbasis would not fit
     words = np.array([vec.amps for vec in code.basis]).T  # (dim, codewords)
     lam, vecs_h = _ly_eigenbasis(j)
     size = words.shape[1]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import HalfInt, Operator, _require_dense, _spin, m_index
+from .spin_core import HalfInt, Operator, _axis_bands, _require_dense, _spin, m_index
 
 __all__ = [
     "EulerAngles",
@@ -303,8 +303,9 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
 
     Column n of d^j(beta) is the eigenvector, with eigenvalue n, of the
     real symmetric tridiagonal T = cos(beta) L3 + sin(beta) L1, since
-    exp(-i beta L2) L3 exp(i beta L2) = T.  With e_i = sin(beta)/2 *
-    sqrt((i+1)(2j-i)) coupling rows i and i+1,
+    exp(-i beta L2) L3 exp(i beta L2) = T.  With e_i = sin(beta) times
+    L1's band 1/2 sqrt((i+1)(2j-i)) (spin_core._axis_bands) coupling rows
+    i and i+1,
 
         e_(i-1) v_(i-1) + (m_i cos(beta) - n) v_i + e_i v_(i+1) = 0,
 
@@ -390,8 +391,7 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     grid = 3.0 * 2.0 ** (tj + 2).bit_length()
     hi = (total + grid) - grid
     lo = (total - hi) + (total_err + prod_err)
-    rows = np.arange(tj)
-    e_hat = 0.5 * np.sqrt((rows + 1.0) * (tj - rows))
+    e_hat = _axis_bands(HalfInt(tj), (1.0, 0.0, 0.0))[1].real  # L1's band
     scale_rows = sigma_w * e_hat[:, None]
     block = max(1, _CHUNK // size)
     work = np.empty((dim, size))

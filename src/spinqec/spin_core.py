@@ -307,26 +307,42 @@ def l3_operator(j) -> Operator:
     return Operator(j, np.diag(m_values(j)).astype(complex))
 
 
+def _axis_bands(j: HalfInt, n) -> tuple[np.ndarray, np.ndarray]:
+    """(n_z m, 1/2 sqrt((k+1)(2j-k)) (n_x + i n_y)): the diagonal and the
+    sub-diagonal of L . n in the descending basis, entry k of the latter
+    coupling rows k and k+1 (m = j-k and j-k-1).
+
+    The one writer of a spin generator's entries: axis_operator,
+    ladder_operators, the Wigner-d sweep (rotations._d_columns), the L_y
+    oracle (qec_check._ly_eigenbasis) and coherent.disentangle_check read
+    their bands from it.  The upper band of the Hermitian L . n is the
+    conjugate of the lower.  j must be a validated spin label; n is read
+    as given, unchecked.
+    """
+    k = np.arange(j.twice, dtype=float)
+    return n[2] * m_values(j), 0.5 * np.sqrt((k + 1.0) * (j.twice - k)) * complex(n[0], n[1])
+
+
 def ladder_operators(j) -> tuple[Operator, Operator]:
     """(L+, L-) with L+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>.
 
-    In descending storage order L+ is superdiagonal and L- subdiagonal.
+    In descending storage order L+ is superdiagonal and L- subdiagonal;
+    either band is twice L_x's (_axis_bands).
     """
     j = _spin(j)
-    jv = j.value
-    m = m_values(j)[1:]
-    # Column c holds m = m_values[c]; raising lands on row c-1 (m+1).
-    lp = np.diag(np.sqrt(jv * (jv + 1.0) - m * (m + 1.0)), k=1).astype(complex)
+    lp = np.diag(2.0 * _axis_bands(j, (1.0, 0.0, 0.0))[1], k=1)
     return Operator(j, lp), Operator(j, lp.conj().T)
 
 
 def axis_operator(j, n) -> Operator:
     """L . n for a unit 3-vector n = (nx, ny, nz).
 
-    Written straight onto its three diagonals: n_z m on the diagonal and
-    sqrt(j(j+1) - m(m+1)) (n_x -/+ i n_y) / 2 above and below it, the same
-    entries as n_x L_x + n_y L_y + n_z L_z summed from the ladder operators.
-    Raises ValueError unless n is a unit vector to 1e-12 (NaN included).
+    Written straight onto its three diagonals from _axis_bands: n_z m on
+    the diagonal, sqrt(j(j+1) - m(m+1)) (n_x + i n_y) / 2 below it and the
+    conjugate above it, the same entries as n_x L_x + n_y L_y + n_z L_z
+    summed from the ladder operators (a zero imaginary part above the
+    diagonal may carry either sign).  Raises ValueError unless n is a unit
+    vector to 1e-12 (NaN included).
     """
     j = _spin(j)
     n = np.asarray(n, dtype=float)
@@ -335,13 +351,12 @@ def axis_operator(j, n) -> Operator:
     length = float(np.linalg.norm(n))
     if not abs(length - 1.0) <= 1e-12:
         raise ValueError(f"axis must be a unit vector, |n| = {length}")
-    jv, m = j.value, m_values(j)
-    half = np.sqrt(jv * (jv + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
+    diag, sub = _axis_bands(j, n)
     mat = np.zeros((j.dim, j.dim), dtype=complex)
     flat = mat.reshape(-1)
-    flat[:: j.dim + 1] = n[2] * m
-    flat[1 :: j.dim + 1] = half * complex(n[0], -n[1])
-    flat[j.dim :: j.dim + 1] = half * complex(n[0], n[1])
+    flat[:: j.dim + 1] = diag
+    flat[1 :: j.dim + 1] = sub.conj()
+    flat[j.dim :: j.dim + 1] = sub
     return Operator(j, mat)
 
 

@@ -296,3 +296,57 @@ def test_output_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o644
+
+
+def _with_config(tmp_path, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(overrides if isinstance(overrides, str) else json.dumps(overrides))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("argv,code", [([], 0), (["--j", "6", "--d", "3"], 1)], ids=["antipodal", "equatorial-6-3"])
+def test_kl_scan_identity_error_family(tmp_path, argv, code):
+    # one pair, T = identity: the report is the codewords' gram matrix
+    out = tmp_path / "scan.json"
+    config = _with_config(tmp_path, {"error_family": "identity"})
+    assert main(["kl-scan", *argv, *config, "--out", str(out)]) == code
+    doc = json.loads(out.read_text())
+    assert [(p["t_alpha"], p["t_beta"], p["t_gamma"]) for p in doc["pairs"]] == [(0.0, 0.0, 0.0)]
+    if code:
+        # equatorial codewords 2pi/3 apart overlap by cos(pi/3)^(2j) = 0.5^12
+        assert abs(doc["summary"]["eps_star"] - 2.0**-12) <= 1e-14
+        assert doc["summary"]["passed"] is False
+
+
+def test_harmonics_config_thetas(tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(["harmonics", *_with_config(tmp_path, {"thetas": [0.1, 0.2]}), "--out", str(out)]) == 0
+    rows = _csv_rows(out.read_text())
+    assert len(rows) == 9 * 2
+    assert {float(r["theta"]) for r in rows} == {0.1, 0.2}
+
+
+@pytest.mark.parametrize(
+    "argv,overrides,message",
+    [
+        (["kl-scan"], {"family": "equatorial"}, "equatorial family needs d"),
+        (["kl-scan"], {"family": "polar"}, "unknown family 'polar'"),
+        (["kl-scan"], {"error_family": "drift"}, "unknown error_family 'drift'"),
+        (["tail-check"], "[1, 2]", "config file must hold a JSON object"),
+        (["tail-check"], {"format": "xml"}, "format must be csv or json, got 'xml'"),
+    ],
+    ids=["equatorial-without-d", "unknown-family", "unknown-error-family", "config-list", "format-xml"],
+)
+def test_config_errors_exit_2(tmp_path, capsys, argv, overrides, message):
+    out = tmp_path / "out.txt"
+    assert main([*argv, *_with_config(tmp_path, overrides), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jtext_complex_and_unknown_types():
+    from spinqec.cli import _jtext
+
+    assert _jtext(1 + 2j) == "[1, 2]"
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        _jtext(object())

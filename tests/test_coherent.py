@@ -1,6 +1,7 @@
 """Coherent states, closed-form matrix elements, and the sphere quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from spinqec.coherent import (
     y_symbol,
 )
 from spinqec.rotations import EulerAngles, haar_random, rotate_vector, wigner_D_matrix
-from spinqec.spin_core import HalfInt, StateVec, l3_operator
+from spinqec.spin_core import MAX_DENSE_DIM, HalfInt, StateVec, l3_operator
 
 
 def _random_points(rng, count):
@@ -302,6 +303,25 @@ def test_disentangle_check():
     assert disentangle_check(HalfInt(24), SphPoint(1.5, 0.9)) < 1e-7
     with pytest.raises(ValueError):
         disentangle_check(HalfInt(5), SphPoint(math.pi, 0.0))
+
+
+@pytest.mark.parametrize("j", [20, 40, 60])
+def test_disentangle_check_normwise_at_large_j(j):
+    # the residual is relative to the factors' scale, here up to 1.5e26; the
+    # former 2j dense products per factor left 1.4e-8, 14.8 and 2.1e10 absolute
+    assert disentangle_check(j, SphPoint(1.0, 0.3)) <= 1e-13
+
+
+def test_disentangle_check_stops_at_max_dense_dim():
+    j = HalfInt(MAX_DENSE_DIM)  # 2j + 1 = MAX_DENSE_DIM + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"j = 4096: 2j \+ 1 = 8193 exceeds MAX_DENSE_DIM"):
+            disentangle_check(j, SphPoint(0.01, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _dense_diagonal_operator(j, symbol, band_limit=None, n_phi=None, phi_multiple=1):

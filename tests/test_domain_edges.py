@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spinqec.cli import main
-from spinqec.coherent import SphPoint, coherent_amplitudes, overlap_magnitude, y_symbol
+from spinqec.coherent import SphPoint, coherent_amplitudes, disentangle_check, overlap_magnitude, y_symbol
 from spinqec.lll_codes import build_codewords, cyclic_normalization, cyclic_overlap_closed_form, equatorial_qudit
 from spinqec.qec_check import (
     ErrorSet,
@@ -103,8 +103,9 @@ def test_spin_core_rejects_non_finite_input(call, name):
     [
         (lambda: correctable_angle(0, 2, 0.1), "j must be positive"),
         (lambda: equatorial_offdiag_bound(4, 0, 0.1), "d must be at least 2"),
+        (lambda: disentangle_check(200, SphPoint(2.8, 0.0)), r"^j = 200, theta = 2\.8: .* double range"),
     ],
-    ids=["correctable_angle-spin-0", "equatorial_offdiag_bound-d-0"],
+    ids=["correctable_angle-spin-0", "equatorial_offdiag_bound-d-0", "disentangle_check-scale-overflow"],
 )
 def test_closed_form_bounds_reject_empty_domain(call, match):
     with pytest.raises(ValueError, match=match):

@@ -474,6 +474,6 @@ def test_closed_form_kl_check_runs_beyond_max_dense_dim(monkeypatch, j):
     def refuse(*args):
         raise AssertionError("dense L_y built beyond MAX_DENSE_DIM")
 
-    monkeypatch.setattr(qec_check, "axis_operator", refuse)
+    monkeypatch.setattr(qec_check, "_tridiagonal_eigh", refuse)
     with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM"):
         kl_check(code, errs, 1, brute_force=True)

@@ -7,6 +7,7 @@ import pytest
 
 from spinqec.coherent import SphPoint, coherent_state, theta_rule
 from spinqec.monopole import (
+    _jacobi,
     build_full_landau_code,
     correctable_shift_count,
     harmonic_table,
@@ -62,6 +63,24 @@ def test_routes_agree_at_large_l_over_arrays(tl):
     dual = monopole_Y(HalfInt(1), HalfInt(tl), HalfInt(1), route="wigner-d")(thetas, phis)
     assert dual.shape == thetas.shape
     assert np.max(np.abs(jac - dual)) < 1e-10
+
+
+def test_jacobi_rescales_past_two_to_the_512():
+    # P_400^(400,0)(1) = C(800, 400), about 1.1e239: the recurrence carries it
+    # as p * 2**512, and the scaling by the exact power of two is lossless
+    p, e = _jacobi(400, 400, 0, 1.0)
+    assert e == 512
+    want = math.comb(800, 400)
+    assert abs(math.ldexp(float(p), int(e)) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.6, 1.5, 2.5])
+def test_routes_agree_at_l_600_half_integer(theta):
+    # the jacobi route rescales its recurrence past 2**512 and splits a
+    # prefactor far beyond 2**+-200 (_exp_parts); the wigner-d route does neither
+    want = monopole_Y(0.5, 600.5, 299.5, route="wigner-d")(theta, 0.3)
+    got = monopole_Y(0.5, 600.5, 299.5)(theta, 0.3)
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 def test_pole_values_exact():

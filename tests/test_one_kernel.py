@@ -4,6 +4,7 @@ per-point evaluations it replaced and with 40- and 50-digit references."""
 import importlib
 import math
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -211,7 +212,7 @@ def test_half_angles_snap_scalars_and_arrays():
             assert np.float64(s).tobytes() == sh[i].tobytes()
 
 
-@pytest.mark.parametrize("n,j", [(4, 0.5), (8, 1), (16, 2.5), (5, 0)])
+@pytest.mark.parametrize("n,j", [(4, 0.5), (8, 1), (16, 2.5), (5, 0), (32, 1)])
 def test_landau_amplitudes_match_single_harmonics(n, j):
     code = build_full_landau_code(n, j)
     for e in code.entries:
@@ -626,5 +627,103 @@ def test_one_tridiagonal_eigensolver_call_per_generator(monkeypatch, call, count
     assert patched == {"spinqec.spin_core", "spinqec.coherent", "spinqec.qec_check"}
     qec_check._ly_eigenbasis.cache_clear()
     coherent._theta_rule_cached.cache_clear()
+    call()
+    assert len(calls) == count
+
+
+# ----------------------------------------------------------------------
+# Spin generators on their bands: one writer of L . n, _axis_bands
+# ----------------------------------------------------------------------
+
+_BAND_TWICE = (*range(31), 99, 400)
+
+
+def _band_axes():
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    axes += [(0.0, 0.0, -1.0), (0.6, 0.0, -0.8), (0.0, -0.6, 0.8), (0.6, 0.8, 0.0), (-0.8, 0.0, 0.6)]
+    rng = np.random.default_rng(21)
+    return axes + [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(14, 3))]
+
+
+def _former_bands(j, n):
+    # the diagonal and lower band axis_operator wrote before _axis_bands
+    jv, m = j.value, spin_core.m_values(j)
+    half = np.sqrt(jv * (jv + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
+    return n[2] * m, half * complex(n[0], n[1])
+
+
+def test_axis_bands_are_axis_operator_diagonals():
+    axes = _band_axes()
+    assert len(axes) >= 20
+    for twice in _BAND_TWICE:
+        j = HalfInt(twice)
+        for n in axes:
+            diag, sub = spin_core._axis_bands(j, np.asarray(n))
+            mat = spin_core.axis_operator(j, n).mat
+            assert diag.tobytes() == np.diagonal(mat).real.tobytes(), (twice, n)
+            assert sub.tobytes() == np.diagonal(mat, -1).tobytes(), (twice, n)
+            assert np.array_equal(np.diagonal(mat, 1), sub.conj())
+            for got, want in zip((diag, sub), _former_bands(j, np.asarray(n))):
+                assert got.tobytes() == want.tobytes(), (twice, n)
+
+
+def test_ladder_operators_bytes_equal_former_construction():
+    for twice in _BAND_TWICE:
+        j = HalfInt(twice)
+        jv, m = j.value, spin_core.m_values(j)[1:]
+        lp = np.diag(np.sqrt(jv * (jv + 1.0) - m * (m + 1.0)), k=1).astype(complex)
+        got = spin_core.ladder_operators(j)
+        assert got[0].mat.tobytes() == lp.tobytes(), twice
+        assert got[1].mat.tobytes() == np.ascontiguousarray(lp.conj().T).tobytes(), twice
+
+
+def test_ly_eigenbasis_bytes_equal_former_construction():
+    # _ly_eigenbasis as it stood: the bands read back from a dense L_y
+    y_axis = np.array([0.0, 1.0, 0.0])
+    for twice in range(121):
+        j = HalfInt(twice)
+        diag, sub = _former_bands(j, y_axis)
+        ly = np.zeros((j.dim, j.dim), dtype=complex)
+        ly.flat[:: j.dim + 1] = diag
+        ly.flat[j.dim :: j.dim + 1] = sub
+        lam, vecs, phase = spin_core._tridiagonal_eigh(np.diagonal(ly).real, np.diagonal(ly, -1))
+        got_lam, got_vecs_h = qec_check._ly_eigenbasis(j)
+        assert got_lam.tobytes() == lam.tobytes(), twice
+        assert got_vecs_h.tobytes() == (phase.conj()[:, None] * vecs).T.tobytes(), twice
+
+
+def test_ly_eigenbasis_builds_no_dense_generator():
+    # a dense complex L_y took 16 bytes per entry on top of the real
+    # eigensolver's 24: the cold peak was 40 (2j+1)^2 bytes
+    j = HalfInt(1000)
+    qec_check._ly_eigenbasis.cache_clear()
+    tracemalloc.start()
+    try:
+        qec_check._ly_eigenbasis(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        qec_check._ly_eigenbasis.cache_clear()
+    assert peak <= 32 * j.dim**2
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [
+        (lambda: spin_core.axis_operator(6, (0.6, 0.0, 0.8)), 1),
+        (lambda: spin_core.ladder_operators(6), 1),
+        (lambda: rotations.wigner_d_matrix(6, 0.7), 1),
+        (lambda: rotations.wigner_d(6, 1, -2, 0.7), 1),
+        (lambda: qec_check._ly_eigenbasis(HalfInt(13)), 1),
+        (lambda: coherent.disentangle_check(6, SphPoint(1.0, 0.3)), 2),
+    ],
+    ids=["axis_operator", "ladder_operators", "wigner_d_matrix", "wigner_d", "ly_eigenbasis", "disentangle"],
+)
+def test_one_generator_band_writer(monkeypatch, call, count):
+    # every generator's entries come from _axis_bands; the disentangling
+    # check reads L1's band once and its Wigner-D reference once more
+    calls, patched = _count_calls(monkeypatch, spin_core, "_axis_bands")
+    assert patched == {"spinqec.spin_core", "spinqec.rotations", "spinqec.coherent", "spinqec.qec_check"}
+    qec_check._ly_eigenbasis.cache_clear()
     call()
     assert len(calls) == count
