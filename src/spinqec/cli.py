@@ -18,7 +18,8 @@ temporary file in the target directory and is renamed into place, never
 left partial and never clobbering another file.  Rows are computed
 serially and reach the one table writer, _emit, as columns of cells
 already rendered as JSON text; kl-scan takes its columns straight from
-the scan arrays and formats each float column in one pass.
+the scan arrays, and recovery-sweep from the columns of one block of
+rounds, and each formats its float columns in one pass.
 
 CSV output uses '.' decimals, comma separators, and a header row, with
 the config on a leading '#' comment line.  JSON output is line-oriented
@@ -47,7 +48,7 @@ from .spin_core import HalfInt
 from .rotations import EulerAngles, _finite_angle
 from .lll_codes import antipodal, equatorial_qudit, build_codewords, matrix_element_table
 from .qec_check import conjugated_y, equatorial_z, explicit_list, kl_check
-from .recovery import recover, tail_failure
+from .recovery import _correct_and_decode, _draws, _round_args, tail_failure
 from .finite_gkp import GkpParams, build_gkp_code, syndrome_and_recover, tiling_window
 from .monopole import harmonic_table
 
@@ -326,27 +327,22 @@ def cmd_overlap_curve(cfg: dict) -> int:
 
 
 def cmd_recovery_sweep(cfg: dict) -> int:
-    j = HalfInt.of(cfg["j"])
-    j_anc = None if cfg["j_anc"] is None else HalfInt.of(cfg["j_anc"])
+    samples = int(cfg["samples"])
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    j, d, k, delta_phi, out_of_cell = _round_args(cfg["j"], cfg["d"], cfg["input_k"], cfg["delta"])
+    tj_anc = None if cfg["j_anc"] is None else HalfInt.of(cfg["j_anc"]).twice
     seed = int(cfg["seed"])
-    rows = [
-        recover(
-            j, int(cfg["d"]), int(cfg["input_k"]), float(cfg["delta"]), seed + i, j_anc=j_anc
-        ).to_json_dict()
-        for i in range(int(cfg["samples"]))
-    ]
-    header = [
-        "j",
-        "d",
-        "input_k",
-        "delta_phi",
-        "measured_phi",
-        "recovered_k",
-        "fidelity",
-        "raw_fidelity",
-        "out_of_cell",
-    ]
-    _emit(cfg, "recovery-sweep", _columns(header, rows))
+    phis = _draws(j.twice, d, k, delta_phi, range(seed, seed + samples), tj_anc)
+    recovered, fidelity, raw_fidelity = _correct_and_decode(j.twice, d, k, delta_phi, phis)
+    constant = {"j": j.value, "d": d, "input_k": k, "delta_phi": delta_phi}
+    columns = {name: [_jtext(value)] * samples for name, value in constant.items()}
+    columns["measured_phi"] = _float_cells(np.array([phi % (2.0 * math.pi) for phi in phis]))
+    columns["recovered_k"] = [str(a) for a in recovered.tolist()]
+    columns["fidelity"] = _float_cells(fidelity)
+    columns["raw_fidelity"] = _float_cells(raw_fidelity)
+    columns["out_of_cell"] = [_jtext(out_of_cell)] * samples
+    _emit(cfg, "recovery-sweep", columns)
     return 0
 
 

@@ -256,7 +256,8 @@ def _ln_overlap_magnitude(y: float, tj) -> float:
     """ln |((1 + exp(i y))/2)^(2j)| = 2j ln|cos(y/2)|, any finite real y.
 
     The one real kernel of the overlap law |<Omega1|Omega2>| =
-    |cos(gamma/2)|^(2j): recovery's decode (_correct_and_decode) and
+    |cos(gamma/2)|^(2j): recovery's block decode (_correct_and_decode,
+    behind recover, finite_ancilla_note and the CLI's recovery-sweep) and
     tail_failure, lll_codes._coset_filter (cyclic_normalization,
     cyclic_overlap_closed_form), qec_check.equatorial_offdiag_bound and
     overlap_magnitude all take it from here.  y is first reduced into

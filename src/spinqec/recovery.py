@@ -46,6 +46,13 @@ epsilon = pi/2).  C is circulant, so its eigenvalues are known exactly; each
 (j, d) keeps the DFT that diagonalizes it, scaled by them, read-only in a
 bounded cache (32 entries).
 
+Rounds run in blocks of seeds, through one sampler (_draws, one generator
+per seed) and one decode (_correct_and_decode): the d logs and exps of a
+row are scalar math calls, and the block's W v and |W v|^2 are stacked
+matmuls, which keep each row's BLAS gemv and dot bits, so a row reads the
+same in a block of any size.  recover is the one-seed block;
+finite_ancilla_note and the CLI's recovery-sweep decode whole blocks.
+
 Only numpy and the standard library are used at run time.
 """
 
@@ -385,13 +392,47 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return whitening, root
 
 
-def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phi_m: float):
-    """Correction rotation at the reported azimuth, then decode.
+def _round_args(j, d: int, k: int, delta_phi: float):
+    """recover's checked arguments: (j, d, k mod d, delta_phi, out_of_cell)."""
+    j = _spin(j)
+    if not j.is_integer:
+        raise ValueError("recovery assumes integer j")
+    d = int(d)
+    if not 2 <= d <= j.twice + 1:
+        raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {j.twice + 1} levels")
+    delta_phi = float(delta_phi)
+    if not math.isfinite(delta_phi):
+        raise ValueError(f"delta_phi must be finite, got {delta_phi}")
+    return j, d, int(k) % d, delta_phi, not abs(delta_phi) < math.pi / d
 
-    Returns (recovered_k, fidelity, raw_fidelity).  The corrected state
-    is exp(i s L3)|kbar>, s = offset - delta_phi; decoding projects it
-    onto the code span and renormalizes.  With the overlap magnitudes v
-    and the gram magnitudes C of the module docstring,
+
+def _draws(tj: int, d: int, k: int, delta_phi: float, seeds, tj_anc=None) -> list[float]:
+    """The reported azimuth of one round per seed, not reduced mod 2 pi.
+
+    Each seed starts its own generator: a uniformly chosen peak, then the
+    peak's Beta law, and with tj_anc set a readout blur from the ancilla
+    kernel cos^(2 tj_anc)(Delta/2), drawn after the system, so blocks with
+    and without it on one seed share the true outcome.
+    """
+    phis = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        peak = int(rng.integers(d))
+        phi = (_TWO_PI * (k + peak) / d + delta_phi + _peak_offset(tj, rng)) % _TWO_PI
+        if tj_anc is not None:
+            phi += _peak_offset(tj_anc, rng)
+        phis.append(phi)
+    return phis
+
+
+def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phis):
+    """Correction rotation at each reported azimuth, then decode.
+
+    Returns the columns (recovered_k, fidelity, raw_fidelity), one row
+    per azimuth.  The corrected state is exp(i s L3)|kbar>, s = offset -
+    delta_phi; decoding projects it onto the code span and renormalizes.
+    With the overlap magnitudes v and the gram magnitudes C of the module
+    docstring,
 
         fidelity = v_k^2 / (v^T C^-1 v),  raw_fidelity = v_k^2,
         recovered_k = argmax_a v_a.
@@ -406,18 +447,29 @@ def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phi_m: float)
     computed ones there keeps rounding in v from being divided by a small
     lambda_f.  Where max(v) < exp(-300), d is far below sqrt(j), every
     lambda_f is near 1 and the cap, taken at exp(300), is idle.
+
+    The logs and exps are scalar math calls, whose bits do not follow
+    numpy's SIMD dispatch.  The block's W v and |W v|^2 are stacked
+    matmuls, which run one BLAS gemv and one dot per row, so each row
+    keeps the bits a one-row block gives it.
     """
-    lattice_index = round(phi_m * d / _TWO_PI)
-    s = phi_m - _TWO_PI * lattice_index / d - delta_phi
-    ln_v = [_ln_overlap_magnitude(_TWO_PI * ((k - a) % d) / d - s, tj) for a in range(d)]
-    top = max(ln_v)
-    recovered_k = ln_v.index(top)
+    recovered, rows, caps, ratios, raws = [], [], [], [], []
+    for phi_m in phis:
+        lattice_index = round(phi_m * d / _TWO_PI)
+        s = phi_m - _TWO_PI * lattice_index / d - delta_phi
+        ln_v = [_ln_overlap_magnitude(_TWO_PI * ((k - a) % d) / d - s, tj) for a in range(d)]
+        top = max(ln_v)
+        recovered.append(ln_v.index(top))
+        rows.append([math.exp(x - top) for x in ln_v])
+        caps.append(math.exp(min(-top, 300.0)))
+        ratios.append(math.exp(2.0 * (ln_v[k] - top)))
+        raws.append(math.exp(2.0 * ln_v[k]))
     whitening, root = _gram_factor(tj, d)
-    v = np.array([math.exp(x - top) for x in ln_v])
-    capped = np.minimum(np.abs(whitening @ v), root * math.exp(min(-top, 300.0)))
-    fidelity = min(1.0, math.exp(2.0 * (ln_v[k] - top)) / float(capped @ capped))
-    raw_fidelity = math.exp(2.0 * ln_v[k])
-    return recovered_k, fidelity, raw_fidelity
+    v = np.array(rows, dtype=complex).reshape(len(rows), d, 1)
+    capped = np.minimum(np.abs(np.matmul(whitening, v)[..., 0]), np.multiply.outer(caps, root))
+    norms = np.matmul(capped[:, None], capped[..., None])[:, 0, 0].tolist()
+    fidelity = [min(1.0, ratio / norm) for ratio, norm in zip(ratios, norms)]
+    return np.array(recovered, dtype=np.int64), np.array(fidelity), np.array(raws)
 
 
 def recover(
@@ -438,38 +490,17 @@ def recover(
     code span.  With j_anc set, the reported azimuth acquires a readout
     blur drawn from the ancilla resolution kernel cos^(4 j_anc)(Delta/2)
     before the offset is computed.  The system is drawn first, so runs
-    with and without j_anc on one seed share the true outcome.
+    with and without j_anc on one seed share the true outcome.  This is
+    the one-seed block of the sampler and decode that recovery-sweep and
+    finite_ancilla_note run over many seeds at once.
     """
-    j = _spin(j)
-    tj = j.twice
-    if not j.is_integer:
-        raise ValueError("recovery assumes integer j")
-    d = int(d)
-    if not 2 <= d <= tj + 1:
-        raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
-    k = int(k) % d
-    delta_phi = float(delta_phi)
-    if not math.isfinite(delta_phi):
-        raise ValueError(f"delta_phi must be finite, got {delta_phi}")
-    out_of_cell = not abs(delta_phi) < math.pi / d
-    rng = np.random.default_rng(seed)
-    peak = int(rng.integers(d))
-    phi_true = (_TWO_PI * (k + peak) / d + delta_phi + _peak_offset(tj, rng)) % _TWO_PI
-    phi_report = phi_true
-    if j_anc is not None:
-        phi_report = phi_true + _peak_offset(_spin(j_anc).twice, rng)
-
-    recovered_k, fidelity, raw_fidelity = _correct_and_decode(tj, d, k, delta_phi, phi_report)
+    j, d, k, delta_phi, out_of_cell = _round_args(j, d, k, delta_phi)
+    tj_anc = None if j_anc is None else _spin(j_anc).twice
+    phis = _draws(j.twice, d, k, delta_phi, (seed,), tj_anc)
+    columns = _correct_and_decode(j.twice, d, k, delta_phi, phis)
+    (recovered_k,), (fidelity,), (raw_fidelity,) = (column.tolist() for column in columns)
     return SyndromeRun(
-        j,
-        d,
-        k,
-        delta_phi,
-        float(phi_report % _TWO_PI),
-        recovered_k,
-        fidelity,
-        raw_fidelity,
-        out_of_cell,
+        j, d, k, delta_phi, phis[0] % _TWO_PI, recovered_k, fidelity, raw_fidelity, out_of_cell
     )
 
 
@@ -498,24 +529,22 @@ def finite_ancilla_note(
 ) -> AncillaReport:
     """Fidelity cost of reading the syndrome with a finite ancilla.
 
-    Runs the same seeded measurement batch with and without the readout
-    blur and reports the mean-fidelity gap, which shrinks as j_anc
-    grows.
+    Decodes one block of runs seeded seed, seed + 1, ... with the readout
+    blur and one without, over the same seeds, so each pair shares its
+    true outcome, and reports the mean-fidelity gap, which shrinks as
+    j_anc grows.  Each run equals recover on its seed.  runs must be at
+    least 1.
     """
-    j = _spin(j)
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
     j_anc = _spin(j_anc)
-    fid_ideal = []
-    fid_anc = []
-    correct = 0
-    for i in range(runs):
-        ideal = recover(j, d, k, delta_phi, seed=seed + i)
-        noisy = recover(j, d, k, delta_phi, seed=seed + i, j_anc=j_anc)
-        fid_ideal.append(ideal.fidelity)
-        fid_anc.append(noisy.fidelity)
-        if noisy.recovered_k == k:
-            correct += 1
+    seeds = range(seed, seed + runs)
+    ideal = _draws(j.twice, d, k, delta_phi, seeds)
+    noisy = _draws(j.twice, d, k, delta_phi, seeds, j_anc.twice)
+    _, fid_ideal, _ = _correct_and_decode(j.twice, d, k, delta_phi, ideal)
+    recovered, fid_anc, _ = _correct_and_decode(j.twice, d, k, delta_phi, noisy)
     mean_ideal = float(np.mean(fid_ideal))
     mean_anc = float(np.mean(fid_anc))
-    return AncillaReport(
-        j, j_anc, runs, mean_ideal, mean_anc, mean_ideal - mean_anc, correct / runs
-    )
+    correct_rate = int(np.count_nonzero(recovered == k)) / runs
+    return AncillaReport(j, j_anc, runs, mean_ideal, mean_anc, mean_ideal - mean_anc, correct_rate)

@@ -235,6 +235,46 @@ def test_recovery_sweep_json_lines(tmp_path):
     assert len(measured) > 1
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--j", "1", "--d", "9", "--samples", "0"], "2 <= d <= 2j + 1"),
+        (["--j", "1.5", "--samples", "0"], "integer j"),
+        (["--delta", "nan", "--samples", "0"], "delta_phi must be finite"),
+        (["--samples", "-3"], "samples must be nonnegative"),
+    ],
+)
+def test_recovery_sweep_rejects_invalid_rounds(tmp_path, capsys, argv, message):
+    # the round is checked before any round runs, so an empty sweep of an
+    # invalid code no longer writes a header-only table
+    out = tmp_path / "sweep.csv"
+    assert main(["recovery-sweep", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "fmt,text",
+    [
+        (
+            "csv",
+            '# config: {"subcommand": "recovery-sweep", "d": 2, "delta": 0, "format": "csv", '
+            '"input_k": 0, "j": 8, "j_anc": null, "samples": 0, "seed": 0}\n'
+            "j,d,input_k,delta_phi,measured_phi,recovered_k,fidelity,raw_fidelity,out_of_cell\n",
+        ),
+        (
+            "json",
+            '{"config": {"subcommand": "recovery-sweep", "d": 2, "delta": 0, "format": "json", '
+            '"input_k": 0, "j": 8, "j_anc": null, "samples": 0, "seed": 0}}\n',
+        ),
+    ],
+)
+def test_recovery_sweep_without_rounds_writes_header_only(tmp_path, fmt, text):
+    out = tmp_path / "sweep.txt"
+    assert main(["recovery-sweep", "--samples", "0", "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == text
+
+
 def test_byte_determinism_across_out_paths(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "sub" / "b.json"

@@ -106,6 +106,18 @@ CASES = {
         {"j_anc": 20, "input_k": 2},
         "6123d3fa42b85def4c0b4c4e9cf4d36674fc44f9c901d2076412f06bcf0c0f89",
     ),
+    "recovery-sweep-j50-d3-300-csv": (
+        ["recovery-sweep", "--j", "50", "--d", "3", "--delta", "-0.2297", "--samples", "300"]
+        + ["--seed", "7", "--format", "csv"],
+        None,
+        "d057436053c84cecc774c5e0fb0ed28a6747a256d558f79dd78482b124f626e7",
+    ),
+    "recovery-sweep-j200-d4-ancilla-0": (
+        ["recovery-sweep", "--j", "200", "--d", "4", "--delta", "0.3", "--samples", "40"]
+        + ["--seed", "3"],
+        {"j_anc": 0, "input_k": 5},
+        "7cc67368fe2160637359b2096904ed0dea7c0186f04d00e6326014110d7c063b",
+    ),
     "overlap-curve-defaults": (
         ["overlap-curve"],
         None,
@@ -182,7 +194,7 @@ def test_digests_hold_without_avx512_kernels():
     # place of its AVX-512 ones.  This fails on the day another output
     # starts to depend on numpy's SIMD kernels.
     stable = sorted(set(CASES) - set(DISPATCH_DEPENDENT))
-    assert len(stable) == 11
+    assert len(stable) == 13
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX2_ONLY)
     tests_dir = str(pathlib.Path(__file__).resolve().parent)
     child = subprocess.run(

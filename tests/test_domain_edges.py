@@ -20,7 +20,7 @@ from spinqec.qec_check import (
     explicit_list,
     kl_check,
 )
-from spinqec.recovery import recover, tail_failure
+from spinqec.recovery import finite_ancilla_note, recover, tail_failure
 from spinqec.rotations import EulerAngles, canonicalize, compose, inverse
 from spinqec.spin_core import HalfInt, axis_operator, matexp_antihermitian
 
@@ -125,6 +125,8 @@ def test_closed_form_bounds_reject_empty_domain(call, match):
         (lambda: SphPoint(0.3, math.nan), "phi"),
         (lambda: SphPoint(0.3, math.inf), "phi"),
         (lambda: SphPoint(math.nan, 0.3), "theta"),
+        (lambda: finite_ancilla_note(8, 4, runs=0), "runs"),
+        (lambda: finite_ancilla_note(8, 4, runs=-2), "runs"),
     ],
     ids=[
         "equatorial_offdiag_bound-nan",
@@ -137,11 +139,13 @@ def test_closed_form_bounds_reject_empty_domain(call, match):
         "SphPoint-phi-nan",
         "SphPoint-phi-inf",
         "SphPoint-theta-nan",
+        "finite_ancilla_note-runs-0",
+        "finite_ancilla_note-runs-negative",
     ],
 )
 def test_overlap_law_callers_reject_bad_input(call, name):
-    # each of these used to come back as a silent number (1.0, 0.0, -0.0),
-    # a ZeroDivisionError or a numpy cast warning
+    # each of these used to come back as a silent number (1.0, 0.0, -0.0,
+    # means of nan), a ZeroDivisionError or a numpy warning
     with pytest.raises(ValueError, match=rf"^{name} "):
         call()
 

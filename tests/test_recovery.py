@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from spinqec.recovery import (
+    AncillaReport,
     finite_ancilla_note,
     recover,
     single_peak_mass,
@@ -18,6 +19,7 @@ from spinqec.recovery import (
     tail_failure,
 )
 from spinqec import recovery
+from spinqec.coherent import _ln_overlap_magnitude
 from spinqec.recovery import _correct_and_decode
 from spinqec.lll_codes import build_codewords, equatorial_qudit
 from spinqec.spin_core import HalfInt
@@ -226,7 +228,7 @@ def test_correct_and_decode_pinned_peak():
     # landing exactly on the shifted azimuth undoes the drift completely
     for twice, d, k, dphi in ((16, 2, 0, 0.09), (24, 3, 2, -0.21)):
         phi_m = 2.0 * math.pi * k / d + dphi
-        recovered_k, fidelity, raw = _correct_and_decode(twice, d, k, dphi, phi_m)
+        recovered_k, fidelity, raw = (c[0] for c in _correct_and_decode(twice, d, k, dphi, [phi_m]))
         assert recovered_k == k
         assert abs(fidelity - 1.0) < 1e-12
         assert abs(raw - 1.0) < 1e-12
@@ -328,11 +330,88 @@ def test_recover_matches_mp_decode(j, d, j_anc):
     ],
 )
 def test_correct_and_decode_matches_mp_at_edges(j, d, k, delta_phi, phi_m):
-    got = _correct_and_decode(2 * j, d, k, delta_phi, phi_m)
+    got = [c[0] for c in _correct_and_decode(2 * j, d, k, delta_phi, [phi_m])]
     want = _mp_decode(j, d, k, delta_phi, phi_m)
     _assert_matches_mp(got, want)
     if want[2] < 1e-300:
         assert got[2] < 1e-300
+
+
+def _block_test_azimuths(d, rng):
+    """Reported azimuths for one decode block: uniform ones, blurred ones
+    outside [0, 2 pi), the cell midpoints and points 1e-9 off them (where
+    at j = 10^5 every overlap underflows), and the lattice azimuths."""
+    mids = [math.pi * (2 * a + 1) / d for a in range(d)]
+    lattice = [2.0 * math.pi * a / d for a in range(d)]
+    near = [m + e for m in mids for e in (-1e-9, 1e-9)]
+    return [*rng.uniform(0.0, 2.0 * math.pi, 48), *rng.uniform(-0.5, 0.0, 4),
+            *rng.uniform(2.0 * math.pi, 2.0 * math.pi + 0.5, 4), *mids, *near, *lattice]
+
+
+@pytest.mark.parametrize("j", [1, 8, 200, 2000, 10**5])
+def test_block_decode_equals_one_row_decode(j):
+    # the stacked matmuls of a block must give every row the bits of a
+    # one-row block, or a sweep's rows would depend on its length
+    rng = np.random.default_rng(j)
+    for d in range(2, min(2 * j + 1, 9) + 1):
+        for k, delta_phi in ((0, 0.0), (d - 1, 0.1), (d // 2, -0.37)):
+            phis = _block_test_azimuths(d, rng)
+            block = _correct_and_decode(2 * j, d, k, delta_phi, phis)
+            rows = [_correct_and_decode(2 * j, d, k, delta_phi, [phi]) for phi in phis]
+            for col, column in enumerate(block):
+                joined = np.concatenate([row[col] for row in rows])
+                assert column.dtype == joined.dtype
+                assert column.tobytes() == joined.tobytes(), (j, d, k, delta_phi, col)
+    # both edge rows are in the blocks above: at j = 10^5 every overlap
+    # underflows in the middle of a cell, and at j = 1 on a lattice azimuth
+    # the other codeword's overlap is an exact zero
+    if j == 10**5:
+        _, fidelity, raw = _correct_and_decode(2 * j, 2, 0, 0.0, [0.5 * math.pi - 1e-9])
+        assert raw[0] == 0.0 and 0.0 < fidelity[0] <= 1.0
+    if j == 1:
+        assert _ln_overlap_magnitude(math.pi, 2) == -math.inf
+        recovered, fidelity, raw = _correct_and_decode(2, 2, 1, 0.0, [math.pi])
+        assert (recovered[0], fidelity[0], raw[0]) == (1, 1.0, 1.0)
+
+
+def test_decode_of_an_empty_block():
+    columns = _correct_and_decode(16, 3, 1, 0.1, [])
+    assert [c.shape for c in columns] == [(0,), (0,), (0,)]
+    assert [c.dtype for c in columns] == [np.int64, np.float64, np.float64]
+
+
+def _ancilla_note_by_rounds(j, j_anc, d, k, delta_phi, runs, seed):
+    """finite_ancilla_note as a loop of single recover rounds."""
+    ideal = [recover(j, d, k, delta_phi, seed + i) for i in range(runs)]
+    noisy = [recover(j, d, k, delta_phi, seed + i, j_anc=j_anc) for i in range(runs)]
+    mean_ideal = float(np.mean([run.fidelity for run in ideal]))
+    mean_anc = float(np.mean([run.fidelity for run in noisy]))
+    correct = sum(run.recovered_k == run.input_k for run in noisy)
+    return AncillaReport(
+        HalfInt.of(j), HalfInt.of(j_anc), runs, mean_ideal, mean_anc, mean_ideal - mean_anc,
+        correct / runs,
+    )
+
+
+@pytest.mark.parametrize(
+    "j,j_anc,d,k,delta_phi,runs,seed",
+    [
+        (16, 4, 2, 0, 0.05, 300, 0),
+        (50, 20, 3, 2, 0.2, 120, 17),
+        (2000, 40, 4, 1, -0.1, 60, 5),
+    ],
+)
+def test_finite_ancilla_note_equals_loop_of_rounds(j, j_anc, d, k, delta_phi, runs, seed):
+    note = finite_ancilla_note(j, j_anc, d=d, k=k, delta_phi=delta_phi, runs=runs, seed=seed)
+    assert note == _ancilla_note_by_rounds(j, j_anc, d, k, delta_phi, runs, seed)
+
+
+def test_finite_ancilla_note_reduces_k_like_recover():
+    # recover reads k mod d, and so does the correct rate: k = d + 1 used
+    # to be compared unreduced and read 0.0
+    note = finite_ancilla_note(32, 32, d=3, k=4, runs=50, seed=2)
+    assert note == finite_ancilla_note(32, 32, d=3, k=1, runs=50, seed=2)
+    assert note.correct_rate_ancilla > 0.9
 
 
 def test_gram_factor_cached_read_only():
