@@ -16,10 +16,11 @@ every output file.  Numbers are printed with 17 significant digits so
 repeated runs are byte-identical; output goes to a uniquely named
 temporary file in the target directory and is renamed into place, never
 left partial and never clobbering another file.  Rows are computed
-serially and reach the one table writer, _emit, as columns of cells
-already rendered as JSON text; kl-scan takes its columns straight from
-the scan arrays, and recovery-sweep from the columns of one block of
-rounds, and each formats its float columns in one pass.
+serially.  Every subcommand returns its table as columns of cells already
+rendered as JSON text, float columns formatted in one pass each, and main
+hands them to the one table writer, _emit; kl-scan takes its columns
+straight from the scan arrays, recovery-sweep from the columns of one
+block of rounds, and harmonics transposes harmonic_table's rows once.
 
 CSV output uses '.' decimals, comma separators, and a header row, with
 the config on a leading '#' comment line.  JSON output is line-oriented
@@ -53,15 +54,6 @@ from .finite_gkp import GkpParams, build_gkp_code, syndrome_and_recover, tiling_
 from .monopole import harmonic_table
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = (
-    "kl-scan",
-    "overlap-curve",
-    "recovery-sweep",
-    "gkp-table",
-    "harmonics",
-    "tail-check",
-)
 
 _DEFAULTS: dict[str, dict] = {
     "kl-scan": {
@@ -120,10 +112,14 @@ _DEFAULTS: dict[str, dict] = {
     },
 }
 
-# argparse dests that are also config keys, applied only when the flag was given
+# (flag, config key, type) of every flag that sets a config key when given;
+# "out" is the one key every subcommand has and no output echoes
 _FLAGS = (
-    "j", "d", "n", "k", "r1", "r2", "theta_max", "epsilon", "delta", "seed", "format", "lmax",
-    "samples",
+    ("--j", "j", float), ("--d", "d", int), ("--N", "n", int), ("--K", "k", int),
+    ("--r1", "r1", int), ("--r2", "r2", int), ("--theta-max", "theta_max", float),
+    ("--epsilon", "epsilon", float), ("--delta", "delta", float), ("--seed", "seed", int),
+    ("--out", "out", str), ("--format", "format", str), ("--lmax", "lmax", float),
+    ("--samples", "samples", int),
 )
 
 
@@ -167,11 +163,6 @@ def _float_cells(values: np.ndarray) -> list[str]:
     return [texts[i] for i in inverse.tolist()]
 
 
-def _columns(header: list[str], rows: list[dict]) -> dict[str, list[str]]:
-    """The rows' values as columns of _jtext cells, in header order."""
-    return {h: [_jtext(row[h]) for row in rows] for h in header}
-
-
 def _echoed(subcommand: str, cfg: dict) -> dict:
     echo = {"subcommand": subcommand}
     for key in sorted(cfg):
@@ -184,7 +175,7 @@ def _emit(cfg: dict, name: str, columns: dict[str, list[str]], summary: dict | N
     """Render the table as cfg["format"] and write it to cfg["out"].
 
     columns maps each header field, in order, to its cells rendered as
-    JSON text (_columns, _float_cells).  JSON is one object per row and
+    JSON text (_jtext, _float_cells).  JSON is one object per row and
     line, config first; a row object holds every column, as _jtext
     would print the row's dict.  A summary (kl-scan) makes the JSON a
     single {config, summary, pairs} document and adds a second comment
@@ -250,14 +241,12 @@ def _load_config(subcommand: str, args: argparse.Namespace) -> dict:
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {subcommand}")
             cfg[key] = value
-    for key in _FLAGS:
-        value = getattr(args, key, None)
+    for _, key, _ in _FLAGS:
+        value = getattr(args, key)
         if value is not None:
             if key not in cfg:
                 raise ValueError(f"flag --{key} does not apply to {subcommand}")
             cfg[key] = value
-    if args.out is not None:
-        cfg["out"] = args.out
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg['format']!r}")
     return cfg
@@ -268,10 +257,11 @@ def _angles_list(r: EulerAngles) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (columns, summary or None, exit status), and
+# main hands the table to _emit before returning the status
 
 
-def cmd_kl_scan(cfg: dict) -> int:
+def cmd_kl_scan(cfg: dict):
     for key in ("delta", "epsilon"):
         if not 0.0 <= float(cfg[key]) < math.inf:
             raise ValueError(f"{key} must be finite and nonnegative, got {cfg[key]!r}")
@@ -307,33 +297,25 @@ def cmd_kl_scan(cfg: dict) -> int:
     }
     header = ["t_alpha", "t_beta", "t_gamma", "delta", "eps"]
     columns = dict(zip(header, map(_float_cells, report._pair_columns())))
-    _emit(cfg, "kl-scan", columns, summary)
-    return 0 if passed else 1
+    return columns, summary, 0 if passed else 1
 
 
-def cmd_overlap_curve(cfg: dict) -> int:
-    j = HalfInt.of(cfg["j"])
-    code = build_codewords(antipodal(j, cfg["phi0"]))
+def cmd_overlap_curve(cfg: dict):
+    code = build_codewords(antipodal(HalfInt.of(cfg["j"]), cfg["phi0"]))
     thetas = np.linspace(0.0, _finite_angle("theta_max", cfg["theta_max"]), int(cfg["samples"]))
-    rows = [
-        {
-            "theta": float(theta),
-            "magnitude": abs(matrix_element_table(code, EulerAngles(0.0, float(theta), 0.0))[0, 1]),
-        }
-        for theta in thetas
-    ]
-    _emit(cfg, "overlap-curve", _columns(["theta", "magnitude"], rows))
-    return 0
+    rotations = (EulerAngles(0.0, theta, 0.0) for theta in thetas.tolist())
+    magnitudes = [abs(matrix_element_table(code, r)[0, 1]) for r in rotations]
+    return {"theta": _float_cells(thetas), "magnitude": _float_cells(np.array(magnitudes))}, None, 0
 
 
-def cmd_recovery_sweep(cfg: dict) -> int:
+def cmd_recovery_sweep(cfg: dict):
     samples = int(cfg["samples"])
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     j, d, k, delta_phi, out_of_cell = _round_args(cfg["j"], cfg["d"], cfg["input_k"], cfg["delta"])
     tj_anc = None if cfg["j_anc"] is None else HalfInt.of(cfg["j_anc"]).twice
     seed = int(cfg["seed"])
-    phis = _draws(j.twice, d, k, delta_phi, range(seed, seed + samples), tj_anc)
+    _, phis = _draws(j.twice, d, k, delta_phi, range(seed, seed + samples), tj_anc)
     recovered, fidelity, raw_fidelity = _correct_and_decode(j.twice, d, k, delta_phi, phis)
     constant = {"j": j.value, "d": d, "input_k": k, "delta_phi": delta_phi}
     columns = {name: [_jtext(value)] * samples for name, value in constant.items()}
@@ -342,68 +324,40 @@ def cmd_recovery_sweep(cfg: dict) -> int:
     columns["fidelity"] = _float_cells(fidelity)
     columns["raw_fidelity"] = _float_cells(raw_fidelity)
     columns["out_of_cell"] = [_jtext(out_of_cell)] * samples
-    _emit(cfg, "recovery-sweep", columns)
-    return 0
+    return columns, None, 0
 
 
-def cmd_gkp_table(cfg: dict) -> int:
+def cmd_gkp_table(cfg: dict):
     params = GkpParams(int(cfg["k"]), int(cfg["r1"]), int(cfg["r2"]))
     if cfg["n"] is not None and int(cfg["n"]) != params.n:
         raise ValueError(f"N = {cfg['n']} contradicts k*r1*r2 = {params.n}")
-    code = build_gkp_code(params)
-    probe = code.codewords[0]
+    probe = build_gkp_code(params).codewords[0]
     rows = []
     for a in tiling_window(params.r1):
         for b in tiling_window(params.r2):
             out = syndrome_and_recover(params, a, b, probe)
-            rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "syndrome_a": out.syndrome_a,
-                    "syndrome_b": out.syndrome_b,
-                    "a_hat": out.a_hat,
-                    "b_hat": out.b_hat,
-                    "ambiguous": out.ambiguous,
-                    "corrected": not out.logical_error,
-                }
-            )
+            fields = (out.syndrome_a, out.syndrome_b, out.a_hat, out.b_hat, out.ambiguous)
+            rows.append((a, b, *fields, not out.logical_error))
     header = ["a", "b", "syndrome_a", "syndrome_b", "a_hat", "b_hat", "ambiguous", "corrected"]
-    _emit(cfg, "gkp-table", _columns(header, rows))
-    return 0
+    return {h: list(map(_jtext, cells)) for h, cells in zip(header, zip(*rows))}, None, 0
 
 
-def cmd_harmonics(cfg: dict) -> int:
-    j = HalfInt.of(cfg["j"])
-    lmax = HalfInt.of(cfg["lmax"])
+def cmd_harmonics(cfg: dict):
     if cfg["thetas"] is not None:
         thetas = [float(t) for t in cfg["thetas"]]
     else:
-        thetas = [float(t) for t in np.linspace(0.0, math.pi, int(cfg["samples"]))]
+        thetas = np.linspace(0.0, math.pi, int(cfg["samples"])).tolist()
     phis = [float(p) for p in cfg["phis"]]
-    table = harmonic_table(j, lmax, thetas, phis)
-    rows = [
-        {"l": l, "m": m, "theta": t, "phi": p, "re": re, "im": im}
-        for (l, m, t, p, re, im) in table
-    ]
-    _emit(cfg, "harmonics", _columns(["l", "m", "theta", "phi", "re", "im"], rows))
-    return 0
+    table = harmonic_table(HalfInt.of(cfg["j"]), HalfInt.of(cfg["lmax"]), thetas, phis)
+    header = ["l", "m", "theta", "phi", "re", "im"]
+    return dict(zip(header, map(_float_cells, np.array(table, float).reshape(-1, 6).T))), None, 0
 
 
-def cmd_tail_check(cfg: dict) -> int:
+def cmd_tail_check(cfg: dict):
     est = tail_failure(HalfInt.of(cfg["j"]), float(cfg["epsilon"]))
-    rows = [
-        {
-            "j": est.j.value,
-            "epsilon": est.epsilon,
-            "numeric_tail": est.numeric_tail,
-            "laplace_tail": est.laplace_tail,
-            "ratio": est.ratio,
-        }
-    ]
     header = ["j", "epsilon", "numeric_tail", "laplace_tail", "ratio"]
-    _emit(cfg, "tail-check", _columns(header, rows))
-    return 0
+    row = (est.j.value, est.epsilon, est.numeric_tail, est.laplace_tail, est.ratio)
+    return {h: [_jtext(value)] for h, value in zip(header, row)}, None, 0
 
 
 _HANDLERS = {
@@ -424,22 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reproducible sweeps over coherent-state and shift codes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _DEFAULTS:
         sp = sub.add_parser(name)
-        sp.add_argument("--j", type=float)
-        sp.add_argument("--d", type=int)
-        sp.add_argument("--N", dest="n", type=int)
-        sp.add_argument("--K", dest="k", type=int)
-        sp.add_argument("--r1", type=int)
-        sp.add_argument("--r2", type=int)
-        sp.add_argument("--theta-max", dest="theta_max", type=float)
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", type=str)
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--lmax", type=float)
-        sp.add_argument("--samples", type=int)
+        for flag, key, kind in _FLAGS:
+            choices = ("csv", "json") if key == "format" else None
+            sp.add_argument(flag, dest=key, type=kind, choices=choices)
         sp.add_argument("--config", type=str)
     return parser
 
@@ -448,7 +391,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.subcommand, args)
-        return _HANDLERS[args.subcommand](cfg)
+        columns, summary, status = _HANDLERS[args.subcommand](cfg)
+        _emit(cfg, args.subcommand, columns, summary)
+        return status
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .coherent import (
     diagonal_operator,
     rotation_matrix_elements,
 )
-from .rotations import EulerAngles, wigner_D_matrix
+from .rotations import EulerAngles, _cmul, wigner_D_matrix
 from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin
 
 __all__ = [
@@ -188,12 +188,23 @@ def cyclic_normalization(j, n_cosets: int) -> float:
     """The binomial normalization N^2/2^(2j) sum_k C(2j, kN).
 
     Evaluated as N sum_r cos^(2j)(pi r/N) exp(i pi 2j r/N), the
-    roots-of-unity filter of the binomial row, so it stays finite and
-    accurate to rounding at every j.
+    roots-of-unity filter of the binomial row, so it stays finite at
+    every j.  Its N terms are at most 1 each, so the result carries an
+    absolute error of about N^2 2^-53, which is small against the value
+    while N is well below 2j.  As N approaches 2j the value falls
+    towards N^2/2^(2j) and that error swamps it, so a result not above
+    N^2 2^-33 (relative error near 2^-20 or worse) raises ValueError
+    naming j and n_cosets.
     """
     j = _spin(j)
     n = int(n_cosets)
-    return n * _coset_filter(j.twice, n, 0.0, 0).real
+    value = n * _coset_filter(j.twice, n, 0.0, 0).real
+    if not value > n * n * 2.0**-33:
+        raise ValueError(
+            f"j = {j.value:g}, n_cosets = {n}: the normalization {value:.3g} is not above "
+            f"N^2 2^-33, so the rounding of its N-term sum swamps it"
+        )
+    return value
 
 
 def _point_arrays(components) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -310,11 +321,13 @@ def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:
     Equals exp(-ij Theta) sum_k (-1)^k exp(ik N Theta) C(2j, kN) divided
     by sum_k C(2j, kN); invariant under Theta -> Theta + 2pi/N up to the
     alternating sign pattern absorbed in the sum.  Both sums are taken
-    through the roots-of-unity filter (_coset_filter), N terms each.
+    through the roots-of-unity filter (_coset_filter), N terms each; the
+    denominator is cyclic_normalization over N, so the ValueError it
+    raises where N approaches 2j applies here too.
     """
     j = _spin(j)
     n = int(n_cosets)
-    return _coset_filter(j.twice, n, float(big_theta), 1) / _coset_filter(j.twice, n, 0.0, 0)
+    return _coset_filter(j.twice, n, float(big_theta), 1) / (cyclic_normalization(j, n) / n)
 
 
 def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
@@ -326,9 +339,14 @@ def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
     call per block of output points, broadcast as (output point,
     rotation, input point); a block holds as many output points as fit
     in _TABLE_BLOCK entries, and at least one, so temporaries stay
-    O(max(_TABLE_BLOCK, rotations * points)).  Each output point's row
-    is then accumulated into its codeword in point order, so every sum
-    rounds as it would one point at a time.
+    O(max(_TABLE_BLOCK, rotations * points)).  Each output point o's row
+    is then weighted by a (points x codewords) matrix, built per point
+    from one _cmul row conj(c_o) c_i scattered to the column of the
+    codeword owning point i, zeros elsewhere, and accumulated into o's
+    codeword in point order, so every sum rounds as it would one point at
+    a time.  _cmul keeps Python's complex-product bits: conj(c) c is
+    exactly real, so the diagonal of a single-point codeword carries no
+    phase rounding.
 
     Error bound.  Entry (a, b) is the sum over the P_a points o of
     codeword a and the P_b points i of codeword b of the terms
@@ -355,24 +373,20 @@ def matrix_element_tables(code: Codewords, angles) -> np.ndarray:
     j = code.spec.j
     size = len(code.components)
     owner, thetas, phis, coeffs = _point_arrays(code.components)
-    points = list(zip(owner.tolist(), coeffs.tolist()))
-    # Coefficient products first, in Python complex arithmetic: conj(c) c is
-    # exactly real, so the diagonal of a single-point codeword carries no
-    # phase rounding.
-    weights = np.zeros((len(points), len(points), size), dtype=complex)
-    for o, (_, c_out) in enumerate(points):
-        for i, (b, c_in) in enumerate(points):
-            weights[o, i, b] = c_out.conjugate() * c_in
+    count = len(owner)
+    weights = np.zeros((count, size), dtype=complex)
+    scatter = (np.arange(count), owner)  # point i's weight sits in its codeword's column
     angles = tuple(np.asarray(x, dtype=float).reshape(1, -1, 1) for x in angles)
     n_rot = angles[0].shape[1]
     tables = np.zeros((n_rot, size, size), dtype=complex)
-    block = max(1, _TABLE_BLOCK // max(1, n_rot * len(points)))
-    for lo in range(0, len(points), block):
+    block = max(1, _TABLE_BLOCK // max(1, n_rot * count))
+    for lo in range(0, count, block):
         sl = slice(lo, lo + block)
         out = (thetas[sl].reshape(-1, 1, 1), phis[sl].reshape(-1, 1, 1))
         rows = rotation_matrix_elements(j, out, angles, (thetas, phis))
         for o, row in enumerate(rows, start=lo):
-            tables[:, points[o][0], :] += row @ weights[o]
+            weights[scatter] = _cmul(coeffs[o].conjugate(), coeffs)
+            tables[:, owner[o], :] += row @ weights
     return tables
 
 

@@ -406,23 +406,23 @@ def _round_args(j, d: int, k: int, delta_phi: float):
     return j, d, int(k) % d, delta_phi, not abs(delta_phi) < math.pi / d
 
 
-def _draws(tj: int, d: int, k: int, delta_phi: float, seeds, tj_anc=None) -> list[float]:
-    """The reported azimuth of one round per seed, not reduced mod 2 pi.
+def _draws(tj: int, d: int, k: int, delta_phi: float, seeds, tj_anc=None):
+    """The true and the reported azimuth of one round per seed, as two lists.
 
     Each seed starts its own generator: a uniformly chosen peak, then the
-    peak's Beta law, and with tj_anc set a readout blur from the ancilla
-    kernel cos^(2 tj_anc)(Delta/2), drawn after the system, so blocks with
-    and without it on one seed share the true outcome.
+    peak's Beta law give the true azimuth, reduced mod 2 pi.  With tj_anc
+    set, a readout blur from the ancilla kernel cos^(2 tj_anc)(Delta/2),
+    drawn next from the same generator, is added to report it, not reduced
+    again; without it the report is the true azimuth.
     """
-    phis = []
+    true, reported = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         peak = int(rng.integers(d))
         phi = (_TWO_PI * (k + peak) / d + delta_phi + _peak_offset(tj, rng)) % _TWO_PI
-        if tj_anc is not None:
-            phi += _peak_offset(tj_anc, rng)
-        phis.append(phi)
-    return phis
+        true.append(phi)
+        reported.append(phi if tj_anc is None else phi + _peak_offset(tj_anc, rng))
+    return true, reported
 
 
 def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phis):
@@ -496,7 +496,7 @@ def recover(
     """
     j, d, k, delta_phi, out_of_cell = _round_args(j, d, k, delta_phi)
     tj_anc = None if j_anc is None else _spin(j_anc).twice
-    phis = _draws(j.twice, d, k, delta_phi, (seed,), tj_anc)
+    _, phis = _draws(j.twice, d, k, delta_phi, (seed,), tj_anc)
     columns = _correct_and_decode(j.twice, d, k, delta_phi, phis)
     (recovered_k,), (fidelity,), (raw_fidelity,) = (column.tolist() for column in columns)
     return SyndromeRun(
@@ -529,19 +529,17 @@ def finite_ancilla_note(
 ) -> AncillaReport:
     """Fidelity cost of reading the syndrome with a finite ancilla.
 
-    Decodes one block of runs seeded seed, seed + 1, ... with the readout
-    blur and one without, over the same seeds, so each pair shares its
-    true outcome, and reports the mean-fidelity gap, which shrinks as
-    j_anc grows.  Each run equals recover on its seed.  runs must be at
-    least 1.
+    Draws one block of runs seeded seed, seed + 1, ..., each once, and
+    decodes its true azimuths and its blurred reports, so each pair shares
+    its true outcome; reports the mean-fidelity gap, which shrinks as
+    j_anc grows.  Each run equals recover on its seed, with and without
+    j_anc.  runs must be at least 1.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
     j_anc = _spin(j_anc)
-    seeds = range(seed, seed + runs)
-    ideal = _draws(j.twice, d, k, delta_phi, seeds)
-    noisy = _draws(j.twice, d, k, delta_phi, seeds, j_anc.twice)
+    ideal, noisy = _draws(j.twice, d, k, delta_phi, range(seed, seed + runs), j_anc.twice)
     _, fid_ideal, _ = _correct_and_decode(j.twice, d, k, delta_phi, ideal)
     recovered, fid_anc, _ = _correct_and_decode(j.twice, d, k, delta_phi, noisy)
     mean_ideal = float(np.mean(fid_ideal))

@@ -358,6 +358,29 @@ def test_kl_scan_identity_error_family(tmp_path, argv, code):
         assert doc["summary"]["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "fmt,text",
+    [
+        (
+            "csv",
+            '# config: {"subcommand": "harmonics", "format": "csv", "j": 2, "lmax": 1, '
+            '"phis": [0], "samples": 5, "seed": 0, "thetas": null}\n'
+            "l,m,theta,phi,re,im\n",
+        ),
+        (
+            "json",
+            '{"config": {"subcommand": "harmonics", "format": "json", "j": 2, "lmax": 1, '
+            '"phis": [0], "samples": 5, "seed": 0, "thetas": null}}\n',
+        ),
+    ],
+)
+def test_harmonics_below_lowest_shell_writes_header_only(tmp_path, fmt, text):
+    # l starts at |j|, so lmax = 1 < j = 2 leaves no harmonic to tabulate
+    out = tmp_path / "table.txt"
+    assert main(["harmonics", "--j", "2", "--lmax", "1", "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == text
+
+
 def test_harmonics_config_thetas(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["harmonics", *_with_config(tmp_path, {"thetas": [0.1, 0.2]}), "--out", str(out)]) == 0

@@ -128,6 +128,32 @@ CASES = {
         {"phi0": 1.3},
         "2de179d4c96e960367a1e1bdcff1f8c10de3b4e594731d693d2f3ea3f3c8f417",
     ),
+    "overlap-curve-j100-to-pi-json": (
+        ["overlap-curve", "--j", "100", "--theta-max", "3.141592653589793", "--samples", "2"]
+        + ["--format", "json"],
+        None,
+        "f97c423e89f1ec149bab10c67c2ee3a60e2e95390bcd5d8c07ce70f3d65606e8",
+    ),
+    "gkp-table-defaults-json": (
+        ["gkp-table", "--format", "json"],
+        None,
+        "47bf04998a6fce7eff5561204d912db1d90fc393f53d098039ef4c0cd55882e8",
+    ),
+    "tail-check-defaults": (
+        ["tail-check"],
+        None,
+        "dfca017ff15b05acc33231d169af52d08f2e41b8e96fd9712594c5ece0111e9a",
+    ),
+    "tail-check-j200-json": (
+        ["tail-check", "--j", "200", "--epsilon", "0.3", "--format", "json"],
+        None,
+        "1e992abe344378d1896ce03619a8af6d5daf5a948e971b5ca9b17662a86c2912",
+    ),
+    "tail-check-past-half-pi": (
+        ["tail-check", "--j", "25", "--epsilon", "2.5"],
+        None,
+        "9f491a30a7d5428975ae05fc4219928166af3fc4f1108fa86caf4aeec8a2292e",
+    ),
 }
 
 
@@ -194,7 +220,7 @@ def test_digests_hold_without_avx512_kernels():
     # place of its AVX-512 ones.  This fails on the day another output
     # starts to depend on numpy's SIMD kernels.
     stable = sorted(set(CASES) - set(DISPATCH_DEPENDENT))
-    assert len(stable) == 13
+    assert len(stable) == 18
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX2_ONLY)
     tests_dir = str(pathlib.Path(__file__).resolve().parent)
     child = subprocess.run(

@@ -9,7 +9,13 @@ import pytest
 
 from spinqec.cli import main
 from spinqec.coherent import SphPoint, coherent_amplitudes, disentangle_check, overlap_magnitude, y_symbol
-from spinqec.lll_codes import build_codewords, cyclic_normalization, cyclic_overlap_closed_form, equatorial_qudit
+from spinqec.lll_codes import (
+    build_codewords,
+    cyclic_normalization,
+    cyclic_overlap_closed_form,
+    cyclic_qubit,
+    equatorial_qudit,
+)
 from spinqec.qec_check import (
     ErrorSet,
     conjugated_y,
@@ -148,6 +154,47 @@ def test_overlap_law_callers_reject_bad_input(call, name):
     # means of nan), a ZeroDivisionError or a numpy warning
     with pytest.raises(ValueError, match=rf"^{name} "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,j,n",
+    [
+        (lambda: cyclic_normalization(100, 190), 100, 190),
+        (lambda: build_codewords(cyclic_qubit(100, 190)), 100, 190),
+        (lambda: cyclic_normalization(40, 100), 40, 100),
+        (lambda: cyclic_normalization(100, 250), 100, 250),
+        (lambda: cyclic_normalization(100, 150), 100, 150),
+        (lambda: cyclic_normalization(20, 41), 20, 41),
+        (lambda: cyclic_overlap_closed_form(40, 100, 0.1), 40, 100),
+        (lambda: cyclic_overlap_closed_form(10000, 15000, 0.1), 10000, 15000),
+    ],
+    ids=[
+        "cyclic_normalization-100-190",
+        "build_codewords-100-190",
+        "cyclic_normalization-40-100",
+        "cyclic_normalization-100-250",
+        "cyclic_normalization-100-150",
+        "cyclic_normalization-20-41",
+        "cyclic_overlap_closed_form-40-100",
+        "cyclic_overlap_closed_form-10000-15000",
+    ],
+)
+def test_cyclic_closed_forms_reject_n_near_2j(call, j, n):
+    # The N-term roots-of-unity sum is good to about N^2 2^-53, absolute, and
+    # here the normalization is below that.  These came back as -1.48e-13
+    # (exact 5.04e-40; build_codewords then hit a math domain error), as a
+    # value 2.3e-6 relative off at (100, 150), and as overlaps of magnitude
+    # 0.354 and 1.205 where the exact magnitude is at most 1.
+    with pytest.raises(ValueError, match=rf"^j = {j}, n_cosets = {n}: "):
+        call()
+
+
+@pytest.mark.parametrize("j,n", [(7, 16), (8, 16), (1000, 300), (2000, 300), (10**5, 300)])
+def test_cyclic_normalization_kept_next_to_the_guard(j, n):
+    with mp.workdps(30):
+        total = mp.fsum(mp.binomial(2 * j, k) for k in range(0, 2 * j + 1, n))
+        exact = float(n * n * total / mp.mpf(2) ** (2 * j))
+    assert abs(cyclic_normalization(j, n) / exact - 1.0) < 2.0**-20
 
 
 @pytest.mark.parametrize(

@@ -371,3 +371,54 @@ def test_matrix_element_tables_within_the_summation_bound(n_cosets):
                     worst = max(worst, err / s_xy)
     # the observed error is a small share of the bound, not near it
     assert worst < 10 * u
+
+
+def _tables_by_weight_cube(code, angles):
+    # matrix_element_tables as it stood with a (points x points x codewords)
+    # weight table filled by a Python double loop, kept as the reference
+    j = code.spec.j
+    size = len(code.components)
+    owner, thetas, phis, coeffs = lll_codes._point_arrays(code.components)
+    points = list(zip(owner.tolist(), coeffs.tolist()))
+    weights = np.zeros((len(points), len(points), size), dtype=complex)
+    for o, (_, c_out) in enumerate(points):
+        for i, (b, c_in) in enumerate(points):
+            weights[o, i, b] = c_out.conjugate() * c_in
+    angles = tuple(np.asarray(x, dtype=float).reshape(1, -1, 1) for x in angles)
+    n_rot = angles[0].shape[1]
+    tables = np.zeros((n_rot, size, size), dtype=complex)
+    block = max(1, lll_codes._TABLE_BLOCK // max(1, n_rot * len(points)))
+    for lo in range(0, len(points), block):
+        sl = slice(lo, lo + block)
+        out = (thetas[sl].reshape(-1, 1, 1), phis[sl].reshape(-1, 1, 1))
+        rows = lll_codes.rotation_matrix_elements(j, out, angles, (thetas, phis))
+        for o, row in enumerate(rows, start=lo):
+            tables[:, points[o][0], :] += row @ weights[o]
+    return tables
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        antipodal(0.5, 2.1),
+        antipodal(2000, 4.4),
+        equatorial_qudit(6, 3),
+        equatorial_qudit(12, 4, "Option2"),
+        equatorial_qudit(2000, 4, "Option2"),
+        cyclic_qubit(8, 16),
+        cyclic_qubit(7, 16),
+        cyclic_qubit(12, 5),
+        cyclic_qubit(50, 3),
+        cyclic_qubit(2000, 16),
+    ],
+    ids=lambda s: f"{s.family}-{s.j.value:g}-{s.d or s.n_cosets or s.phi0}-{s.phase_convention}",
+)
+def test_per_point_weights_match_the_weight_cube(spec):
+    # one _cmul row per output point keeps every bit of the Python products
+    code = build_codewords(spec)
+    rng = np.random.default_rng(spec.j.twice)
+    batches = [([0.0], [0.0], [0.0]), tuple(rng.uniform(-7.0, 7.0, (3, 5)))]
+    batches += [tuple(rng.uniform(-7.0, 7.0, (3, 1))) for _ in range(8)]
+    for angles in batches:
+        got = matrix_element_tables(code, angles)
+        assert got.tobytes() == _tables_by_weight_cube(code, angles).tobytes(), angles
