@@ -241,11 +241,11 @@ def _load_config(subcommand: str, args: argparse.Namespace) -> dict:
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for {subcommand}")
             cfg[key] = value
-    for _, key, _ in _FLAGS:
+    for flag, key, _ in _FLAGS:
         value = getattr(args, key)
         if value is not None:
             if key not in cfg:
-                raise ValueError(f"flag --{key} does not apply to {subcommand}")
+                raise ValueError(f"flag {flag} does not apply to {subcommand}")
             cfg[key] = value
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg['format']!r}")

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _unit_scaled
+from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _require_dense, _unit_scaled
 
 __all__ = [
     "GkpParams",
@@ -155,6 +155,7 @@ class PauliWord:
 
     def to_operator(self) -> Operator:
         n = self.n
+        _require_dense(HalfInt(n - 1), n, 16)
         x = np.arange(n)
         mat = np.zeros((n, n), dtype=complex)
         mat[(x + self.a) % n, x] = _phases(n, self.b, self.c)

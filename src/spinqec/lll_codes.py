@@ -303,16 +303,18 @@ def antipodal_logical_x(j, phi0: float = 0.0) -> Operator:
 def hermitian_check_ops(j, d: int = 1) -> tuple[Operator, Operator]:
     """Realized cos(d phi) and sin(d phi) diagonal operators.
 
-    Both are Hermitian; they commute only approximately.  The commutator
-    is diagonal with bulk entries that shrink as j grows, but the d levels
-    clipped at each band edge leave a d-dependent constant there (pi/8 in
-    the limit for d = 1), so the max entry never vanishes.  On coherent
-    states the action of the commutator does go to zero.
+    Realizing a symbol is linear and takes conj(P) to the adjoint, so with
+    Z the realization of exp(i d phi) the two are (Z + Z^H)/2 and
+    (Z - Z^H)/2i: one realization, and both exactly Hermitian.  They
+    commute only approximately.  The commutator is diagonal with bulk
+    entries that shrink as j grows, but the d levels clipped at each band
+    edge leave a d-dependent constant there (pi/8 in the limit for d = 1),
+    so the max entry never vanishes.  On coherent states the action of the
+    commutator does go to zero.
     """
     j = _spin(j)
-    cos_op = diagonal_operator(j, lambda t, p: np.cos(d * p), band_limit=(d, 0))
-    sin_op = diagonal_operator(j, lambda t, p: np.sin(d * p), band_limit=(d, 0))
-    return cos_op.realized, sin_op.realized
+    z = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), band_limit=(d, 0)).realized.mat
+    return Operator(j, (z + z.conj().T) / 2.0), Operator(j, (z - z.conj().T) / 2j)
 
 
 def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:

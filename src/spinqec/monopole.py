@@ -173,70 +173,53 @@ def _jacobi(n, a, b, x) -> tuple[np.ndarray, np.ndarray]:
     positive (no 0/0 cases); the coefficients are integers, exact in
     floating point while 2n + a + b < 2**17.
 
-    One pass runs the degree up to max(n), updating at degree k only the
-    entries with n >= k.  Scalar inputs stay Python scalars, so a single
-    polynomial at many points computes its coefficients once per degree,
-    and a single entry recurs on scalars alone.  Every _RESCALE_EVERY
-    degrees an entry past 2**512 is scaled by the exact power 2**-512,
-    counted in e; one step grows the larger of the last two values by a
-    factor below 2(a + b) + 4, so nothing overflows in between, and
-    p * 2**e is the unscaled recurrence bit for bit.
+    One pass runs every entry up to the largest degree.  An array of
+    degrees is read entry by entry as the pass reaches each degree; a
+    scalar degree is read at the end.  Scalar a, b and x stay Python
+    floats, so a single polynomial at many points computes its
+    coefficients once per degree, and a single entry recurs on scalars
+    alone.  Every _RESCALE_EVERY degrees an entry past 2**512 is scaled by
+    the exact power 2**-512, counted in e up to the entry's own degree;
+    one step grows the larger of the last two values by a factor below
+    2(a + b) + 4, so nothing overflows in between, and p * 2**e is the
+    unscaled recurrence bit for bit.
     """
     shape = np.broadcast(n, a, b, x).shape
     size = math.prod(shape)
-    # Descending degree: the entries still recurring at degree k are a prefix,
-    # counts[k] long.
-    if isinstance(n, np.ndarray) and n.ndim:
-        n = np.broadcast_to(n, shape).ravel()
-        order = np.argsort(-n, kind="stable")
-        unsort = np.empty_like(order)
-        unsort[order] = np.arange(size)
-        counts = np.searchsorted(-n[order], -np.arange(int(n.max()) + 2), side="right").tolist()
-    else:
-        order = unsort = slice(None)
-        counts = [size] * (int(n) + 1) + [0]
-
-    def sorted_or_scalar(v):
-        if not (isinstance(v, np.ndarray) and v.ndim):
-            return float(v)
-        if v.shape != shape:
-            v = np.broadcast_to(v, shape)
-        return v.astype(float, copy=False).ravel()[order]
-
-    a, b, x = (sorted_or_scalar(v) for v in (a, b, x))
-    inputs = (a, b, a + b, a * a - b * b, x)
-    top = len(counts) - 2
-    out = np.ones(size)
-    e = np.zeros(size, dtype=np.int64)
-
-    def active(c):
-        return [v[:c] if isinstance(v, np.ndarray) else v for v in inputs]
-
-    c = counts[1]
-    a, b, s, a2_b2, x = active(c)
-    # A single entry recurs on scalars, many on arrays of the active prefix.
-    p_prev = np.ones(c) if shape else 1.0
+    by_entry = isinstance(n, np.ndarray) and n.ndim > 0
+    degrees = np.broadcast_to(n, shape).ravel() if by_entry else int(n)
+    top = int(degrees.max()) if by_entry else degrees
+    a, b, x = (
+        (v if v.shape == shape else np.broadcast_to(v, shape)).astype(float, copy=False).ravel()
+        if isinstance(v, np.ndarray) and v.ndim
+        else float(v)
+        for v in (a, b, x)
+    )
+    s, a2_b2 = a + b, a * a - b * b
+    p, e = np.ones(size), np.zeros(size, dtype=np.int64)
+    # A single entry recurs on scalars, many on arrays.
+    p_prev = np.ones(size) if shape else 1.0
     p_cur = (0.5 * (a - b) + (1.0 + 0.5 * s) * x) * p_prev
-    for k in range(2, top + 1):
-        if counts[k] < c:
-            out[counts[k] : c] = p_cur[counts[k] :]
-            c = counts[k]
-            a, b, s, a2_b2, x = active(c)
-            p_cur, p_prev = p_cur[:c], p_prev[:c]
-        tk = s + 2.0 * k
-        c0 = 2.0 * k * (k + s) * (tk - 2.0)
-        c1 = (tk - 1.0) * tk * (tk - 2.0)
-        c2 = (tk - 1.0) * a2_b2
-        c3 = 2.0 * (k - 1.0 + a) * (k - 1.0 + b) * tk
-        p_prev, p_cur = p_cur, ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
+    for k in range(1, top + 1):
+        if k > 1:
+            tk = s + 2.0 * k
+            tk1, tk2 = tk - 1.0, tk - 2.0
+            c0 = 2.0 * k * (k + s) * tk2
+            c1 = tk1 * tk * tk2
+            c2 = tk1 * a2_b2
+            c3 = 2.0 * (k - 1.0 + a) * (k - 1.0 + b) * tk
+            p_prev, p_cur = p_cur, ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
         if k % _RESCALE_EVERY == 0:
             big = np.maximum(np.abs(p_cur), np.abs(p_prev)) > _HUGE
             if np.any(big):
                 p_cur = np.where(big, p_cur * _UNHUGE, p_cur)
                 p_prev = np.where(big, p_prev * _UNHUGE, p_prev)
-                e[:c] += np.where(big, _HUGE_EXP, 0)
-    out[:c] = p_cur
-    return out[unsort].reshape(shape), e[unsort].reshape(shape)
+                e += np.where(big & (degrees >= k), _HUGE_EXP, 0)
+        if by_entry:
+            np.copyto(p, p_cur, where=degrees == k)
+    if not by_entry:
+        p = p_cur if top else p_prev
+    return np.asarray(p).reshape(shape), e.reshape(shape)
 
 
 # A factor within 2**+-200 of 1 is taken as it is; beyond, as m * 2**k

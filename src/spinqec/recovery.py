@@ -15,7 +15,11 @@ form evaluates the norm of the meridian smear
           <theta', phi_m - 2 pi k'/d | psi_err> |theta', phi_m - 2 pi k'/d>
 
 exactly: the theta' integrand is a half-angle polynomial of degree 4j,
-inside the exactness class of the degree-4j colatitude rule.
+inside the exactness class of the degree-4j colatitude rule.  With
+|theta, phi> = D(phi) |c(theta)|, D(phi) = diag(exp(i (j - m) phi)), one
+pass takes every azimuth at once: the closed-form overlaps at each node,
+meridian and azimuth, weighted and summed against |c(theta')|, then
+phased by D.
 
 The recovery cycle never materializes the system-ancilla coupling; the
 leading density is used only to draw the outcome phi_m.  Every peak
@@ -66,9 +70,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coherent import (
+    _amplitude_magnitudes,
     _ln_overlap_magnitude,
     _pow_two_j_arrays,
-    coherent_amplitudes,
     rotation_matrix_elements,
     theta_rule,
 )
@@ -93,24 +97,6 @@ _TWO_PI = 2.0 * math.pi
 # ----------------------------------------------------------------------
 
 
-def _collapse_state(tj: int, d: int, phi_state: float, phi_m: float) -> np.ndarray:
-    """Unnormalized post-measurement amplitudes, exact in theta'.
-
-    The input is the single coherent state |pi/2, phi_state> (codeword
-    phases drop out of every magnitude downstream).
-    """
-    j = HalfInt(tj)
-    thetas, weights = theta_rule(2 * tj)
-    u = np.zeros(tj + 1, dtype=complex)
-    for k in range(d):
-        phi_u = phi_m - _TWO_PI * k / d
-        # <theta', phi_u | pi/2, phi_state> in closed form
-        ovl = rotation_matrix_elements(j, (thetas, phi_u), (0,) * 3, (math.pi / 2.0, phi_state))
-        v = coherent_amplitudes(j, thetas, np.full_like(thetas, phi_u))
-        u = u + v @ (weights * ovl)
-    return u
-
-
 def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading"):
     """Density of the azimuth measurement outcome, as a callable.
 
@@ -120,8 +106,9 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
       full      -- localized double sum including cross terms, each
                    carrying the lattice-separation suppression factor.
       validate  -- pre-localization form <u|u> with the colatitude
-                   integrals evaluated exactly; intended for small j
-                   (quadratic cost in the rule size), capped at j <= 8.
+                   integrals evaluated exactly, all azimuths in one
+                   pass (module docstring); a cross-check of the other
+                   two forms at small j, capped at j <= 8.
 
     All modes are unnormalized; positivity holds pointwise.
     """
@@ -166,13 +153,17 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
     if mode == "validate":
         if tj > 16:
             raise ValueError("validation mode is limited to j <= 8")
+        thetas, weights = theta_rule(2 * tj)
+        mags = _amplitude_magnitudes(tj, thetas)
+        levels = np.arange(tj + 1)  # j - m: |theta, phi> = diag(exp(i (j - m) phi)) |c(theta)|
 
         def density(phi_m):
             phi_m = np.atleast_1d(np.asarray(phi_m, dtype=float))
-            out = np.empty_like(phi_m)
-            for i, pm in enumerate(phi_m):
-                u = _collapse_state(tj, d, phi_state, float(pm))
-                out[i] = float(np.real(np.vdot(u, u)))
+            phi_u = (phi_m[..., None] - shifts)[..., None]
+            # <theta', phi_u | pi/2, phi_state> in closed form at every node, meridian and azimuth
+            ovl = rotation_matrix_elements(j, (thetas, phi_u), (0,) * 3, (math.pi / 2.0, phi_state))
+            u = np.sum(np.exp(1j * phi_u * levels) * ((weights * ovl) @ mags.T), axis=-2)
+            out = np.sum(u.real**2 + u.imag**2, axis=-1)
             return out if out.size > 1 else out[0]
 
         return density

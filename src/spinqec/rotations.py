@@ -608,12 +608,17 @@ def haar_random(seed: int) -> EulerAngles:
 
 
 def haar_random_sequence(seed: int, count: int) -> list[EulerAngles]:
-    """Deterministic Haar sample of the requested length."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        alpha = 2.0 * math.pi * rng.random()
-        gamma = 2.0 * math.pi * rng.random()
-        beta = math.acos(2.0 * rng.random() - 1.0)
-        out.append(EulerAngles(alpha, beta, gamma))
-    return out
+    """Deterministic Haar sample of the requested length.
+
+    One draw of count rows of three uniforms from the seed's generator;
+    each row holds (alpha, gamma, beta) in that stream order, with
+    alpha, gamma = 2 pi u and beta = acos(2u - 1).  A negative count
+    raises ValueError.
+    """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    draws = np.random.default_rng(seed).random((count, 3)).tolist()
+    return [
+        EulerAngles(2.0 * math.pi * a, math.acos(2.0 * b - 1.0), 2.0 * math.pi * g)
+        for a, g, b in draws
+    ]

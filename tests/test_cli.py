@@ -92,6 +92,13 @@ def test_inapplicable_flag_rejected(tmp_path, capsys):
     assert "does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--theta-max", "1"], ["--N", "5"]])
+def test_inapplicable_flag_named_as_typed(capsys, argv):
+    # the message used to name the config key: --theta_max, --n
+    assert main(["tail-check", *argv]) == 2
+    assert capsys.readouterr().err == f"error: flag {argv[0]} does not apply to tail-check\n"
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -27,7 +27,7 @@ from spinqec.qec_check import (
     kl_check,
 )
 from spinqec.recovery import finite_ancilla_note, recover, tail_failure
-from spinqec.rotations import EulerAngles, canonicalize, compose, inverse
+from spinqec.rotations import EulerAngles, canonicalize, compose, haar_random_sequence, inverse
 from spinqec.spin_core import HalfInt, axis_operator, matexp_antihermitian
 
 
@@ -133,6 +133,7 @@ def test_closed_form_bounds_reject_empty_domain(call, match):
         (lambda: SphPoint(math.nan, 0.3), "theta"),
         (lambda: finite_ancilla_note(8, 4, runs=0), "runs"),
         (lambda: finite_ancilla_note(8, 4, runs=-2), "runs"),
+        (lambda: haar_random_sequence(3, -1), "count"),
     ],
     ids=[
         "equatorial_offdiag_bound-nan",
@@ -147,11 +148,12 @@ def test_closed_form_bounds_reject_empty_domain(call, match):
         "SphPoint-theta-nan",
         "finite_ancilla_note-runs-0",
         "finite_ancilla_note-runs-negative",
+        "haar_random_sequence-count-negative",
     ],
 )
 def test_overlap_law_callers_reject_bad_input(call, name):
     # each of these used to come back as a silent number (1.0, 0.0, -0.0,
-    # means of nan), a ZeroDivisionError or a numpy warning
+    # means of nan), an empty list, a ZeroDivisionError or a numpy warning
     with pytest.raises(ValueError, match=rf"^{name} "):
         call()
 

@@ -39,6 +39,17 @@ def test_clock_shift_matrices():
         clock_shift(2.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: PauliWord(n, 1, 2).to_operator(), clock_shift],
+    ids=["to_operator", "clock_shift"],
+)
+def test_dense_word_matrices_refused_past_max_dense_dim(build):
+    # n = 10^6 asks for a 16 TB complex matrix; the guard raises before numpy allocates
+    with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM"):
+        build(10**6)
+
+
 def test_clock_shift_symbolic_oracle():
     # exact-root verification of the commutation rule at n = 6
     n = 6
