@@ -275,7 +275,7 @@ def cmd_kl_scan(cfg: dict):
     elif family == "equatorial":
         if cfg["d"] is None:
             raise ValueError("equatorial family needs d")
-        spec = equatorial_qudit(j, int(cfg["d"]))
+        spec = equatorial_qudit(j, cfg["d"])
         errs = equatorial_z(cfg["theta_max"], cfg["samples"])
     else:
         raise ValueError(f"unknown family {family!r}")

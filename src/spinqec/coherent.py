@@ -43,7 +43,7 @@ import numpy as np
 from ._logfact import ln_binomial, ln_factorial
 from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
 from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _spin, _tridiagonal_eigh
-from .spin_core import m_index, m_values
+from .spin_core import _integer, m_index, m_values
 
 __all__ = [
     "SphPoint",
@@ -386,9 +386,10 @@ def theta_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     rule against every exact moment of exp(i k psi), k <= degree + 2, to
     1e-12.
     """
+    degree = _integer("degree", degree)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return _theta_rule_cached(int(degree))
+    return _theta_rule_cached(degree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,20 +445,21 @@ def sphere_quadrature(
 
     With defaults, degree = 4j covers every |Omega><Omega| matrix
     element and n_phi = 4j + 2 resolves every azimuthal mode |k| <= 4j.
-    n_phi is rounded up to a multiple of phi_multiple.
+    n_phi is rounded up to a multiple of phi_multiple, which must be at
+    least 1.
     """
     if degree is None:
         if j is None:
             raise ValueError("provide j or an explicit degree")
         degree = 2 * _spin(j).twice
-    degree = int(degree)
-    if n_phi is None:
-        n_phi = degree + 2
-    n_phi = int(n_phi)
+    degree = _integer("degree", degree)
+    n_phi = _integer("n_phi", degree + 2 if n_phi is None else n_phi)
     if n_phi < 1:
         raise ValueError("n_phi must be positive")
-    if phi_multiple > 1:
-        n_phi = ((n_phi + phi_multiple - 1) // phi_multiple) * phi_multiple
+    phi_multiple = _integer("phi_multiple", phi_multiple)
+    if phi_multiple < 1:
+        raise ValueError(f"phi_multiple must be at least 1, got {phi_multiple}")
+    n_phi = -(-n_phi // phi_multiple) * phi_multiple
     thetas, weights = theta_rule(degree)
     phis = _TWO_PI * np.arange(n_phi) / n_phi
     phis.setflags(write=False)
@@ -501,8 +503,8 @@ def diagonal_operator(
     symbol(theta, phi) must accept equal-shape arrays and return values.
     band_limit = (k_max, theta_degree) declares that the symbol is a
     combination of exp(i k phi) modes with |k| <= k_max and half-angle
-    monomials of degree <= theta_degree; the rule is then sized so the
-    realization is exact.
+    monomials of degree <= theta_degree, two nonnegative integers; the
+    rule is then sized so the realization is exact.
 
     Since c_a(theta, phi) = |c_a(theta)| exp(i a phi) with a = j - m, the
     quadrature sum factorizes as
@@ -520,9 +522,11 @@ def diagonal_operator(
     tj = j.twice
     _require_dense(j, j.dim, 16)
     if band_limit is not None:
-        k_max, theta_degree = band_limit
-        degree = 2 * tj + int(theta_degree)
-        min_phi = tj + int(k_max) + 1
+        k_max, theta_degree = _integer("k_max", band_limit[0]), _integer("theta_degree", band_limit[1])
+        if k_max < 0 or theta_degree < 0:
+            raise ValueError(f"band_limit = {band_limit}: k_max and theta_degree must be nonnegative")
+        degree = 2 * tj + theta_degree
+        min_phi = tj + k_max + 1
         approximate = False
     else:
         degree = 2 * tj
@@ -543,7 +547,7 @@ def diagonal_operator(
     mag = _amplitude_magnitudes(tj, rule.thetas)
     mat = np.zeros((j.dim, j.dim), dtype=complex)
     rows = np.arange(j.dim)
-    k_top = tj if approximate else min(int(k_max), tj)
+    k_top = tj if approximate else min(k_max, tj)
     for k in range(-k_top, k_top + 1):
         lo, hi = max(0, k), j.dim + min(0, k)
         diagonal = (mag[lo:hi] * mag[lo - k : hi - k]) @ modes[:, k % rule.n_phi]

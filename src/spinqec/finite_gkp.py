@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _require_dense, _unit_scaled
+from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _integer, _require_dense, _unit_scaled
 
 __all__ = [
     "GkpParams",
@@ -166,13 +166,6 @@ class PauliWord:
         if vec.j.dim != self.n:
             raise ValueError("state dimension does not match modulus")
         return StateVec._owning(vec.j, _apply_word(vec.amps, self.n, self.a, self.b, self.c))
-
-
-def _integer(name: str, v) -> int:
-    """v as a Python int; a bool, a float or any other non-integer raises TypeError."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 @functools.lru_cache(maxsize=64)

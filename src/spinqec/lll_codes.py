@@ -32,7 +32,7 @@ from .coherent import (
     rotation_matrix_elements,
 )
 from .rotations import EulerAngles, _cmul, wigner_D_matrix
-from .spin_core import HalfInt, Operator, StateVec, _require_dense, _spin
+from .spin_core import HalfInt, Operator, StateVec, _integer, _require_dense, _spin
 
 __all__ = [
     "CodeSpec",
@@ -98,11 +98,11 @@ def antipodal(j, phi0: float = 0.0) -> CodeSpec:
 
 
 def equatorial_qudit(j, d: int, phase_convention: str = "Option1") -> CodeSpec:
-    return CodeSpec(HalfInt.of(j), "EquatorialQudit", d=int(d), phase_convention=phase_convention)
+    return CodeSpec(HalfInt.of(j), "EquatorialQudit", d=_integer("d", d), phase_convention=phase_convention)
 
 
 def cyclic_qubit(j, n_cosets: int) -> CodeSpec:
-    return CodeSpec(HalfInt.of(j), "CyclicQubit", n_cosets=int(n_cosets))
+    return CodeSpec(HalfInt.of(j), "CyclicQubit", n_cosets=_integer("n_cosets", n_cosets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +197,7 @@ def cyclic_normalization(j, n_cosets: int) -> float:
     naming j and n_cosets.
     """
     j = _spin(j)
-    n = int(n_cosets)
+    n = _integer("n_cosets", n_cosets)
     value = n * _coset_filter(j.twice, n, 0.0, 0).real
     if not value > n * n * 2.0**-33:
         raise ValueError(
@@ -310,10 +310,12 @@ def hermitian_check_ops(j, d: int = 1) -> tuple[Operator, Operator]:
     entries that shrink as j grows, but the d levels clipped at each band
     edge leave a d-dependent constant there (pi/8 in the limit for d = 1),
     so the max entry never vanishes.  On coherent states the action of the
-    commutator does go to zero.
+    commutator does go to zero.  A negative d gives cos(|d| phi) and
+    -sin(|d| phi), as Z is then realized on the band |d|.
     """
     j = _spin(j)
-    z = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), band_limit=(d, 0)).realized.mat
+    d = _integer("d", d)
+    z = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), band_limit=(abs(d), 0)).realized.mat
     return Operator(j, (z + z.conj().T) / 2.0), Operator(j, (z - z.conj().T) / 2j)
 
 
@@ -328,7 +330,7 @@ def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:
     raises where N approaches 2j applies here too.
     """
     j = _spin(j)
-    n = int(n_cosets)
+    n = _integer("n_cosets", n_cosets)
     return _coset_filter(j.twice, n, float(big_theta), 1) / (cyclic_normalization(j, n) / n)
 
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from ._logfact import ln_factorial
 from .rotations import _half_angles, _wigner_d_entries
-from .spin_core import HalfInt
+from .spin_core import HalfInt, _integer
 
 __all__ = [
     "MonopoleHarmonic",
@@ -342,7 +342,7 @@ def build_full_landau_code(N: int, j, l_max=None) -> FullLandauCode:
     lattice m = pN - j, so the m + j = 0 (mod N) pattern holds by
     construction; callers can still verify it in integer arithmetic.
     """
-    N = int(N)
+    N = _integer("N", N)
     if N < 1:
         raise ValueError("N must be at least 1")
     j = HalfInt.of(j)

@@ -76,7 +76,7 @@ from .coherent import (
     rotation_matrix_elements,
     theta_rule,
 )
-from .spin_core import HalfInt, _spin
+from .spin_core import HalfInt, _integer, _spin
 
 __all__ = [
     "SyndromeRun",
@@ -116,6 +116,7 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
     tj = j.twice
     if not j.is_integer:
         raise ValueError("syndrome extraction assumes integer j")
+    d = _integer("d", d)
     if d < 2:
         raise ValueError("d must be at least 2")
     k = int(k) % d
@@ -388,7 +389,7 @@ def _round_args(j, d: int, k: int, delta_phi: float):
     j = _spin(j)
     if not j.is_integer:
         raise ValueError("recovery assumes integer j")
-    d = int(d)
+    d = _integer("d", d)
     if not 2 <= d <= j.twice + 1:
         raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {j.twice + 1} levels")
     delta_phi = float(delta_phi)
@@ -526,6 +527,7 @@ def finite_ancilla_note(
     j_anc grows.  Each run equals recover on its seed, with and without
     j_anc.  runs must be at least 1.
     """
+    runs = _integer("runs", runs)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)

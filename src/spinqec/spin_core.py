@@ -109,6 +109,13 @@ class HalfInt:
         return f"HalfInt({self.twice}/2)"
 
 
+def _integer(name: str, v) -> int:
+    """v as a Python int; a bool, a float or any other non-integer raises TypeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _spin(j) -> HalfInt:
     j = HalfInt.of(j)
     if j.twice < 0:

@@ -1,0 +1,280 @@
+"""Independent references for the package's closed forms, each written once.
+
+Every reference here takes a route the package does not: mpmath at 30
+to 50 digits (or more, where a sum cancels), exact integers and
+fractions, or scipy.  Tests import them from here; the table in
+contract.py holds the checks of public callables against them.  Where
+two independent forms of one quantity are kept (the tail ratio), both
+are named cross-checks.
+
+The spinor contraction and its cases compute at the working mpmath
+precision, which the caller sets; every other reference sets its own.
+"""
+
+import functools
+import math
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+from scipy.special import gammaln
+
+# ----------------------------------------------------------------------
+# Coherent-state brackets
+# ----------------------------------------------------------------------
+
+
+def contraction(tj, out, inp, angles=None):
+    """<out| R |inp> = (xi_out^H U xi_in)^(2j) at the working precision.
+
+    out and inp are (theta, phi) pairs with spinors xi = (cos(theta/2),
+    exp(i phi) sin(theta/2)); U = [[a, -conj(b)], [b, conj(a)]] is the SU(2)
+    matrix of the Euler angles (alpha, beta, gamma), the identity when
+    angles is None.  Inputs are taken as given, doubles or mpmath numbers.
+    """
+    (c_o, s_o, e_o), (c_i, s_i, e_i) = (_spinor(*p) for p in (out, inp))
+    if angles is None:
+        a, b = mp.mpf(1), mp.mpf(0)
+    else:
+        alpha, beta, gamma = (mp.mpf(x) for x in angles)
+        a = mp.expj(-(alpha + gamma) / 2) * mp.cos(beta / 2)
+        b = mp.expj((alpha - gamma) / 2) * mp.sin(beta / 2)
+    base = c_o * (a * c_i - mp.conj(b) * e_i * s_i) + mp.conj(e_o) * s_o * (b * c_i + mp.conj(a) * e_i * s_i)
+    return base**tj
+
+
+def _spinor(theta, phi):
+    theta = mp.mpf(theta)
+    return mp.cos(theta / 2), mp.sin(theta / 2), mp.expj(mp.mpf(phi))
+
+
+def overlap(tj, p1, p2):
+    """<Omega_1|Omega_2>: the contraction at R = 1."""
+    return contraction(tj, (p1.theta, p1.phi), (p2.theta, p2.phi))
+
+
+def equatorial_element(tj, phi_out, big_theta, phi_in):
+    """<pi/2, phi_out| exp(-i Theta L3) |pi/2, phi_in>, pi/2 taken exactly."""
+    return contraction(tj, (mp.pi / 2, phi_out), (mp.pi / 2, phi_in), (big_theta, 0, 0))
+
+
+def overlap_law(j, p1, p2):
+    """|<Omega1|Omega2>| = (|n1 + n2|^2/4)^j at 50 digits, from the stored doubles:
+    an independent form of the magnitude, through the unit vectors."""
+    with mp.workdps(50):
+        ns = []
+        for p in (p1, p2):
+            t, f = mp.mpf(p.theta), mp.mpf(p.phi)
+            ns.append((mp.sin(t) * mp.cos(f), mp.sin(t) * mp.sin(f), mp.cos(t)))
+        return (sum((a + b) ** 2 for a, b in zip(*ns)) / 4) ** mp.mpf(j)
+
+
+def exact_norm(amps):
+    """The 2-norm of a complex vector at 40 digits."""
+    with mp.workdps(40):
+        return mp.sqrt(mp.fsum(mp.mpf(float(v.real)) ** 2 + mp.mpf(float(v.imag)) ** 2 for v in amps))
+
+
+# ----------------------------------------------------------------------
+# Rotation matrices and monopole harmonics
+# ----------------------------------------------------------------------
+
+
+def wigner_d(j, m, n, beta):
+    """d^j_{mn}(beta) from the explicit alternating sum, as a double: every
+    term is carried to more digits than the largest of them has."""
+    jm, jmm, jn, jnn, mn = (int(v) for v in (j + m, j - m, j + n, j - n, m - n))
+    with mp.workdps(int(2 * j * 0.31) + 40):
+        b = mp.mpf(beta)
+        ch, sh = mp.cos(b / 2), mp.sin(b / 2)
+        ratio = -(sh * sh) / (ch * ch)
+        lo = max(0, -mn)
+        term = (-1) ** (mn + lo) * ch ** (jn + jmm - 2 * lo) * sh ** (mn + 2 * lo) / (
+            mp.factorial(lo) * mp.factorial(jn - lo) * mp.factorial(mn + lo) * mp.factorial(jmm - lo)
+        )
+        total = mp.mpf(0)
+        for s in range(lo, min(jn, jmm) + 1):
+            total += term
+            term *= ratio * (jn - s) * (jmm - s) / ((s + 1) * (mn + s + 1))
+        pref = mp.sqrt(mp.factorial(jm) * mp.factorial(jmm) * mp.factorial(jn) * mp.factorial(jnn))
+        return float(pref * total)
+
+
+def monopole_Y(j, l, m, thetas, phi):
+    """jY^l_m(theta, phi) = sqrt((2l + 1)/4pi) exp(i (m + j) phi) d^l_{j,-m}(theta)
+    at each of the thetas, as a complex array."""
+    with mp.workdps(30):
+        front = mp.sqrt((2 * mp.mpf(l) + 1) / (4 * mp.pi)) * mp.expj((mp.mpf(m) + mp.mpf(j)) * mp.mpf(phi))
+        return np.array([complex(front * wigner_d(l, j, -m, theta)) for theta in thetas])
+
+
+# ----------------------------------------------------------------------
+# Binomials, Gamma ratios and Beta moments
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def binomials(n, step=1, residue=0):
+    """(C(n, k) for k = residue, residue + step, ... <= n), exactly: one
+    ratio of step-long products between neighbours, so a sparse class of
+    a large row costs its own entries only.  binomials(n) is the row."""
+    k = residue % step
+    term, out = math.comb(n, k), []
+    while k <= n:
+        out.append(term)
+        term = term * math.prod(range(n - k - step + 1, n - k + 1)) // math.prod(range(k + 1, k + step + 1))
+        k += step
+    return tuple(out)
+
+
+def cyclic_normalization(tj, n):
+    """N^2 sum_k C(2j, kN) / 2^(2j) as an exact fraction."""
+    return Fraction(n * n * sum(binomials(tj, n)), 2**tj)
+
+
+def cyclic_overlap_quarter_turn(tj, n):
+    """The cyclic qubit's <0bar| exp(-i Theta L3) |1bar> at Theta = pi/(2N), times
+    exp(i j Theta), exactly: there exp(ikN Theta) = i^k, so the numerator
+    sum_k (-1)^k i^k C(2j, kN) is a Gaussian integer."""
+    coeffs = binomials(tj, n)
+    signs = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k = (-1)^k i^k
+    num_re = sum(c * signs[k % 4][0] for k, c in enumerate(coeffs))
+    num_im = sum(c * signs[k % 4][1] for k, c in enumerate(coeffs))
+    total = sum(coeffs)
+    return complex(Fraction(num_re, total), Fraction(num_im, total))
+
+
+def cos_sin_realizations(tj, d):
+    """The exact realizations of cos(d phi) and sin(d phi), stacked.
+
+    With |c_a|^2 = C(2j, a) cos^(4j - 2a)(t/2) sin^(2a)(t/2), a = j - m, the
+    realization of exp(i d phi) is (2j + 1)/2 sqrt(C(2j, a) C(2j, a + d))
+    times the Beta moment of degrees (4j - 2a - d, 2a + d) at [a, a + d],
+    zero elsewhere; cos and sin are its Hermitian and anti-Hermitian parts.
+    """
+    row = binomials(tj)
+    z = np.zeros((tj + 1, tj + 1))
+    for a in range(max(0, -d), min(tj, tj - d) + 1):
+        b = a + d
+        z[a, b] = (tj + 1) / 2 * math.sqrt(row[a] * row[b]) * beta_moment(2 * tj - a - b, a + b)
+    return np.array([(z + z.T) / 2, (z - z.T) / 2j])
+
+
+def peak_mass(j):
+    """2 pi C(4j, 2j)/4^(2j), the mass of one syndrome peak, at 50 digits."""
+    n = int(2 * j)
+    with mp.workdps(50):
+        return 2 * mp.pi * mp.binomial(2 * n, n) / mp.mpf(4) ** n
+
+
+def ln_gamma_half_step(a):
+    """ln Gamma(a + 1/2) - ln Gamma(a) at 40 digits."""
+    with mp.workdps(40):
+        return mp.loggamma(mp.mpf(a) + 0.5) - mp.loggamma(a)
+
+
+def beta_moment(a, b):
+    """The colatitude integral of cos^a(t/2) sin^b(t/2) sin(t) on [0, pi],
+    2 B(a/2 + 1, b/2 + 1), from scipy's gammaln; a and b may be arrays."""
+    ln_beta = gammaln(0.5 * a + 1.0) + gammaln(0.5 * b + 1.0) - gammaln(0.5 * (a + b) + 2.0)
+    return 2.0 * np.exp(ln_beta)
+
+
+# ----------------------------------------------------------------------
+# The syndrome tail
+# ----------------------------------------------------------------------
+
+
+def tail_ratio_hyp2f1(j, eps):
+    """Tail mass over its Laplace reference at 40 digits, the tail from
+    ln 2 I_z(a, a), a = 2j + 1/2, z = sin^2((pi - eps)/4), through
+    I_z(a, a) = z^a (1 - z)^a 2F1(2a, 1; a + 1; z) / (a B(a, a))."""
+    with mp.workdps(40):
+        a = mp.mpf(2 * j) + mp.mpf(1) / 2
+        z = mp.sin((mp.pi - mp.mpf(eps)) / 4) ** 2
+        ln_beta = 2 * mp.loggamma(a) - mp.loggamma(2 * a)
+        series = mp.hyp2f1(2 * a, 1, a + 1, z, maxterms=10**6)
+        ln_tail = mp.log(2) + a * mp.log(z * (1 - z)) - mp.log(a) - ln_beta + mp.log(series)
+        jv, e = mp.mpf(j), mp.mpf(eps)
+        ln_laplace = mp.log(mp.sqrt(2 / (mp.pi * jv))) - jv * e**2 / 2 - mp.log(e)
+        return mp.exp(ln_tail - ln_laplace)
+
+
+def tail_ratio_quad(j, eps):
+    """Tail mass over the Laplace reference, from a 30-digit quadrature of
+    cos^(4j)(x/2) split at multiples of its decay length 1/(j eps)."""
+    with mp.workdps(30):
+        j, eps = mp.mpf(j), mp.mpf(eps)
+        width = 1 / (j * eps)
+        cuts = [eps + k * width for k in (0, 1, 4, 16, 64, 256)]
+        cuts = [c for c in cuts if c < mp.pi] + [mp.pi]
+        tail = 2 * mp.quad(lambda x: mp.exp(4 * j * mp.log(mp.cos(x / 2))), cuts)
+        mass = 2 * mp.pi * mp.exp(mp.loggamma(4 * j + 1) - 2 * mp.loggamma(2 * j + 1) - 4 * j * mp.log(2))
+        laplace = mp.sqrt(2 / (mp.pi * j)) * mp.exp(-j * eps**2 / 2) / eps
+        return float(tail / mass / laplace)
+
+
+# ----------------------------------------------------------------------
+# The equatorial decode
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def level_weights(j, dps):
+    """C(2j, n)/4^j for n = 2j, ..., 0 at dps digits, highest power first."""
+    with mp.workdps(dps):
+        return [mp.mpf(c) / mp.mpf(4) ** j for c in reversed(binomials(2 * j))]
+
+
+def bracket(j, phi_a, phi_b, shift):
+    """<pi/2, phi_a| exp(i shift L3) |pi/2, phi_b> at the working precision.
+
+    Up to j = 200 a dense sum over the levels: <m|pi/2, phi> = |c_m| exp(i n phi)
+    with n = j - m and |c_m|^2 = C(2j, n)/4^j, so the bracket is
+    exp(i j shift) sum_n C(2j, n)/4^j z^n, z = exp(i (phi_b - phi_a - shift)).
+    Beyond, the closed form exp(i j shift) ((1 + z)/2)^(2j).
+    """
+    z = mp.expj(phi_b - phi_a - shift)
+    if j <= 200:
+        total = mp.polyval(level_weights(j, mp.mp.dps), z)
+    else:
+        total = ((1 + z) / 2) ** (2 * j)
+    return mp.expj(j * shift) * total
+
+
+def decode_at(j, d, k, delta_phi, phi_m):
+    """(|<a|corrected>| for each codeword a, fidelity) at the working precision."""
+    index = round(phi_m * d / (2.0 * math.pi))
+    s = mp.mpf(phi_m) - 2 * mp.pi * index / d - mp.mpf(delta_phi)
+    phis = [2 * mp.pi * a / d for a in range(d)]
+    # Option1 codeword phases exp(-2 pi i (j a mod d)/d)
+    phases = [mp.expjpi(mp.mpf(-2 * ((j * a) % d)) / d) for a in range(d)]
+
+    def phased(a, b, shift):
+        return mp.conj(phases[a]) * phases[b] * bracket(j, phis[a], phis[b], shift)
+
+    ov = [phased(a, k, s) for a in range(d)]
+    gram = mp.matrix([[phased(a, b, 0) for b in range(d)] for a in range(d)])
+    coeff = mp.lu_solve(gram, mp.matrix(ov))
+    norm_sq = mp.re(sum(mp.conj(ov[a]) * coeff[a] for a in range(d)))
+    mags = [abs(x) for x in ov]
+    return mags, abs(ov[k]) ** 2 / norm_sq
+
+
+def decode(j, d, k, delta_phi, phi_m):
+    """(recovered_k, fidelity, raw_fidelity) of the decode, from the complex
+    overlaps of the phased codewords and a complex gram solve in mpmath.
+
+    The dense sums of terms below 1 cancel down to the overlaps (near 1e-46
+    from terms near 0.04 at j = 200), so their precision doubles until every
+    overlap that is checked keeps 20 digits; the closed form cancels nothing.
+    """
+    dps = 40
+    while True:
+        with mp.workdps(dps):
+            mags, fidelity = decode_at(j, d, k, delta_phi, phi_m)
+            raw = mags[k] ** 2
+            checked = [max(mags)] + ([mags[k]] if raw > mp.mpf(10) ** -300 else [])
+            if j > 200 or min(checked) > mp.mpf(10) ** (20 - dps):
+                return mags.index(max(mags)), float(fidelity), float(raw)
+        dps *= 2

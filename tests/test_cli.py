@@ -87,6 +87,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["kl-scan", "recovery-sweep"])
+def test_fractional_config_d_rejected(tmp_path, capsys, subcommand):
+    # kl-scan read "d": 2.5 as d = 2
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps({"j": 8, "d": 2.5}))
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "d must be an integer, got 2.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inapplicable_flag_rejected(tmp_path, capsys):
     assert main(["tail-check", "--r1", "5"]) == 2
     assert "does not apply" in capsys.readouterr().err

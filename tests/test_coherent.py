@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from spinqec.coherent import (
     SphPoint,
@@ -26,6 +25,10 @@ from spinqec.coherent import (
 )
 from spinqec.rotations import EulerAngles, haar_random, rotate_vector, wigner_D_matrix
 from spinqec.spin_core import MAX_DENSE_DIM, HalfInt, StateVec, l3_operator
+
+from contract import contract_tests
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 
 def _random_points(rng, count):
@@ -160,24 +163,6 @@ def test_rotate_point():
     assert np.max(np.abs(rotate_point(r, q).n - rotate_vector(r, q.n))) < 1e-12
 
 
-def _beta_moment(a, b):
-    # closed form of the colatitude integral of cos^a(t/2) sin^b(t/2) sin(t)
-    return 2.0 * math.exp(
-        gammaln(0.5 * b + 1.0) + gammaln(0.5 * a + 1.0) - gammaln(0.5 * (a + b) + 2.0)
-    )
-
-
-def test_theta_rule_exact_on_all_parities():
-    degree = 10
-    thetas, weights = theta_rule(degree)
-    ch = np.cos(0.5 * thetas)
-    sh = np.sin(0.5 * thetas)
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            got = float(np.sum(weights * ch**a * sh**b))
-            assert abs(got - _beta_moment(a, b)) < 1e-12, (a, b)
-
-
 def test_theta_rule_frozen_moment():
     thetas, weights = theta_rule(4)
     ch = np.cos(0.5 * thetas)
@@ -197,18 +182,6 @@ def test_theta_rule_positive_interior_nodes():
         assert len(thetas) == len(weights) == degree + 3, degree
         assert np.all(thetas > 0.0) and np.all(thetas < math.pi), degree
         assert np.all(weights > 0.0), degree
-
-
-def test_theta_rule_moments_at_high_degree():
-    degree = 1024
-    thetas, weights = theta_rule(degree)
-    ln_ch, ln_sh = np.log(np.cos(0.5 * thetas)), np.log(np.sin(0.5 * thetas))
-    for a in range(0, degree + 1, 17):  # both parities of a and b, and a + b = degree
-        b = np.append(np.arange(0, degree - a, 17), degree - a)
-        got = np.exp(a * ln_ch[None, :] + b[:, None] * ln_sh[None, :]) @ weights
-        ln_beta = gammaln(0.5 * a + 1.0) + gammaln(0.5 * b + 1.0) - gammaln(0.5 * (a + b) + 2.0)
-        want = 2.0 * np.exp(ln_beta)
-        assert np.max(np.abs(got / want - 1.0)) < 5e-12, a
 
 
 def test_phi_modes_exact():

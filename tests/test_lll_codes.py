@@ -3,8 +3,6 @@
 import cmath
 import dataclasses
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -27,8 +25,13 @@ from spinqec.lll_codes import (
 )
 from spinqec.coherent import SphPoint, coherent_state
 from spinqec.qec_check import equatorial_z, kl_check
-from spinqec.rotations import EulerAngles, haar_random, haar_random_sequence, wigner_D_matrix
+from spinqec.rotations import haar_random, haar_random_sequence, wigner_D_matrix
 from spinqec.spin_core import HalfInt, m_values
+
+from contract import contract_tests
+from oracles import contraction
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 
 def test_spec_validation():
@@ -276,36 +279,6 @@ def test_to_json_dict():
     assert np.max(np.abs(rebuilt - code.basis[0].amps)) < 1e-15
 
 
-@lru_cache(maxsize=None)
-def _binomial_row(n):
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return tuple(row)
-
-
-@pytest.mark.parametrize("j", [512, 1000, 4096])
-@pytest.mark.parametrize("n", [1, 3, 4, 8])
-def test_cyclic_closed_forms_at_large_j_match_exact_fractions(j, n):
-    # float(2**(2j)) and float sums of math.comb overflow from j = 512 on
-    tj = 2 * j
-    coeffs = _binomial_row(tj)[::n]
-    total = sum(coeffs)
-    norm = float(Fraction(n * n * total, 2**tj))
-    assert abs(cyclic_normalization(j, n) - norm) <= 1e-12 * norm
-    # at Theta = pi/(2N), exp(ikN Theta) = i^k, so the numerator is a
-    # Gaussian integer and the overlap is exact up to exp(-ij Theta)
-    big_theta = math.pi / (2 * n)
-    signs = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k = (-1)^k i^k
-    num_re = sum(c * signs[k % 4][0] for k, c in enumerate(coeffs))
-    num_im = sum(c * signs[k % 4][1] for k, c in enumerate(coeffs))
-    value = cyclic_overlap_closed_form(j, n, big_theta) * cmath.exp(
-        1j * math.pi * ((tj % (8 * n)) / (4 * n))
-    )
-    exact = complex(Fraction(num_re, total), Fraction(num_im, total))
-    assert abs(value - exact) <= 1e-12 * abs(exact)
-
-
 def test_codewords_hold_only_their_decomposition():
     assert [f.name for f in dataclasses.fields(Codewords)] == ["spec", "components"]
     code = build_codewords(equatorial_qudit(HalfInt(12), 3))
@@ -343,23 +316,15 @@ def test_matrix_element_tables_within_the_summation_bound(n_cosets):
     owner, thetas, phis, coeffs = lll_codes._point_arrays(code.components)
     u = 2.0**-53
     worst = 0.0
+    points = list(zip(thetas.tolist(), phis.tolist()))
     with mp.workdps(40):
-        points = [
-            (mp.cos(mp.mpf(t) / 2), mp.sin(mp.mpf(t) / 2), mp.expj(mp.mpf(p)))
-            for t, p in zip(thetas.tolist(), phis.tolist())
-        ]
         cs = [mp.mpc(c) for c in coeffs.tolist()]
         for r, rot in enumerate(rots):
-            alpha, beta, gamma = (mp.mpf(x) for x in (rot.alpha, rot.beta, rot.gamma))
-            a = mp.expj(-(alpha + gamma) / 2) * mp.cos(beta / 2)
-            b = mp.expj((alpha - gamma) / 2) * mp.sin(beta / 2)
+            angles = (rot.alpha, rot.beta, rot.gamma)
             exact = [[mp.mpc(0)] * 2 for _ in range(2)]
-            for o, (c_o, s_o, e_o) in enumerate(points):
-                for i, (c_i, s_i, e_i) in enumerate(points):
-                    base = c_o * (a * c_i - mp.conj(b) * e_i * s_i) + mp.conj(e_o) * s_o * (
-                        b * c_i + mp.conj(a) * e_i * s_i
-                    )
-                    exact[owner[o]][owner[i]] += mp.conj(cs[o]) * cs[i] * base**tj
+            for o, out in enumerate(points):
+                for i, inp in enumerate(points):
+                    exact[owner[o]][owner[i]] += mp.conj(cs[o]) * cs[i] * contraction(tj, out, inp, angles)
             for x in range(2):
                 for y in range(2):
                     p_x, p_y = int(np.sum(owner == x)), int(np.sum(owner == y))

@@ -5,7 +5,6 @@ import importlib
 import math
 import pkgutil
 import tracemalloc
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -52,6 +51,10 @@ from spinqec.rotations import (
     su2_from_euler,
 )
 from spinqec.spin_core import HalfInt
+
+from contract import contract_tests
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 _SPECS = [
     antipodal(HalfInt(7), 0.0),
@@ -133,41 +136,6 @@ def test_power_kernel_zero_and_clamp():
     assert values[1] == 0.0 and clamped[1]
     assert values[3] == 1.0 and not clamped[3]
     assert abs(values[2] / 0.5**400 - 1.0) < 1e-13
-
-
-def _mp_half(theta):
-    return mp.cos(mp.mpf(theta) / 2), mp.sin(mp.mpf(theta) / 2)
-
-
-def test_overlap_and_equatorial_element_against_mpmath():
-    # exact inputs: rounding the base costs a few ulp, which the 2j-th
-    # power multiplies by 2j, so the bound is 4 * 2j * eps (3.6e-12 at
-    # 2j = 4000); both functions stay near 1.5-2.7 * 2j * eps
-    with mp.workdps(40):
-        _check_closed_forms_against_mpmath(np.random.default_rng(5), 300)
-
-
-def _check_closed_forms_against_mpmath(rng, draws):
-    eps = 2.0**-52
-    for _ in range(draws):
-        tj = int(rng.integers(1, 4001))
-        spread = 3.0 / math.sqrt(tj)  # nearby points keep the value far from the clamp
-        t1, f1 = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
-        t2 = min(math.pi, max(0.0, t1 + spread * rng.normal()))
-        f2 = f1 + spread * rng.normal() / max(0.1, math.sin(t1))
-        p1, p2 = SphPoint(t1, f1), SphPoint(t2, f2)
-        (c1, s1), (c2, s2) = _mp_half(p1.theta), _mp_half(p2.theta)
-        ref = (c1 * c2 + mp.expj(mp.mpf(p2.phi) - mp.mpf(p1.phi)) * s1 * s2) ** tj
-        got = overlap(HalfInt(tj), p1, p2)
-        assert abs(mp.mpc(got) - ref) <= 4 * tj * eps * abs(ref), (tj, t1, f1, t2, f2)
-
-        big_theta = rng.uniform(-math.pi, math.pi)
-        phi_out = rng.uniform(0.0, 2.0 * math.pi)
-        phi_in = phi_out - big_theta + spread * rng.normal()
-        half = mp.mpf(big_theta) / 2
-        ref = ((mp.expj(-half) + mp.expj(half) * mp.expj(mp.mpf(phi_in) - mp.mpf(phi_out))) / 2) ** tj
-        got = equatorial_matrix_element(HalfInt(tj), phi_out, big_theta, phi_in)
-        assert abs(mp.mpc(got) - ref) <= 4 * tj * eps * abs(ref), (tj, phi_out, big_theta, phi_in)
 
 
 def test_overlap_exact_cases():
@@ -285,49 +253,6 @@ def test_one_jacobi_route_call_per_harmonic_and_per_code(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _mp_overlap_law(j, p1, p2):
-    """|<Omega1|Omega2>| = (|n1 + n2|^2/4)^j at 50 digits, from the stored doubles."""
-    with mp.workdps(50):
-        ns = []
-        for p in (p1, p2):
-            t, f = mp.mpf(p.theta), mp.mpf(p.phi)
-            ns.append((mp.sin(t) * mp.cos(f), mp.sin(t) * mp.sin(f), mp.cos(t)))
-        return (sum((a + b) ** 2 for a, b in zip(*ns)) / 4) ** mp.mpf(j)
-
-
-@pytest.mark.parametrize("j", [2, 50, 1000, 10**6])
-def test_overlap_magnitude_nearby_pairs_against_mpmath(j):
-    # separation about 1/sqrt(j) keeps the value O(1); (1 + n1.n2)/2 rounded
-    # the information 1 - |base| at absolute 2^-53, 1.5e-10 off at j = 10^6
-    rng = np.random.default_rng(j)
-    worst = 0.0
-    for _ in range(60):
-        t1, f1 = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
-        sep, psi = rng.uniform(0.2, 2.0) / math.sqrt(j), rng.uniform(0.0, 2.0 * math.pi)
-        t2 = min(math.pi, max(0.0, t1 + sep * math.cos(psi)))
-        f2 = f1 + sep * math.sin(psi) / max(0.05, math.sin(t1))
-        p1, p2 = SphPoint(t1, f1), SphPoint(t2, f2)
-        ref = _mp_overlap_law(j, p1, p2)
-        worst = max(worst, float(abs(overlap_magnitude(j, p1, p2) / ref - 1)))
-    assert worst < 1e-12
-
-
-@pytest.mark.parametrize("j", [0.5, 1, 2, 5])
-def test_overlap_magnitude_near_antipode_against_mpmath(j):
-    # 1e-7 to 1e-3 from the antipode; 1 + n1.n2 was up to 13 % off here
-    rng = np.random.default_rng(int(2 * j))
-    worst = 0.0
-    for _ in range(60):
-        t1, f1 = math.acos(rng.uniform(-0.9, 0.9)), rng.uniform(0.0, 2.0 * math.pi)
-        sep, psi = 10 ** rng.uniform(-7.0, -3.0), rng.uniform(0.0, 2.0 * math.pi)
-        t2 = math.pi - t1 + sep * math.cos(psi)
-        f2 = f1 + math.pi + sep * math.sin(psi) / math.sin(t1)
-        p1, p2 = SphPoint(t1, f1), SphPoint(t2, f2)
-        ref = _mp_overlap_law(j, p1, p2)
-        worst = max(worst, float(abs(overlap_magnitude(j, p1, p2) / ref - 1)))
-    assert worst < 1e-7
-
-
 def test_overlap_magnitude_exact_cases():
     rng = np.random.default_rng(4)
     points = [SphPoint(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 7.0)) for _ in range(20)]
@@ -343,32 +268,10 @@ def test_overlap_magnitude_exact_cases():
         assert overlap_magnitude(HalfInt(0), p, q) == 1.0
 
 
-@pytest.mark.parametrize("j", [0.5, 1])
-@pytest.mark.parametrize("t_max", [1e-3, 1e-5, 1e-6])
-def test_equatorial_offdiag_bound_near_antipode_against_mpmath(j, t_max):
-    # (1 + cos(pi - t))/2 = sin^2(t/2) cancels in 1 + cos: 8.9e-5 off at
-    # j = 1, t = 1e-6; the reference takes pi exactly, so the 1.2e-16 of
-    # math.pi is in the error, about 1.2e-10 relative at t = 1e-6
-    with mp.workdps(50):
-        ref = ((1 + mp.cos(mp.pi - mp.mpf(t_max))) / 2) ** mp.mpf(j)
-        assert float(abs(equatorial_offdiag_bound(j, 2, t_max) / ref - 1)) < 1e-9
-
-
 def test_equatorial_offdiag_bound_exact_ends():
     assert equatorial_offdiag_bound(5, 2, 0.0) == 0.0
     assert equatorial_offdiag_bound(10**6, 3, 0.1) == 0.0
     assert equatorial_offdiag_bound(12, 3, 2.0 * math.pi / 3.0) == 1.0
-
-
-@pytest.mark.parametrize("tj", list(range(0, 41)) + [255, 256, 511, 1000, 1023, 1024])
-def test_cyclic_normalization_against_binomial_sums(tj):
-    # N times a sum of N unit-bounded terms: the error is absolute, near
-    # N^2 2^-53, so where the binomial sum is small next to N^2 (N near 2j)
-    # the relative error grows, as it always has
-    row = [math.comb(tj, k) for k in range(tj + 1)]
-    for n in range(1, 17):
-        exact = Fraction(n * n * sum(row[::n]), 2**tj)
-        assert abs(Fraction(cyclic_normalization(HalfInt(tj), n)) - exact) < 1e-13
 
 
 def _former_ln_overlap_magnitude(y, tj):

@@ -1,7 +1,6 @@
 """Azimuth syndrome densities and the measure-correct-decode cycle."""
 
 import fractions
-import functools
 import math
 import tracemalloc
 
@@ -23,6 +22,11 @@ from spinqec.coherent import _ln_overlap_magnitude
 from spinqec.recovery import _correct_and_decode
 from spinqec.lll_codes import build_codewords, equatorial_qudit
 from spinqec.spin_core import HalfInt
+
+import oracles
+from contract import contract_tests
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 
 def _dkw_bound(n, alpha=0.01):
@@ -107,20 +111,10 @@ def test_validate_mode_matches_leading_shape(twice):
 
 def test_single_peak_mass_exact_and_asymptotic():
     # exact binomial mass at j = 3: 2 pi C(12, 6)/2^12
-    want = 2.0 * math.pi * math.comb(12, 6) / 4096.0
+    want = 2.0 * math.pi * oracles.binomials(12)[6] / 4096.0
     assert abs(single_peak_mass(HalfInt(6)) - want) < 1e-13
     ratio = single_peak_mass(HalfInt(200)) / math.sqrt(2.0 * math.pi / 100.0)
     assert abs(ratio - 0.9993751959) < 1e-9
-
-
-@pytest.mark.parametrize("j", [0.5, 1.5, 10, 13, 19.5, 40.5, 100, 1e3, 1e6, 1e7])
-def test_single_peak_mass_against_mpmath(j):
-    # lgamma(4j + 1) - 2 lgamma(2j + 1) lost 2.2e-8 relative at j = 1e7; the
-    # half-step series alone, below 2j = 40 an lgamma difference, 1.1e-14 at j = 13
-    n = int(2 * j)
-    with mpmath.workdps(50):
-        want = 2 * mpmath.pi * mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n
-        assert abs(single_peak_mass(j) / want - 1) <= 2e-15
 
 
 def test_density_mass_counts_peaks():
@@ -166,42 +160,19 @@ def test_tail_failure_matches_quad(j):
             assert abs(got / math.exp(ln_want) - 1.0) < 1e-10, (j, eps, got)
 
 
-def _mp_ln_tail(j, eps):
-    # ln 2 I_z(a, a), a = 2j + 1/2, z = sin^2((pi - eps)/4), at 40 digits through
-    # I_z(a, a) = z^a (1 - z)^a 2F1(2a, 1; a + 1; z) / (a B(a, a))
-    with mpmath.workdps(40):
-        a = mpmath.mpf(2 * j) + mpmath.mpf(1) / 2
-        z = mpmath.sin((mpmath.pi - mpmath.mpf(eps)) / 4) ** 2
-        ln_beta = 2 * mpmath.loggamma(a) - mpmath.loggamma(2 * a)
-        series = mpmath.hyp2f1(2 * a, 1, a + 1, z, maxterms=10**6)
-        return mpmath.log(2) + a * mpmath.log(z * (1 - z)) - mpmath.log(a) - ln_beta + mpmath.log(series)
-
-
-@pytest.mark.parametrize("j,eps", [(1e6, 0.1), (1e5, 0.05), (400, 0.3), (2.5, 0.7)])
-def test_tail_failure_large_j_against_mpmath(j, eps):
-    # the ratio to the Laplace reference, where the tails themselves underflow;
-    # at (1e6, 0.1) ln B(a, a) from two lgammas was off by 1.7e-8
-    est = tail_failure(j, eps)
-    with mpmath.workdps(40):
-        jv, e = mpmath.mpf(j), mpmath.mpf(eps)
-        ln_laplace = mpmath.log(mpmath.sqrt(2 / (mpmath.pi * jv))) - jv * e**2 / 2 - mpmath.log(e)
-        ratio = mpmath.exp(_mp_ln_tail(j, eps) - ln_laplace)
-    assert abs(est.ratio / ratio - 1) <= 1e-11, (j, eps, est.ratio)
-
-
 def test_half_step_series_coefficients():
     # sum_i c_i a^-(2i+1) against ln Gamma(a + 1/2) - ln Gamma(a) - (ln a)/2 in
     # mpmath: at a = 40 the last kept term is 7e-15, the first dropped 6e-18
     with mpmath.workdps(40):
         for a in (40, 100):
             a = mpmath.mpf(a)
-            exact = mpmath.loggamma(a + 0.5) - mpmath.loggamma(a) - mpmath.log(a) / 2
+            exact = oracles.ln_gamma_half_step(a) - mpmath.log(a) / 2
             series = sum(
                 mpmath.mpf(c) / a ** (2 * i + 1) for i, c in enumerate(recovery._HALF_STEP_SERIES)
             )
             assert abs(series - exact) < 1e-17 / (a / 40) ** 9
         for a in (0.5, 3.0, 39.5, 40.0, 40.5, 1e3, 2e6 + 0.5):
-            exact = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+            exact = oracles.ln_gamma_half_step(a)
             got = recovery._ln_gamma_half_step(a)
             assert abs(got - exact) <= (6e-14 if a < 40 else 4e-16 * abs(exact)), a
 
@@ -211,7 +182,7 @@ def test_half_step_below_40_against_mpmath():
     # level where lgamma(a + 1/2) - lgamma(a) was up to 1.4e-14 off
     with mpmath.workdps(40):
         for a in [k / 2 for k in range(1, 82)] + [0.01, 0.3, 7.3, 39.99]:
-            exact = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+            exact = oracles.ln_gamma_half_step(a)
             assert abs(recovery._ln_gamma_half_step(a) - exact) <= 1e-15, a
 
 
@@ -234,88 +205,6 @@ def test_correct_and_decode_pinned_peak():
         assert abs(raw - 1.0) < 1e-12
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_level_weights(j, dps):
-    """C(2j, n)/4^j for n = 2j, ..., 0 at dps digits, highest power first."""
-    with mpmath.workdps(dps):
-        return [mpmath.binomial(2 * j, n) / mpmath.mpf(4) ** j for n in range(2 * j, -1, -1)]
-
-
-def _mp_bracket(j, phi_a, phi_b, shift):
-    """<pi/2, phi_a| exp(i shift L3) |pi/2, phi_b> in mpmath.
-
-    Up to j = 200 a dense sum over the levels: <m|pi/2, phi> = |c_m| exp(i n phi)
-    with n = j - m and |c_m|^2 = C(2j, n)/4^j, so the bracket is
-    exp(i j shift) sum_n C(2j, n)/4^j z^n, z = exp(i (phi_b - phi_a - shift)).
-    Beyond, the closed form exp(i j shift) ((1 + z)/2)^(2j).
-    """
-    z = mpmath.expj(phi_b - phi_a - shift)
-    if j <= 200:
-        total = mpmath.polyval(_mp_level_weights(j, mpmath.mp.dps), z)
-    else:
-        total = ((1 + z) / 2) ** (2 * j)
-    return mpmath.expj(j * shift) * total
-
-
-def _mp_decode_at(j, d, k, delta_phi, phi_m):
-    index = round(phi_m * d / (2.0 * math.pi))
-    s = mpmath.mpf(phi_m) - 2 * mpmath.pi * index / d - mpmath.mpf(delta_phi)
-    phis = [2 * mpmath.pi * a / d for a in range(d)]
-    # Option1 codeword phases exp(-2 pi i (j a mod d)/d)
-    phases = [mpmath.expjpi(mpmath.mpf(-2 * ((j * a) % d)) / d) for a in range(d)]
-
-    def bracket(a, b, shift):
-        return mpmath.conj(phases[a]) * phases[b] * _mp_bracket(j, phis[a], phis[b], shift)
-
-    ov = [bracket(a, k, s) for a in range(d)]
-    gram = mpmath.matrix([[bracket(a, b, 0) for b in range(d)] for a in range(d)])
-    coeff = mpmath.lu_solve(gram, mpmath.matrix(ov))
-    norm_sq = mpmath.re(sum(mpmath.conj(ov[a]) * coeff[a] for a in range(d)))
-    mags = [abs(x) for x in ov]
-    return mags, abs(ov[k]) ** 2 / norm_sq
-
-
-def _mp_decode(j, d, k, delta_phi, phi_m):
-    """(recovered_k, fidelity, raw_fidelity) of the decode, from the complex
-    overlaps of the phased codewords and a complex gram solve in mpmath.
-
-    The dense sums of terms below 1 cancel down to the overlaps (near 1e-46
-    from terms near 0.04 at j = 200), so their precision doubles until every
-    overlap that is checked keeps 20 digits; the closed form cancels nothing.
-    """
-    dps = 40
-    while True:
-        with mpmath.workdps(dps):
-            mags, fidelity = _mp_decode_at(j, d, k, delta_phi, phi_m)
-            raw = mags[k] ** 2
-            checked = [max(mags)] + ([mags[k]] if raw > mpmath.mpf(10) ** -300 else [])
-            if j > 200 or min(checked) > mpmath.mpf(10) ** (20 - dps):
-                return mags.index(max(mags)), float(fidelity), float(raw)
-        dps *= 2
-
-
-def _assert_matches_mp(got, want):
-    recovered_k, fidelity, raw = got
-    want_k, want_fidelity, want_raw = want
-    assert recovered_k == want_k
-    assert abs(fidelity - want_fidelity) <= 1e-10 * want_fidelity, (fidelity, want_fidelity)
-    if want_raw > 1e-300:
-        assert abs(raw - want_raw) <= 1e-10 * want_raw, (raw, want_raw)
-
-
-@pytest.mark.parametrize("j_anc", [None, 20])
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("j", [8, 50, 200, 2000, 10**5])
-def test_recover_matches_mp_decode(j, d, j_anc):
-    # with j_anc = 20 the correction misses by |s| ~ 0.1-0.3, and at large j
-    # every overlap sits far below 1e-16
-    for seed in range(3):
-        k = seed % d
-        run = recover(j, d, k, 0.1, seed, j_anc=j_anc)
-        want = _mp_decode(j, d, k, 0.1, run.measured_phi)
-        _assert_matches_mp((run.recovered_k, run.fidelity, run.raw_fidelity), want)
-
-
 @pytest.mark.parametrize(
     "j,d,k,delta_phi,phi_m",
     [
@@ -330,11 +219,14 @@ def test_recover_matches_mp_decode(j, d, j_anc):
     ],
 )
 def test_correct_and_decode_matches_mp_at_edges(j, d, k, delta_phi, phi_m):
-    got = [c[0] for c in _correct_and_decode(2 * j, d, k, delta_phi, [phi_m])]
-    want = _mp_decode(j, d, k, delta_phi, phi_m)
-    _assert_matches_mp(got, want)
-    if want[2] < 1e-300:
-        assert got[2] < 1e-300
+    recovered_k, fidelity, raw = (c[0] for c in _correct_and_decode(2 * j, d, k, delta_phi, [phi_m]))
+    want_k, want_fidelity, want_raw = oracles.decode(j, d, k, delta_phi, phi_m)
+    assert recovered_k == want_k
+    assert abs(fidelity - want_fidelity) <= 1e-10 * want_fidelity, (fidelity, want_fidelity)
+    if want_raw > 1e-300:
+        assert abs(raw - want_raw) <= 1e-10 * want_raw, (raw, want_raw)
+    else:
+        assert raw < 1e-300
 
 
 def _block_test_azimuths(d, rng):
@@ -439,9 +331,7 @@ def test_gram_spectrum_is_exact(j, d):
     # lambda_f = d sum_{t = f mod d} C(2j, j + t)/4^j, in exact integers
     _, root = recovery._gram_factor(2 * j, d)
     for f in range(d):
-        want = d * fractions.Fraction(
-            sum(math.comb(2 * j, j + t) for t in range(-j, j + 1) if (t - f) % d == 0), 4**j
-        )
+        want = d * fractions.Fraction(sum(oracles.binomials(2 * j, d, j + f)), 4**j)
         if want < 1e-300:  # underflowed classes are floored
             assert d * root[f] ** 2 <= 1e-300
         else:
@@ -599,15 +489,3 @@ def test_recover_accepts_the_full_level_count():
     # d = 2j + 1 equatorial states still span the space
     run = recover(HalfInt(4), 5, 1, 0.01, seed=1)
     assert 0.0 <= run.fidelity <= 1.0 + 1e-12
-
-
-@pytest.mark.parametrize("j,eps", [(5, 3.14159), (20, 3.1)])
-def test_tail_failure_near_pi_against_mpmath(j, eps):
-    # near eps = pi the prefactor is 2a ln sin((pi - eps)/2), with pi - eps
-    # taken past math.pi's own rounding
-    est = tail_failure(j, eps)
-    with mpmath.workdps(40):
-        jv, e = mpmath.mpf(j), mpmath.mpf(eps)
-        ln_laplace = mpmath.log(mpmath.sqrt(2 / (mpmath.pi * jv))) - jv * e**2 / 2 - mpmath.log(e)
-        ratio = mpmath.exp(_mp_ln_tail(j, eps) - ln_laplace)
-    assert abs(est.ratio / ratio - 1) <= 1e-13, (j, eps, est.ratio)

@@ -7,7 +7,6 @@ import pytest
 
 from spinqec.rotations import (
     EulerAngles,
-    Su2,
     canonicalize,
     compose,
     euler_from_su2,
@@ -22,6 +21,10 @@ from spinqec.rotations import (
     wigner_d_matrix,
 )
 from spinqec.spin_core import HalfInt, axis_operator, matexp_antihermitian
+
+from contract import contract_tests
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 
 def test_euler_statics():
@@ -211,44 +214,6 @@ def test_wigner_d_matrix_exact_at_multiples_of_pi(twice):
     assert np.array_equal(wigner_d_matrix(j, math.pi), anti * np.where(j_plus_m % 2, -1.0, 1.0)[:, None])
     j_minus_m = np.arange(j.dim)
     assert np.array_equal(wigner_d_matrix(j, -math.pi), anti * np.where(j_minus_m % 2, -1.0, 1.0)[:, None])
-
-
-def _mp_wigner_d(j, m, n, beta):
-    """The explicit alternating sum in exact-enough arithmetic: every term
-    is carried to more digits than the largest of them has."""
-    import mpmath as mp
-
-    jm, jmm, jn, jnn, mn = (int(v) for v in (j + m, j - m, j + n, j - n, m - n))
-    with mp.workdps(int(2 * j * 0.31) + 40):
-        b = mp.mpf(beta)
-        ch, sh = mp.cos(b / 2), mp.sin(b / 2)
-        ratio = -(sh * sh) / (ch * ch)
-        lo = max(0, -mn)
-        term = (-1) ** (mn + lo) * ch ** (jn + jmm - 2 * lo) * sh ** (mn + 2 * lo) / (
-            mp.factorial(lo) * mp.factorial(jn - lo) * mp.factorial(mn + lo) * mp.factorial(jmm - lo)
-        )
-        total = mp.mpf(0)
-        for s in range(lo, min(jn, jmm) + 1):
-            total += term
-            term *= ratio * (jn - s) * (jmm - s) / ((s + 1) * (mn + s + 1))
-        pref = mp.sqrt(mp.factorial(jm) * mp.factorial(jmm) * mp.factorial(jn) * mp.factorial(jnn))
-        return float(pref * total)
-
-
-@pytest.mark.parametrize(
-    "j,m,n,beta",
-    [
-        (2000, 0, 0, 0.3),
-        (2000, 600, 600, 2.5),
-        (2000, 700, -600, 0.7),
-        (2000, 2000, 1999, 0.01),
-        (1999.5, 0.5, -0.5, 2.9),
-    ],
-)
-def test_wigner_d_scalar_at_j_2000_against_mpmath(j, m, n, beta):
-    # at (600, 600, 2.5) and (700, -600, 0.7) the raw Jacobi polynomial
-    # is about 1e600 and 1e591, past the float range
-    assert abs(wigner_d(j, m, n, beta) - _mp_wigner_d(j, m, n, beta)) < 1e-12
 
 
 def test_wigner_d_matrix_memory_is_quadratic():

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,6 +17,10 @@ from spinqec.spin_core import (
     m_values,
     matexp_antihermitian,
 )
+
+from contract import contract_tests
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 
 def test_halfint_coercion():
@@ -199,24 +202,6 @@ def test_statevec_basics():
         StateVec(j, [1.0, 0.0])
     with pytest.raises(ValueError):
         StateVec(j, np.zeros(3)).normalized()
-
-
-def _exact_norm(amps):
-    with mpmath.workdps(40):
-        return mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(v.real)) ** 2 + mpmath.mpf(float(v.imag)) ** 2 for v in amps))
-
-
-@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
-def test_statevec_norm_outside_the_plain_range(scale):
-    # Sums of squares that overflow or underflow: the norm is taken over
-    # amps / max|amps| and stays within 1e-15 of the exact value.
-    rng = np.random.default_rng(4)
-    for dim in (1, 6, 900):
-        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        big = StateVec(HalfInt(dim - 1), amps / np.linalg.norm(amps) * scale)
-        exact = _exact_norm(big.amps)
-        assert abs(big.norm - exact) <= 1e-15 * exact
-        assert abs(big.normalized().norm - 1.0) < 1e-15
 
 
 def test_statevec_norm_keeps_plain_bits_in_range():

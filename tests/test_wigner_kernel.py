@@ -14,7 +14,10 @@ from spinqec.lll_codes import antipodal, antipodal_logical_x, build_codewords, c
 from spinqec.monopole import monopole_Y
 from spinqec.rotations import EulerAngles, wigner_D_matrix, wigner_d, wigner_d_matrix
 from spinqec.spin_core import MAX_DENSE_DIM, HalfInt, axis_operator, matexp_antihermitian
-from test_rotations import _mp_wigner_d
+
+from contract import contract_tests
+
+globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
 BENCHMARK_BETAS = (0.0, 0.1, math.pi / 2.0, 2.5, math.pi)
 
@@ -25,25 +28,6 @@ def test_unitarity_at_large_j(j):
         d = wigner_d_matrix(j, beta)
         assert np.all(np.isfinite(d))
         assert np.max(np.abs(d.T @ d - np.eye(2 * j + 1))) <= 1e-13, beta
-
-
-@pytest.mark.parametrize(
-    "beta,entries",
-    [
-        (1e-3, [(400, 400), (399, 400), (1, 0), (10, -5), (200, 190), (-300, -280), (400, 380), (3, -3)]),
-        (
-            math.pi - 1e-3,
-            [(400, -400), (399, -400), (1, 0), (10, 5), (200, -190), (-300, 280), (400, -380), (3, -3)],
-        ),
-    ],
-)
-def test_entries_near_the_poles_against_mpmath(beta, entries):
-    # magnitudes from 1 down to 1e-47: the sweep keeps relative precision
-    # where the entries are tiny, with no cancellation near the poles
-    for m, n in entries:
-        want = _mp_wigner_d(400, m, n, beta)
-        assert want != 0.0
-        assert abs(wigner_d(400, m, n, beta) - want) <= 1e-14 * abs(want), (m, n)
 
 
 def test_matrix_entries_equal_scalar_entries():
