@@ -45,8 +45,8 @@ import tempfile
 
 import numpy as np
 
-from .spin_core import HalfInt
-from .rotations import EulerAngles, _finite_angle
+from .spin_core import HalfInt, _finite, _integer
+from .rotations import EulerAngles
 from .lll_codes import antipodal, equatorial_qudit, build_codewords, matrix_element_table
 from .qec_check import conjugated_y, equatorial_z, explicit_list, kl_check
 from .recovery import _correct_and_decode, _draws, _round_args, tail_failure
@@ -285,7 +285,7 @@ def cmd_kl_scan(cfg: dict):
         raise ValueError(f"unknown error_family {cfg['error_family']!r}")
 
     code = build_codewords(spec)
-    report = kl_check(code, errs, int(cfg["seed"]))
+    report = kl_check(code, errs, _integer("seed", cfg["seed"]))
     passed = report.delta_star <= cfg["delta"] and report.eps_star <= cfg["epsilon"]
     summary = {
         "delta_star": report.delta_star,
@@ -302,19 +302,20 @@ def cmd_kl_scan(cfg: dict):
 
 def cmd_overlap_curve(cfg: dict):
     code = build_codewords(antipodal(HalfInt.of(cfg["j"]), cfg["phi0"]))
-    thetas = np.linspace(0.0, _finite_angle("theta_max", cfg["theta_max"]), int(cfg["samples"]))
+    theta_max = _finite("theta_max", cfg["theta_max"])
+    thetas = np.linspace(0.0, theta_max, _integer("samples", cfg["samples"]))
     rotations = (EulerAngles(0.0, theta, 0.0) for theta in thetas.tolist())
     magnitudes = [abs(matrix_element_table(code, r)[0, 1]) for r in rotations]
     return {"theta": _float_cells(thetas), "magnitude": _float_cells(np.array(magnitudes))}, None, 0
 
 
 def cmd_recovery_sweep(cfg: dict):
-    samples = int(cfg["samples"])
+    samples = _integer("samples", cfg["samples"])
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     j, d, k, delta_phi, out_of_cell = _round_args(cfg["j"], cfg["d"], cfg["input_k"], cfg["delta"])
     tj_anc = None if cfg["j_anc"] is None else HalfInt.of(cfg["j_anc"]).twice
-    seed = int(cfg["seed"])
+    seed = _integer("seed", cfg["seed"])
     _, phis = _draws(j.twice, d, k, delta_phi, range(seed, seed + samples), tj_anc)
     recovered, fidelity, raw_fidelity = _correct_and_decode(j.twice, d, k, delta_phi, phis)
     constant = {"j": j.value, "d": d, "input_k": k, "delta_phi": delta_phi}
@@ -328,8 +329,8 @@ def cmd_recovery_sweep(cfg: dict):
 
 
 def cmd_gkp_table(cfg: dict):
-    params = GkpParams(int(cfg["k"]), int(cfg["r1"]), int(cfg["r2"]))
-    if cfg["n"] is not None and int(cfg["n"]) != params.n:
+    params = GkpParams(cfg["k"], cfg["r1"], cfg["r2"])
+    if cfg["n"] is not None and _integer("n", cfg["n"]) != params.n:
         raise ValueError(f"N = {cfg['n']} contradicts k*r1*r2 = {params.n}")
     probe = build_gkp_code(params).codewords[0]
     rows = []
@@ -346,7 +347,7 @@ def cmd_harmonics(cfg: dict):
     if cfg["thetas"] is not None:
         thetas = [float(t) for t in cfg["thetas"]]
     else:
-        thetas = np.linspace(0.0, math.pi, int(cfg["samples"])).tolist()
+        thetas = np.linspace(0.0, math.pi, _integer("samples", cfg["samples"])).tolist()
     phis = [float(p) for p in cfg["phis"]]
     table = harmonic_table(HalfInt.of(cfg["j"]), HalfInt.of(cfg["lmax"]), thetas, phis)
     header = ["l", "m", "theta", "phi", "re", "im"]

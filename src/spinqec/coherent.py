@@ -33,7 +33,6 @@ that is exact for every mode |k| < n_phi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,7 +42,7 @@ import numpy as np
 from ._logfact import ln_binomial, ln_factorial
 from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
 from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _spin, _tridiagonal_eigh
-from .spin_core import _integer, m_index, m_values
+from .spin_core import _finite, _integer, m_index, m_values
 
 __all__ = [
     "SphPoint",
@@ -87,11 +86,8 @@ class SphPoint:
         theta = float(self.theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % _TWO_PI)
+        object.__setattr__(self, "phi", _finite("phi", self.phi) % _TWO_PI)
 
     @staticmethod
     def north() -> "SphPoint":
@@ -116,12 +112,16 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     """Amplitude matrix c[m_index, node] over arrays of sphere points.
 
     Built in the log domain so large j never overflows; exact-pole
-    columns contain exact zeros.
+    columns contain exact zeros.  A theta outside [0, pi] or a non-finite
+    phi raises ValueError, as SphPoint raises it.
     """
     j = _spin(j)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     thetas, phis = np.broadcast_arrays(thetas, phis)
+    off = ~((0.0 <= thetas) & (thetas <= math.pi) & np.isfinite(phis))
+    if off.any():  # SphPoint raises its own message at the first such point
+        SphPoint(thetas[off][0], phis[off][0])
     jmm = np.arange(j.twice + 1)  # j - m
     phase = np.exp(1j * jmm[:, None] * phis[None, :])
     return _amplitude_magnitudes(j.twice, thetas) * phase
@@ -191,7 +191,8 @@ def rotation_matrix_elements(j, out, r, inp, with_underflow: bool = False):
 def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray]:
     """base**(2j) elementwise in polar form: (values, clamped mask).
 
-    The one 2j-th-power kernel of the package: zero gives exact zero, and
+    The one 2j-th-power kernel of the package, with one caller,
+    rotation_matrix_elements: zero gives exact zero, and
     magnitudes below exp(-700) are clamped to zero and flagged in the mask.
     The 2j-th power multiplies every rounding of arg(base) by 2j, so the
     phase is split exactly: base = i^q |base| exp(i a) with |a| <= pi/4,
@@ -307,15 +308,11 @@ def equatorial_matrix_element(j, phi_out: float, big_theta: float, phi_in: float
 
     Equals ((exp(-i Theta/2) + exp(i Theta/2) exp(i(phi_in - phi_out)))/2)^(2j);
     the magnitude is ((1 + cos(Theta + phi_in - phi_out))/2)^j, peaked where
-    the rotated azimuth phi_in + Theta meets phi_out.  The base divides by
-    an exact 1/2, where the general kernel would multiply by cos^2(pi/4).
+    the rotated azimuth phi_in + Theta meets phi_out: rotation_matrix_elements
+    at theta = pi/2 and R = (Theta, 0, 0).
     """
-    j = _spin(j)
-    base = (
-        cmath.exp(-0.5j * big_theta)
-        + cmath.exp(0.5j * big_theta) * cmath.exp(1j * (phi_in - phi_out))
-    ) / 2.0
-    return complex(_pow_two_j_arrays(np.asarray(base), j.twice)[0])
+    equator, r = math.pi / 2.0, (big_theta, 0.0, 0.0)
+    return complex(rotation_matrix_elements(j, (equator, phi_out), r, (equator, phi_in)))
 
 
 def rotate_point(r: EulerAngles, p: SphPoint) -> SphPoint:

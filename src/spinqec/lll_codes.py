@@ -32,7 +32,7 @@ from .coherent import (
     rotation_matrix_elements,
 )
 from .rotations import EulerAngles, _cmul, wigner_D_matrix
-from .spin_core import HalfInt, Operator, StateVec, _integer, _require_dense, _spin
+from .spin_core import HalfInt, Operator, StateVec, _finite, _integer, _require_dense, _spin
 
 __all__ = [
     "CodeSpec",
@@ -169,8 +169,7 @@ def _coset_filter(tj: int, n: int, big_theta: float, odd: int) -> complex:
     """
     if n < 1:
         raise ValueError(f"n_cosets must be at least 1, got {n}")
-    if not math.isfinite(big_theta):
-        raise ValueError(f"big_theta must be finite, got {big_theta}")
+    big_theta = _finite("big_theta", big_theta)
     q = 2 * np.arange(n) + odd
     f = q % (2 * n)
     f = np.where(f > n, f - 2 * n, f)  # q/(2N) = f/(2N) + (q - f)/(2N), f in (-N, N]

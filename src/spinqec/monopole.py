@@ -58,7 +58,7 @@ import numpy as np
 
 from ._logfact import ln_factorial
 from .rotations import _half_angles, _wigner_d_entries
-from .spin_core import HalfInt, _integer
+from .spin_core import HalfInt, _finite_array, _integer
 
 __all__ = [
     "MonopoleHarmonic",
@@ -94,7 +94,9 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
 
     route selects the evaluation formula: "jacobi" (folded closed form,
     the production route) or "wigner-d" (independent cross-check built
-    on the rotation matrix elements).
+    on the rotation matrix elements).  The evaluator raises ValueError on
+    a non-finite theta or phi; theta is not confined to [0, pi], where
+    both routes agree.
     """
     j = HalfInt.of(j)
     l = HalfInt.of(l)
@@ -110,6 +112,7 @@ def monopole_Y(j, l, m, route: str = "jacobi") -> MonopoleHarmonic:
         raise ValueError(f"unknown route {route!r}")
 
     def evaluator(theta, phi):
+        theta, phi = _finite_array("theta", theta), _finite_array("phi", phi)
         if route == "jacobi":
             out = _jacobi_route(j.twice, l.twice, m.twice, theta, phi)
         else:
@@ -416,10 +419,11 @@ def correctable_shift_count(code: FullLandauCode) -> int:
 
 
 def harmonic_table(j, l_max, thetas, phis) -> list[tuple[float, ...]]:
-    """Rows (l, m, theta, phi, re, im) for every harmonic up to l_max."""
+    """Rows (l, m, theta, phi, re, im) for every harmonic up to l_max;
+    a non-finite theta or phi raises ValueError."""
     j = HalfInt.of(j)
     l_max = HalfInt.of(l_max)
-    tt, pp = np.meshgrid(np.asarray(thetas, float), np.asarray(phis, float), indexing="ij")
+    tt, pp = np.meshgrid(_finite_array("theta", thetas), _finite_array("phi", phis), indexing="ij")
     grid = list(zip(tt.ravel().tolist(), pp.ravel().tolist()))
     rows = []
     for tl in range(abs(j.twice), l_max.twice + 1, 2):

@@ -35,7 +35,7 @@ from .coherent import _ln_overlap_magnitude
 from .lll_codes import Codewords, matrix_element_tables
 from . import rotations as _rotations
 from .rotations import EulerAngles, _euler_angles_arrays, _relative_angles, _su2_product, su2_arrays
-from .spin_core import HalfInt, _axis_bands, _spin, _tridiagonal_eigh, m_values
+from .spin_core import HalfInt, _axis_bands, _finite, _integer, _spin, _tridiagonal_eigh, m_values
 
 __all__ = [
     "ErrorSet",
@@ -81,8 +81,7 @@ class ErrorSet:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error-set kind {self.kind!r}")
         for name in ("max_angle", "phi0", "x_angle"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(name, getattr(self, name))
         if self.kind == "ExplicitList":
             if not self.rotations:
                 raise ValueError("ExplicitList needs at least one rotation")
@@ -93,7 +92,7 @@ class ErrorSet:
                     raise TypeError(f"rotations[{index}] must be EulerAngles, got {type(r).__name__}")
         elif self.max_angle < 0.0:
             raise ValueError("max_angle must be nonnegative")
-        if self.samples < 1:
+        if _integer("samples", self.samples) < 1:
             raise ValueError("samples must be positive")
 
     @property
@@ -326,7 +325,7 @@ def correctable_angle(j, d: int, eps: float) -> CorrectableAngle:
     j = _spin(j)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if d < 2:
+    if _integer("d", d) < 2:
         raise ValueError("d must be at least 2")
     if j.twice == 0:
         raise ValueError("j must be positive: spin 0 has no correctable angle")
@@ -347,8 +346,7 @@ def equatorial_offdiag_bound(j, d: int, t_max: float) -> float:
     underflows, and full relative accuracy where 1 + cos would cancel.
     """
     j = _spin(j)
-    if d < 2:
+    if _integer("d", d) < 2:
         raise ValueError("d must be at least 2")
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
+    t_max = _finite("t_max", t_max)
     return math.exp(_ln_overlap_magnitude(2.0 * math.pi / d - t_max, j.twice))

@@ -69,14 +69,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import (
-    _amplitude_magnitudes,
-    _ln_overlap_magnitude,
-    _pow_two_j_arrays,
-    rotation_matrix_elements,
-    theta_rule,
-)
-from .spin_core import HalfInt, _integer, _spin
+from .coherent import (_amplitude_magnitudes, _ln_overlap_magnitude, rotation_matrix_elements,
+                       theta_rule)
+from .spin_core import HalfInt, _finite, _integer, _spin
 
 __all__ = [
     "SyndromeRun",
@@ -100,52 +95,39 @@ _TWO_PI = 2.0 * math.pi
 def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading"):
     """Density of the azimuth measurement outcome, as a callable.
 
-    Modes:
-      leading   -- sum of single-peak terms at the shifted lattice
-                   azimuths (cross terms dropped).
-      full      -- localized double sum including cross terms, each
-                   carrying the lattice-separation suppression factor.
+    The leading and full modes are one quadratic form in the peak factors
+    F_a = ((1 + exp(i x_a))/2)^(2j), x_a = phi_m - 2 pi a/d - phi_state,
+    whose |F_a|^2 = ((1 + cos x_a)/2)^(2j) is the a-th single peak:
+
+      leading   -- sum_a |F_a|^2, the single peaks at the shifted lattice
+                   azimuths (cross terms dropped; S = 1 below).
+      full      -- sum_ab conj(F_a) S_ab F_b, the cross terms carrying the
+                   lattice-separation factors
+                   S_ab = ((1 + exp(2 pi i (b - a)/d))/2)^(2j).
       validate  -- pre-localization form <u|u> with the colatitude
                    integrals evaluated exactly, all azimuths in one
                    pass (module docstring); a cross-check of the other
                    two forms at small j, capped at j <= 8.
 
-    All modes are unnormalized; positivity holds pointwise.
+    F_a and S_ab are equatorial elements <pi/2, out|pi/2, in> from
+    rotation_matrix_elements.  All modes are unnormalized; positivity
+    holds pointwise.  The arguments are recover's, checked by _round_args,
+    except that d may exceed 2j + 1 here: the density has no gram matrix.
     """
-    j = _spin(j)
+    j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
     tj = j.twice
-    if not j.is_integer:
-        raise ValueError("syndrome extraction assumes integer j")
-    d = _integer("d", d)
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    k = int(k) % d
-    phi_state = _TWO_PI * k / d + float(delta_phi)
-
+    phi_state = _TWO_PI * k / d + delta_phi
     shifts = _TWO_PI * np.arange(d) / d
+    equator = math.pi / 2.0
 
-    def peak_factors(phi_m):
-        # F_k = ((1 + exp(i x_k))/2)^(2j) at x_k = phi_m - 2 pi k/d - phi_state;
-        # |F_k|^2 = ((1 + cos x_k)/2)^(2j) is the k-th single peak.
-        phi_m = np.asarray(phi_m, dtype=float)
-        x = phi_m - shifts.reshape((d,) + (1,) * phi_m.ndim) - phi_state
-        return _pow_two_j_arrays((1.0 + np.exp(1j * x)) / 2.0, tj)[0]
-
-    if mode == "leading":
+    if mode in ("leading", "full"):
+        sep = np.eye(d) if mode == "leading" else rotation_matrix_elements(
+            j, (equator, shifts[:, None]), (0,) * 3, (equator, shifts))
 
         def density(phi_m):
-            return np.sum(np.abs(peak_factors(phi_m)) ** 2, axis=0)
-
-        return density
-
-    if mode == "full":
-        # sum_ab conj(F_a) S_ab F_b with the lattice-separation factors
-        # S_ab = ((1 + exp(-2 pi i (a - b)/d))/2)^(2j)
-        gaps = shifts[:, None] - shifts[None, :]
-        sep = _pow_two_j_arrays((1.0 + np.exp(-1j * gaps)) / 2.0, tj)[0]
-
-        def density(phi_m):
-            f = peak_factors(phi_m)
+            phi_in = np.asarray(phi_m, dtype=float) - phi_state
+            sites = shifts.reshape((d,) + (1,) * phi_in.ndim)
+            f = rotation_matrix_elements(j, (equator, sites), (0,) * 3, (equator, phi_in))
             total = np.sum(f.conj() * np.tensordot(sep, f, axes=1), axis=0)
             return np.maximum(total.real, 0.0)
 
@@ -162,7 +144,7 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
             phi_m = np.atleast_1d(np.asarray(phi_m, dtype=float))
             phi_u = (phi_m[..., None] - shifts)[..., None]
             # <theta', phi_u | pi/2, phi_state> in closed form at every node, meridian and azimuth
-            ovl = rotation_matrix_elements(j, (thetas, phi_u), (0,) * 3, (math.pi / 2.0, phi_state))
+            ovl = rotation_matrix_elements(j, (thetas, phi_u), (0,) * 3, (equator, phi_state))
             u = np.sum(np.exp(1j * phi_u * levels) * ((weights * ovl) @ mags.T), axis=-2)
             out = np.sum(u.real**2 + u.imag**2, axis=-1)
             return out if out.size > 1 else out[0]
@@ -365,7 +347,14 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     leave the normal doubles (|t| near 27 sqrt(j)).  r_f =
     sqrt(lambda_f/d), with lambda_f floored at the smallest normal double
     for a class whose every weight lies beyond that point.
+
+    The d codewords are independent only in 2j + 1 >= d levels: a larger d
+    raises ValueError here, the one place that needs the bound (_round_args
+    checks the rest of a round's arguments, and _draws asks for this factor
+    first, so the bound holds before a round draws).
     """
+    if d > tj + 1:
+        raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
     j = tj // 2
     classes = [0.0] * d
     classes[0] = weight = 1.0
@@ -385,17 +374,22 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _round_args(j, d: int, k: int, delta_phi: float):
-    """recover's checked arguments: (j, d, k mod d, delta_phi, out_of_cell)."""
+    """The checked arguments of a round and of syndrome_density:
+    (j, d, k mod d, delta_phi, out_of_cell).
+
+    The one check behind recover, finite_ancilla_note, recovery-sweep and
+    syndrome_density: j a nonnegative integer, d and k integers, d at least
+    2, delta_phi finite.  The bound d <= 2j + 1 belongs to the decode and is
+    checked there (_gram_factor), with the same message.
+    """
     j = _spin(j)
     if not j.is_integer:
         raise ValueError("recovery assumes integer j")
     d = _integer("d", d)
-    if not 2 <= d <= j.twice + 1:
+    if d < 2:
         raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {j.twice + 1} levels")
-    delta_phi = float(delta_phi)
-    if not math.isfinite(delta_phi):
-        raise ValueError(f"delta_phi must be finite, got {delta_phi}")
-    return j, d, int(k) % d, delta_phi, not abs(delta_phi) < math.pi / d
+    delta_phi = _finite("delta_phi", delta_phi)
+    return j, d, _integer("k", k) % d, delta_phi, not abs(delta_phi) < math.pi / d
 
 
 def _draws(tj: int, d: int, k: int, delta_phi: float, seeds, tj_anc=None):
@@ -405,8 +399,11 @@ def _draws(tj: int, d: int, k: int, delta_phi: float, seeds, tj_anc=None):
     peak's Beta law give the true azimuth, reduced mod 2 pi.  With tj_anc
     set, a readout blur from the ancilla kernel cos^(2 tj_anc)(Delta/2),
     drawn next from the same generator, is added to report it, not reduced
-    again; without it the report is the true azimuth.
+    again; without it the report is the true azimuth.  Every round decodes
+    its draws, so a d the decode refuses (_gram_factor) raises before any
+    draw is made.
     """
+    _gram_factor(tj, d)
     true, reported = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)

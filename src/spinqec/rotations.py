@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import HalfInt, Operator, _axis_bands, _require_dense, _spin, m_index
+from .spin_core import HalfInt, Operator, _axis_bands, _finite, _require_dense, _spin, m_index
 
 __all__ = [
     "EulerAngles",
@@ -65,13 +65,6 @@ _TIE = 1e-14
 _ZERO = np.float64(0.0)
 
 
-def _finite_angle(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class EulerAngles:
     """z-y-z Euler angles, stored exactly as given (no reduction); a
@@ -83,7 +76,7 @@ class EulerAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _finite_angle(name, getattr(self, name)))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
     @staticmethod
     def identity() -> "EulerAngles":
@@ -534,7 +527,7 @@ def wigner_d(j, m, n, beta: float) -> float:
     """
     j = _spin(j)
     tm, tn = (j.twice - 2 * m_index(j, label) for label in (m, n))
-    beta = _finite_angle("beta", beta)
+    beta = _finite("beta", beta)
     return float(_wigner_d_entries(j.twice, tm, tn, beta))
 
 
@@ -557,7 +550,7 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """
     j = _spin(j)
     tj = j.twice
-    beta = _finite_angle("beta", beta)
+    beta = _finite("beta", beta)
     _require_dense(j, j.dim, 8)
     two = tj - 2 * np.arange(j.dim)  # twice m, descending
     ch, sh = _half_angles(beta)

@@ -4,6 +4,11 @@ Every (2j+1)-dimensional array in this package uses the descending magnetic
 number convention: index 0 holds m = j, index 2j holds m = -j.  Spin and
 magnetic labels are stored exactly as the integer 2x value, so integer and
 half-integer cases never rely on float equality.
+
+The package's two input checks live here: _integer, for every count (a
+float or a bool raises TypeError, never truncated), and _finite, for every
+real input that must be finite (NaN or infinity raises ValueError,
+"NAME must be finite, got VALUE"; _finite_array checks arrays through it).
 """
 
 from __future__ import annotations
@@ -114,6 +119,23 @@ def _integer(name: str, v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {v!r}")
     return int(v)
+
+
+def _finite(name: str, value) -> float:
+    """value as a float; NaN or infinity raises ValueError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _finite_array(name: str, values) -> np.ndarray:
+    """values as a float array; _finite raises at the first NaN or infinite entry."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        _finite(name, bad[0])
+    return values
 
 
 def _spin(j) -> HalfInt:
@@ -406,8 +428,7 @@ def matexp_antihermitian(a: Operator, t: float) -> Operator:
     |t| <= 1; beyond that to |t| j 2^-52, the rounding either route leaves
     in its eigenphases.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = _finite("t", t)
     if not a.is_hermitian(1e-10):
         raise ValueError("generator must be Hermitian to 1e-10")
     mat = a.mat

@@ -27,11 +27,12 @@ import pytest
 import oracles
 from spinqec import (
     ErrorSet, EulerAngles, HalfInt, SphPoint, StateVec, axis_operator, build_codewords, build_full_landau_code,
-    canonicalize, compose, conjugated_y, conjugated_z_about_x, correctable_angle, cyclic_normalization,
-    cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check, equatorial_matrix_element,
-    equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list, finite_ancilla_note,
-    haar_random_sequence, hermitian_check_ops, inverse, matexp_antihermitian, monopole_Y, overlap, overlap_magnitude,
-    recover, single_peak_mass, sphere_quadrature, syndrome_density, tail_failure, theta_rule, wigner_d,
+    canonicalize, coherent_amplitudes, compose, conjugated_y, conjugated_z_about_x, correctable_angle,
+    cyclic_normalization, cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check,
+    equatorial_matrix_element, equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list,
+    finite_ancilla_note, haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, matexp_antihermitian,
+    monopole_Y, overlap, overlap_magnitude, recover, single_peak_mass, sphere_quadrature, syndrome_density,
+    tail_failure, theta_rule, wigner_d,
 )
 
 EPS = 2.0**-52
@@ -215,6 +216,10 @@ def _harmonic(route):
     return lambda j, l, m, thetas, phi: monopole_Y(j, l, m, route=route)(np.array(thetas), phi)
 
 
+def _density(tj, d, k, delta_phi, mode, phis):
+    return syndrome_density(HalfInt(tj), d, k, delta_phi, mode)(phis)
+
+
 def _check_ops(tj, d):
     return np.array([op.mat for op in hermitian_check_ops(HalfInt(tj), d)])
 
@@ -224,6 +229,7 @@ def _check_ops(tj, d):
 # ----------------------------------------------------------------------
 
 _Y_AXIS_3 = axis_operator(3, (0.0, 1.0, 0.0))
+_DENSITY_PHIS = np.linspace(0.0, 2.0 * math.pi, 61)
 _NON_FINITE = (math.inf, -math.inf, math.nan)
 
 # (test, exception, [(id, callable, args, kwargs, message pattern or None[, covers])]);
@@ -307,6 +313,16 @@ _RAISE_TABLES = [
             (finite_ancilla_note, (8, 4), {"d": 2.5}, "d"),
             (finite_ancilla_note, (8, 4), {"runs": 2.5}, "runs"),
             (syndrome_density, (8, 2.5, 0, 0.0), {}, "d"),
+            # d and k that were truncated: d = 2.5 read as 2 budgets, k = 1.5 as 1
+            (correctable_angle, (4, 2.5, 0.1), {}, "d"),
+            (equatorial_offdiag_bound, (4, 2.5, 0.1), {}, "d"),
+            (recover, (8, 2, 1.5, 0.1, 0), {}, "k"),
+            (finite_ancilla_note, (8, 4), {"k": 1.5}, "k"),
+            (syndrome_density, (8, 2, 1.5, 0.1), {}, "k"),
+            # a fractional count of samples built, then failed inside numpy at
+            # scan time; True scanned one sample
+            (equatorial_z, (0.2, 2.5), {}, "samples"),
+            (conjugated_y, (0.0, 0.2, True), {}, "samples"),
             (build_full_landau_code, (2.5, 1), {}, "N"),
             (theta_rule, (2.5,), {}, "degree"),
             (sphere_quadrature, (), {"degree": 2.5}, "degree"),
@@ -315,6 +331,24 @@ _RAISE_TABLES = [
             (diagonal_operator, (3, np.cos), {"band_limit": (1.5, 0)}, "k_max"),
             (diagonal_operator, (3, np.cos), {"band_limit": (1, 0.5)}, "theta_degree"),
         ]
+    ]),
+    # an unnormalized column (norm 0.565 at theta = 4, 0.827 at -0.5, 0 at
+    # nan), a nan density, and nan harmonics with RuntimeWarnings
+    ("test_contract::test_non_finite_or_off_sphere_inputs_rejected", ValueError, [
+        *((f"coherent_amplitudes-theta-{i}", coherent_amplitudes, (3, theta, 0.0), {},
+           rf"^theta must lie in \[0, pi\], got {got}")
+          for i, theta, got in [("4", [0.2, 4.0], "4.0"), ("negative", -0.5, "-0.5"), ("nan", math.nan, "nan")]),
+        ("coherent_amplitudes-phi-inf", coherent_amplitudes, (3, 0.3, [0.0, math.inf]), {},
+         "^phi must be finite, got inf"),
+        ("syndrome_density-delta-nan", syndrome_density, (8, 2, 0, math.nan), {}, "^delta_phi must be finite"),
+        *((f"monopole_Y-{route}-{name}", _harmonic(route), (0.5, 2.5, 0.5, *args), {}, f"^{name} must be finite",
+           "monopole_Y")
+          for route in ("jacobi", "wigner-d")
+          for name, args in [("theta", ([math.nan], 0.3)), ("phi", ([0.1], math.inf))]),
+        ("harmonic_table-theta-nan", harmonic_table, (0.5, 2.5, [0.3, math.nan], [0.0]), {},
+         "^theta must be finite, got nan"),
+        ("harmonic_table-phi-inf", harmonic_table, (0.5, 2.5, [0.3], [-math.inf]), {},
+         "^phi must be finite, got -inf"),
     ]),
     # a negative k_max returned an exactly zero operator, and a negative
     # theta_degree a rule too small for the symbol, marked exact
@@ -455,6 +489,12 @@ TABLE = [
           [(j, d, s % d, s, j_anc) for s in range(3)], _decode_of_round, _decode_error, within=1e-10,
           covers="recover")
       for j in (8, 50, 200, 2000, 10**5) for d in (2, 3, 4) for j_anc in (None, 20)),
+    # both forms of the density against mpmath contractions over a phi grid:
+    # |F_a|^2 is a 4j-th power of the base, whose rounding the power scales
+    *(Row(f"test_contract::test_syndrome_density_against_mpmath[{mode}-{j}]", _density,
+          [(2 * j, d, 1, delta_phi, mode, _DENSITY_PHIS) for d in (2, 3, 5) for delta_phi in (0.0, 0.13)],
+          oracles.syndrome_density, normwise, within=lambda tj, *_: 4 * tj * EPS, covers="syndrome_density")
+      for mode in ("leading", "full") for j in (1, 8, 40, 200)),
     # -- domain edges ----------------------------------------------------------
     *(Raises(f"{test}[{i}]", func, args, kwargs, exception, match, *covers)
       for test, exception, rows in _RAISE_TABLES for i, func, args, kwargs, match, *covers in rows),

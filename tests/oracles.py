@@ -58,6 +58,23 @@ def equatorial_element(tj, phi_out, big_theta, phi_in):
     return contraction(tj, (mp.pi / 2, phi_out), (mp.pi / 2, phi_in), (big_theta, 0, 0))
 
 
+def syndrome_density(tj, d, k, delta_phi, mode, phis):
+    """The leading (S = 1) or full density sum_ab conj(F_a) S_ab F_b at each
+    azimuth phi, from contractions at 30 digits with the lattice 2 pi a/d
+    taken exactly: F_a = <pi/2, 2 pi (k + a)/d + delta_phi|pi/2, phi> and
+    S_ab = <pi/2, 2 pi a/d|pi/2, 2 pi b/d>."""
+    with mp.workdps(30):
+        half, lattice = mp.pi / 2, [2 * mp.pi * a / d for a in range(d)]
+        sep = [[contraction(tj, (half, x), (half, y)) if mode == "full" else int(a == b)
+                for b, y in enumerate(lattice)] for a, x in enumerate(lattice)]
+        sites = [2 * mp.pi * k / d + mp.mpf(delta_phi) + x for x in lattice]
+        out = []
+        for phi in phis:
+            f = [contraction(tj, (half, site), (half, phi)) for site in sites]
+            out.append(float(mp.re(mp.fsum(mp.conj(f[a]) * sep[a][b] * f[b] for a in range(d) for b in range(d)))))
+        return np.array(out)
+
+
 def overlap_law(j, p1, p2):
     """|<Omega1|Omega2>| = (|n1 + n2|^2/4)^j at 50 digits, from the stored doubles:
     an independent form of the magnitude, through the unit vectors."""

@@ -97,6 +97,31 @@ def test_fractional_config_d_rejected(tmp_path, capsys, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand,overrides,message",
+    [
+        ("gkp-table", {"k": 2.5}, "k must be an integer, got 2.5"),
+        ("gkp-table", {"n": 18.5}, "n must be an integer, got 18.5"),
+        ("overlap-curve", {"samples": 3.7}, "samples must be an integer, got 3.7"),
+        ("recovery-sweep", {"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ("recovery-sweep", {"input_k": 1.5}, "k must be an integer, got 1.5"),
+        ("recovery-sweep", {"seed": 0.5}, "seed must be an integer, got 0.5"),
+        ("harmonics", {"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ("kl-scan", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("kl-scan", {"samples": 2.5}, "samples must be an integer, got 2.5"),
+    ],
+    ids=["gkp-k", "gkp-n", "overlap-samples", "sweep-samples", "sweep-input_k", "sweep-seed", "harmonics-samples",
+         "kl-seed", "kl-samples"],
+)
+def test_fractional_config_counts_rejected(tmp_path, capsys, subcommand, overrides, message):
+    # each ran truncated (k = 2, 3 rows, 2 rows, k = 1, ...) and exited 0;
+    # kl-scan's samples failed inside numpy
+    out = tmp_path / "out.txt"
+    assert main([subcommand, *_with_config(tmp_path, overrides), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inapplicable_flag_rejected(tmp_path, capsys):
     assert main(["tail-check", "--r1", "5"]) == 2
     assert "does not apply" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """The accuracy contract: the rows of contract.TABLE labeled test_contract,
 a check that every row runs, a ratchet on which public names still lack
-a row, and the structure that keeps every oracle in oracles.py."""
+a row, the structure that keeps every oracle in oracles.py, and the
+structure that keeps one writer for the finiteness check and one caller
+of the 2j-th power kernel."""
 
 import ast
 import inspect
@@ -18,8 +20,8 @@ _NO_ROW_YET = {
     "GkpCode", "GkpParams", "KLReport", "LandauEntry", "LogicalSet", "MAX_DENSE_DIM", "MomentumShiftVerdict",
     "MonopoleHarmonic", "Operator", "PairRecord", "PauliWord", "SphereQuadrature", "Su2", "SyndromeOutcome",
     "SyndromeRun", "TailEstimate", "antipodal", "antipodal_logical_x", "build_gkp_code", "clock_shift",
-    "coherent_amplitudes", "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2",
-    "haar_random", "harmonic_table", "kl_check", "l3_operator", "ladder_operators", "logical_operators",
+    "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2",
+    "haar_random", "kl_check", "l3_operator", "ladder_operators", "logical_operators",
     "lower_symbol", "lowest_level_bridge", "m_index", "m_values", "matrix_element_table", "momentum_kick",
     "momentum_shift_analysis", "rotate_point", "rotate_vector", "rotation_matrix_element", "rotation_operator",
     "sample_rotations", "stabilizer_eigenphases", "strict_window", "su2_from_euler", "syndrome_and_recover",
@@ -69,3 +71,36 @@ def test_oracles_live_in_oracles_py_and_tests_import_no_tests():
                 assert not calls, f"{path.name}: {node.name} calls mpmath"
         for node in ast.walk(tree):
             assert not any(m.startswith("test_") for m in _imports(node)), f"{path.name} imports {_imports(node)}"
+
+
+_PACKAGE = Path(spinqec.__file__).parent
+
+
+def _package_trees():
+    for path in sorted(_PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def test_only_spin_core_raises_the_finiteness_message():
+    # spin_core._finite writes "NAME must be finite, got VALUE"; a module that
+    # raises it inline has a second finiteness check
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and module != "spin_core":
+                texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                assert not any("must be finite, got" in t for t in texts), (module, node.lineno)
+
+
+def test_pow_two_j_arrays_has_one_caller():
+    # every closed-form element goes through rotation_matrix_elements, the
+    # one function whose rebuild the power kernel's rebuild touches
+    users = set()
+    for module, tree in _package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "_pow_two_j_arrays":
+                names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+                if "_pow_two_j_arrays" in names:
+                    users.add((module, func.name))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert module == "coherent" or "_pow_two_j_arrays" not in imported, module
+    assert users == {("coherent", "rotation_matrix_elements")}, users

@@ -311,7 +311,8 @@ def test_gram_factor_cached_read_only():
     for seed in range(3):
         recover(HalfInt(8), 5, 1, 0.05, seed=seed)
     info = recovery._gram_factor.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 2, 32)
+    # each round reads the factor twice: _draws, for the bound d <= 2j + 1, then the decode
+    assert (info.misses, info.hits, info.maxsize) == (1, 5, 32)
     whitening, root = recovery._gram_factor(8, 5)
     assert whitening.shape == (5, 5) and root.shape == (5,)
     for table in (whitening, root):
