@@ -45,11 +45,11 @@ import tempfile
 
 import numpy as np
 
-from .spin_core import HalfInt, _finite, _integer
+from .spin_core import HalfInt, _finite, _integer, _real
 from .rotations import EulerAngles
 from .lll_codes import antipodal, equatorial_qudit, build_codewords, matrix_element_table
 from .qec_check import conjugated_y, equatorial_z, explicit_list, kl_check
-from .recovery import _correct_and_decode, _draws, _round_args, tail_failure
+from .recovery import _rounds, tail_failure
 from .finite_gkp import GkpParams, build_gkp_code, syndrome_and_recover, tiling_window
 from .monopole import harmonic_table
 
@@ -263,7 +263,7 @@ def _angles_list(r: EulerAngles) -> list[float]:
 
 def cmd_kl_scan(cfg: dict):
     for key in ("delta", "epsilon"):
-        if not 0.0 <= float(cfg[key]) < math.inf:
+        if not 0.0 <= _real(key, cfg[key]) < math.inf:
             raise ValueError(f"{key} must be finite and nonnegative, got {cfg[key]!r}")
     j = HalfInt.of(cfg["j"])
     family = cfg["family"]
@@ -313,14 +313,13 @@ def cmd_recovery_sweep(cfg: dict):
     samples = _integer("samples", cfg["samples"])
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    j, d, k, delta_phi, out_of_cell = _round_args(cfg["j"], cfg["d"], cfg["input_k"], cfg["delta"])
-    tj_anc = None if cfg["j_anc"] is None else HalfInt.of(cfg["j_anc"]).twice
     seed = _integer("seed", cfg["seed"])
-    _, phis = _draws(j.twice, d, k, delta_phi, range(seed, seed + samples), tj_anc)
-    recovered, fidelity, raw_fidelity = _correct_and_decode(j.twice, d, k, delta_phi, phis)
+    (j, d, k, delta_phi, out_of_cell), (measured, recovered, fidelity, raw_fidelity) = _rounds(
+        cfg["j"], cfg["d"], cfg["input_k"], cfg["delta"], range(seed, seed + samples), cfg["j_anc"]
+    )
     constant = {"j": j.value, "d": d, "input_k": k, "delta_phi": delta_phi}
     columns = {name: [_jtext(value)] * samples for name, value in constant.items()}
-    columns["measured_phi"] = _float_cells(np.array([phi % (2.0 * math.pi) for phi in phis]))
+    columns["measured_phi"] = _float_cells(measured)
     columns["recovered_k"] = [str(a) for a in recovered.tolist()]
     columns["fidelity"] = _float_cells(fidelity)
     columns["raw_fidelity"] = _float_cells(raw_fidelity)
@@ -344,18 +343,16 @@ def cmd_gkp_table(cfg: dict):
 
 
 def cmd_harmonics(cfg: dict):
-    if cfg["thetas"] is not None:
-        thetas = [float(t) for t in cfg["thetas"]]
-    else:
-        thetas = np.linspace(0.0, math.pi, _integer("samples", cfg["samples"])).tolist()
-    phis = [float(p) for p in cfg["phis"]]
-    table = harmonic_table(HalfInt.of(cfg["j"]), HalfInt.of(cfg["lmax"]), thetas, phis)
+    thetas = cfg["thetas"]
+    if thetas is None:
+        thetas = np.linspace(0.0, math.pi, _integer("samples", cfg["samples"]))
+    table = harmonic_table(HalfInt.of(cfg["j"]), HalfInt.of(cfg["lmax"]), thetas, cfg["phis"])
     header = ["l", "m", "theta", "phi", "re", "im"]
     return dict(zip(header, map(_float_cells, np.array(table, float).reshape(-1, 6).T))), None, 0
 
 
 def cmd_tail_check(cfg: dict):
-    est = tail_failure(HalfInt.of(cfg["j"]), float(cfg["epsilon"]))
+    est = tail_failure(HalfInt.of(cfg["j"]), cfg["epsilon"])
     header = ["j", "epsilon", "numeric_tail", "laplace_tail", "ratio"]
     row = (est.j.value, est.epsilon, est.numeric_tail, est.laplace_tail, est.ratio)
     return {h: [_jtext(value)] for h, value in zip(header, row)}, None, 0

@@ -42,7 +42,7 @@ import numpy as np
 from ._logfact import ln_binomial, ln_factorial
 from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
 from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _spin, _tridiagonal_eigh
-from .spin_core import _finite, _integer, m_index, m_values
+from .spin_core import _finite, _integer, _real, _real_array, m_index, m_values
 
 __all__ = [
     "SphPoint",
@@ -83,7 +83,7 @@ class SphPoint:
     phi: float
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta = _real("theta", self.theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
         object.__setattr__(self, "theta", theta)
@@ -113,11 +113,12 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
 
     Built in the log domain so large j never overflows; exact-pole
     columns contain exact zeros.  A theta outside [0, pi] or a non-finite
-    phi raises ValueError, as SphPoint raises it.
+    phi raises ValueError, as SphPoint raises it; a string raises
+    spin_core._real's TypeError.
     """
     j = _spin(j)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    thetas = np.atleast_1d(_real_array("theta", thetas))
+    phis = np.atleast_1d(_real_array("phi", phis))
     thetas, phis = np.broadcast_arrays(thetas, phis)
     off = ~((0.0 <= thetas) & (thetas <= math.pi) & np.isfinite(phis))
     if off.any():  # SphPoint raises its own message at the first such point
@@ -204,8 +205,9 @@ def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray
     if tj == 0:  # spin 0 has one state: every contraction to the 0th power is 1
         return np.ones_like(base, dtype=complex), np.zeros(np.shape(base), dtype=bool)
     x, y = base.real, base.imag
-    big, small = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
-    swap = np.abs(y) > np.abs(x)
+    abs_x, abs_y = np.abs(x), np.abs(y)
+    big, small = np.maximum(abs_x, abs_y), np.minimum(abs_x, abs_y)
+    swap = abs_y > abs_x
     mag = np.abs(base)
     zero = mag == 0.0
     with np.errstate(divide="ignore"):
@@ -218,8 +220,13 @@ def _pow_two_j_arrays(base: np.ndarray, tj: int) -> tuple[np.ndarray, np.ndarray
     keep = ~(zero | clamped)
     # base = i^q |base| exp(i a): q = 0, 2 when |x| >= |y|, q = 1, 3 otherwise
     quarter = np.where(swap, 3 - 2 * (y > 0.0), 2 * (x < 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        angle = tj * np.arctan(np.where(keep, np.where(swap, -x / y, y / x), 0.0))
+    # a = arctan(-x/y) or arctan(y/x), the ratio taken as small/big with the
+    # sign bit of that quotient; IEEE division is correctly rounded and
+    # symmetric in sign, so the bits agree.  Only kept entries divide, so
+    # no quotient overflows or divides by zero; the rest read +0.
+    ratio = np.divide(small, big, out=np.zeros(np.shape(big)), where=keep)
+    negative = keep & (np.signbit(x) ^ np.signbit(y) ^ swap)
+    angle = tj * np.arctan(np.where(negative, -ratio, ratio))
     turn = (_I_POWERS ** (tj % 4))[quarter]
     scale = np.exp(np.where(keep, ln_mag, -np.inf))
     values = scale * ((np.cos(angle) + 1j * np.sin(angle)) * turn)

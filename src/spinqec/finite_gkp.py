@@ -38,9 +38,10 @@ in one symmetric window and fold onto |b| and |bhat|, so the rounds of a
 code read about r2/2 + 1 index arrays.  The round builds no PauliWord: it
 takes the norm and the code-space residual as direct sums of squares,
 rescaled as StateVec.norm rescales when they leave the double range,
-multiplies the error's phases and those of the inverse of the decoded
-shift into the input's amplitudes, rolls once by the net shift, and
-hands only the recovered array, uncopied and read-only, to a StateVec.
+multiplies the error's phases into the input's amplitudes, applies the
+inverse of the decoded shift with _apply_word (its phases, then one roll
+by the net shift), and hands only the recovered array, uncopied and
+read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -337,10 +338,11 @@ def syndrome_and_recover(
     table come from the per-GkpParams cache of build_gkp_code; the
     code-space check projects onto the combs through that table rather
     than through dense (k x N) products, and compares the residual's sum
-    of squares with 1e-20 times the state's.  The error and
-    the undo are one phase pass over the input's positions and one roll,
-    the same products as applying the two words in turn; only the
-    recovered array is wrapped, without a copy, in a StateVec.
+    of squares with 1e-20 times the state's.  The error's phases are
+    multiplied into the input's amplitudes, then _apply_word applies the
+    undo word with the error's shift folded in: the same products as
+    applying the two words in turn, and one roll.  Only the recovered
+    array is wrapped, without a copy, in a StateVec.
     """
     _, comb = _tables(params)
     n = params.n
@@ -371,11 +373,11 @@ def syndrome_and_recover(
 
     # (X^ahat Z^bhat)^-1 = exp(2 pi i ahat bhat / n) X^-ahat Z^-bhat, as
     # PauliWord.inverse.  Its phase at position x + a is its exponent at x
-    # plus 2 b2 a, so both phases act before the one roll by a - ahat.
+    # plus 2 b2 a, so it acts on the error's phased amplitudes as one word
+    # whose shift is the net a - ahat: X^a's roll folds into its roll.
     b2 = -b_hat % n
-    undo = state.amps * _phases(n, b % n, 0)
-    undo *= _phases(n, b2, (2 * a_hat * b_hat + 2 * b2 * a) % (2 * n))
-    cut = n - (a - a_hat) % n
+    errored = state.amps * _phases(n, b % n, 0)
+    recovered = _apply_word(errored, n, (a - a_hat) % n, b2, 2 * (a_hat * b_hat + b2 * a) % (2 * n))
     logical_x = ((a - a_hat) // params.r1) % params.k
     logical_z = ((b - b_hat) // params.r2) % params.k
     return SyndromeOutcome(
@@ -383,7 +385,7 @@ def syndrome_and_recover(
         syndrome_b=syndrome_b,
         a_hat=a_hat,
         b_hat=b_hat,
-        recovered=StateVec._owning(state.j, np.concatenate((undo[cut:], undo[:cut]))),
+        recovered=StateVec._owning(state.j, recovered),
         logical_error=bool(logical_x or logical_z),
         ambiguous=amb_a or amb_b,
     )

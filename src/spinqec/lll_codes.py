@@ -70,6 +70,7 @@ class CodeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "j", _spin(self.j))
+        object.__setattr__(self, "phi0", _finite("phi0", self.phi0))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.phase_convention not in ("Option1", "Option2"):
@@ -94,7 +95,7 @@ class CodeSpec:
 
 
 def antipodal(j, phi0: float = 0.0) -> CodeSpec:
-    return CodeSpec(HalfInt.of(j), "Antipodal", phi0=float(phi0))
+    return CodeSpec(HalfInt.of(j), "Antipodal", phi0=phi0)
 
 
 def equatorial_qudit(j, d: int, phase_convention: str = "Option1") -> CodeSpec:
@@ -330,7 +331,7 @@ def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:
     """
     j = _spin(j)
     n = _integer("n_cosets", n_cosets)
-    return _coset_filter(j.twice, n, float(big_theta), 1) / (cyclic_normalization(j, n) / n)
+    return _coset_filter(j.twice, n, big_theta, 1) / (cyclic_normalization(j, n) / n)
 
 
 def matrix_element_tables(code: Codewords, angles) -> np.ndarray:

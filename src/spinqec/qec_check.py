@@ -81,7 +81,7 @@ class ErrorSet:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown error-set kind {self.kind!r}")
         for name in ("max_angle", "phi0", "x_angle"):
-            _finite(name, getattr(self, name))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.kind == "ExplicitList":
             if not self.rotations:
                 raise ValueError("ExplicitList needs at least one rotation")
@@ -126,15 +126,15 @@ def _members(errs: ErrorSet, ts: np.ndarray) -> list[EulerAngles]:
 
 
 def equatorial_z(theta_max: float, samples: int = 32) -> ErrorSet:
-    return ErrorSet("EquatorialZ", max_angle=float(theta_max), samples=samples)
+    return ErrorSet("EquatorialZ", max_angle=theta_max, samples=samples)
 
 
 def conjugated_y(phi0: float, theta_max: float, samples: int = 32) -> ErrorSet:
-    return ErrorSet("ConjugatedY", max_angle=float(theta_max), phi0=float(phi0), samples=samples)
+    return ErrorSet("ConjugatedY", max_angle=theta_max, phi0=phi0, samples=samples)
 
 
 def conjugated_z_about_x(alpha_max: float, x_angle: float = 0.9, samples: int = 32) -> ErrorSet:
-    return ErrorSet("ConjugatedZaboutX", max_angle=float(alpha_max), x_angle=float(x_angle), samples=samples)
+    return ErrorSet("ConjugatedZaboutX", max_angle=alpha_max, x_angle=x_angle, samples=samples)
 
 
 def explicit_list(rotations) -> ErrorSet:

@@ -54,8 +54,10 @@ Rounds run in blocks of seeds, through one sampler (_draws, one generator
 per seed) and one decode (_correct_and_decode): the d logs and exps of a
 row are scalar math calls, and the block's W v and |W v|^2 are stacked
 matmuls, which keep each row's BLAS gemv and dot bits, so a row reads the
-same in a block of any size.  recover is the one-seed block;
-finite_ancilla_note and the CLI's recovery-sweep decode whole blocks.
+same in a block of any size.  _rounds assembles a block, from the checked
+arguments to its four columns: recover is its one-seed call and the CLI's
+recovery-sweep its many-seed call.  finite_ancilla_note decodes both the
+true and the reported draws of its block, so it reads _draws itself.
 
 Only numpy and the standard library are used at run time.
 """
@@ -71,7 +73,7 @@ import numpy as np
 
 from .coherent import (_amplitude_magnitudes, _ln_overlap_magnitude, rotation_matrix_elements,
                        theta_rule)
-from .spin_core import HalfInt, _finite, _integer, _spin
+from .spin_core import HalfInt, _finite, _integer, _real, _spin
 
 __all__ = [
     "SyndromeRun",
@@ -246,17 +248,22 @@ def tail_failure(j, epsilon: float) -> TailEstimate:
     evaluated directly (not as 1 minus the window) so the j = 400 tails
     near 1e-8 keep full relative accuracy.  The asymptotic reference is
     sqrt(2/(pi j)) exp(-j eps^2/2)/eps.  The ratio is taken from the two
-    log tails, so it stays finite where both tails underflow to 0.
+    log tails, so it stays finite where both tails underflow to 0.  An
+    epsilon so small that the reference overflows (below about
+    sqrt(2/(pi j)) over the largest double) raises ValueError; a string
+    raises spin_core._real's TypeError.
     """
     j = _spin(j)
     if j.twice == 0:
         raise ValueError("j must be positive: a spin-0 peak has no tail")
-    epsilon = float(epsilon)
+    epsilon = _real("epsilon", epsilon)
     if not 0.0 < epsilon <= math.pi:
         raise ValueError("epsilon must lie in (0, pi]")
 
     jv = j.value
     laplace = math.sqrt(2.0 / (math.pi * jv)) * math.exp(-jv * epsilon * epsilon / 2.0) / epsilon
+    if laplace == math.inf:
+        raise ValueError(f"epsilon = {epsilon!r}: the Laplace reference exceeds the double range")
     if epsilon == math.pi:
         return TailEstimate(j, epsilon, 0.0, laplace, 0.0)
     a = j.twice + 0.5
@@ -461,6 +468,24 @@ def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phis):
     return np.array(recovered, dtype=np.int64), np.array(fidelity), np.array(raws)
 
 
+def _rounds(j, d: int, k: int, delta_phi: float, seeds, j_anc=None):
+    """One block of recovery rounds, one per seed: (args, columns).
+
+    The one assembly of a block, behind recover (one seed) and the CLI's
+    recovery-sweep (many).  args is _round_args' (j, d, k mod d,
+    delta_phi, out_of_cell), j_anc is read as a spin label after them,
+    and columns holds four arrays: the reported azimuth mod 2 pi
+    (measured_phi), then _correct_and_decode's recovered_k, fidelity and
+    raw_fidelity.  _draws makes the draws, the system's first; each row
+    keeps the bits a one-seed block gives it.
+    """
+    args = j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
+    tj_anc = None if j_anc is None else _spin(j_anc).twice
+    _, phis = _draws(j.twice, d, k, delta_phi, seeds, tj_anc)
+    measured = np.array([phi % _TWO_PI for phi in phis])
+    return args, (measured, *_correct_and_decode(j.twice, d, k, delta_phi, phis))
+
+
 def recover(
     j,
     d: int,
@@ -480,17 +505,12 @@ def recover(
     blur drawn from the ancilla resolution kernel cos^(4 j_anc)(Delta/2)
     before the offset is computed.  The system is drawn first, so runs
     with and without j_anc on one seed share the true outcome.  This is
-    the one-seed block of the sampler and decode that recovery-sweep and
-    finite_ancilla_note run over many seeds at once.
+    the one-seed call of _rounds, the block that recovery-sweep runs
+    over many seeds.
     """
-    j, d, k, delta_phi, out_of_cell = _round_args(j, d, k, delta_phi)
-    tj_anc = None if j_anc is None else _spin(j_anc).twice
-    _, phis = _draws(j.twice, d, k, delta_phi, (seed,), tj_anc)
-    columns = _correct_and_decode(j.twice, d, k, delta_phi, phis)
-    (recovered_k,), (fidelity,), (raw_fidelity,) = (column.tolist() for column in columns)
-    return SyndromeRun(
-        j, d, k, delta_phi, phis[0] % _TWO_PI, recovered_k, fidelity, raw_fidelity, out_of_cell
-    )
+    (j, d, k, delta_phi, out_of_cell), columns = _rounds(j, d, k, delta_phi, (seed,), j_anc)
+    phi, recovered_k, fidelity, raw_fidelity = (column.item() for column in columns)
+    return SyndromeRun(j, d, k, delta_phi, phi, recovered_k, fidelity, raw_fidelity, out_of_cell)
 
 
 @dataclass(frozen=True)

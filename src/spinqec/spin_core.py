@@ -5,10 +5,13 @@ number convention: index 0 holds m = j, index 2j holds m = -j.  Spin and
 magnetic labels are stored exactly as the integer 2x value, so integer and
 half-integer cases never rely on float equality.
 
-The package's two input checks live here: _integer, for every count (a
-float or a bool raises TypeError, never truncated), and _finite, for every
-real input that must be finite (NaN or infinity raises ValueError,
-"NAME must be finite, got VALUE"; _finite_array checks arrays through it).
+The package's input readers live here: _integer, for every count (a
+float or a bool raises TypeError, never truncated); _real, for every real
+number a caller passes (a str or bytes raises TypeError, "NAME must be a
+real number, got 'TEXT'", where float() would parse it); and _finite, for
+every real input that must be finite (NaN or infinity raises ValueError,
+"NAME must be finite, got VALUE").  _real_array and _finite_array read
+arrays through them.
 """
 
 from __future__ import annotations
@@ -65,12 +68,17 @@ class HalfInt:
 
     @staticmethod
     def of(value) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2, or a HalfInt."""
+        """Coerce an int, an exact multiple of 1/2, or a HalfInt.
+
+        Any other value is read by _real, so a string raises TypeError
+        rather than being parsed; a non-finite value or one off the
+        half-integers raises ValueError.
+        """
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return HalfInt(2 * int(value))
-        doubled = 2.0 * float(value)
+        doubled = 2.0 * _real("value", value)
         if not math.isfinite(doubled):
             raise ValueError(f"value must be a finite half-integer, got {value!r}")
         rounded = round(doubled)
@@ -121,17 +129,42 @@ def _integer(name: str, v) -> int:
     return int(v)
 
 
+def _real(name: str, value) -> float:
+    """value as a float, NaN and infinity included.
+
+    float() parses strings, so a str or bytes raises TypeError here
+    instead; anything else float() refuses raises its own TypeError.  A
+    float is returned unchanged.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _finite(name: str, value) -> float:
-    """value as a float; NaN or infinity raises ValueError."""
-    value = float(value)
+    """value as a float, read by _real; NaN or infinity raises ValueError."""
+    value = value if type(value) is float else _real(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """values as a float array.  An array that is not bool, integer or
+    float (strings, objects, complex) is read entry by entry by _real, so
+    a string entry raises its TypeError where numpy would parse it."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        values = np.reshape([_real(name, v) for v in values.ravel().tolist()], values.shape)
+    return np.asarray(values, dtype=float)
+
+
 def _finite_array(name: str, values) -> np.ndarray:
-    """values as a float array; _finite raises at the first NaN or infinite entry."""
-    values = np.asarray(values, dtype=float)
+    """values as a float array, read by _real_array; _finite raises at the
+    first NaN or infinite entry."""
+    values = _real_array(name, values)
     bad = values[~np.isfinite(values)]
     if bad.size:
         _finite(name, bad[0])

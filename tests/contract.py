@@ -26,13 +26,15 @@ import pytest
 
 import oracles
 from spinqec import (
-    ErrorSet, EulerAngles, HalfInt, SphPoint, StateVec, axis_operator, build_codewords, build_full_landau_code,
-    canonicalize, coherent_amplitudes, compose, conjugated_y, conjugated_z_about_x, correctable_angle,
-    cyclic_normalization, cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check,
-    equatorial_matrix_element, equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list,
-    finite_ancilla_note, haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, matexp_antihermitian,
-    monopole_Y, overlap, overlap_magnitude, recover, single_peak_mass, sphere_quadrature, syndrome_density,
-    tail_failure, theta_rule, wigner_d,
+    CodeSpec, Codewords, ErrorSet, EulerAngles, GkpParams, HalfInt, Operator, PauliWord, SphPoint, StateVec,
+    TailEstimate, antipodal, axis_operator, build_codewords, build_full_landau_code, build_gkp_code, canonicalize,
+    coherent_amplitudes, compose, conjugated_y, conjugated_z_about_x, correctable_angle, cyclic_normalization,
+    cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check, equatorial_matrix_element,
+    equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list, finite_ancilla_note,
+    haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, kl_check, logical_operators,
+    lowest_level_bridge, matexp_antihermitian, momentum_shift_analysis, monopole_Y, overlap, overlap_magnitude,
+    recover, rotation_matrix_element, single_peak_mass, sphere_quadrature, syndrome_density, tail_failure,
+    theta_rule, wigner_d,
 )
 
 EPS = 2.0**-52
@@ -53,6 +55,10 @@ def absolute(got, ref):
 
 def normwise(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def exact(got, ref):
+    return 0.0 if type(got) is type(ref) and got == ref else math.inf
 
 
 @dataclass(frozen=True)
@@ -229,6 +235,7 @@ def _check_ops(tj, d):
 # ----------------------------------------------------------------------
 
 _Y_AXIS_3 = axis_operator(3, (0.0, 1.0, 0.0))
+_SPIN_1 = StateVec.basis_state(1, 0)
 _DENSITY_PHIS = np.linspace(0.0, 2.0 * math.pi, 61)
 _NON_FINITE = (math.inf, -math.inf, math.nan)
 
@@ -341,6 +348,8 @@ _RAISE_TABLES = [
         ("coherent_amplitudes-phi-inf", coherent_amplitudes, (3, 0.3, [0.0, math.inf]), {},
          "^phi must be finite, got inf"),
         ("syndrome_density-delta-nan", syndrome_density, (8, 2, 0, math.nan), {}, "^delta_phi must be finite"),
+        # the spec kept a NaN phi0, and only build_codewords failed, naming phi
+        ("antipodal-phi0-nan", antipodal, (4, math.nan), {}, "^phi0 must be finite, got nan"),
         *((f"monopole_Y-{route}-{name}", _harmonic(route), (0.5, 2.5, 0.5, *args), {}, f"^{name} must be finite",
            "monopole_Y")
           for route in ("jacobi", "wigner-d")
@@ -349,6 +358,72 @@ _RAISE_TABLES = [
          "^theta must be finite, got nan"),
         ("harmonic_table-phi-inf", harmonic_table, (0.5, 2.5, [0.3], [-math.inf]), {},
          "^phi must be finite, got -inf"),
+    ]),
+    # a string reached float(), which parsed it: each of these ran as a number
+    ("test_contract::test_strings_are_not_real_numbers", TypeError, [
+        (f"{i}-{name}", func, args, {}, rf"^{name} must be a real number, got (b?)'", *covers)
+        for i, func, args, name, *covers in [
+            ("HalfInt.of", HalfInt.of, ("2.5",), "value"),
+            ("EulerAngles", EulerAngles, ("0.1", 0.0, 0.0), "alpha"),
+            ("EulerAngles-bytes", EulerAngles, (0.1, b"0.2", 0.0), "beta"),
+            ("SphPoint-theta", SphPoint, ("0.3", "1"), "theta"),
+            ("SphPoint-phi", SphPoint, (0.3, "1"), "phi"),
+            ("coherent_amplitudes-theta", coherent_amplitudes, (3, [0.2, "0.3"], 0.0), "theta"),
+            ("coherent_amplitudes-phi", coherent_amplitudes, (3, 0.3, ["0.1"]), "phi"),
+            ("antipodal", antipodal, (4, "0.3"), "phi0"),
+            ("CodeSpec", lambda phi0: CodeSpec(HalfInt(4), "Antipodal", phi0=phi0), ("0.3",), "phi0", "CodeSpec"),
+            ("cyclic_overlap_closed_form", cyclic_overlap_closed_form, (8, 3, "0.3"), "big_theta"),
+            ("equatorial_z", equatorial_z, ("0.2", 4), "max_angle"),
+            ("conjugated_y", conjugated_y, ("0.1", 0.2), "phi0"),
+            ("conjugated_z_about_x", conjugated_z_about_x, (0.1, "0.9"), "x_angle"),
+            ("tail_failure", tail_failure, (4, "0.3"), "epsilon"),
+            ("recover", recover, (4, 2, 0, "0.1", 0), "delta_phi"),
+            ("harmonic_table", harmonic_table, (0, 1, ["0.3"], ["0.1"]), "theta"),
+        ]
+    ]),
+    # reachable raises that no test ran
+    ("test_contract::test_invalid_arguments_rejected", ValueError, [
+        ("sphere_quadrature-no-j-or-degree", sphere_quadrature, (), {}, "^provide j or an explicit degree"),
+        ("sphere_quadrature-n_phi-0", sphere_quadrature, (), {"degree": 4, "n_phi": 0}, "^n_phi must be positive"),
+        ("diagonal_operator-symbol-shape", diagonal_operator, (2, lambda t, p: np.ones(3)), {},
+         "^symbol must return one value per node"),
+        ("PauliWord-n-0", PauliWord, (0, 0, 0), {}, "^modulus n must be >= 1, got 0"),
+        ("PauliWord.apply-dimension", lambda: PauliWord(4, 1, 0).apply(_SPIN_1), (), {},
+         "^state dimension does not match modulus", "PauliWord"),
+        ("CodeSpec-family", CodeSpec, (HalfInt(4), "Bogus"), {}, "^unknown family 'Bogus'"),
+        ("logical_operators-antipodal", lambda: logical_operators(antipodal(4)), (), {},
+         "^logical_operators applies to EquatorialQudit specs", "logical_operators"),
+        ("lowest_level_bridge-m-over-j", lowest_level_bridge, (1, 2), {}, r"^\|m\| must not exceed j"),
+        ("build_full_landau_code-N-0", build_full_landau_code, (0, 1), {}, "^N must be at least 1"),
+        ("build_full_landau_code-j-negative", build_full_landau_code, (2, -1), {},
+         "^codes are built for nonnegative spin weight"),
+        ("build_full_landau_code-l_max-below-j", build_full_landau_code, (2, 1), {"l_max": 0.5},
+         "^l_max must be j plus a nonnegative integer"),
+        ("momentum_shift_analysis-m-over-l", lambda: momentum_shift_analysis(build_full_landau_code(2, 1), 1, 2),
+         (), {}, r"^\|m\| must not exceed l", "momentum_shift_analysis"),
+        ("ErrorSet-kind", ErrorSet, ("Bogus",), {}, "^unknown error-set kind 'Bogus'"),
+        ("explicit_list-member", lambda: explicit_list([EulerAngles.identity()]).member(0.1), (), {},
+         "^ExplicitList has no parametric members", "explicit_list"),
+        ("kl_check-one-codeword",
+         lambda: kl_check(Codewords(antipodal(4), [[(SphPoint.north(), 1.0)]]), equatorial_z(0.1, 4), 0), (), {},
+         "^need at least two codewords", "kl_check"),
+        # laplace_tail came back inf
+        ("tail_failure-laplace-overflow", tail_failure, (1, 2.2e-313), {},
+         r"^epsilon = 2\.2e-313: the Laplace reference exceeds the double range"),
+        ("TailEstimate-numeric_tail", TailEstimate, (HalfInt(2), 0.3, 1.5, 0.1, 1.0), {},
+         r"^numeric_tail must lie in \[0, 1\]"),
+        ("HalfInt.dim-negative", lambda: HalfInt(-2).dim, (), {}, "^dimension is defined for nonnegative labels",
+         "HalfInt"),
+        ("StateVec.inner-spin", lambda: _SPIN_1.inner(StateVec.basis_state(2, 0)), (), {},
+         "^mismatched spin labels", "StateVec"),
+        *((f"Operator.{name}-spin", lambda name=name, args=args: getattr(_Y_AXIS_3, name)(*args), (), {},
+           "^mismatched spin labels", "Operator")
+          for name, args in [("apply", (_SPIN_1,)), ("max_diff", (Operator.identity(1),)),
+                             ("sandwich", (_SPIN_1, _SPIN_1))]),
+    ]),
+    ("test_contract::test_unsupported_operands_rejected", TypeError, [
+        ("PauliWord-times-int", lambda: PauliWord(4, 1, 0) * 3, (), {}, "unsupported operand", "PauliWord"),
+        ("Operator-matmul-int", lambda: _Y_AXIS_3 @ 3, (), {}, "unsupported operand", "Operator"),
     ]),
     # a negative k_max returned an exactly zero operator, and a negative
     # theta_degree a rule too small for the symbol, marked exact
@@ -495,6 +570,33 @@ TABLE = [
           [(2 * j, d, 1, delta_phi, mode, _DENSITY_PHIS) for d in (2, 3, 5) for delta_phi in (0.0, 0.13)],
           oracles.syndrome_density, normwise, within=lambda tj, *_: 4 * tj * EPS, covers="syndrome_density")
       for mode in ("leading", "full") for j in (1, 8, 40, 200)),
+    # a part of the base below about 1e-154 sent the quotient the kernel then
+    # discarded past the double range: "overflow encountered in divide", an
+    # error under the suite's warning filter, though the value kept was right
+    Row("test_contract::test_subnormal_base_parts_raise_no_warning[overlap]",
+        lambda tj, p, q: overlap(HalfInt(tj), p, q), [(1, SphPoint(1.0, 1.09e-157), SphPoint(1.09e-157, 0.0))],
+        oracles.overlap, within=lambda tj, *_: 4 * tj * EPS, dps=40, covers="overlap"),
+    Row("test_contract::test_subnormal_base_parts_raise_no_warning[rotation_matrix_element]",
+        lambda tj, angles: rotation_matrix_element(HalfInt(tj), SphPoint.north(), EulerAngles(*angles),
+                                                   SphPoint.north()),
+        [(1, (1.1e-308, 0.0, 0.0)), (3, (0.0, 0.0, 2e-310))],
+        lambda tj, angles: oracles.contraction(tj, (0.0, 0.0), (0.0, 0.0), angles),
+        within=lambda tj, *_: 4 * tj * EPS, dps=40, covers="rotation_matrix_element"),
+    Row("test_contract::test_subnormal_base_parts_raise_no_warning[syndrome_density]", _density,
+        [(2, 2, 0, 2.2e-311, mode, _DENSITY_PHIS) for mode in ("leading", "full")], oracles.syndrome_density,
+        normwise, within=lambda tj, *_: 4 * tj * EPS, covers="syndrome_density"),
+    # -- small returns that no test read -----------------------------------------
+    *(Row(f"test_contract::test_small_returns_exact[{i}]", func, [()], lambda want=want: want, exact, within=0.0,
+          covers=covers)
+      for i, func, want, covers in [
+          ("HalfInt-float", lambda: float(HalfInt(3)), 1.5, "HalfInt"),
+          ("HalfInt-abs", lambda: abs(HalfInt(-3)), HalfInt(3), "HalfInt"),
+          ("HalfInt-add", lambda: HalfInt(3) + 1, HalfInt(5), "HalfInt"),
+          ("HalfInt-sub", lambda: HalfInt(3) - 0.5, HalfInt(2), "HalfInt"),
+          ("HalfInt-repr", lambda: repr(HalfInt(-3)), "HalfInt(-3/2)", "HalfInt"),
+          ("GkpCode.support", lambda: build_gkp_code(GkpParams(2, 3, 3)).support(1), [3, 9, 15], "GkpCode"),
+          ("Operator-eq-int", lambda: _Y_AXIS_3 == 3, False, "Operator"),
+      ]),
     # -- domain edges ----------------------------------------------------------
     *(Raises(f"{test}[{i}]", func, args, kwargs, exception, match, *covers)
       for test, exception, rows in _RAISE_TABLES for i, func, args, kwargs, match, *covers in rows),

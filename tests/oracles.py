@@ -161,6 +161,22 @@ def cyclic_overlap_quarter_turn(tj, n):
     return complex(Fraction(num_re, total), Fraction(num_im, total))
 
 
+def peak_comb_cdf(x, n, step, center, lo):
+    """CDF on [lo, lo + 2 pi] of the comb sum_a cos^n((x - center - 2 pi a/step)/2),
+    a = 0 .. step - 1, n even, from its Fourier series over the exact row
+    binomials(n): the comb is step 2^-n sum_{t = 0 mod step} C(n, n/2 + t)
+    exp(i t (x - center)), so with c_t = C(n, n/2 + t)/C(n, n/2) the CDF is
+    [x - lo + sum_{t > 0} 2 c_t (sin(t (x - center)) - sin(t (lo - center)))/t]/(2 pi).
+    The leading syndrome density is the comb at n = 4j, step = d; the
+    ancilla kernel cos^(4 j_anc)(x/2) is the comb at step = 1."""
+    row = binomials(n)
+    c = np.array([c_t / row[n // 2] for c_t in row[n // 2 + step :: step]])
+    t = step * np.arange(1, len(c) + 1)
+    x = np.asarray(x, dtype=float)
+    waves = np.sin(t * (x[:, None] - center)) - np.sin(t * (lo - center))
+    return (x - lo + waves @ (2.0 * c / t)) / (2.0 * math.pi)
+
+
 def cos_sin_realizations(tj, d):
     """The exact realizations of cos(d phi) and sin(d phi), stacked.
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from spinqec import cli
 from spinqec.cli import main
 from spinqec.lll_codes import antipodal, build_codewords
 from spinqec.qec_check import conjugated_y, kl_check
@@ -119,6 +120,51 @@ def test_fractional_config_counts_rejected(tmp_path, capsys, subcommand, overrid
     out = tmp_path / "out.txt"
     assert main([subcommand, *_with_config(tmp_path, overrides), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,overrides,message",
+    [
+        ("kl-scan", {"j": "8"}, "value must be a real number, got '8'"),
+        ("kl-scan", {"theta_max": "0.2"}, "max_angle must be a real number, got '0.2'"),
+        ("kl-scan", {"epsilon": "1e-6"}, "epsilon must be a real number, got '1e-6'"),
+        ("overlap-curve", {"theta_max": "1.5"}, "theta_max must be a real number, got '1.5'"),
+        ("tail-check", {"epsilon": "0.3"}, "epsilon must be a real number, got '0.3'"),
+        ("harmonics", {"thetas": ["0.3"]}, "theta must be a real number, got '0.3'"),
+        ("harmonics", {"phis": ["0.1"]}, "phi must be a real number, got '0.1'"),
+        ("recovery-sweep", {"delta": "0.1"}, "delta_phi must be a real number, got '0.1'"),
+    ],
+    ids=["kl-j", "kl-theta_max", "kl-epsilon", "overlap-theta_max", "tail-epsilon", "harmonics-thetas",
+         "harmonics-phis", "sweep-delta"],
+)
+def test_string_config_reals_rejected(tmp_path, capsys, subcommand, overrides, message):
+    # float() parsed each string, which ran as a number and was echoed,
+    # a string, into the output's config line
+    out = tmp_path / "out.txt"
+    assert main([subcommand, *_with_config(tmp_path, overrides), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kl_scan_string_threshold_rejected_before_the_scan(tmp_path, capsys, monkeypatch):
+    # the scan ran in full, then comparing against the string exited 2
+    # with "'<=' not supported between instances of 'float' and 'str'"
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "kl_check", no_scan)
+    out = tmp_path / "scan.json"
+    assert main(["kl-scan", *_with_config(tmp_path, {"delta": "0.5"}), "--out", str(out)]) == 2
+    assert "delta must be a real number, got '0.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recovery_sweep_reads_j_anc_as_recover_does(tmp_path, capsys):
+    # the sweep read j_anc on its own and failed inside numpy with "a <= 0"
+    out = tmp_path / "runs.jsonl"
+    assert main(["recovery-sweep", *_with_config(tmp_path, {"j_anc": -3}), "--out", str(out)]) == 2
+    assert "spin label must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -326,14 +372,12 @@ def test_byte_determinism_across_out_paths(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_byte_determinism_under_threads(tmp_path, monkeypatch):
-    serial = tmp_path / "serial.jsonl"
-    threaded = tmp_path / "threaded.jsonl"
-    monkeypatch.setenv("SPINQEC_THREADS", "1")
-    assert main(["recovery-sweep", "--samples", "8", "--out", str(serial)]) == 0
-    monkeypatch.setenv("SPINQEC_THREADS", "4")
-    assert main(["recovery-sweep", "--samples", "8", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+def test_byte_determinism_across_repeated_runs(tmp_path):
+    first = tmp_path / "first.jsonl"
+    second = tmp_path / "second.jsonl"
+    assert main(["recovery-sweep", "--samples", "8", "--out", str(first)]) == 0
+    assert main(["recovery-sweep", "--samples", "8", "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_stdout_when_no_out_flag(capsys):

@@ -1,8 +1,9 @@
 """The accuracy contract: the rows of contract.TABLE labeled test_contract,
 a check that every row runs, a ratchet on which public names still lack
 a row, the structure that keeps every oracle in oracles.py, and the
-structure that keeps one writer for the finiteness check and one caller
-of the 2j-th power kernel."""
+structure that keeps one writer for the finiteness check and for the
+refusal of strings, one caller of the 2j-th power kernel, and one
+assembly of a block of recovery rounds."""
 
 import ast
 import inspect
@@ -16,14 +17,12 @@ globals().update(contract_tests(__name__))
 # Public names with no contract row yet.  A name leaves the list when it
 # gains a row, and no name joins it: a new export comes with its row.
 _NO_ROW_YET = {
-    "AncillaReport", "CodeSpec", "Codewords", "CorrectableAngle", "DiagonalOp", "EulerAngles", "FullLandauCode",
-    "GkpCode", "GkpParams", "KLReport", "LandauEntry", "LogicalSet", "MAX_DENSE_DIM", "MomentumShiftVerdict",
-    "MonopoleHarmonic", "Operator", "PairRecord", "PauliWord", "SphereQuadrature", "Su2", "SyndromeOutcome",
-    "SyndromeRun", "TailEstimate", "antipodal", "antipodal_logical_x", "build_gkp_code", "clock_shift",
-    "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2",
-    "haar_random", "kl_check", "l3_operator", "ladder_operators", "logical_operators",
-    "lower_symbol", "lowest_level_bridge", "m_index", "m_values", "matrix_element_table", "momentum_kick",
-    "momentum_shift_analysis", "rotate_point", "rotate_vector", "rotation_matrix_element", "rotation_operator",
+    "AncillaReport", "Codewords", "CorrectableAngle", "DiagonalOp", "FullLandauCode", "GkpParams", "KLReport",
+    "LandauEntry", "LogicalSet", "MAX_DENSE_DIM", "MomentumShiftVerdict", "MonopoleHarmonic", "PairRecord",
+    "SphereQuadrature", "Su2", "SyndromeOutcome", "SyndromeRun", "antipodal_logical_x", "build_gkp_code",
+    "clock_shift", "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2", "haar_random",
+    "l3_operator", "ladder_operators", "lower_symbol", "m_index", "m_values", "matrix_element_table",
+    "momentum_kick", "rotate_point", "rotate_vector", "rotation_operator",
     "sample_rotations", "stabilizer_eigenphases", "strict_window", "su2_from_euler", "syndrome_and_recover",
     "tiling_window", "wigner_D_matrix", "wigner_d_matrix", "y_symbol",
 }
@@ -89,6 +88,25 @@ def test_only_spin_core_raises_the_finiteness_message():
             if isinstance(node, ast.Raise) and module != "spin_core":
                 texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
                 assert not any("must be finite, got" in t for t in texts), (module, node.lineno)
+
+
+def test_only_spin_core_refuses_strings_as_real_numbers():
+    # spin_core._real writes "NAME must be a real number, got 'TEXT'"; a
+    # module that raises it inline has a second reader of real numbers
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and module != "spin_core":
+                texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                assert not any("must be a real number" in t for t in texts), (module, node.lineno)
+
+
+def test_cli_runs_recovery_rounds_through_one_block():
+    # recovery._rounds assembles a block of rounds, from the checked
+    # arguments to the four columns; the CLI takes no other private step
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "recovery"
+                for a in n.names}
+    assert {name for name in imported if name.startswith("_")} == {"_rounds"}, imported
 
 
 def test_pow_two_j_arrays_has_one_caller():

@@ -34,17 +34,14 @@ def _dkw_bound(n, alpha=0.01):
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
-def _ks_statistic(samples, pdf, lo, hi):
-    """Kolmogorov-Smirnov distance of the samples from the normalized pdf
-    on [lo, hi], its CDF integrated piecewise with quad between sorted samples."""
+def _ks_statistic(samples, cdf):
+    """Kolmogorov-Smirnov distance of the samples from a CDF, which is
+    evaluated once on the sorted samples."""
     xs = np.sort(np.asarray(samples, dtype=float))
-    edges = np.concatenate([[lo], xs])
-    pieces = [quad(pdf, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
-    total = sum(pieces) + quad(pdf, xs[-1], hi, limit=200)[0]
-    cdf = np.cumsum(pieces) / total
+    at_samples = cdf(xs)
     n = len(xs)
     ranks = np.arange(1, n + 1) / n
-    return float(max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))))
+    return float(max(np.max(ranks - at_samples), np.max(at_samples - (ranks - 1.0 / n))))
 
 
 def test_density_validation():
@@ -422,11 +419,12 @@ def test_recover_ancilla_mean_fidelity_at_large_j():
 
 
 def test_recover_outcomes_follow_exact_density():
-    # the reported azimuths are draws from the normalized leading density
+    # the reported azimuths are draws from the normalized leading density,
+    # d 2^(-4j) sum_{t = 0 mod d} C(4j, 2j + t) exp(i t (phi - phi_state))
     j, d, k, dphi, n = 16, 2, 1, 0.07, 3000
-    density = syndrome_density(j, d, k, dphi)
     phis = [recover(j, d, k, dphi, seed=s).measured_phi for s in range(n)]
-    stat = _ks_statistic(phis, lambda p: float(density(p)), 0.0, 2.0 * math.pi)
+    phi_state = 2.0 * math.pi * k / d + dphi
+    stat = _ks_statistic(phis, lambda x: oracles.peak_comb_cdf(x, 4 * j, d, phi_state, 0.0))
     assert stat < _dkw_bound(n)
 
 
@@ -439,8 +437,8 @@ def test_ancilla_blur_follows_its_kernel():
         ideal = recover(j, 2, 0, 0.05, seed=s).measured_phi
         noisy = recover(j, 2, 0, 0.05, seed=s, j_anc=j_anc).measured_phi
         blurs.append((noisy - ideal + math.pi) % (2.0 * math.pi) - math.pi)
-    kernel = lambda t: math.cos(0.5 * t) ** (4 * j_anc)
-    assert _ks_statistic(blurs, kernel, -math.pi, math.pi) < _dkw_bound(n)
+    kernel_cdf = lambda x: oracles.peak_comb_cdf(x, 4 * j_anc, 1, 0.0, -math.pi)
+    assert _ks_statistic(blurs, kernel_cdf) < _dkw_bound(n)
 
 
 def test_recover_boundary_half_cell():
