@@ -9,6 +9,9 @@ gkp-table       Exhaustive shift-error syndrome table for a GKP code.
 harmonics       Monopole harmonic values on a theta grid.
 tail-check      Numeric vs asymptotic single-peak tail mass.
 
+One table, _SUBCOMMANDS, maps each subcommand name to its handler and
+its defaults; the parser, the config loader and main all read it.
+
 Every run is fully determined by (subcommand, config, seed).  Config
 precedence is flags > --config JSON file > per-subcommand defaults, and
 the effective config (everything except the output path) is echoed into
@@ -54,63 +57,6 @@ from .finite_gkp import GkpParams, build_gkp_code, syndrome_and_recover, tiling_
 from .monopole import harmonic_table
 
 __all__ = ["main"]
-
-_DEFAULTS: dict[str, dict] = {
-    "kl-scan": {
-        "j": 8.0,
-        "d": None,
-        "family": None,
-        "error_family": None,
-        "phi0": 0.0,
-        "theta_max": 0.2,
-        "samples": 32,
-        "epsilon": 1e-6,
-        "delta": 1e-10,
-        "seed": 0,
-        "format": "json",
-    },
-    "overlap-curve": {
-        "j": 4.0,
-        "phi0": 0.0,
-        "theta_max": math.pi,
-        "samples": 33,
-        "seed": 0,
-        "format": "csv",
-    },
-    "recovery-sweep": {
-        "j": 8.0,
-        "d": 2,
-        "input_k": 0,
-        "delta": 0.0,
-        "j_anc": None,
-        "samples": 50,
-        "seed": 0,
-        "format": "json",
-    },
-    "gkp-table": {
-        "k": 2,
-        "r1": 3,
-        "r2": 3,
-        "n": None,
-        "seed": 0,
-        "format": "csv",
-    },
-    "harmonics": {
-        "j": 0.0,
-        "lmax": 2.0,
-        "samples": 5,
-        "thetas": None,
-        "phis": [0.0],
-        "seed": 0,
-        "format": "csv",
-    },
-    "tail-check": {
-        "j": 100.0,
-        "epsilon": 0.3,
-        "seed": 0,
-        "format": "csv",
-    },
-}
 
 # (flag, config key, type) of every flag that sets a config key when given;
 # "out" is the one key every subcommand has and no output echoes
@@ -230,7 +176,7 @@ def _write_output(out: str | None, text: str) -> None:
 
 
 def _load_config(subcommand: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[subcommand])
+    cfg = dict(_SUBCOMMANDS[subcommand][1])
     cfg["out"] = None
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -358,13 +304,62 @@ def cmd_tail_check(cfg: dict):
     return {h: [_jtext(value)] for h, value in zip(header, row)}, None, 0
 
 
-_HANDLERS = {
-    "kl-scan": cmd_kl_scan,
-    "overlap-curve": cmd_overlap_curve,
-    "recovery-sweep": cmd_recovery_sweep,
-    "gkp-table": cmd_gkp_table,
-    "harmonics": cmd_harmonics,
-    "tail-check": cmd_tail_check,
+# Each subcommand's (handler, defaults), in the order the parser lists them.
+_SUBCOMMANDS = {
+    "kl-scan": (cmd_kl_scan, {
+        "j": 8.0,
+        "d": None,
+        "family": None,
+        "error_family": None,
+        "phi0": 0.0,
+        "theta_max": 0.2,
+        "samples": 32,
+        "epsilon": 1e-6,
+        "delta": 1e-10,
+        "seed": 0,
+        "format": "json",
+    }),
+    "overlap-curve": (cmd_overlap_curve, {
+        "j": 4.0,
+        "phi0": 0.0,
+        "theta_max": math.pi,
+        "samples": 33,
+        "seed": 0,
+        "format": "csv",
+    }),
+    "recovery-sweep": (cmd_recovery_sweep, {
+        "j": 8.0,
+        "d": 2,
+        "input_k": 0,
+        "delta": 0.0,
+        "j_anc": None,
+        "samples": 50,
+        "seed": 0,
+        "format": "json",
+    }),
+    "gkp-table": (cmd_gkp_table, {
+        "k": 2,
+        "r1": 3,
+        "r2": 3,
+        "n": None,
+        "seed": 0,
+        "format": "csv",
+    }),
+    "harmonics": (cmd_harmonics, {
+        "j": 0.0,
+        "lmax": 2.0,
+        "samples": 5,
+        "thetas": None,
+        "phis": [0.0],
+        "seed": 0,
+        "format": "csv",
+    }),
+    "tail-check": (cmd_tail_check, {
+        "j": 100.0,
+        "epsilon": 0.3,
+        "seed": 0,
+        "format": "csv",
+    }),
 }
 
 
@@ -376,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reproducible sweeps over coherent-state and shift codes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _DEFAULTS:
+    for name in _SUBCOMMANDS:
         sp = sub.add_parser(name)
         for flag, key, kind in _FLAGS:
             choices = ("csv", "json") if key == "format" else None
@@ -389,7 +384,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.subcommand, args)
-        columns, summary, status = _HANDLERS[args.subcommand](cfg)
+        columns, summary, status = _SUBCOMMANDS[args.subcommand][0](cfg)
         _emit(cfg, args.subcommand, columns, summary)
         return status
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

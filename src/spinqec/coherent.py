@@ -50,7 +50,6 @@ __all__ = [
     "coherent_amplitudes",
     "overlap",
     "overlap_magnitude",
-    "rotation_matrix_elements",
     "rotation_matrix_element",
     "equatorial_matrix_element",
     "rotate_point",

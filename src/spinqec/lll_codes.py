@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "cyclic_normalization",
     "cyclic_overlap_closed_form",
     "matrix_element_table",
-    "matrix_element_tables",
 ]
 
 _FAMILIES = ("Antipodal", "EquatorialQudit", "CyclicQubit")
@@ -59,7 +58,12 @@ _TABLE_BLOCK = 8192
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Parameters selecting one codeword family on the spin-j sphere."""
+    """Parameters selecting one codeword family on the spin-j sphere.
+
+    j is read as a spin label and phi0 as a finite real; d (EquatorialQudit)
+    and n_cosets (CyclicQubit) are read as counts where the family needs
+    them, so a fractional count raises TypeError here.
+    """
 
     j: HalfInt
     family: str
@@ -76,15 +80,17 @@ class CodeSpec:
         if self.phase_convention not in ("Option1", "Option2"):
             raise ValueError(f"unknown phase convention {self.phase_convention!r}")
         if self.family == "EquatorialQudit":
-            if self.d is None or self.d < 2:
+            if self.d is None or _integer("d", self.d) < 2:
                 raise ValueError("EquatorialQudit needs d >= 2")
+            object.__setattr__(self, "d", int(self.d))
             if not self.j.is_integer:
                 raise ValueError("EquatorialQudit requires integer j")
             if self.phase_convention == "Option2" and (self.j.twice // 2) % self.d:
                 raise ValueError("Option2 requires d to divide j")
         if self.family == "CyclicQubit":
-            if self.n_cosets is None or self.n_cosets < 1:
+            if self.n_cosets is None or _integer("n_cosets", self.n_cosets) < 1:
                 raise ValueError("CyclicQubit needs N >= 1")
+            object.__setattr__(self, "n_cosets", int(self.n_cosets))
 
     @property
     def dimension(self) -> int:
@@ -95,15 +101,15 @@ class CodeSpec:
 
 
 def antipodal(j, phi0: float = 0.0) -> CodeSpec:
-    return CodeSpec(HalfInt.of(j), "Antipodal", phi0=phi0)
+    return CodeSpec(j, "Antipodal", phi0=phi0)
 
 
 def equatorial_qudit(j, d: int, phase_convention: str = "Option1") -> CodeSpec:
-    return CodeSpec(HalfInt.of(j), "EquatorialQudit", d=_integer("d", d), phase_convention=phase_convention)
+    return CodeSpec(j, "EquatorialQudit", d=d, phase_convention=phase_convention)
 
 
 def cyclic_qubit(j, n_cosets: int) -> CodeSpec:
-    return CodeSpec(HalfInt.of(j), "CyclicQubit", n_cosets=_integer("n_cosets", n_cosets))
+    return CodeSpec(j, "CyclicQubit", n_cosets=n_cosets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,17 +149,10 @@ class Codewords:
         return gram
 
     def to_json_dict(self) -> dict:
-        spec = self.spec
         return {
-            "j": spec.j.value,
-            "family": spec.family,
-            "d": spec.d,
-            "n_cosets": spec.n_cosets,
-            "phase_convention": spec.phase_convention,
-            "phi0": spec.phi0,
-            "basis": [
-                [[float(a.real), float(a.imag)] for a in vec.amps] for vec in self.basis
-            ],
+            **asdict(self.spec),
+            "j": self.spec.j.value,
+            "basis": [[[float(a.real), float(a.imag)] for a in vec.amps] for vec in self.basis],
         }
 
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -321,17 +321,7 @@ class SyndromeRun:
     out_of_cell: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "j": self.j.value,
-            "d": self.d,
-            "input_k": self.input_k,
-            "delta_phi": self.delta_phi,
-            "measured_phi": self.measured_phi,
-            "recovered_k": self.recovered_k,
-            "fidelity": self.fidelity,
-            "raw_fidelity": self.raw_fidelity,
-            "out_of_cell": self.out_of_cell,
-        }
+        return {**asdict(self), "j": self.j.value}
 
 
 def _peak_offset(tj: int, rng) -> float:

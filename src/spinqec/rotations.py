@@ -45,9 +45,6 @@ __all__ = [
     "Su2",
     "su2_from_euler",
     "euler_from_su2",
-    "su2_arrays",
-    "euler_from_su2_arrays",
-    "relative_rotations",
     "canonicalize",
     "compose",
     "inverse",

@@ -7,11 +7,11 @@ half-integer cases never rely on float equality.
 
 The package's input readers live here: _integer, for every count (a
 float or a bool raises TypeError, never truncated); _real, for every real
-number a caller passes (a str or bytes raises TypeError, "NAME must be a
-real number, got 'TEXT'", where float() would parse it); and _finite, for
-every real input that must be finite (NaN or infinity raises ValueError,
-"NAME must be finite, got VALUE").  _real_array and _finite_array read
-arrays through them.
+number a caller passes (a str, bytes or bool raises TypeError, "NAME must
+be a real number, got 'TEXT'", where float() would parse it or read 0 or
+1); and _finite, for every real input that must be finite (NaN or infinity
+raises ValueError, "NAME must be finite, got VALUE").  _real_array and
+_finite_array read arrays through them.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class HalfInt:
     def of(value) -> "HalfInt":
         """Coerce an int, an exact multiple of 1/2, or a HalfInt.
 
-        Any other value is read by _real, so a string raises TypeError
-        rather than being parsed; a non-finite value or one off the
-        half-integers raises ValueError.
+        Any other value is read by _real, so a string or a bool raises
+        TypeError rather than being parsed or read as 0 or 1; a non-finite
+        value or one off the half-integers raises ValueError.
         """
         if isinstance(value, HalfInt):
             return value
@@ -132,13 +132,14 @@ def _integer(name: str, v) -> int:
 def _real(name: str, value) -> float:
     """value as a float, NaN and infinity included.
 
-    float() parses strings, so a str or bytes raises TypeError here
-    instead; anything else float() refuses raises its own TypeError.  A
-    float is returned unchanged.
+    float() parses strings and reads a bool as 0 or 1, so a str, bytes,
+    bool or numpy.bool_ raises TypeError here instead, as _integer refuses
+    a bool for a count; anything else float() refuses raises its own
+    TypeError.  A float is returned unchanged.
     """
     if type(value) is float:
         return value
-    if isinstance(value, (str, bytes)):
+    if isinstance(value, (str, bytes, bool, np.bool_)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -152,11 +153,12 @@ def _finite(name: str, value) -> float:
 
 
 def _real_array(name: str, values) -> np.ndarray:
-    """values as a float array.  An array that is not bool, integer or
-    float (strings, objects, complex) is read entry by entry by _real, so
-    a string entry raises its TypeError where numpy would parse it."""
+    """values as a float array.  An array that is not integer or float
+    (strings, bools, objects, complex) is read entry by entry by _real, so
+    a string or bool entry raises its TypeError where numpy would parse it
+    or read it as 0 or 1."""
     values = np.asarray(values)
-    if values.dtype.kind not in "biuf":
+    if values.dtype.kind not in "iuf":
         values = np.reshape([_real(name, v) for v in values.ravel().tolist()], values.shape)
     return np.asarray(values, dtype=float)
 

@@ -26,8 +26,9 @@ import pytest
 
 import oracles
 from spinqec import (
-    CodeSpec, Codewords, ErrorSet, EulerAngles, GkpParams, HalfInt, Operator, PauliWord, SphPoint, StateVec,
-    TailEstimate, antipodal, axis_operator, build_codewords, build_full_landau_code, build_gkp_code, canonicalize,
+    CodeSpec, Codewords, CorrectableAngle, ErrorSet, EulerAngles, GkpParams, HalfInt, Operator, PauliWord, SphPoint,
+    StateVec, TailEstimate, antipodal, axis_operator, build_codewords, build_full_landau_code, build_gkp_code,
+    canonicalize,
     coherent_amplitudes, compose, conjugated_y, conjugated_z_about_x, correctable_angle, cyclic_normalization,
     cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check, equatorial_matrix_element,
     equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list, finite_ancilla_note,
@@ -381,6 +382,27 @@ _RAISE_TABLES = [
             ("harmonic_table", harmonic_table, (0, 1, ["0.3"], ["0.1"]), "theta"),
         ]
     ]),
+    # float() read a bool as 0 or 1: each of these ran as a number
+    ("test_contract::test_bools_are_not_real_numbers", TypeError, [
+        (f"{i}-{name}", func, args, {}, rf"^{name} must be a real number, got (np\.)?True", *covers)
+        for i, func, args, name, *covers in [
+            ("EulerAngles", EulerAngles, (True, 0.0, 0.0), "alpha"),
+            ("tail_failure", tail_failure, (4, True), "epsilon"),
+            ("recover", recover, (True, 2, 0, 0.1, 0), "value"),
+            ("HalfInt.of", HalfInt.of, (np.True_,), "value"),
+            ("coherent_amplitudes", coherent_amplitudes, (3, [True, False], 0.0), "theta"),
+        ]
+    ]),
+    # each constructed, and build_codewords then failed with "'float' object
+    # cannot be interpreted as an integer"
+    ("test_contract::test_code_spec_counts_rejected", TypeError, [
+        (i, CodeSpec, (HalfInt(8), family), {name: value}, rf"^{name} must be an integer")
+        for i, family, name, value in [
+            ("d-fraction", "EquatorialQudit", "d", 2.5),
+            ("d-float64", "EquatorialQudit", "d", np.float64(3.0)),
+            ("n_cosets-fraction", "CyclicQubit", "n_cosets", 2.5),
+        ]
+    ]),
     # reachable raises that no test ran
     ("test_contract::test_invalid_arguments_rejected", ValueError, [
         ("sphere_quadrature-no-j-or-degree", sphere_quadrature, (), {}, "^provide j or an explicit degree"),
@@ -596,6 +618,11 @@ TABLE = [
           ("HalfInt-repr", lambda: repr(HalfInt(-3)), "HalfInt(-3/2)", "HalfInt"),
           ("GkpCode.support", lambda: build_gkp_code(GkpParams(2, 3, 3)).support(1), [3, 9, 15], "GkpCode"),
           ("Operator-eq-int", lambda: _Y_AXIS_3 == 3, False, "Operator"),
+          # 2pi/d - arccos(2 eps^(1/j) - 1) is exactly 0.0 at both: no budget
+          ("correctable_angle-zero-budget-d4", lambda: correctable_angle(1, 4, 0.5),
+           CorrectableAngle(0.0, 0.0, True), "correctable_angle"),
+          ("correctable_angle-zero-budget-tiny-eps", lambda: correctable_angle(0.5, 2, 1e-300),
+           CorrectableAngle(0.0, 0.0, True), "correctable_angle"),
       ]),
     # -- domain edges ----------------------------------------------------------
     *(Raises(f"{test}[{i}]", func, args, kwargs, exception, match, *covers)

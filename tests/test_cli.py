@@ -147,6 +147,23 @@ def test_string_config_reals_rejected(tmp_path, capsys, subcommand, overrides, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"delta": True}, "delta must be a real number, got True"),
+        ({"j": True}, "value must be a real number, got True"),
+    ],
+    ids=["delta", "j"],
+)
+def test_kl_scan_bool_reals_rejected(tmp_path, capsys, overrides, message):
+    # float() read true as 1: the scan ran at j = 1, or against a threshold
+    # echoed as true into the config and the summary
+    out = tmp_path / "scan.json"
+    assert main(["kl-scan", *_with_config(tmp_path, overrides), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kl_scan_string_threshold_rejected_before_the_scan(tmp_path, capsys, monkeypatch):
     # the scan ran in full, then comparing against the string exited 2
     # with "'<=' not supported between instances of 'float' and 'str'"

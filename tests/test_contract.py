@@ -2,15 +2,19 @@
 a check that every row runs, a ratchet on which public names still lack
 a row, the structure that keeps every oracle in oracles.py, and the
 structure that keeps one writer for the finiteness check and for the
-refusal of strings, one caller of the 2j-th power kernel, and one
-assembly of a block of recovery rounds."""
+refusal of strings, one caller of the 2j-th power kernel, one assembly
+of a block of recovery rounds, one list of public names (the modules'
+__all__) and one table of CLI subcommands."""
 
+import argparse
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import spinqec
 from contract import TABLE, contract_tests, public_name
+from spinqec import cli
 
 globals().update(contract_tests(__name__))
 
@@ -42,8 +46,12 @@ def test_every_row_runs_in_the_module_its_label_names():
         assert not defined & tests, (home, defined & tests)
 
 
+def _exported():
+    return {n for n, v in vars(spinqec).items() if not n.startswith("_") and not inspect.ismodule(v)}
+
+
 def test_every_public_name_has_a_row_or_waits_for_one():
-    exported = {n for n, v in vars(spinqec).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    exported = _exported()
     covered = {public_name(row) for row in TABLE}
     assert covered <= exported, covered - exported
     assert not covered & _NO_ROW_YET, f"take these off _NO_ROW_YET: {sorted(covered & _NO_ROW_YET)}"
@@ -122,3 +130,35 @@ def test_pow_two_j_arrays_has_one_caller():
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert module == "coherent" or "_pow_two_j_arrays" not in imported, module
     assert users == {("coherent", "rotation_matrix_elements")}, users
+
+
+def test_package_exports_exactly_its_modules_all_lists():
+    # a public name is declared once, in its module's __all__: __init__
+    # star-imports every library module (all but cli and the private ones)
+    # and keeps no list of its own
+    tree = ast.parse((_PACKAGE / "__init__.py").read_text())
+    starred = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"], node.lineno
+            starred.append(node.module)
+    bound = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert all(name.startswith("_") for name in bound), bound
+    library = {path.stem for path in _PACKAGE.glob("*.py") if not path.stem.startswith("_")} - {"cli"}
+    assert sorted(starred) == sorted(library), starred
+    declared = [name for module in starred for name in importlib.import_module(f"spinqec.{module}").__all__]
+    assert len(declared) == len(set(declared)), sorted(n for n in set(declared) if declared.count(n) > 1)
+    assert _exported() == set(declared), _exported() ^ set(declared)
+
+
+def test_cli_names_each_subcommand_once():
+    # one table maps a subcommand to its handler and its defaults; a second
+    # dict keyed by subcommand name would write the list again
+    parser = cli._build_parser()
+    names = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    skip = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}  # docstrings
+    constants = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and id(n) not in skip]
+    counts = {name: constants.count(name) for name in names}
+    assert set(counts.values()) == {1}, counts
