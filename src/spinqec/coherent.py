@@ -28,7 +28,10 @@ of degree a + b + 2 on the quarter period [0, pi/2], so the colatitude
 rule is a subperiodic trigonometric Gaussian rule: degree + 3 nodes
 psi = pi/4 + 2 asin(sin(pi/8) xi), with xi and the positive weights from
 one Golub-Welsch eigenproblem.  Azimuthal integrals use a uniform rule
-that is exact for every mode |k| < n_phi.
+that is exact for every mode |k| < n_phi.  A symbol with one Fourier
+mode and one half-angle monomial needs no rule: its realization is one
+band in closed form (_mode_band).  The azimuthal phases of an amplitude
+table come from two short tables of exponentials (_azimuthal_phases).
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ _TWO_PI = 2.0 * math.pi
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # Magnitudes below exp(_LN_FLOOR) are returned as exact zeros.
 _LN_FLOOR = -700.0
+# Rows of the short table of azimuthal phases (_azimuthal_phases).
+_PHASE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,47 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     off = ~((0.0 <= thetas) & (thetas <= math.pi) & np.isfinite(phis))
     if off.any():  # SphPoint raises its own message at the first such point
         SphPoint(thetas[off][0], phis[off][0])
-    jmm = np.arange(j.twice + 1)  # j - m
-    phase = np.exp(1j * jmm[:, None] * phis[None, :])
-    return _amplitude_magnitudes(j.twice, thetas) * phase
+    amps = _azimuthal_phases(j.twice, phis)
+    amps *= _amplitude_magnitudes(j.twice, thetas)
+    return amps
+
+
+def _azimuthal_phases(tj: int, phis: np.ndarray) -> np.ndarray:
+    """exp(i (j - m) phi), shape (2j + 1, nodes), rows j - m = 0..2j.
+
+    Up to 2j + 1 = 32 rows, one exponential per entry.  Beyond, with
+    j - m = B h + l and 0 <= l < B = max(32, floor(sqrt(2j + 1))), each
+    entry is exp(i B h phi) exp(i l phi): two short tables (_cis) and one
+    complex product per entry, where one exponential per entry took most
+    of a large table's time.  A single exponential carries the rounding of
+    its argument, up to half an ulp of 2j phi (4.5e-13 at 2j = 1024); _cis
+    keeps each table to about an ulp of 1, and the product adds about one
+    more.
+    """
+    block = max(_PHASE_BLOCK, math.isqrt(tj + 1))
+    if tj < block:
+        return np.exp(1j * np.arange(tj + 1)[:, None] * phis[None, :])
+    low, high = _cis(np.arange(block), phis), _cis(block * np.arange(tj // block + 1), phis)
+    return (high[:, None, :] * low[None, :, :]).reshape(-1, len(phis))[: tj + 1]
+
+
+def _cis(ks: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """exp(i k phi), shape (len(ks), nodes), for integers ks, to about an ulp
+    of 1 at any size of k phi: the product is split exactly as p + e
+    (Dekker's product, Veltkamp's splits), and exp(i (p + e)) is
+    exp(i p) (1 + i e) to |e|^2 / 2."""
+    k, phi = ks[:, None].astype(float), phis[None, :]
+    p = k * phi
+    (k_hi, k_lo), (phi_hi, phi_lo) = _split(k), _split(phi)
+    e = ((k_hi * phi_hi - p) + k_hi * phi_lo + k_lo * phi_hi) + k_lo * phi_lo
+    return np.exp(1j * p) * (1.0 + 1j * e)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with x = hi + lo exactly and each half of 26 bits or fewer."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 def _amplitude_magnitudes(tj: int, thetas: np.ndarray, jm=None) -> np.ndarray:
@@ -137,18 +180,21 @@ def _amplitude_magnitudes(tj: int, thetas: np.ndarray, jm=None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_ch = np.where(ch > 0.0, np.log(np.where(ch > 0.0, ch, 1.0)), -np.inf)
         ln_sh = np.where(sh > 0.0, np.log(np.where(sh > 0.0, sh, 1.0)), -np.inf)
-        ln_mag = 0.5 * ln_binomial(tj, jm)[:, None]
-        ln_mag = ln_mag + np.where(jm[:, None] == 0, 0.0, jm[:, None] * ln_ch[None, :])
-        ln_mag = ln_mag + np.where(
-            jmm[:, None] == 0, 0.0, jmm[:, None] * ln_sh[None, :]
-        )
-    return np.exp(ln_mag)
+        # a zero power is 1 also at a pole (0 * -inf is NaN): its row is reset
+        ln_mag = jm[:, None] * ln_ch[None, :]
+        ln_mag[jm == 0] = 0.0
+        ln_mag += 0.5 * ln_binomial(tj, jm)[:, None]
+        ln_sin = jmm[:, None] * ln_sh[None, :]
+        ln_sin[jmm == 0] = 0.0
+        ln_mag += ln_sin
+    return np.exp(ln_mag, out=ln_mag)
 
 
 def coherent_state(j, p: SphPoint) -> StateVec:
     """The normalized coherent state |Omega> at p."""
     j = _spin(j)
-    amps = coherent_amplitudes(j, [p.theta], [p.phi])[:, 0]
+    # p's angles are already read: arrays skip the object read of a list
+    amps = coherent_amplitudes(j, np.array([p.theta]), np.array([p.phi]))[:, 0]
     return StateVec(j, amps)
 
 
@@ -480,7 +526,8 @@ class DiagonalOp:
 
     realized = (2j+1)/(4pi) * integral P(Omega) |Omega><Omega| dOmega,
     evaluated on the product quadrature (see diagonal_operator for how
-    the sum is factorized).  approximate is False when the declared band
+    the sum is factorized), or in closed form for momentum_kick's one
+    mode (_mode_band).  approximate is False when the declared band
     limit puts the whole integrand inside the rule's exactness class,
     True for a plain callable with no declared limit.  Off a declared
     band |a - b| <= min(k_max, 2j), realized is exactly zero.
@@ -558,6 +605,78 @@ def diagonal_operator(
     return DiagonalOp(j, Operator(j, mat), approximate, rule.degree, rule.n_phi)
 
 
+def _half_gamma(x: int) -> tuple[int, int]:
+    """(num, den) with Gamma(x/2) = num / den * sqrt(pi)^(x mod 2), for an
+    integer x >= 1: (x/2 - 1)! for even x, and (2n)! / (4^n n!) for
+    x = 2n + 1."""
+    if x % 2 == 0:
+        return math.factorial(x // 2 - 1), 1
+    n = x // 2
+    return math.factorial(2 * n), 4**n * math.factorial(n)
+
+
+def _band_entry(tj: int, a: int, b: int, p: int, q: int, scale_sq: int) -> float:
+    """(2j+1) sqrt(C(2j, a) C(2j, b) scale_sq) B((p+2)/2, (q+2)/2) from
+    exact integers, to about an ulp: the Beta function's factorials and the
+    binomials are Python ints, the square root of their quotient is taken
+    by math.isqrt to 64 bits, and a factor pi enters where both Beta
+    arguments are half-integers."""
+    (x_num, x_den), (y_num, y_den), (s_num, s_den) = _half_gamma(p + 2), _half_gamma(q + 2), _half_gamma(p + q + 4)
+    num = (tj + 1) ** 2 * math.comb(tj, a) * math.comb(tj, b) * scale_sq * (x_num * y_num * s_den) ** 2
+    den = (x_den * y_den * s_num) ** 2
+    shift = 128 - num.bit_length() + den.bit_length()
+    shift += shift % 2  # even, so the square root halves it exactly
+    quotient = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    value = math.ldexp(math.isqrt(quotient), -shift // 2)
+    return value * math.pi if p % 2 and q % 2 else value
+
+
+def _mode_band(tj: int, k: int, alpha: int = 0, beta: int = 0, scale_sq: int = 1) -> np.ndarray:
+    """Diagonal a - b = k of the realization of the one-mode symbol
+    sqrt(scale_sq) cos^alpha(theta/2) sin^beta(theta/2) exp(-i k phi), in
+    closed form: rows a = max(0, k)..2j + min(0, k), columns b = a - k.
+
+    With |c_a| = sqrt(C(2j, a)) cos^(2j-a)(theta/2) sin^a(theta/2), the
+    azimuthal integral leaves only this diagonal, and the colatitude
+    integral of cos^p sin^q (theta/2) sin(theta) is 2B((p+2)/2, (q+2)/2), so
+
+        E(a) = (2j+1)/2 sqrt(C(2j, a) C(2j, b) scale_sq) 2B((p+2)/2, (q+2)/2),
+        p = 4j - a - b + alpha,  q = a + b + beta.
+
+    The band is E at its largest entry, from exact integers (_band_entry),
+    times running products of E(a+1)/E(a) = sqrt((2j-a)(2j-b) / ((a+1)(b+1)))
+    (q+2)/p outward, so no entry overflows, the small ones underflow to
+    zero, and each carries a relative error of a few ulp per step from the
+    largest: at most (3 (2j) + 2) 2^-53, 1.3e-12 at 2j = 4000, where 6e-15
+    is measured.  A log-domain sum of log-factorials would carry about
+    ulp(ln (3j)!) instead (2e-12 at j = 256, 3e-11 at j = 2000).
+    diagonal_operator's quadrature is the test oracle.
+    """
+    a = np.arange(max(0, k), tj + 1 + min(0, k))
+    b = a - k
+    p, q = 2 * tj - a - b + alpha, a + b + beta
+    band = np.empty(len(a))
+    if not len(a):
+        return band
+    step = np.sqrt((tj - a[:-1]) * (tj - b[:-1]) / ((a[:-1] + 1.0) * (b[:-1] + 1.0))) * ((q[:-1] + 2.0) / p[:-1])
+    top = int(np.argmax(np.concatenate(([0.0], np.cumsum(np.log(step))))))
+    band[top] = _band_entry(tj, int(a[top]), int(b[top]), int(p[top]), int(q[top]), scale_sq)
+    band[top + 1 :] = band[top] * np.cumprod(step[top:])
+    band[:top] = band[top] * np.cumprod(1.0 / step[:top][::-1])[::-1]
+    return band
+
+
+def _mode_matrix(j: HalfInt, k: int, alpha: int = 0, beta: int = 0, scale_sq: int = 1) -> np.ndarray:
+    """The dense realization of a one-mode symbol (_mode_band): diagonal k
+    filled, every other entry an exact zero; ValueError above MAX_DENSE_DIM."""
+    _require_dense(j, j.dim, 16)
+    mat = np.zeros((j.dim, j.dim), dtype=complex)
+    band = _mode_band(j.twice, k, alpha, beta, scale_sq)
+    rows = np.arange(max(0, k), max(0, k) + len(band))
+    mat[rows, rows - k] = band
+    return mat
+
+
 def lower_symbol(op: Operator, p: SphPoint) -> complex:
     """<Omega| op |Omega> at the point p."""
     vec = coherent_state(op.j, p)
@@ -583,9 +702,18 @@ def y_symbol(j, m):
 
 
 def momentum_kick(j, m) -> DiagonalOp:
-    """Diagonal operator with symbol y^j_m; shifts levels by j - m."""
+    """Diagonal operator with symbol y^j_m; shifts levels by j - m.
+
+    y^j_m = sqrt(C(2j, j+m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2)
+    exp(-i (j-m) phi) is one mode, so realized holds its one band
+    a - b = j - m in closed form (_mode_band) and exact zeros elsewhere.
+    degree and n_phi are those of the product rule that realizes it
+    exactly, as diagonal_operator sizes it for band_limit (j - m, 2j).
+    """
     j = _spin(j)
-    return diagonal_operator(j, y_symbol(j, m), band_limit=(m_index(j, m), j.twice))
+    tj, jmm = j.twice, m_index(j, m)
+    mat = _mode_matrix(j, jmm, tj - jmm, jmm, math.comb(tj, jmm))
+    return DiagonalOp(j, Operator(j, mat), False, 3 * tj, tj + jmm + 1)
 
 
 def disentangle_check(j, p: SphPoint) -> float:

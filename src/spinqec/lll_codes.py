@@ -27,8 +27,8 @@ import numpy as np
 from .coherent import (
     SphPoint,
     _ln_overlap_magnitude,
+    _mode_matrix,
     coherent_amplitudes,
-    diagonal_operator,
     rotation_matrix_elements,
 )
 from .rotations import EulerAngles, _cmul, wigner_D_matrix
@@ -274,18 +274,19 @@ class LogicalSet:
 
 
 def logical_operators(spec: CodeSpec) -> LogicalSet:
-    """X-bar = exp(-i(2pi/d) L3); Z-bar and the Z-check by exact quadrature.
+    """X-bar = exp(-i(2pi/d) L3); Z-bar and the Z-check in closed form.
 
-    Z-bar (exp(i phi)) and the Z-check (exp(i d phi)) are filled only on
-    their declared bands |a - b| <= 1 and d, exact zeros elsewhere, so
+    Z-bar and the Z-check are the realized symbols exp(i phi) and
+    exp(i d phi): each is one band, a - b = -1 and -d, written by
+    coherent._mode_band, with exact zeros elsewhere, so
     Z-bar X-bar = exp(2pi i/d) X-bar Z-bar holds to rounding.
     """
     if spec.family != "EquatorialQudit":
         raise ValueError("logical_operators applies to EquatorialQudit specs")
     j, d = spec.j, spec.d
+    zbar = Operator(j, _mode_matrix(j, -1))
+    zcheck = Operator(j, _mode_matrix(j, -d))
     xbar = Operator(j, np.diag(_clock_diagonal(j, d)))
-    zbar = diagonal_operator(j, lambda t, p: np.exp(1j * p), band_limit=(1, 0)).realized
-    zcheck = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), band_limit=(d, 0)).realized
     return LogicalSet(spec, xbar, zbar, zcheck)
 
 
@@ -303,8 +304,9 @@ def hermitian_check_ops(j, d: int = 1) -> tuple[Operator, Operator]:
     """Realized cos(d phi) and sin(d phi) diagonal operators.
 
     Realizing a symbol is linear and takes conj(P) to the adjoint, so with
-    Z the realization of exp(i d phi) the two are (Z + Z^H)/2 and
-    (Z - Z^H)/2i: one realization, and both exactly Hermitian.  They
+    Z the realization of exp(i d phi), the one band a - b = -d in closed
+    form (coherent._mode_band), the two are (Z + Z^H)/2 and (Z - Z^H)/2i:
+    one realization, and both exactly Hermitian.  They
     commute only approximately.  The commutator is diagonal with bulk
     entries that shrink as j grows, but the d levels clipped at each band
     edge leave a d-dependent constant there (pi/8 in the limit for d = 1),
@@ -314,7 +316,7 @@ def hermitian_check_ops(j, d: int = 1) -> tuple[Operator, Operator]:
     """
     j = _spin(j)
     d = _integer("d", d)
-    z = diagonal_operator(j, lambda t, p: np.exp(1j * d * p), band_limit=(abs(d), 0)).realized.mat
+    z = _mode_matrix(j, -d)
     return Operator(j, (z + z.conj().T) / 2.0), Operator(j, (z - z.conj().T) / 2j)
 
 

@@ -15,8 +15,8 @@ between codewords are evaluated in closed form through the coherent
 decomposition, for all sampled pairs in one array pass: each codeword
 table is a sum of spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
 path is independent of that closed form and of the Wigner-d kernel: it
-diagonalizes L_y once per j (a small cache), from its two bands in real
-arithmetic through spin_core's tridiagonal eigensolver (L_y = V Lambda V^H
+diagonalizes L_y once per j (spin_core's basis cache), from its two bands
+in real arithmetic through spin_core's tridiagonal eigensolver (L_y = V Lambda V^H
 with V = D W, W real and D a diagonal of phases), and sandwiches the
 codeword vectors with
 X_T = exp(-i alpha L_z) V exp(-i beta Lambda) V^H exp(-i gamma L_z), for
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .coherent import _ln_overlap_magnitude
 from .lll_codes import Codewords, matrix_element_tables
 from . import rotations as _rotations
 from .rotations import EulerAngles, _euler_angles_arrays, _relative_angles, _su2_product, su2_arrays
-from .spin_core import HalfInt, _axis_bands, _finite, _integer, _spin, _tridiagonal_eigh, m_values
+from .spin_core import _axis_bands, _finite, _integer, _spin, _tridiagonal_basis, m_values
 
 __all__ = [
     "ErrorSet",
@@ -213,33 +213,21 @@ def _pair_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(n), quota), right
 
 
-@lru_cache(maxsize=4)
-def _ly_eigenbasis(j: HalfInt) -> tuple[np.ndarray, np.ndarray]:
-    """(Lambda, V^H) of L_y = V Lambda V^H, read-only and cached by j.
-
-    V = D W from the real tridiagonal eigensolver, fed L_y's two bands
-    (spin_core._axis_bands) with no dense L_y; D is the diagonal of phases.
-    """
-    lam, vecs, phase = _tridiagonal_eigh(*_axis_bands(j, (0.0, 1.0, 0.0)))
-    vecs_conj = phase.conj()[:, None] * vecs
-    lam.setflags(write=False)
-    vecs_conj.setflags(write=False)
-    return lam, vecs_conj.T
-
-
 def _dense_tables(code: Codewords, alpha, beta, gamma) -> np.ndarray:
     """<a| X_T |b> from the eigendecomposition L_y = V Lambda V^H.
 
     X_T = D_z(alpha) V exp(-i beta Lambda) V^H D_z(gamma) with
     D_z(t) = exp(-i t L_z) diagonal, applied to the codeword vectors in
-    blocks of pairs so temporaries stay bounded.  The eigendecomposition
-    is taken once per j (_ly_eigenbasis).
+    blocks of pairs so temporaries stay bounded.  V = D W comes from
+    spin_core._tridiagonal_basis, fed L_y's two bands (_axis_bands) with no
+    dense L_y, so it is taken once per j; D is the diagonal of phases.
     """
     j = code.spec.j
     m = m_values(j)
     # basis first: its guard refuses a j whose dense eigenbasis would not fit
     words = np.array([vec.amps for vec in code.basis]).T  # (dim, codewords)
-    lam, vecs_h = _ly_eigenbasis(j)
+    lam, vecs, phase = _tridiagonal_basis(*_axis_bands(j, (0.0, 1.0, 0.0)))
+    vecs_h = (phase.conj()[:, None] * vecs).T
     size = words.shape[1]
     tables = np.empty((len(alpha), size, size), dtype=complex)
     block = max(1, _BRUTE_BLOCK // (j.dim * size))

@@ -17,6 +17,7 @@ _finite_array read arrays through them.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,13 @@ MAX_DENSE_DIM = 8192
 """Largest dimension 2j + 1 for which the package builds a dense table
 (2j+1)-wide in m: Wigner d and D matrices, realized diagonal operators,
 codeword tables.  At this size a dense complex (2j+1)^2 operator takes
-1 GiB; above it those builders raise ValueError before allocating."""
+1 GiB; above it those builders raise ValueError before allocating.
+
+Peak bytes per (2j+1)^2 entry, by tracemalloc at 2j = 400 and held there
+by the tests: momentum_kick 36; logical_operators and hermitian_check_ops
+68 (three and two dense operators); matexp_antihermitian on a tridiagonal
+generator 44 cold and 36 with its basis cached (the kept basis holds 8);
+coherent_amplitudes 44 per (2j+1) x nodes entry."""
 
 # A plain sum of squares in [_SQ_MIN, _SQ_MAX] is used as it stands: at
 # 2^-969, the smallest normal double times 2^53, squares that fall into the
@@ -156,8 +163,11 @@ def _real_array(name: str, values) -> np.ndarray:
     """values as a float array.  An array that is not integer or float
     (strings, bools, objects, complex) is read entry by entry by _real, so
     a string or bool entry raises its TypeError where numpy would parse it
-    or read it as 0 or 1."""
-    values = np.asarray(values)
+    or read it as 0 or 1.  Any other input (a list, a tuple, a scalar) is
+    first held as Python objects, since numpy would read [0.2, True] as the
+    floats [0.2, 1.0]; an array or numpy scalar takes the dtype test alone."""
+    if not isinstance(values, (np.ndarray, np.generic)):
+        values = np.asarray(values, dtype=object)
     if values.dtype.kind not in "iuf":
         values = np.reshape([_real(name, v) for v in values.ravel().tolist()], values.shape)
     return np.asarray(values, dtype=float)
@@ -347,7 +357,8 @@ class Operator:
         return StateVec(self.j, self.mat @ vec.amps)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+            return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
         probe = self.mat.conj().T @ self.mat - np.eye(self.j.dim)
@@ -378,7 +389,7 @@ def _axis_bands(j: HalfInt, n) -> tuple[np.ndarray, np.ndarray]:
 
     The one writer of a spin generator's entries: axis_operator,
     ladder_operators, the Wigner-d sweep (rotations._d_columns), the L_y
-    oracle (qec_check._ly_eigenbasis) and coherent.disentangle_check read
+    oracle (qec_check._dense_tables) and coherent.disentangle_check read
     their bands from it.  The upper band of the Hermitian L . n is the
     conjugate of the lower.  j must be a validated spin label; n is read
     as given, unchecked.
@@ -449,28 +460,79 @@ def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np
     return lam, vecs, phase
 
 
+# _tridiagonal_basis keeps the most recent bases while their arrays total at
+# most this many bytes (64 MiB: about 2900 levels of a real basis).
+_BASIS_BUDGET = 1 << 26
+_bases: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_bases_lock = threading.Lock()  # held for each read or update of _bases, not for a solve
+
+
+def _basis_bytes(basis) -> int:
+    return sum(arr.nbytes for arr in basis)
+
+
+def _tridiagonal_basis(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_tridiagonal_eigh(diag, off) as read-only arrays, from a cache keyed
+    on the bytes of the two bands.
+
+    The one reader of the eigensolver for spin generators: the tridiagonal
+    route of matexp_antihermitian and the L_y oracle (qec_check._dense_tables)
+    diagonalize each generator once, and a repeat returns the same arrays,
+    so its results keep their bits.  The most recent bases are kept while
+    their arrays total at most _BASIS_BUDGET = 64 MiB, the oldest dropped
+    first; a basis larger than that (2j + 1 above about 2900) is returned
+    without being kept.  diag is real and off complex, as _axis_bands and
+    an Operator's diagonals give them.
+    """
+    key = (diag.tobytes(), off.tobytes())
+    with _bases_lock:
+        basis = _bases.pop(key, None)
+    if basis is None:
+        basis = _tridiagonal_eigh(diag, off)
+        for arr in basis:
+            arr.setflags(write=False)
+    if _basis_bytes(basis) <= _BASIS_BUDGET:
+        with _bases_lock:
+            _bases[key] = basis  # most recent last
+            while sum(map(_basis_bytes, _bases.values())) > _BASIS_BUDGET:
+                del _bases[next(iter(_bases))]
+    return basis
+
+
 def matexp_antihermitian(a: Operator, t: float) -> Operator:
     """exp(-i t A) for Hermitian A, by eigendecomposition.
 
     Rejects non-Hermitian input (to 1e-10) rather than silently
-    symmetrizing, and a non-finite t.  Like np.linalg.eigh, it reads A's
-    diagonal and lower triangle.  Where that lower triangle is exactly zero
-    below the sub-diagonal, as for every axis_operator, A is Hermitian
-    tridiagonal: _tridiagonal_eigh diagonalizes it in real arithmetic and
-    the result is D (V cos(t Lambda) V^T - i V sin(t Lambda) V^T) D^H, two
-    real matrix products.  Any other Hermitian A takes the complex eigh
-    route.  At 2j = 400 both are unitary to 1e-14 and agree to 1e-13 for
-    |t| <= 1; beyond that to |t| j 2^-52, the rounding either route leaves
-    in its eigenphases.
+    symmetrizing, and a non-finite t.  Where every nonzero entry of A lies
+    on its three middle diagonals, as for every axis_operator, A is checked
+    on those bands alone: the largest |A - A^H| is then the largest of
+    |d - conj(d)| on the diagonal and |sub - conj(sup)| off it, the same
+    values Operator.is_hermitian reduces over, and NaN fails either check.
+    Like np.linalg.eigh, it reads A's diagonal and lower triangle.  Where
+    that lower triangle is exactly zero below the sub-diagonal, A is
+    Hermitian tridiagonal: _tridiagonal_basis diagonalizes it in real
+    arithmetic, once per generator, and the result is
+    D (V cos(t Lambda) V^T - i V sin(t Lambda) V^T) D^H, two real matrix
+    products.  Any other Hermitian A takes the complex eigh route.  At
+    2j = 400 both are unitary to 1e-14 and agree to 1e-13 for |t| <= 1;
+    beyond that to |t| j 2^-52, the rounding either route leaves in its
+    eigenphases.
     """
     t = _finite("t", t)
-    if not a.is_hermitian(1e-10):
-        raise ValueError("generator must be Hermitian to 1e-10")
     mat = a.mat
-    if np.any(np.tril(mat, -2)):
+    diag, sub, sup = np.diagonal(mat), np.diagonal(mat, -1), np.diagonal(mat, 1)
+    banded = np.count_nonzero(mat) == sum(np.count_nonzero(band) for band in (diag, sub, sup))
+    if banded:
+        with np.errstate(invalid="ignore"):  # as in is_hermitian
+            hermitian = np.max(np.abs(np.concatenate((diag - diag.conj(), sub - sup.conj())))) <= 1e-10
+    else:
+        hermitian = a.is_hermitian(1e-10)
+    if not hermitian:
+        raise ValueError("generator must be Hermitian to 1e-10")
+    if not banded and np.any(np.tril(mat, -2)):
         w, v = np.linalg.eigh(mat)
         return Operator(a.j, (v * np.exp(-1j * t * w)) @ v.conj().T)
-    lam, vecs, phase = _tridiagonal_eigh(np.diagonal(mat).real, np.diagonal(mat, -1))
+    lam, vecs, phase = _tridiagonal_basis(diag.real, sub)
     out = np.empty_like(mat)
     out.real = (vecs * np.cos(t * lam)) @ vecs.T
     out.imag = (vecs * -np.sin(t * lam)) @ vecs.T

@@ -33,10 +33,11 @@ from spinqec import (
     cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check, equatorial_matrix_element,
     equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list, finite_ancilla_note,
     haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, kl_check, logical_operators,
-    lowest_level_bridge, matexp_antihermitian, momentum_shift_analysis, monopole_Y, overlap, overlap_magnitude,
-    recover, rotation_matrix_element, single_peak_mass, sphere_quadrature, syndrome_density, tail_failure,
-    theta_rule, wigner_d,
+    lowest_level_bridge, matexp_antihermitian, momentum_kick, momentum_shift_analysis, monopole_Y, overlap,
+    overlap_magnitude, recover, rotation_matrix_element, single_peak_mass, sphere_quadrature, syndrome_density,
+    tail_failure, theta_rule, wigner_d, y_symbol,
 )
+from spinqec.coherent import _azimuthal_phases, _mode_band
 
 EPS = 2.0**-52
 
@@ -231,6 +232,75 @@ def _check_ops(tj, d):
     return np.array([op.mat for op in hermitian_check_ops(HalfInt(tj), d)])
 
 
+def _phase_draws(tj, count):
+    return [(tj, tuple(np.random.default_rng(tj).uniform(0.0, 2.0 * math.pi, count).tolist()))]
+
+
+def _table_error(got, ref):
+    return max(abs(complex(v) - r) for got_row, ref_row in zip(got, ref) for v, r in zip(got_row, ref_row))
+
+
+def _one_exponential_error(tj, phis):
+    # the table as it was built before: one exponential of the rounded
+    # product k phi per entry
+    table = np.exp(1j * np.arange(tj + 1)[:, None] * np.array(phis)[None, :])
+    return _table_error(table, oracles.azimuthal_phases(tj, phis))
+
+
+def _built_band(tj, name, x):
+    # the nonzero band of a one-mode builder: the kick to twice-m = x, Z-bar
+    # (x = 1) or the Z-check (x = d) of an equatorial qudit, the cos(x phi)
+    # check operator
+    j = HalfInt(tj)
+    if name == "momentum_kick":
+        return np.diagonal(momentum_kick(j, HalfInt(x)).realized.mat, (x - tj) // 2)
+    if name == "logical_operators":
+        logical = logical_operators(equatorial_qudit(j, max(x, 2)))
+        return np.diagonal((logical.zbar if x == 1 else logical.zcheck).mat, x)
+    return np.diagonal(hermitian_check_ops(j, x)[0].mat, abs(x))
+
+
+def _quadrature_band(tj, name, x):
+    j = HalfInt(tj)
+    if name == "momentum_kick":
+        k = (tj - x) // 2
+        return np.diagonal(diagonal_operator(j, y_symbol(j, HalfInt(x)), band_limit=(k, tj)).realized.mat, -k)
+    symbol = (lambda t, p: np.exp(1j * x * p)) if name == "logical_operators" else (lambda t, p: np.cos(x * p))
+    return np.diagonal(diagonal_operator(j, symbol, band_limit=(abs(x), 0)).realized.mat, abs(x))
+
+
+def _kernel_args(tj, name, x):
+    # (k, alpha, beta, scale_sq) of the builder's one mode; cos(x phi) holds
+    # half of exp(i |x| phi)'s band
+    if name == "momentum_kick":
+        k = (tj - x) // 2
+        return k, tj - k, k, math.comb(tj, k)
+    return -abs(x), 0, 0, 1
+
+
+def _kernel_band(tj, name, x):
+    return _mode_band(tj, *_kernel_args(tj, name, x))
+
+
+def _exact_band(tj, name, x):
+    band = oracles.mode_band(tj, *_kernel_args(tj, name, x))
+    return [v / 2 for v in band] if name == "hermitian_check_ops" else band
+
+
+def _entrywise(got, ref):
+    # relative to each entry, or to the smallest normal double where the
+    # entry underflows
+    return max(abs(g - r) / max(r, 2.0**-1022) for g, r in zip(got, ref))
+
+
+def _band_cases(tj, name):
+    if name == "momentum_kick":
+        return [(tj, name, x) for x in sorted({tj, tj - 2, tj % 2, 2 - tj, -tj}) if -tj <= x <= tj]
+    if name == "logical_operators":
+        return [(tj, name, d) for d in (1, 2, 3, 4) if tj % 2 == 0 and d <= tj]
+    return [(tj, name, d) for d in (-3, -1, 1, 2, 3) if abs(d) <= tj]
+
+
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
@@ -391,6 +461,10 @@ _RAISE_TABLES = [
             ("recover", recover, (True, 2, 0, 0.1, 0), "value"),
             ("HalfInt.of", HalfInt.of, (np.True_,), "value"),
             ("coherent_amplitudes", coherent_amplitudes, (3, [True, False], 0.0), "theta"),
+            # numpy read a list that mixes floats and bools as floats: these
+            # ran at theta = 1
+            ("coherent_amplitudes-mixed", coherent_amplitudes, (3, [0.2, True], 0.0), "theta"),
+            ("harmonic_table-mixed", harmonic_table, (0.5, 2.5, [0.3, True], [0.0]), "theta"),
         ]
     ]),
     # each constructed, and build_codewords then failed with "'float' object
@@ -543,6 +617,33 @@ TABLE = [
           (_quarter_turn_overlap, lambda j, n: oracles.cyclic_overlap_quarter_turn(2 * j, n),
            "cyclic_overlap_closed_form"),
       ]),
+    # the phase table from two short tables against exp(i k phi) at 50
+    # digits, no worse than the one exponential per entry it replaced: that
+    # route carries half an ulp of k phi, 4.5e-13 at 2j = 1024 and 7.3e-12
+    # at 2j = 20000 here, where the two tables stay near 3e-16
+    *(Row(f"test_coherent::test_azimuthal_phases_against_mpmath[{tj}]",
+          lambda tj, phis: _azimuthal_phases(tj, np.array(phis)), functools.partial(_phase_draws, tj, count),
+          oracles.azimuthal_phases, _table_error, within=_one_exponential_error, dps=50,
+          covers="coherent_amplitudes")
+      for tj, count in ((1024, 8), (20000, 2))),
+    # the one-mode builders' bands in closed form against diagonal_operator's
+    # exact quadrature, band by band (2.4e-13 at most over every 2j <= 128)
+    *(Row(f"test_coherent::test_one_mode_bands_against_quadrature[{name}-{tj}]", _built_band,
+          _band_cases(tj, name), _quadrature_band, normwise, within=1e-12, covers=name)
+      for tj in (0, 1, 2, 3, 8, 17, 32, 64, 101, 128)
+      for name in ("momentum_kick", "logical_operators", "hermitian_check_ops") if _band_cases(tj, name)),
+    # and against 40-digit mpmath entry by entry: the exact largest entry
+    # and running ratios leave a few ulp per step, (3 (2j) + 2) 2^-53 at
+    # most; 4.3e-15 measured at 2j = 512 and 6.0e-15 at 2j = 4000
+    *(Row(f"test_coherent::test_one_mode_bands_against_mpmath[{name}-256]", _built_band, _band_cases(512, name),
+          _exact_band, _entrywise, within=1e-12, dps=40, covers=name)
+      for name in ("momentum_kick", "logical_operators", "hermitian_check_ops")),
+    # (the check operators halve the Z-check's band, so the kernel's two
+    # uses at 2j = 4000 are the kick's and exp(i d phi)'s)
+    *(Row(f"test_coherent::test_one_mode_bands_against_mpmath[{name}-2000]", _kernel_band,
+          _band_cases(4000, name)[::3], _exact_band, _entrywise, within=(3 * 4000 + 2) * EPS / 2, dps=40,
+          covers=name)
+      for name in ("momentum_kick", "logical_operators")),
     # cos(-d phi) = cos(d phi) and sin(-d phi) = -sin(d phi), from Z on the band |d|
     Row("test_contract::test_check_ops_realize_negative_d", _check_ops,
         [(tj, d) for tj in (4, 8, 15) for d in (-1, -2, -3)], oracles.cos_sin_realizations, normwise, within=1e-13,

@@ -58,6 +58,20 @@ def equatorial_element(tj, phi_out, big_theta, phi_in):
     return contraction(tj, (mp.pi / 2, phi_out), (mp.pi / 2, phi_in), (big_theta, 0, 0))
 
 
+@functools.lru_cache(maxsize=None)
+def azimuthal_phases(tj, phis):
+    """exp(i k phi) for k = 0..2j (rows) and the doubles phis (columns,
+    a tuple), at 50 digits: running products of exp(i phi), each good to
+    10^-50, so the k-th row to about k 10^-50."""
+    with mp.workdps(50):
+        rows, terms = [], [mp.mpc(1)] * len(phis)
+        steps = [mp.expj(mp.mpf(phi)) for phi in phis]
+        for _ in range(tj + 1):
+            rows.append(terms)
+            terms = [t * w for t, w in zip(terms, steps)]
+        return rows
+
+
 def syndrome_density(tj, d, k, delta_phi, mode, phis):
     """The leading (S = 1) or full density sum_ab conj(F_a) S_ab F_b at each
     azimuth phi, from contractions at 30 digits with the lattice 2 pi a/d
@@ -142,6 +156,22 @@ def binomials(n, step=1, residue=0):
         term = term * math.prod(range(n - k - step + 1, n - k + 1)) // math.prod(range(k + 1, k + step + 1))
         k += step
     return tuple(out)
+
+
+def mode_band(tj, k, alpha=0, beta=0, scale_sq=1):
+    """Diagonal a - b = k of the realized symbol sqrt(scale_sq)
+    cos^alpha(t/2) sin^beta(t/2) exp(-i k phi), rows a = max(0, k)..2j +
+    min(0, k), at 40 digits: (2j+1) sqrt(C(2j, a) C(2j, b) scale_sq)
+    B((p+2)/2, (q+2)/2) with p = 4j - a - b + alpha and q = a + b + beta,
+    from mpmath's binomial and Beta functions."""
+    with mp.workdps(40):
+        band = []
+        for a in range(max(0, k), tj + 1 + min(0, k)):
+            b = a - k
+            p, q = 2 * tj - a - b + alpha, a + b + beta
+            root = mp.sqrt(mp.binomial(tj, a) * mp.binomial(tj, b) * scale_sq)
+            band.append((tj + 1) * root * mp.beta(mp.mpf(p + 2) / 2, mp.mpf(q + 2) / 2))
+        return band
 
 
 def cyclic_normalization(tj, n):

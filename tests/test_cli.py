@@ -164,6 +164,15 @@ def test_kl_scan_bool_reals_rejected(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+def test_harmonics_bool_in_a_list_of_reals_rejected(tmp_path, capsys):
+    # numpy read [0.3, true] as the floats [0.3, 1.0]: the table ran at
+    # theta = 1 and echoed true into its config line
+    out = tmp_path / "harmonics.csv"
+    assert main(["harmonics", *_with_config(tmp_path, {"thetas": [0.3, True]}), "--out", str(out)]) == 2
+    assert "theta must be a real number, got True" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kl_scan_string_threshold_rejected_before_the_scan(tmp_path, capsys, monkeypatch):
     # the scan ran in full, then comparing against the string exited 2
     # with "'<=' not supported between instances of 'float' and 'str'"

@@ -26,6 +26,7 @@ from spinqec.coherent import (
 from spinqec.rotations import EulerAngles, haar_random, rotate_vector, wigner_D_matrix
 from spinqec.spin_core import MAX_DENSE_DIM, HalfInt, StateVec, l3_operator
 
+import oracles
 from contract import contract_tests
 
 globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
@@ -371,6 +372,18 @@ def test_momentum_kick_memory_at_j_64():
     assert peak < 50e6
 
 
+def test_phase_table_bytes_equal_former_construction_up_to_32_levels():
+    # up to 2j + 1 = 32 the table is one exponential per entry, as it was
+    from spinqec.coherent import _amplitude_magnitudes
+
+    rng = np.random.default_rng(32)
+    thetas, phis = rng.uniform(0.0, math.pi, 9), rng.uniform(0.0, 2.0 * math.pi, 9)
+    for twice in range(32):
+        former = _amplitude_magnitudes(twice, thetas) * np.exp(1j * np.arange(twice + 1)[:, None] * phis[None, :])
+        assert coherent_amplitudes(HalfInt(twice), thetas, phis).tobytes() == former.tobytes(), twice
+        assert coherent_state(HalfInt(twice), SphPoint(thetas[0], phis[0])).amps.tobytes() == former[:, 0].tobytes()
+
+
 def _all_diagonals(j, symbol, band_limit):
     """The factorized quadrature filled on every one of the 4j + 1
     diagonals, the rule sized as diagonal_operator sizes it for a
@@ -404,19 +417,64 @@ def _assert_band_only(got, j, symbol, band_limit):
 
 @pytest.mark.parametrize("twice", [1, 4, 7, 12, 21])
 def test_declared_band_is_filled_alone(twice):
+    # the symbols the one-mode builders realized through diagonal_operator
+    # before their bands were written in closed form
+    j = HalfInt(twice)
+
+    def realized(symbol, band_limit):
+        return diagonal_operator(j, symbol, band_limit=band_limit).realized.mat
+
+    for tm in range(-twice, twice + 1, 2):
+        k_max = (twice - tm) // 2
+        kick = y_symbol(j, HalfInt(tm))
+        _assert_band_only(realized(kick, (k_max, twice)), j, kick, (k_max, twice))
+    for d in (2, 3, 4):
+        zbar, zcheck = (lambda t, p: np.exp(1j * p)), (lambda t, p: np.exp(1j * d * p))
+        _assert_band_only(realized(zbar, (1, 0)), j, zbar, (1, 0))
+        _assert_band_only(realized(zcheck, (d, 0)), j, zcheck, (d, 0))
+    for d in (1, 2, 3):
+        cos, sin = (lambda t, p: np.cos(d * p)), (lambda t, p: np.sin(d * p))
+        _assert_band_only(realized(cos, (d, 0)), j, cos, (d, 0))
+        _assert_band_only(realized(sin, (d, 0)), j, sin, (d, 0))
+
+
+def _one_mode_reference(twice, k, *args, weight=1.0):
+    # the dense realization of a one-mode symbol from the 40-digit band
+    ref = np.zeros((twice + 1, twice + 1), dtype=complex)
+    band = [float(v) * weight for v in oracles.mode_band(twice, k, *args)]
+    rows = np.arange(max(0, k), max(0, k) + len(band))
+    ref[rows, rows - k] = band
+    return ref
+
+
+def _assert_mode_alone(got, ref):
+    # every entry off the mode an exact zero, the mode to 1e-15 of its largest entry
+    assert np.all(got[ref == 0.0] == 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("twice", [1, 4, 7, 12, 21])
+def test_one_mode_builders_fill_their_mode_alone(twice):
+    # momentum_kick filled all 2(j - m) + 1 diagonals of its declared band,
+    # and at m = -j the quadrature noise off the mode exceeded the one true
+    # entry (8.2e-16 against 2.3e-26 at 2j = 64)
     from spinqec.lll_codes import equatorial_qudit, hermitian_check_ops, logical_operators
 
     j = HalfInt(twice)
     for tm in range(-twice, twice + 1, 2):
-        k_max = (twice - tm) // 2
-        kick = momentum_kick(j, HalfInt(tm)).realized.mat
-        _assert_band_only(kick, j, y_symbol(j, HalfInt(tm)), (k_max, twice))
+        k = (twice - tm) // 2
+        ref = _one_mode_reference(twice, k, twice - k, k, math.comb(twice, k))
+        kick = momentum_kick(j, HalfInt(tm))
+        _assert_mode_alone(kick.realized.mat, ref)
+        # the exact product rule's size, as diagonal_operator reported it
+        assert (kick.approximate, kick.degree, kick.n_phi) == (False, 3 * twice, twice + k + 1)
     if j.is_integer:
         for d in (2, 3, 4):
             logical = logical_operators(equatorial_qudit(j, d))
-            _assert_band_only(logical.zbar.mat, j, lambda t, p: np.exp(1j * p), (1, 0))
-            _assert_band_only(logical.zcheck.mat, j, lambda t, p: np.exp(1j * d * p), (d, 0))
-    for d in (1, 2, 3):
+            _assert_mode_alone(logical.zbar.mat, _one_mode_reference(twice, -1))
+            _assert_mode_alone(logical.zcheck.mat, _one_mode_reference(twice, -d))
+    for d in (1, 2, 3, -2):
+        half = _one_mode_reference(twice, -d, weight=0.5)
         cos_op, sin_op = hermitian_check_ops(j, d)
-        _assert_band_only(cos_op.mat, j, lambda t, p: np.cos(d * p), (d, 0))
-        _assert_band_only(sin_op.mat, j, lambda t, p: np.sin(d * p), (d, 0))
+        _assert_mode_alone(cos_op.mat, half + half.T)
+        _assert_mode_alone(sin_op.mat, (half - half.T) / 1j)

@@ -2,7 +2,8 @@
 a check that every row runs, a ratchet on which public names still lack
 a row, the structure that keeps every oracle in oracles.py, and the
 structure that keeps one writer for the finiteness check and for the
-refusal of strings, one caller of the 2j-th power kernel, one assembly
+refusal of strings, one caller of the 2j-th power kernel, one cache in
+front of the tridiagonal eigensolver, one assembly
 of a block of recovery rounds, one list of public names (the modules'
 __all__) and one table of CLI subcommands."""
 
@@ -26,7 +27,7 @@ _NO_ROW_YET = {
     "SphereQuadrature", "Su2", "SyndromeOutcome", "SyndromeRun", "antipodal_logical_x", "build_gkp_code",
     "clock_shift", "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2", "haar_random",
     "l3_operator", "ladder_operators", "lower_symbol", "m_index", "m_values", "matrix_element_table",
-    "momentum_kick", "rotate_point", "rotate_vector", "rotation_operator",
+    "rotate_point", "rotate_vector", "rotation_operator",
     "sample_rotations", "stabilizer_eigenphases", "strict_window", "su2_from_euler", "syndrome_and_recover",
     "tiling_window", "wigner_D_matrix", "wigner_d_matrix", "y_symbol",
 }
@@ -130,6 +131,25 @@ def test_pow_two_j_arrays_has_one_caller():
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert module == "coherent" or "_pow_two_j_arrays" not in imported, module
     assert users == {("coherent", "rotation_matrix_elements")}, users
+
+
+def test_tridiagonal_eigensolver_has_two_callers():
+    # spin_core._tridiagonal_basis diagonalizes each spin generator once
+    # for every reader, and the theta rule, which reads one row of V, keeps
+    # its own cache per degree; a direct solve anywhere else would redo what
+    # the basis cache holds, and a cache in qec_check would keep a second copy
+    users = set()
+    for module, tree in _package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "_tridiagonal_eigh":
+                if "_tridiagonal_eigh" in {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}:
+                    users.add((module, func.name))
+    assert users == {("spin_core", "_tridiagonal_basis"), ("coherent", "_theta_rule_cached")}, users
+    tree = ast.parse((_PACKAGE / "qec_check.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"lru_cache", "cache"}, names & {"lru_cache", "cache"}
 
 
 def test_package_exports_exactly_its_modules_all_lists():

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinqec import coherent, lll_codes, qec_check, rotations
+from spinqec import coherent, lll_codes, qec_check, rotations, spin_core
 from spinqec.coherent import SphPoint, rotation_matrix_element, rotation_matrix_elements
 from spinqec.lll_codes import antipodal, build_codewords, cyclic_qubit, equatorial_qudit
 from spinqec.qec_check import (
@@ -432,23 +432,36 @@ def test_batched_tables_match_per_point_loop_bitwise(monkeypatch, spec, rotation
     assert got.tobytes() == _per_point_tables(code, angles).tobytes()
 
 
-def test_oracle_eigenbasis_cache_is_read_only_and_bitwise_stable():
+def test_oracle_eigenbasis_cache_is_read_only_and_bitwise_stable(monkeypatch):
     code = build_codewords(equatorial_qudit(24, 3))
     errs = conjugated_y(0.7, 0.2, 6)
-    qec_check._ly_eigenbasis.cache_clear()
+    solves, reads = [], []
+    solver, cache = spin_core._tridiagonal_eigh, spin_core._tridiagonal_basis
+
+    def solve(*args):
+        solves.append(args)
+        return solver(*args)
+
+    def read(*args):
+        reads.append(args)
+        return cache(*args)
+
+    monkeypatch.setattr(spin_core, "_tridiagonal_eigh", solve)
+    monkeypatch.setattr(qec_check, "_tridiagonal_basis", read)
+    spin_core._bases.clear()
     cold = kl_check(code, errs, seed=3, brute_force=True)
     warm = kl_check(code, errs, seed=3, brute_force=True)
-    info = qec_check._ly_eigenbasis.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    misses, hits = len(solves), len(reads) - len(solves)
+    assert (misses, hits) == (1, 1)
     assert np.float64(cold.delta_star).tobytes() == np.float64(warm.delta_star).tobytes()
     assert np.float64(cold.eps_star).tobytes() == np.float64(warm.eps_star).tobytes()
     for a, b in zip(cold._pair_columns(), warm._pair_columns()):
         assert a.tobytes() == b.tobytes()
-    lam, vecs_h = qec_check._ly_eigenbasis(code.spec.j)
-    for arr in (lam, vecs_h, vecs_h.base):
+    lam, vecs, phase = spin_core._tridiagonal_basis(*spin_core._axis_bands(code.spec.j, np.array([0.0, 1.0, 0.0])))
+    for arr in (lam, vecs, phase):
         assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        vecs_h[0, 0] = 0.0
+        vecs[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("j", [20_000, 10**6])
@@ -474,6 +487,6 @@ def test_closed_form_kl_check_runs_beyond_max_dense_dim(monkeypatch, j):
     def refuse(*args):
         raise AssertionError("dense L_y built beyond MAX_DENSE_DIM")
 
-    monkeypatch.setattr(qec_check, "_tridiagonal_eigh", refuse)
+    monkeypatch.setattr(qec_check, "_tridiagonal_basis", refuse)
     with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM"):
         kl_check(code, errs, 1, brute_force=True)

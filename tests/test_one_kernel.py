@@ -4,6 +4,8 @@ per-point evaluations it replaced and with 40- and 50-digit references."""
 import importlib
 import math
 import pkgutil
+import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -505,6 +507,11 @@ def test_theta_rule_bytes_equal_former_construction(degree):
 _Y_AXIS = (0.0, 1.0, 0.0)
 
 
+def _ly_oracle(j):
+    # the brute-force KL oracle, which reads L_y's eigenbasis for its X_T
+    return kl_check(build_codewords(equatorial_qudit(j, 2)), equatorial_z(0.1, 2), 0, brute_force=True)
+
+
 def _dense_hermitian(twice):
     rng = np.random.default_rng(twice)
     a = rng.normal(size=(twice + 1, twice + 1)) + 1j * rng.normal(size=(twice + 1, twice + 1))
@@ -517,7 +524,7 @@ def _dense_hermitian(twice):
         (lambda: spin_core.matexp_antihermitian(spin_core.axis_operator(5, _Y_AXIS), 0.3), 1),
         (lambda: spin_core.matexp_antihermitian(spin_core.axis_operator(5, (0.6, 0.0, 0.8)), -1.1), 1),
         (lambda: spin_core.matexp_antihermitian(spin_core.l3_operator(2.5), 0.7), 1),
-        (lambda: qec_check._ly_eigenbasis(HalfInt(11)), 1),
+        (lambda: _ly_oracle(11), 1),
         (lambda: theta_rule(21), 1),
         (lambda: spin_core.matexp_antihermitian(_dense_hermitian(4), 0.3), 0),
     ],
@@ -527,11 +534,93 @@ def test_one_tridiagonal_eigensolver_call_per_generator(monkeypatch, call, count
     # every tridiagonal generator is diagonalized in real arithmetic through
     # the one kernel; a dense Hermitian generator keeps the complex eigh
     calls, patched = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
-    assert patched == {"spinqec.spin_core", "spinqec.coherent", "spinqec.qec_check"}
-    qec_check._ly_eigenbasis.cache_clear()
+    assert patched == {"spinqec.spin_core", "spinqec.coherent"}
+    spin_core._bases.clear()
     coherent._theta_rule_cached.cache_clear()
     call()
     assert len(calls) == count
+
+
+def test_basis_cache_runs_the_solver_once_per_generator(monkeypatch):
+    # matexp's tridiagonal route and the L_y oracle read one cache keyed on
+    # the bands' bytes, so a repeat, or the oracle after a matexp on
+    # axis_operator(j, y), runs no second solve
+    calls, _ = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
+    spin_core._bases.clear()
+    y_5 = spin_core.axis_operator(5, _Y_AXIS)
+    spin_core.matexp_antihermitian(y_5, 0.3)
+    assert len(calls) == 1
+    spin_core.matexp_antihermitian(y_5, -1.2)
+    _ly_oracle(5)
+    assert len(calls) == 1
+    spin_core.matexp_antihermitian(spin_core.axis_operator(5, (0.6, 0.0, 0.8)), 0.3)
+    assert len(calls) == 2
+    spin_core.matexp_antihermitian(spin_core.axis_operator(6, _Y_AXIS), 0.3)
+    assert len(calls) == 3
+
+
+def _basis_size(twice):
+    bands = spin_core._axis_bands(HalfInt(twice), np.array(_Y_AXIS))
+    return sum(arr.nbytes for arr in spin_core._tridiagonal_eigh(*bands))
+
+
+def test_basis_cache_keeps_the_newest_bases_within_its_budget(monkeypatch):
+    small, large = spin_core.axis_operator(2, _Y_AXIS), spin_core.axis_operator(20, _Y_AXIS)
+    large_size = _basis_size(40)
+    calls, _ = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
+    # one byte short of the j = 20 basis: it is returned, never kept
+    monkeypatch.setattr(spin_core, "_BASIS_BUDGET", large_size - 1)
+    spin_core._bases.clear()
+    for gen in (small, large, large, small):
+        spin_core.matexp_antihermitian(gen, 0.3)
+    assert len(calls) == 3 and len(spin_core._bases) == 1
+    # room for the j = 20 basis alone: the older j = 1 basis is dropped
+    monkeypatch.setattr(spin_core, "_BASIS_BUDGET", large_size)
+    for gen in (large, small):
+        spin_core.matexp_antihermitian(gen, 0.3)
+    assert len(calls) == 5 and len(spin_core._bases) == 1
+    assert sum(map(spin_core._basis_bytes, spin_core._bases.values())) <= spin_core._BASIS_BUDGET
+    spin_core._bases.clear()
+
+
+def test_basis_cache_under_threads(monkeypatch):
+    # six threads on two cores read and evict the one cache in turn, with
+    # the switch interval shortened: every result keeps a lone thread's bits
+    gens = [spin_core.axis_operator(HalfInt(twice), _Y_AXIS) for twice in (3, 8, 13, 20)]
+    want = [spin_core.matexp_antihermitian(gen, 0.4).mat.tobytes() for gen in gens]
+    monkeypatch.setattr(spin_core, "_BASIS_BUDGET", _basis_size(20) + _basis_size(13))
+    errors = []
+
+    def work(first):
+        try:
+            for step in range(40):
+                index = (first + step) % len(gens)
+                assert spin_core.matexp_antihermitian(gens[index], 0.4).mat.tobytes() == want[index]
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        spin_core._bases.clear()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+
+
+def test_basis_cache_results_bitwise_equal_cold_and_warm():
+    for twice in (0, 1, 7, 40, 101):
+        for axis in (_Y_AXIS, (0.6, 0.0, -0.8), (0.48, -0.6, 0.64)):
+            gen = spin_core.axis_operator(HalfInt(twice), axis)
+            spin_core._bases.clear()
+            cold = spin_core.matexp_antihermitian(gen, 0.7).mat.tobytes()
+            assert spin_core.matexp_antihermitian(gen, 0.7).mat.tobytes() == cold, (twice, axis)
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +670,7 @@ def test_ladder_operators_bytes_equal_former_construction():
 
 
 def test_ly_eigenbasis_bytes_equal_former_construction():
-    # _ly_eigenbasis as it stood: the bands read back from a dense L_y
+    # the L_y oracle's basis as it stood: the bands read back from a dense L_y
     y_axis = np.array([0.0, 1.0, 0.0])
     for twice in range(121):
         j = HalfInt(twice)
@@ -590,7 +679,8 @@ def test_ly_eigenbasis_bytes_equal_former_construction():
         ly.flat[:: j.dim + 1] = diag
         ly.flat[j.dim :: j.dim + 1] = sub
         lam, vecs, phase = spin_core._tridiagonal_eigh(np.diagonal(ly).real, np.diagonal(ly, -1))
-        got_lam, got_vecs_h = qec_check._ly_eigenbasis(j)
+        got_lam, got_vecs, got_phase = spin_core._tridiagonal_basis(*spin_core._axis_bands(j, y_axis))
+        got_vecs_h = (got_phase.conj()[:, None] * got_vecs).T  # as qec_check._dense_tables forms it
         assert got_lam.tobytes() == lam.tobytes(), twice
         assert got_vecs_h.tobytes() == (phase.conj()[:, None] * vecs).T.tobytes(), twice
 
@@ -599,14 +689,14 @@ def test_ly_eigenbasis_builds_no_dense_generator():
     # a dense complex L_y took 16 bytes per entry on top of the real
     # eigensolver's 24: the cold peak was 40 (2j+1)^2 bytes
     j = HalfInt(1000)
-    qec_check._ly_eigenbasis.cache_clear()
+    spin_core._bases.clear()
     tracemalloc.start()
     try:
-        qec_check._ly_eigenbasis(j)
+        spin_core._tridiagonal_basis(*spin_core._axis_bands(j, np.array(_Y_AXIS)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        qec_check._ly_eigenbasis.cache_clear()
+        spin_core._bases.clear()
     assert peak <= 32 * j.dim**2
 
 
@@ -617,7 +707,7 @@ def test_ly_eigenbasis_builds_no_dense_generator():
         (lambda: spin_core.ladder_operators(6), 1),
         (lambda: rotations.wigner_d_matrix(6, 0.7), 1),
         (lambda: rotations.wigner_d(6, 1, -2, 0.7), 1),
-        (lambda: qec_check._ly_eigenbasis(HalfInt(13)), 1),
+        (lambda: _ly_oracle(13), 1),
         (lambda: coherent.disentangle_check(6, SphPoint(1.0, 0.3)), 2),
     ],
     ids=["axis_operator", "ladder_operators", "wigner_d_matrix", "wigner_d", "ly_eigenbasis", "disentangle"],
@@ -627,6 +717,6 @@ def test_one_generator_band_writer(monkeypatch, call, count):
     # check reads L1's band once and its Wigner-D reference once more
     calls, patched = _count_calls(monkeypatch, spin_core, "_axis_bands")
     assert patched == {"spinqec.spin_core", "spinqec.rotations", "spinqec.coherent", "spinqec.qec_check"}
-    qec_check._ly_eigenbasis.cache_clear()
+    spin_core._bases.clear()
     call()
     assert len(calls) == count

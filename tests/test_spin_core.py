@@ -1,11 +1,15 @@
 """Exact half-integer labels and the dense spin operator algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinqec import spin_core
+from spinqec.coherent import coherent_amplitudes, momentum_kick
+from spinqec.lll_codes import equatorial_qudit, hermitian_check_ops, logical_operators
 from spinqec.spin_core import (
     HalfInt,
     Operator,
@@ -135,6 +139,25 @@ def test_matexp_rejects_non_hermitian():
         matexp_antihermitian(bad, 1.0)
 
 
+def test_matexp_band_check_agrees_with_the_full_check():
+    # a generator whose nonzero entries lie on its three middle diagonals is
+    # checked on those bands alone, over the same |A - A^H| entries that
+    # is_hermitian reduces: the verdict is the same, and NaN is refused
+    j = HalfInt(6)
+    base = axis_operator(j, (0.48, -0.6, 0.64)).mat
+    for row, col, delta in [(2, 2, 0.4e-10j), (2, 2, 0.6e-10j), (3, 2, 1e-10), (2, 3, 1.5e-10), (4, 5, -0.9e-10j),
+                            (0, 0, math.nan), (5, 4, complex(0.0, math.nan)), (6, 6, math.inf)]:
+        mat = base.copy()
+        mat[row, col] += delta
+        op = Operator(j, mat)
+        try:
+            matexp_antihermitian(op, 0.3)
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == (not op.is_hermitian(1e-10)), (row, col, delta)
+
+
 @pytest.mark.parametrize("twice,sign", [(1, -1.0), (2, 1.0), (3, -1.0), (4, 1.0)])
 def test_full_turn_double_cover(twice, sign):
     u = matexp_antihermitian(l3_operator(HalfInt(twice)), 2.0 * math.pi)
@@ -259,3 +282,35 @@ def test_operator_algebra():
     with pytest.raises(ValueError):
         op @ Operator.identity(HalfInt(2))
     assert ident.max_diff(prod) == 1.0
+
+
+_Y_200 = axis_operator(200, (0.0, 1.0, 0.0))
+_NODES = np.random.default_rng(400).uniform(0.0, math.pi, (2, 256))
+
+
+@pytest.mark.parametrize(
+    "setup,call,entries,bound",
+    [
+        (None, lambda: momentum_kick(200, -200), 401**2, 36),
+        (None, lambda: logical_operators(equatorial_qudit(200, 4)), 401**2, 68),
+        (None, lambda: hermitian_check_ops(200, 3), 401**2, 68),
+        (lambda: spin_core._bases.clear(), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 44),
+        # the basis of L_y at j = 200 is kept by the first call
+        (lambda: matexp_antihermitian(_Y_200, 0.3), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 36),
+        (None, lambda: coherent_amplitudes(200, *_NODES), 401 * 256, 44),
+    ],
+    ids=["momentum_kick", "logical_operators", "hermitian_check_ops", "matexp-cold", "matexp-warm",
+         "coherent_amplitudes"],
+)
+def test_dense_builders_within_their_bytes_per_entry(setup, call, entries, bound):
+    # the tracemalloc peaks at 2j = 400 that the MAX_DENSE_DIM docstring
+    # states; momentum_kick took 481 bytes per entry through the quadrature
+    if setup is not None:
+        setup()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * entries, peak / entries
