@@ -6,10 +6,16 @@ A coherent state at (theta, phi) has amplitudes
     c_m = sqrt(C(2j, j+m)) cos^{j+m}(theta/2) sin^{j-m}(theta/2)
           * exp(i (j-m) phi),
 
-i.e. the m = j column of X_R with R = (phi, theta, -phi).  Exact pole
-inputs (theta = 0 or pi) produce exact basis states: the vanishing
-half-angle factor is snapped to zero, so antipodal constructions are
-orthogonal analytically, not just to rounding.
+i.e. the m = j column of X_R with R = (phi, theta, -phi).  Their
+magnitudes are the square roots of the binomial law b(j - m; 2j,
+sin^2(theta/2)), which the package writes in one place: _binomial_row
+takes running products of the ratios C(n, a+1)/C(n, a) = (n - a)/(a + 1),
+rescaled by exact powers of two, with no log-factorials (Loader, "Fast
+and Accurate Computation of Binomial Probabilities", 2000).  Each column
+of magnitudes is that chain brought to unit length, as the law sums to 1
+(_amplitude_magnitudes).  Exact pole inputs (theta = 0 or pi) produce exact basis states: the
+vanishing half-angle factor is snapped to zero, so antipodal
+constructions are orthogonal analytically, not just to rounding.
 
 Equivalently |Omega> is the 2j-fold symmetric power of the spinor
 xi = (cos(theta/2), exp(i phi) sin(theta/2)), and a rotation acts on it
@@ -42,7 +48,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._logfact import ln_binomial, ln_factorial
 from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
 from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _spin, _tridiagonal_eigh
 from .spin_core import _finite, _integer, _real, _real_array, m_index, m_values
@@ -73,6 +78,8 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _LN_FLOOR = -700.0
 # Rows of the short table of azimuthal phases (_azimuthal_phases).
 _PHASE_BLOCK = 32
+# No block of a binomial chain moves its products by more than 2^_CHAIN_BITS.
+_CHAIN_BITS = 900
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,8 @@ class SphPoint:
 def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     """Amplitude matrix c[m_index, node] over arrays of sphere points.
 
-    Built in the log domain so large j never overflows; exact-pole
+    The magnitudes come from the binomial ratio chain (_amplitude_magnitudes),
+    so no j overflows and each column is a unit vector to rounding; exact-pole
     columns contain exact zeros.  A theta outside [0, pi] or a non-finite
     phi raises ValueError, as SphPoint raises it; a string raises
     spin_core._real's TypeError.
@@ -127,8 +135,9 @@ def coherent_amplitudes(j, thetas, phis) -> np.ndarray:
     off = ~((0.0 <= thetas) & (thetas <= math.pi) & np.isfinite(phis))
     if off.any():  # SphPoint raises its own message at the first such point
         SphPoint(thetas[off][0], phis[off][0])
+    mags = _amplitude_magnitudes(j.twice, thetas)  # first: its work tables are gone before the phases
     amps = _azimuthal_phases(j.twice, phis)
-    amps *= _amplitude_magnitudes(j.twice, thetas)
+    amps *= mags
     return amps
 
 
@@ -170,24 +179,99 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _amplitude_magnitudes(tj: int, thetas: np.ndarray, jm=None) -> np.ndarray:
-    """|c_m(theta)| = sqrt(C(2j, j+m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2),
-    shape (rows, nodes), in the log domain.  The rows are the values of
-    j + m in jm, by default every level in descending order 2j..0."""
-    ch, sh = _half_angles(thetas)
-    jm = tj - np.arange(tj + 1) if jm is None else np.asarray(jm)
-    jmm = tj - jm  # j - m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_ch = np.where(ch > 0.0, np.log(np.where(ch > 0.0, ch, 1.0)), -np.inf)
-        ln_sh = np.where(sh > 0.0, np.log(np.where(sh > 0.0, sh, 1.0)), -np.inf)
-        # a zero power is 1 also at a pole (0 * -inf is NaN): its row is reset
-        ln_mag = jm[:, None] * ln_ch[None, :]
-        ln_mag[jm == 0] = 0.0
-        ln_mag += 0.5 * ln_binomial(tj, jm)[:, None]
-        ln_sin = jmm[:, None] * ln_sh[None, :]
-        ln_sin[jmm == 0] = 0.0
-        ln_mag += ln_sin
-    return np.exp(ln_mag, out=ln_mag)
+def _binomial_row(n, start=0, length=None, odds=None, root: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Entries a = start, start + 1, ... of the binomial row C(n, a) over
+    its entry at start, square-rooted where root and times odds^(a - start):
+    (mantissa, exponent), entry = mantissa * 2^exponent, each of shape
+    (chains, length), one chain per row.
+
+    The package's one writer of a binomial row.  It takes running products
+    of the ratios C(n, a+1)/C(n, a) = (n - a)/(a + 1), each rounded once,
+    so no entry carries the rounding of ln C(n, a), near n ln 2, that a
+    difference of log-factorials leaves in it.  From any start the products
+    stay within C(n, n/2) < 2^n of 1 (2^(n/2) where root), and odds lie in
+    [0, 1]: a row with n (n/2 where root) up to _CHAIN_BITS runs as one
+    block.  A longer one is brought back to [1/2, 1) by an exact power of
+    two, counted in the exponent, every floor(_CHAIN_BITS / log2 n) steps
+    (log2 sqrt(n) where root), as one ratio lies in [1/n, n].  Where they
+    are normal doubles, the mantissas are the unscaled running products bit
+    for bit.
+
+    n and start are integers, or integer arrays with one entry per chain;
+    length defaults to the longest, 1 + max(n - start), and past its own n
+    a chain holds zeros.  odds, if given, holds one factor per chain.
+    """
+    n, start = np.atleast_1d(n)[:, None], np.atleast_1d(start)[:, None]
+    length = int(np.max(n - start)) + 1 if length is None else length
+    a = start + np.arange(length - 1.0)
+    ratios = np.maximum(n - a, 0.0) / (a + 1.0)
+    ratios = np.sqrt(ratios) if root else ratios
+    top = int(np.max(n)) / (2 if root else 1)
+    block = length if top <= _CHAIN_BITS else int(_CHAIN_BITS / math.log2(top))
+    mant = np.empty((len(ratios) if odds is None else len(odds), length))
+    mant[:, 0] = 1.0
+    np.multiply(ratios, 1.0 if odds is None else odds[:, None], out=mant[:, 1:])
+    # one block leaves every exponent at 0, held once per chain
+    exps = np.zeros(mant.shape if block < length - 1 else (len(mant), 1), dtype=np.int32)
+    for lo in range(0, length - 1, block):
+        if lo:
+            mant[:, lo], shift = np.frexp(mant[:, lo])
+            exps[:, lo : lo + block + 1] = exps[:, lo : lo + 1] + shift[:, None]
+        mant[:, lo + 1] *= mant[:, lo]
+        np.cumprod(mant[:, lo + 1 : lo + block + 1], axis=1, out=mant[:, lo + 1 : lo + block + 1])
+    return mant, np.broadcast_to(exps, mant.shape)
+
+
+def _sqrt_ratio(num: int, den: int) -> tuple[float, int]:
+    """sqrt(num / den) = mantissa * 2^exponent for positive integers, the
+    mantissa in [1/2, 1) to about an ulp: the quotient is taken to 128 bits
+    after an even power-of-two shift, which math.isqrt halves exactly."""
+    shift = 128 - num.bit_length() + den.bit_length()
+    shift += shift % 2
+    quotient = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    mantissa, exponent = math.frexp(math.isqrt(quotient))
+    return mantissa, exponent - shift // 2
+
+
+def _amplitude_magnitudes(tj: int, thetas: np.ndarray) -> np.ndarray:
+    """|c_m(theta)| = sqrt(C(2j, a)) cos^(2j-a)(theta/2) sin^a(theta/2) with
+    a = j - m, shape (2j + 1, nodes), rows in descending m.
+
+    A column is the square root of the binomial law b(a; 2j, sin^2(theta/2)),
+    so it is the chain of _binomial_row with root and odds tan(theta/2),
+    brought to unit length.  A node past pi/2 is read as pi - theta with
+    its rows reversed, so the odds, tan(theta/2) or its inverse, are at most
+    1.  They are taken in long double, where numpy has one wider than a
+    double, and rounded once: row a carries a times their rounding, and
+    sin/cos(theta/2) in doubles left 1.4e-13 at 2j = 1024.
+
+    The column is first anchored at its m = j entry, cos^(2j)(theta/2) from
+    _half_angles: divided by that entry and multiplied by the power.  Where
+    the anchored column is a unit vector to 2^-48 it is kept, so small
+    tables hold _half_angles' own powers (at j = 1/2 exactly its cosine);
+    elsewhere, where the power has underflowed or its rounding, 2j times
+    that of the cosine, shows, the column is divided by its 2-norm
+    instead.  Both poles give exact basis vectors, and an entry that
+    rounding carries past 1 next to a pole is set to 1.
+    """
+    odds = np.tan(np.asarray(thetas, dtype=np.longdouble) / 2)
+    flip = odds > 1.0
+    # theta = pi is the pole, as _half_angles snaps it
+    odds = np.where(thetas == math.pi, 0.0, np.where(flip, 1.0 / np.maximum(odds, 1.0), odds)).astype(float)
+    mant, exps = _binomial_row(tj, odds=odds, root=True)
+    # each node's largest entry to [1/2, 1): by one power of two where the chain is one block
+    if exps.any():
+        mag = np.ldexp(mant, exps - np.max(exps + np.frexp(mant)[1], axis=1)[:, None], out=mant)
+    else:
+        mag = np.multiply(mant, np.ldexp(1.0, -np.frexp(np.max(mant, axis=1))[1])[:, None], out=mant)
+    mag[flip] = mag[flip, ::-1]
+    norm = np.sqrt(np.einsum("ij,ij->i", mag, mag))  # a node's sum is the same alone as in a table
+    anchor = _half_angles(thetas)[0] ** tj
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        anchored = (mag[:, 0] >= 2.0**-1022) & (abs(anchor / mag[:, 0] * norm - 1.0) <= 2.0**-48)
+    mag /= np.where(anchored, mag[:, 0], norm)[:, None]
+    mag *= np.where(anchored, anchor, 1.0)[:, None]
+    return np.minimum(mag, 1.0, out=mag).T
 
 
 def coherent_state(j, p: SphPoint) -> StateVec:
@@ -602,7 +686,7 @@ def diagonal_operator(
         lo, hi = max(0, k), j.dim + min(0, k)
         diagonal = (mag[lo:hi] * mag[lo - k : hi - k]) @ modes[:, k % rule.n_phi]
         mat[rows[lo:hi], rows[lo - k : hi - k]] = diagonal
-    return DiagonalOp(j, Operator(j, mat), approximate, rule.degree, rule.n_phi)
+    return DiagonalOp(j, Operator._owning(j, mat), approximate, rule.degree, rule.n_phi)
 
 
 def _half_gamma(x: int) -> tuple[int, int]:
@@ -618,16 +702,12 @@ def _half_gamma(x: int) -> tuple[int, int]:
 def _band_entry(tj: int, a: int, b: int, p: int, q: int, scale_sq: int) -> float:
     """(2j+1) sqrt(C(2j, a) C(2j, b) scale_sq) B((p+2)/2, (q+2)/2) from
     exact integers, to about an ulp: the Beta function's factorials and the
-    binomials are Python ints, the square root of their quotient is taken
-    by math.isqrt to 64 bits, and a factor pi enters where both Beta
-    arguments are half-integers."""
+    binomials are Python ints, the square root of their quotient is
+    _sqrt_ratio's, and a factor pi enters where both Beta arguments are
+    half-integers."""
     (x_num, x_den), (y_num, y_den), (s_num, s_den) = _half_gamma(p + 2), _half_gamma(q + 2), _half_gamma(p + q + 4)
     num = (tj + 1) ** 2 * math.comb(tj, a) * math.comb(tj, b) * scale_sq * (x_num * y_num * s_den) ** 2
-    den = (x_den * y_den * s_num) ** 2
-    shift = 128 - num.bit_length() + den.bit_length()
-    shift += shift % 2  # even, so the square root halves it exactly
-    quotient = (num << shift) // den if shift >= 0 else num // (den << -shift)
-    value = math.ldexp(math.isqrt(quotient), -shift // 2)
+    value = math.ldexp(*_sqrt_ratio(num, (x_den * y_den * s_num) ** 2))
     return value * math.pi if p % 2 and q % 2 else value
 
 
@@ -691,11 +771,12 @@ def y_symbol(j, m):
     """
     j = _spin(j)
     jmm = m_index(j, m)
-    jm = j.twice - jmm
 
     def symbol(thetas, phis):
         thetas = np.asarray(thetas, dtype=float)
-        mag = _amplitude_magnitudes(j.twice, thetas.ravel(), [jm])[0].reshape(thetas.shape)
+        # one chain per distinct colatitude: a product grid repeats each n_phi times
+        nodes, at = np.unique(thetas, return_inverse=True)
+        mag = _amplitude_magnitudes(j.twice, nodes)[jmm][at].reshape(thetas.shape)
         return mag * np.exp(-1j * jmm * np.asarray(phis, dtype=float))
 
     return symbol
@@ -713,7 +794,7 @@ def momentum_kick(j, m) -> DiagonalOp:
     j = _spin(j)
     tj, jmm = j.twice, m_index(j, m)
     mat = _mode_matrix(j, jmm, tj - jmm, jmm, math.comb(tj, jmm))
-    return DiagonalOp(j, Operator(j, mat), False, 3 * tj, tj + jmm + 1)
+    return DiagonalOp(j, Operator._owning(j, mat), False, 3 * tj, tj + jmm + 1)
 
 
 def disentangle_check(j, p: SphPoint) -> float:
@@ -726,7 +807,8 @@ def disentangle_check(j, p: SphPoint) -> float:
     m = -j term is cos^(-2j)(theta/2)).  The factors are written in closed
     form: exp(w L-) holds w^p / p! times the product of the L- band over
     rows k .. k+p-1 at row k+p, column k, from one cumulative sum of the
-    band's logarithms (spin_core._axis_bands), and exp(w L+) is its
+    band's logarithms (spin_core._axis_bands) and ln p! from another, of
+    ln 1 .. ln 2j, and exp(w L+) is its
     transpose.  theta = pi is rejected, as the factorization needs
     cos(theta/2) > 0, and so is any (j, theta) whose scale exceeds the
     double range.
@@ -739,6 +821,7 @@ def disentangle_check(j, p: SphPoint) -> float:
     tan_half = math.tan(0.5 * p.theta)
     ln_band = np.log(2.0 * _axis_bands(j, (1.0, 0.0, 0.0))[1].real)  # L-'s band is twice L1's
     ln_prod = np.concatenate(([0.0], np.cumsum(ln_band)))
+    ln_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, j.dim)))))  # ln p!
     power = np.subtract.outer(np.arange(j.dim), np.arange(j.dim))  # row - column
     # ln |z|^p, with z^0 = 1 also at theta = 0
     ln_zp = np.multiply(power, math.log(tan_half) if tan_half else -math.inf,
@@ -746,7 +829,7 @@ def disentangle_check(j, p: SphPoint) -> float:
     # ln of |exp(z L-)| cos^(L3)(theta/2), half the middle factor on either
     # side: F = A B^T, A and B these magnitudes under the phases of z^p and
     # (-conj(z))^p
-    ln_mag = (ln_zp - ln_factorial(np.maximum(power, 0)) + np.subtract.outer(ln_prod, ln_prod)
+    ln_mag = (ln_zp - ln_fact[np.maximum(power, 0)] + np.subtract.outer(ln_prod, ln_prod)
               + m_values(j) * math.log(math.cos(0.5 * p.theta)))
     with np.errstate(over="ignore"):
         mag = np.where(power >= 0, np.exp(ln_mag), 0.0)

@@ -160,7 +160,7 @@ class PauliWord:
         x = np.arange(n)
         mat = np.zeros((n, n), dtype=complex)
         mat[(x + self.a) % n, x] = _phases(n, self.b, self.c)
-        return Operator(HalfInt(n - 1), mat)
+        return Operator._owning(HalfInt(n - 1), mat)
 
     def apply(self, vec: StateVec) -> StateVec:
         """Shift and phase the amplitudes directly, without the matrix."""

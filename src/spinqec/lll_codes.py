@@ -270,7 +270,7 @@ class LogicalSet:
 
     def xbar_power(self, power: int) -> Operator:
         """Exact X-bar^power; power = d gives the exact identity."""
-        return Operator(self.spec.j, np.diag(_clock_diagonal(self.spec.j, self.spec.d, power)))
+        return Operator._owning(self.spec.j, np.diag(_clock_diagonal(self.spec.j, self.spec.d, power)))
 
 
 def logical_operators(spec: CodeSpec) -> LogicalSet:
@@ -284,9 +284,9 @@ def logical_operators(spec: CodeSpec) -> LogicalSet:
     if spec.family != "EquatorialQudit":
         raise ValueError("logical_operators applies to EquatorialQudit specs")
     j, d = spec.j, spec.d
-    zbar = Operator(j, _mode_matrix(j, -1))
-    zcheck = Operator(j, _mode_matrix(j, -d))
-    xbar = Operator(j, np.diag(_clock_diagonal(j, d)))
+    zbar = Operator._owning(j, _mode_matrix(j, -1))
+    zcheck = Operator._owning(j, _mode_matrix(j, -d))
+    xbar = Operator._owning(j, np.diag(_clock_diagonal(j, d)))
     return LogicalSet(spec, xbar, zbar, zcheck)
 
 
@@ -317,7 +317,7 @@ def hermitian_check_ops(j, d: int = 1) -> tuple[Operator, Operator]:
     j = _spin(j)
     d = _integer("d", d)
     z = _mode_matrix(j, -d)
-    return Operator(j, (z + z.conj().T) / 2.0), Operator(j, (z - z.conj().T) / 2j)
+    return Operator._owning(j, (z + z.conj().T) / 2.0), Operator._owning(j, (z - z.conj().T) / 2j)
 
 
 def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:

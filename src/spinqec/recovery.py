@@ -71,9 +71,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import (_amplitude_magnitudes, _ln_overlap_magnitude, rotation_matrix_elements,
+from .coherent import (_amplitude_magnitudes, _binomial_row, _ln_overlap_magnitude, rotation_matrix_elements,
                        theta_rule)
-from .spin_core import HalfInt, _finite, _integer, _real, _spin
+from .spin_core import HalfInt, _finite, _integer, _real, _require_dense, _spin
 
 __all__ = [
     "SyndromeRun",
@@ -115,8 +115,11 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
     rotation_matrix_elements.  All modes are unnormalized; positivity
     holds pointwise.  The arguments are recover's, checked by _round_args,
     except that d may exceed 2j + 1 here: the density has no gram matrix.
+    Its d x d table (S, or the identity) is refused with ValueError above
+    MAX_DENSE_DIM, as a dense operator is.
     """
     j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
+    _require_dense(HalfInt(d - 1), d, 16)
     tj = j.twice
     phi_state = _TWO_PI * k / d + delta_phi
     shifts = _TWO_PI * np.arange(d) / d
@@ -340,28 +343,34 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     under the binomial law of t: sums of positive terms, with full
     relative accuracy however small (d = 2j + 1 at j = 100 has lambda
     down to 1e-58, where C itself has lost them).  The weights
-    C(2j, j + t)/C(2j, j) come from their ratio recurrence, until they
-    leave the normal doubles (|t| near 27 sqrt(j)).  r_f =
-    sqrt(lambda_f/d), with lambda_f floored at the smallest normal double
-    for a class whose every weight lies beyond that point.
+    C(2j, j + t)/C(2j, j) are the binomial row from its centre
+    (_binomial_row), up to where t^2 > 710 (j + t) puts every weight
+    below the smallest normal double (|t| near 27 sqrt(j)), and they are
+    kept while they are normal.  np.add.at adds each weight to the class
+    t mod d and then to -t mod d, in the order t = 1, 2, ..., a few
+    thousand t at a time: the bits of the running ratio product and of
+    the sums that a loop over t gives.  r_f = sqrt(lambda_f/d), with
+    lambda_f floored at the smallest normal double for a class whose
+    every weight lies beyond that point.
 
     The d codewords are independent only in 2j + 1 >= d levels: a larger d
     raises ValueError here, the one place that needs the bound (_round_args
     checks the rest of a round's arguments, and _draws asks for this factor
-    first, so the bound holds before a round draws).
+    first, so the bound holds before a round draws).  So does a d above
+    MAX_DENSE_DIM, whose d x d whitening would not fit.
     """
     if d > tj + 1:
         raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
+    _require_dense(HalfInt(d - 1), d, 16)
     j = tj // 2
-    classes = [0.0] * d
-    classes[0] = weight = 1.0
-    for t in range(1, j + 1):
-        weight *= (j - t + 1) / (j + t)
-        if weight < sys.float_info.min:
-            break
-        classes[t % d] += weight
-        classes[-t % d] += weight
-    spectrum = np.array(classes) * (d / math.fsum(classes))
+    mant, exps = _binomial_row(tj, j, min(j, int(355.0 + math.sqrt(355.0**2 + 710.0 * j))) + 1)
+    weights = np.ldexp(mant[0], exps[0])
+    count = np.count_nonzero(weights >= sys.float_info.min)
+    classes = np.eye(1, d)[0]  # t = 0, once, in class 0
+    for lo in range(1, count, 4096):  # a few thousand t to a call keep its tables small
+        t = np.arange(lo, min(lo + 4096, count))
+        np.add.at(classes, np.stack((t % d, -t % d), axis=1), weights[t, None])
+    spectrum = classes * (d / math.fsum(classes))
     root = np.sqrt(np.maximum(spectrum, sys.float_info.min) / d)
     freqs = np.arange(d)
     whitening = np.exp(-2j * math.pi * (np.outer(freqs, freqs) % d) / d) / (d * root[:, None])

@@ -569,7 +569,7 @@ def wigner_D_matrix(j, r: EulerAngles) -> Operator:
     d = wigner_d_matrix(j, r.beta)
     left = np.exp(-1j * r.alpha * mv)
     right = np.exp(-1j * r.gamma * mv)
-    return Operator(j, left[:, None] * d * right[None, :])
+    return Operator._owning(j, left[:, None] * d * right[None, :])
 
 
 def rotation_operator(j, r: EulerAngles) -> Operator:

@@ -42,10 +42,12 @@ codeword tables.  At this size a dense complex (2j+1)^2 operator takes
 1 GiB; above it those builders raise ValueError before allocating.
 
 Peak bytes per (2j+1)^2 entry, by tracemalloc at 2j = 400 and held there
-by the tests: momentum_kick 36; logical_operators and hermitian_check_ops
-68 (three and two dense operators); matexp_antihermitian on a tridiagonal
-generator 44 cold and 36 with its basis cached (the kept basis holds 8);
-coherent_amplitudes 44 per (2j+1) x nodes entry."""
+by the tests: momentum_kick 20, one dense operator, which the package's
+builders hand to Operator without a copy; logical_operators 52 (three
+dense operators); hermitian_check_ops 68 (two, and Z and its conjugate
+while they are summed); matexp_antihermitian on a tridiagonal generator 44
+cold and 36 with its basis cached (the kept basis holds 8);
+coherent_amplitudes 32 per (2j+1) x nodes entry."""
 
 # A plain sum of squares in [_SQ_MIN, _SQ_MAX] is used as it stands: at
 # 2^-969, the smallest normal double times 2^53, squares that fall into the
@@ -225,6 +227,24 @@ def _unit_scaled(amps: np.ndarray) -> tuple[np.ndarray, float]:
     return (amps / scale if 0.0 < scale < math.inf else amps), scale
 
 
+def _owned(cls, j: HalfInt, name: str, arr: np.ndarray, shape: tuple[int, ...]):
+    """A cls with spin label j and array field name set to arr, not copied.
+
+    The package's own builders hand over arrays they have just made, which
+    the public constructors would copy once more.  arr must own its data,
+    be complex with the given shape for a validated spin label j, and have
+    no other writer; it is marked read-only, as the public constructors'
+    copies are.
+    """
+    if arr.dtype != np.complex128 or arr.shape != shape or arr.base is not None:
+        raise ValueError(f"expected a fresh complex array of shape {shape}")
+    arr.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "j", j)
+    object.__setattr__(obj, name, arr)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class StateVec:
     """A vector in the spin-j space, basis descending in m.
@@ -254,19 +274,8 @@ class StateVec:
 
     @classmethod
     def _owning(cls, j: HalfInt, amps: np.ndarray) -> "StateVec":
-        """Wrap a fresh complex array without copying it.
-
-        The caller hands the array over: it must own its data, have
-        shape (2j+1,) for a validated spin label j, and have no other
-        writer.  It is marked read-only, as the public constructor's copy is.
-        """
-        if amps.dtype != np.complex128 or amps.shape != (j.dim,) or amps.base is not None:
-            raise ValueError(f"expected a fresh complex array of shape ({j.dim},)")
-        amps.setflags(write=False)
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "j", j)
-        object.__setattr__(vec, "amps", amps)
-        return vec
+        """Wrap a fresh complex array of shape (2j+1,) without copying it (_owned)."""
+        return _owned(cls, j, "amps", amps, (j.dim,))
 
     @staticmethod
     def basis_state(j, m) -> "StateVec":
@@ -334,10 +343,16 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
+    @classmethod
+    def _owning(cls, j: HalfInt, mat: np.ndarray) -> "Operator":
+        """Wrap a fresh complex (2j+1) x (2j+1) array without copying it (_owned)."""
+        return _owned(cls, j, "mat", mat, (j.dim, j.dim))
+
     @staticmethod
     def identity(j) -> "Operator":
         j = _spin(j)
-        return Operator(j, np.eye(j.dim, dtype=complex))
+        _require_dense(j, j.dim, 16)
+        return Operator._owning(j, np.eye(j.dim, dtype=complex))
 
     def dagger(self) -> "Operator":
         return Operator(self.j, self.mat.conj().T)
@@ -346,7 +361,7 @@ class Operator:
         if isinstance(other, Operator):
             if self.j != other.j:
                 raise ValueError("mismatched spin labels")
-            return Operator(self.j, self.mat @ other.mat)
+            return Operator._owning(self.j, self.mat @ other.mat)
         if isinstance(other, StateVec):
             return self.apply(other)
         return NotImplemented
@@ -379,7 +394,8 @@ class Operator:
 def l3_operator(j) -> Operator:
     """L3 = diag(j, j-1, ..., -j)."""
     j = _spin(j)
-    return Operator(j, np.diag(m_values(j)).astype(complex))
+    _require_dense(j, j.dim, 16)
+    return Operator._owning(j, np.diag(m_values(j).astype(complex)))
 
 
 def _axis_bands(j: HalfInt, n) -> tuple[np.ndarray, np.ndarray]:
@@ -405,8 +421,9 @@ def ladder_operators(j) -> tuple[Operator, Operator]:
     either band is twice L_x's (_axis_bands).
     """
     j = _spin(j)
+    _require_dense(j, j.dim, 16)
     lp = np.diag(2.0 * _axis_bands(j, (1.0, 0.0, 0.0))[1], k=1)
-    return Operator(j, lp), Operator(j, lp.conj().T)
+    return Operator._owning(j, lp), Operator(j, lp.conj().T)
 
 
 def axis_operator(j, n) -> Operator:
@@ -426,13 +443,14 @@ def axis_operator(j, n) -> Operator:
     length = float(np.linalg.norm(n))
     if not abs(length - 1.0) <= 1e-12:
         raise ValueError(f"axis must be a unit vector, |n| = {length}")
+    _require_dense(j, j.dim, 16)
     diag, sub = _axis_bands(j, n)
     mat = np.zeros((j.dim, j.dim), dtype=complex)
     flat = mat.reshape(-1)
     flat[:: j.dim + 1] = diag
     flat[1 :: j.dim + 1] = sub.conj()
     flat[j.dim :: j.dim + 1] = sub
-    return Operator(j, mat)
+    return Operator._owning(j, mat)
 
 
 def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -531,11 +549,11 @@ def matexp_antihermitian(a: Operator, t: float) -> Operator:
         raise ValueError("generator must be Hermitian to 1e-10")
     if not banded and np.any(np.tril(mat, -2)):
         w, v = np.linalg.eigh(mat)
-        return Operator(a.j, (v * np.exp(-1j * t * w)) @ v.conj().T)
+        return Operator._owning(a.j, (v * np.exp(-1j * t * w)) @ v.conj().T)
     lam, vecs, phase = _tridiagonal_basis(diag.real, sub)
     out = np.empty_like(mat)
     out.real = (vecs * np.cos(t * lam)) @ vecs.T
     out.imag = (vecs * -np.sin(t * lam)) @ vecs.T
     out *= phase[:, None]
     out *= phase.conj()
-    return Operator(a.j, out)
+    return Operator._owning(a.j, out)

@@ -32,7 +32,8 @@ from spinqec import (
     coherent_amplitudes, compose, conjugated_y, conjugated_z_about_x, correctable_angle, cyclic_normalization,
     cyclic_overlap_closed_form, cyclic_qubit, diagonal_operator, disentangle_check, equatorial_matrix_element,
     equatorial_offdiag_bound, equatorial_qudit, equatorial_z, explicit_list, finite_ancilla_note,
-    haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, kl_check, logical_operators,
+    haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, kl_check, l3_operator, ladder_operators,
+    logical_operators,
     lowest_level_bridge, matexp_antihermitian, momentum_kick, momentum_shift_analysis, monopole_Y, overlap,
     overlap_magnitude, recover, rotation_matrix_element, single_peak_mass, sphere_quadrature, syndrome_density,
     tail_failure, theta_rule, wigner_d, y_symbol,
@@ -247,6 +248,29 @@ def _one_exponential_error(tj, phis):
     return _table_error(table, oracles.azimuthal_phases(tj, phis))
 
 
+def _magnitude_cases(tj):
+    """(2j, theta, rows): at four colatitudes, 40 rows spread evenly over the
+    rows whose magnitude, by lgamma, is at least 1e-299, both ends included."""
+    cases = []
+    for theta in (0.3, 1.0, 1.9, 2.8):
+        half = 0.5 * theta
+        log10 = [(0.5 * (math.lgamma(tj + 1) - math.lgamma(a + 1) - math.lgamma(tj - a + 1))
+                  + (tj - a) * math.log(math.cos(half)) + a * math.log(math.sin(half))) / math.log(10.0)
+                 for a in range(tj + 1)]
+        span = [a for a, v in enumerate(log10) if v >= -299.0]
+        cases.append((tj, theta, tuple(sorted({round(x) for x in np.linspace(span[0], span[-1], 40)}))))
+    return cases
+
+
+def _magnitudes(tj, theta, rows):
+    # at phi = 0 every phase is exactly 1, so the amplitudes are the magnitudes
+    return coherent_amplitudes(HalfInt(tj), [theta], [0.0])[list(rows), 0].real
+
+
+def _largest_ratio_error(got, ref):
+    return max(abs(mp.mpf(float(g)) / r - 1) for g, r in zip(got, ref))
+
+
 def _built_band(tj, name, x):
     # the nonzero band of a one-mode builder: the kick to twice-m = x, Z-bar
     # (x = 1) or the Z-check (x = d) of an equatorial qudit, the cos(x phi)
@@ -375,6 +399,23 @@ _RAISE_TABLES = [
             (cyclic_normalization, 100, 250), (cyclic_normalization, 100, 150),
             (cyclic_normalization, 20, 41), (cyclic_overlap_closed_form, 40, 100, 0.1),
             (cyclic_overlap_closed_form, 10000, 15000, 0.1),
+        ]
+    ]),
+    # the dense builders that allocated unguarded: 1 GiB each at 2j + 1 = 8193
+    ("test_domain_edges::test_dense_builders_refused_past_max_dense_dim", ValueError, [
+        (func.__qualname__, func, args, {}, r"^j = 4096: 2j \+ 1 = 8193 exceeds MAX_DENSE_DIM")
+        for func, args in [(l3_operator, (4096,)), (ladder_operators, (4096,)),
+                           (axis_operator, (4096, (0.0, 1.0, 0.0))), (Operator.identity, (4096,))]
+    ]),
+    # a d x d whitening or separation table past MAX_DENSE_DIM: recover(10^5,
+    # 150001, ...) asked numpy for 360 GB
+    ("test_domain_edges::test_recovery_tables_refused_past_max_dense_dim", ValueError, [
+        (name, func, args, kwargs, rf"2j \+ 1 = {d} exceeds MAX_DENSE_DIM")
+        for name, func, args, kwargs, d in [
+            ("recover", recover, (10**5, 150001, 0, 0.1, 0), {}, 150001),
+            ("finite_ancilla_note", finite_ancilla_note, (10**5, 20), {"d": 150001}, 150001),
+            ("syndrome_density-leading", syndrome_density, (4, 8193, 0, 0.0), {}, 8193),
+            ("syndrome_density-full", syndrome_density, (4, 8193, 0, 0.0, "full"), {}, 8193),
         ]
     ]),
     ("test_domain_edges::test_recover_rejects_non_finite_delta", ValueError,
@@ -539,9 +580,10 @@ _SMALL_L = [(0.5, 40.5, 0.5), (2, 40, -3), (-1.5, 20.5, 4.5)]
 _HARMONICS = [  # (route, regime, (j, l, m) labels, thetas, bound)
     ("jacobi", "l-to-41", _SMALL_L, (0.0, 0.4, 1.3, 2.2, math.pi), 1e-13),
     ("wigner-d", "l-to-41", _SMALL_L, (0.0, 0.4, 1.3, 2.2, math.pi), 1e-13),
-    # the jacobi route's factorial prefactor is a difference of
-    # log-factorials near 2.9e4 at l = 2000, about 1.6e-12 relative
-    ("jacobi", "l-2000", [(2000, 2000, 10), (10, 2000, 100)], (1.5, 1.55, 1.6), 5e-12),
+    # the jacobi route's factorial prefactor is the square root of an exact
+    # integer ratio; 1.0e-13 measured, where a difference of log-factorials
+    # near 2.9e4 read 1.6e-12
+    ("jacobi", "l-2000", [(2000, 2000, 10), (10, 2000, 100)], (1.5, 1.55, 1.6), 1e-12),
     ("wigner-d", "l-2000", [(2000, 2000, 10), (10, 2000, 100)], (1.5, 1.55, 1.6), 5e-13),
 ]
 
@@ -626,6 +668,13 @@ TABLE = [
           oracles.azimuthal_phases, _table_error, within=_one_exponential_error, dps=50,
           covers="coherent_amplitudes")
       for tj, count in ((1024, 8), (20000, 2))),
+    # the magnitudes from the binomial ratio chain against 40-digit mpmath,
+    # on entries down to 1e-299: 6.0e-15, 2.0e-14, 4.9e-14, 1.6e-13 and
+    # 2.5e-13 at 2j = 64, 256, 1024, 8192 and 20000, where the log-factorial
+    # form they replaced read 2.1e-14, 1.7e-13, 7.5e-13, 1.3e-11 and 2.3e-11
+    *(Row(f"test_coherent::test_amplitude_magnitudes_against_mpmath[{tj}]", _magnitudes, _magnitude_cases(tj),
+          oracles.amplitude_magnitudes, _largest_ratio_error, within=bound, dps=40, covers="coherent_amplitudes")
+      for tj, bound in ((16, 1e-13), (64, 1e-13), (256, 1e-13), (1024, 1e-13), (8192, 1e-12), (20000, 1e-12))),
     # the one-mode builders' bands in closed form against diagonal_operator's
     # exact quadrature, band by band (2.4e-13 at most over every 2j <= 128)
     *(Row(f"test_coherent::test_one_mode_bands_against_quadrature[{name}-{tj}]", _built_band,

@@ -58,6 +58,14 @@ def equatorial_element(tj, phi_out, big_theta, phi_in):
     return contraction(tj, (mp.pi / 2, phi_out), (mp.pi / 2, phi_in), (big_theta, 0, 0))
 
 
+def amplitude_magnitudes(tj, theta, rows):
+    """|c_m(theta)| = sqrt(C(2j, a)) cos^(2j-a)(theta/2) sin^a(theta/2) at the
+    rows a = j - m, at 40 digits, from mpmath's binomial and half-angles."""
+    with mp.workdps(40):
+        c, s = mp.cos(mp.mpf(theta) / 2), mp.sin(mp.mpf(theta) / 2)
+        return [mp.sqrt(mp.binomial(tj, a)) * c ** (tj - a) * s**a for a in rows]
+
+
 @functools.lru_cache(maxsize=None)
 def azimuthal_phases(tj, phis):
     """exp(i k phi) for k = 0..2j (rows) and the doubles phis (columns,

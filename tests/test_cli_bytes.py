@@ -43,17 +43,17 @@ CASES = {
     "harmonics-defaults": (
         ["harmonics"],
         None,
-        "be47c997fed99796ca2aaccff3b7c5b1fc734363a18fb1ce5a1897c66c596c95",
+        "a280b0c94ddb6dab886f22bf2c39e7dec52893ae4562e8ee291bc6afcb9abc56",
     ),
     "harmonics-half-lmax-6.5-json": (
         ["harmonics", "--j", "0.5", "--lmax", "6.5", "--samples", "5", "--format", "json"],
         None,
-        "dc3eed221cb0ddf5964b50043833f0b5f81762801a7f29d36683ecfc7213760f",
+        "3fbc39ce37f9d9554f948563dc4b2de01dfd98001bebeac25cefb78a01e7b21c",
     ),
     "harmonics-negative-weight-phis": (
         ["harmonics", "--lmax", "4.5", "--samples", "7"],
         {"j": -1.5, "phis": [0.0, 1.3, 4.0]},
-        "f36632a5f0207cfac986214eaf611ef0cfcd11acf03c6d2ce278fd4d8c617e45",
+        "c3580742b78495304d56441f1d502c14c172777cfdf5011a116a1e9740a07a1d",
     ),
     "kl-scan-defaults": (
         ["kl-scan"],

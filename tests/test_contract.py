@@ -26,7 +26,7 @@ _NO_ROW_YET = {
     "LandauEntry", "LogicalSet", "MAX_DENSE_DIM", "MomentumShiftVerdict", "MonopoleHarmonic", "PairRecord",
     "SphereQuadrature", "Su2", "SyndromeOutcome", "SyndromeRun", "antipodal_logical_x", "build_gkp_code",
     "clock_shift", "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2", "haar_random",
-    "l3_operator", "ladder_operators", "lower_symbol", "m_index", "m_values", "matrix_element_table",
+    "lower_symbol", "m_index", "m_values", "matrix_element_table",
     "rotate_point", "rotate_vector", "rotation_operator",
     "sample_rotations", "stabilizer_eigenphases", "strict_window", "su2_from_euler", "syndrome_and_recover",
     "tiling_window", "wigner_D_matrix", "wigner_d_matrix", "y_symbol",

@@ -93,11 +93,11 @@ def test_monopole_jacobi_route_finite_at_l_2000(theta):
     # the factorial prefactor here is exp(1385): it joins the recurrence's
     # power-of-two exponent instead of overflowing; the value at 0.3 underflows
     # in both routes, near pi/2 it is about 2.  The jacobi route's prefactor is
-    # a difference of log-factorials near 2.9e4, which carries about 3e-12
-    # relative; the wigner-d route is the closer of the two.
+    # the square root of an exact integer ratio; the routes differ by 3.4e-13
+    # at most here, where a difference of log-factorials near 2.9e4 left 3e-12.
     from spinqec.monopole import monopole_Y
 
     jac = monopole_Y(2000, 2000, 10)(theta, 0.2)
     dual = monopole_Y(2000, 2000, 10, route="wigner-d")(theta, 0.2)
     assert np.isfinite(jac) and np.isfinite(dual)
-    assert abs(jac - dual) <= 1e-11 * abs(dual) + 1e-300
+    assert abs(jac - dual) <= 4e-12 * abs(dual) + 1e-300

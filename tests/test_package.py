@@ -5,12 +5,9 @@ import dataclasses
 import subprocess
 import sys
 
-import numpy as np
 import pytest
-from scipy.special import gammaln
 
 import spinqec
-from spinqec._logfact import ln_binomial, ln_factorial
 
 
 def test_import_loads_no_scipy():
@@ -32,17 +29,6 @@ def test_gkp_table_loads_no_fft(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
-
-
-def test_ln_factorial_matches_gammaln_bitwise():
-    # the log-factorial prefactors reproduce scipy.special.gammaln exactly,
-    # so Wigner-d matrices and harmonic tables keep their values bit for bit
-    n = np.arange(20001)
-    assert np.array_equal(ln_factorial(n), gammaln(n + 1.0))
-    assert ln_factorial(170) == gammaln(171.0)
-    k = np.arange(41)
-    want = gammaln(41.0) - gammaln(k + 1.0) - gammaln(41.0 - k)
-    assert np.array_equal(ln_binomial(40, k), want)
 
 
 # Public dataclasses that hold arrays: the two value types compare their

@@ -8,8 +8,12 @@ import pytest
 from scipy.linalg import expm
 
 from spinqec import spin_core
-from spinqec.coherent import coherent_amplitudes, momentum_kick
-from spinqec.lll_codes import equatorial_qudit, hermitian_check_ops, logical_operators
+from spinqec.coherent import coherent_amplitudes, diagonal_operator, momentum_kick
+from spinqec.finite_gkp import PauliWord, clock_shift
+from spinqec.lll_codes import (antipodal, antipodal_logical_x, build_codewords, equatorial_qudit, hermitian_check_ops,
+                               logical_operators)
+from spinqec.recovery import recover, syndrome_density
+from spinqec.rotations import EulerAngles, rotation_operator, wigner_D_matrix, wigner_d_matrix
 from spinqec.spin_core import (
     HalfInt,
     Operator,
@@ -291,20 +295,21 @@ _NODES = np.random.default_rng(400).uniform(0.0, math.pi, (2, 256))
 @pytest.mark.parametrize(
     "setup,call,entries,bound",
     [
-        (None, lambda: momentum_kick(200, -200), 401**2, 36),
-        (None, lambda: logical_operators(equatorial_qudit(200, 4)), 401**2, 68),
+        (None, lambda: momentum_kick(200, -200), 401**2, 20),
+        (None, lambda: logical_operators(equatorial_qudit(200, 4)), 401**2, 52),
         (None, lambda: hermitian_check_ops(200, 3), 401**2, 68),
         (lambda: spin_core._bases.clear(), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 44),
         # the basis of L_y at j = 200 is kept by the first call
         (lambda: matexp_antihermitian(_Y_200, 0.3), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 36),
-        (None, lambda: coherent_amplitudes(200, *_NODES), 401 * 256, 44),
+        (None, lambda: coherent_amplitudes(200, *_NODES), 401 * 256, 32),
     ],
     ids=["momentum_kick", "logical_operators", "hermitian_check_ops", "matexp-cold", "matexp-warm",
          "coherent_amplitudes"],
 )
 def test_dense_builders_within_their_bytes_per_entry(setup, call, entries, bound):
     # the tracemalloc peaks at 2j = 400 that the MAX_DENSE_DIM docstring
-    # states; momentum_kick took 481 bytes per entry through the quadrature
+    # states; momentum_kick took 481 bytes per entry through the quadrature,
+    # and 32 while Operator copied the matrix each builder handed it
     if setup is not None:
         setup()
     tracemalloc.start()
@@ -314,3 +319,36 @@ def test_dense_builders_within_their_bytes_per_entry(setup, call, entries, bound
     finally:
         tracemalloc.stop()
     assert peak <= bound * entries, peak / entries
+
+
+def test_every_dense_builder_refuses_past_the_cap(monkeypatch):
+    # with the cap at 16, j = 10 (2j + 1 = 21) is past it: every public builder
+    # of a (2j+1)-wide dense table raises before allocating; l3_operator,
+    # ladder_operators, axis_operator and Operator.identity allocated
+    # unguarded.  build_codewords returns: its basis is built on first read.
+    monkeypatch.setattr(spin_core, "MAX_DENSE_DIM", 16)
+    j = HalfInt(20)
+    builders = [
+        lambda: Operator.identity(j),
+        lambda: l3_operator(j),
+        lambda: ladder_operators(j),
+        lambda: axis_operator(j, (0.0, 1.0, 0.0)),
+        lambda: wigner_d_matrix(j, 0.3),
+        lambda: wigner_D_matrix(j, EulerAngles(0.1, 0.3, 0.2)),
+        lambda: rotation_operator(j, EulerAngles(0.1, 0.3, 0.2)),
+        lambda: diagonal_operator(j, lambda t, p: np.cos(p)),
+        lambda: momentum_kick(j, 0),
+        lambda: logical_operators(equatorial_qudit(j, 4)),
+        lambda: antipodal_logical_x(j),
+        lambda: hermitian_check_ops(j),
+        lambda: PauliWord(21, 1, 0).to_operator(),
+        lambda: clock_shift(21),
+        lambda: syndrome_density(j, 21, 0, 0.0),
+        lambda: recover(j, 21, 0, 0.1, 0),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match=r"2j \+ 1 = 21 exceeds MAX_DENSE_DIM = 16"):
+            build()
+    code = build_codewords(antipodal(j))
+    with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM = 16"):
+        code.basis
