@@ -33,8 +33,9 @@ families of (a, b).  In psi = theta/2 each is a trigonometric polynomial
 of degree a + b + 2 on the quarter period [0, pi/2], so the colatitude
 rule is a subperiodic trigonometric Gaussian rule: degree + 3 nodes
 psi = pi/4 + 2 asin(sin(pi/8) xi), with xi and the positive weights from
-one Golub-Welsch eigenproblem.  Azimuthal integrals use a uniform rule
-that is exact for every mode |k| < n_phi.  A symbol with one Fourier
+a Stieltjes recurrence on a Fejer grid and one Golub-Welsch eigenproblem
+of half the size, as the nodes come in pairs +-xi.  Azimuthal integrals
+use a uniform rule that is exact for every mode |k| < n_phi.  A symbol with one Fourier
 mode and one half-angle monomial needs no rule: its realization is one
 band in closed form (_mode_band).  The azimuthal phases of an amplitude
 table come from two short tables of exponentials (_azimuthal_phases).
@@ -49,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
-from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _spin, _tridiagonal_eigh
+from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _require_width, _spin, _tridiagonal_eigh
 from .spin_core import _finite, _integer, _real, _real_array, m_index, m_values
 
 __all__ = [
@@ -464,43 +465,96 @@ def rotate_point(r: EulerAngles, p: SphPoint) -> SphPoint:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _theta_recurrence(size: int) -> np.ndarray:
+    """b[0] = beta_0 and b[k] = sqrt(beta_k), k < size: the recurrence of
+    the weight 1/sqrt(1 - s^2 xi^2) on [-1, 1], s = sin(pi/8), whose
+    Jacobi matrix has zero diagonal and off-diagonals b[1:]."""
+    s = math.sin(math.pi / 8.0)
+    # Discretized Stieltjes procedure on Fejer's first rule of m = 2 size + 48
+    # Chebyshev points t_k = (k + 1/2) pi/m, exact to polynomial degree
+    # m - 1; the weight, analytic inside the Bernstein ellipse of rho ~ 5,
+    # is resolved far below rounding.  Its weights (2/m)(1 - 2 sum_l
+    # cos(2 l t_k)/(4 l^2 - 1)) are one inverse FFT (Waldvogel, BIT 46, 195
+    # (2006)).  The weight and the grid are even, so every alpha_k is zero
+    # and the m/2 positive points, at twice their weight, carry every sum.
+    m = 2 * size + 48
+    k = np.arange(m // 2)
+    x = np.cos((k + 0.5) * (math.pi / m))
+    modes = np.zeros(m, dtype=complex)
+    modes[: m // 2] = np.exp((1j * math.pi / m) * k) * (-4.0 / (4.0 * k * k - 1.0))
+    modes[0] = 2.0
+    w = np.fft.ifft(modes)[: m // 2].real * 2.0 / np.sqrt(1.0 - (s * x) ** 2)
+    # the vectors hold sqrt(w) q_k, so each beta_k is one dot product
+    b = np.empty(size)
+    b[0] = w.sum()
+    q_prev, q = np.zeros_like(x), np.sqrt(w / b[0])
+    b_k = 0.0
+    for k in range(1, size):
+        q_prev *= -b_k
+        q_prev += x * q
+        b_k = math.sqrt(np.dot(q_prev, q_prev))
+        q_prev /= b_k
+        b[k] = b_k
+        q_prev, q = q, q_prev
+    b.setflags(write=False)
+    return b
+
+
 @lru_cache(maxsize=64)
 def _theta_rule_cached(degree: int) -> tuple[np.ndarray, np.ndarray]:
     # psi = theta/2 on [0, pi/2] is the arc pi/4 + [-pi/4, pi/4]; the
     # subperiodic map psi = pi/4 + 2 asin(s xi), s = sin(pi/8), turns a
     # trigonometric polynomial of degree D + 2 in psi into an integrand that
-    # a Gauss rule of D + 3 nodes for the weight 2s/sqrt(1 - s^2 xi^2) on
+    # a Gauss rule of n = D + 3 nodes for the weight 2s/sqrt(1 - s^2 xi^2) on
     # [-1, 1] integrates exactly.
     n = degree + 3
-    s = math.sin(math.pi / 8.0)
-    # Discretized Stieltjes procedure for the recurrence of that weight:
-    # orthonormal q_k on a Gauss-Legendre grid fine enough that the weight,
-    # analytic out to |xi| = 1/s, is resolved far below rounding.  The
-    # weight is even, so every alpha_k is zero.
-    x, w = np.polynomial.legendre.leggauss(n + 40)
-    w = w / np.sqrt(1.0 - (s * x) ** 2)
-    beta = np.empty(n)
-    beta[0] = w.sum()
-    q_prev, q = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(beta[0]))
-    for k in range(1, n):
-        r = x * q - math.sqrt(beta[k - 1]) * q_prev
-        beta[k] = np.dot(w, r * r)
-        q_prev, q = q, r / math.sqrt(beta[k])
-    # Golub-Welsch: nodes are the eigenvalues of the Jacobi matrix, weights
-    # beta_0 times the squared first eigenvector components.  Its positive
-    # off-diagonals make every phase of the kernel 1.
-    xi, vec, _ = _tridiagonal_eigh(np.zeros(n), np.sqrt(beta[1:]))
-    psi = math.pi / 4.0 + 2.0 * np.arcsin(s * xi)
-    w_psi = 2.0 * s * beta[0] * vec[0] ** 2
-    # self-check against every exact moment of exp(i k psi) on [0, pi/2], k <= D + 2
-    k = np.arange(1, degree + 3)
-    exact = np.concatenate(([math.pi / 2.0], (np.exp(0.5j * math.pi * k) - 1.0) / (1j * k)))
-    got = np.concatenate(([w_psi.sum()], np.exp(1j * np.outer(k, psi)) @ w_psi))
+    s, c = math.sin(math.pi / 8.0), math.cos(math.pi / 8.0)
+    # One recurrence of a power-of-two size, at least 512, serves every rule
+    # up to that size, so a rule's bits depend on its degree alone.
+    b = _theta_recurrence(max(512, 1 << (n - 1).bit_length()))[:n]
+    # The nodes come in pairs +-xi (and 0 for odd n).  xi^2 are the
+    # eigenvalues of the even rows of J^2, a tridiagonal block of ceil(n/2)
+    # rows, diagonal b_2i^2 + b_2i+1^2 and off-diagonal b_2i+1 b_2i+2 (b_0 =
+    # b_n = 0).  Its positive off-diagonals make every phase of the kernel 1.
+    half = (n + 1) // 2
+    off = np.zeros(n + 2)
+    off[1:n] = b[1:]
+    lo, hi = off[0 : 2 * half : 2], off[1 : 2 * half : 2]
+    lam, vec, _ = _tridiagonal_eigh(lo * lo + hi * hi, hi[:-1] * lo[1:])
+    # xi = |J_oe v|, J_oe the bidiagonal odd-from-even block: sqrt(lam) would
+    # lose about n ulp near xi = 0.  For odd n the lowest vector is the null
+    # vector, the zero node.
+    jv = hi[:, None] * vec
+    jv[:-1] += lo[1:, None] * vec[1:]
+    xi = np.sqrt(np.einsum("ij,ij->j", jv, jv))
+    # Golub-Welsch: the node pair shares beta_0 v_0^2, the zero node takes it whole
+    g = 0.5 * b[0] * vec[0] ** 2
+    odd = n % 2
+    if odd:
+        xi[0], g[0] = 0.0, 2.0 * g[0]
+    # t = pi/2 - 4 asin(s xi), the node of -xi, free of cancellation as xi -> 1:
+    # sin(pi/8 - asin(s xi)) = s (1 - xi^2)/(sqrt(1 - s^2 xi^2) + c xi), with
+    # 1 - xi^2 taken from the eigenvalue, good to an ulp where xi^2 is near 1
+    t = 4.0 * np.arcsin(s * (1.0 - lam) / (np.sqrt(1.0 - (s * xi) ** 2) + c * xi))
+    lower = t[odd:][::-1]
+    theta = np.concatenate((lower, math.pi - t))
+    w_psi = 2.0 * s * np.concatenate((g[odd:][::-1], g))
+    # self-check against every exact moment of exp(i k psi) on [0, pi/2],
+    # k = B h + l <= D + 2, from the short tables exp(i l psi), l < B, and
+    # exp(i B h psi), B = floor(sqrt(n))
+    psi = 0.5 * theta
+    step = math.isqrt(n)
+    ks = np.arange(1, n)
+    exact = np.concatenate(([math.pi / 2.0], (np.exp(0.5j * math.pi * ks) - 1.0) / (1j * ks)))
+    low = np.exp(1j * np.outer(np.arange(step), psi))
+    high = np.exp(1j * np.outer(step * np.arange(-(-n // step)), psi))
+    got = ((high * w_psi) @ low.T).ravel()[:n]
     residual = float(np.max(np.abs(got - exact)))
     if residual > 1e-12:
         raise RuntimeError(f"theta rule construction failed, residual {residual:g}")
-    # sin(theta) dtheta = 2 sin(2 psi) dpsi
-    theta, weights = 2.0 * psi, 2.0 * np.sin(2.0 * psi) * w_psi
+    # sin(theta) dtheta = 2 sin(2 psi) dpsi, and sin(theta) = sin(t) on both halves
+    weights = 2.0 * np.sin(np.concatenate((lower, t))) * w_psi
     for arr in (theta, weights):
         arr.setflags(write=False)
     return theta, weights
@@ -514,14 +568,24 @@ def theta_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     psi = theta/2 each such integrand is a trigonometric polynomial of
     degree degree + 2 on [0, pi/2], which the trigonometric Gaussian rule
     of Da Fies & Vianello (ETNA 39, 102 (2012)) integrates with
-    degree + 3 nodes.  The weights are positive and the nodes lie
-    strictly inside (0, pi), in ascending order; construction checks the
-    rule against every exact moment of exp(i k psi), k <= degree + 2, to
-    1e-12.
+    n = degree + 3 nodes.  The weights are positive and the nodes lie
+    strictly inside (0, pi), in ascending order and mirror-symmetric
+    about pi/2; construction checks the rule against every exact moment
+    of exp(i k psi), k <= degree + 2, to 1e-12.
+
+    Cost: a Stieltjes recurrence on a Fejer grid, computed once for a
+    power-of-two size of at least 512 and shared by every rule up to it,
+    then one real eigenproblem of ceil(n/2) rows, which dominates past a
+    few hundred nodes (about 0.12 s at degree 2000); memory is the dense
+    ceil(n/2)-row block, about 8 bytes per n^2 at its peak.  A degree
+    whose block would exceed MAX_DENSE_DIM rows raises ValueError before
+    allocating.
     """
     degree = _integer("degree", degree)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    rows = (degree + 4) // 2
+    _require_width(f"degree = {degree}: the Jacobi block's (degree + 4) // 2", rows, rows, 8)
     return _theta_rule_cached(degree)
 
 

@@ -317,7 +317,12 @@ def hermitian_check_ops(j, d: int = 1) -> tuple[Operator, Operator]:
     j = _spin(j)
     d = _integer("d", d)
     z = _mode_matrix(j, -d)
-    return Operator._owning(j, (z + z.conj().T) / 2.0), Operator._owning(j, (z - z.conj().T) / 2j)
+    z_h = z.conj().T
+    cos = z + z_h
+    cos /= 2.0
+    z -= z_h
+    z /= 2j
+    return Operator._owning(j, cos), Operator._owning(j, z)
 
 
 def cyclic_overlap_closed_form(j, n_cosets: int, big_theta: float) -> complex:

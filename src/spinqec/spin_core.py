@@ -39,15 +39,20 @@ MAX_DENSE_DIM = 8192
 """Largest dimension 2j + 1 for which the package builds a dense table
 (2j+1)-wide in m: Wigner d and D matrices, realized diagonal operators,
 codeword tables.  At this size a dense complex (2j+1)^2 operator takes
-1 GiB; above it those builders raise ValueError before allocating.
+1 GiB; above it those builders raise ValueError before allocating.  The
+colatitude rule of degree D (theta_rule, sphere_quadrature) is refused
+in the same way when its real Jacobi block of (D + 4) // 2 rows would be
+wider than MAX_DENSE_DIM, from D = 16382 on.
 
 Peak bytes per (2j+1)^2 entry, by tracemalloc at 2j = 400 and held there
 by the tests: momentum_kick 20, one dense operator, which the package's
 builders hand to Operator without a copy; logical_operators 52 (three
-dense operators); hermitian_check_ops 68 (two, and Z and its conjugate
-while they are summed); matexp_antihermitian on a tridiagonal generator 44
-cold and 36 with its basis cached (the kept basis holds 8);
-coherent_amplitudes 32 per (2j+1) x nodes entry."""
+dense operators); hermitian_check_ops 52, measured 48.8 (two, and the one
+conjugate Z^H while the first is formed); matexp_antihermitian on a
+tridiagonal generator 44 cold and 36 with its basis cached (the kept basis
+holds 8); coherent_amplitudes 32 per (2j+1) x nodes entry; theta_rule 12
+per (D + 3)^2 at D = 400, measured 7.5 to 8.6 (the half-size block and its
+eigenvectors)."""
 
 # A plain sum of squares in [_SQ_MIN, _SQ_MAX] is used as it stands: at
 # 2^-969, the smallest normal double times 2^53, squares that fall into the
@@ -195,10 +200,17 @@ def _spin(j) -> HalfInt:
 def _require_dense(j: HalfInt, rows: int, itemsize: int) -> None:
     """Raise ValueError, naming j and the bytes needed, if a dense
     rows x (2j+1) table of itemsize-byte entries is beyond MAX_DENSE_DIM."""
-    if j.dim > MAX_DENSE_DIM:
+    if j.dim > MAX_DENSE_DIM:  # the label is formatted only to raise
+        _require_width(f"j = {j.value:g}: 2j + 1", j.dim, rows, itemsize)
+
+
+def _require_width(label: str, width: int, rows: int, itemsize: int) -> None:
+    """Raise ValueError, naming the width by label and the bytes needed, if
+    a dense rows x width table of itemsize-byte entries is beyond MAX_DENSE_DIM."""
+    if width > MAX_DENSE_DIM:
         raise ValueError(
-            f"j = {j.value:g}: 2j + 1 = {j.dim} exceeds MAX_DENSE_DIM = {MAX_DENSE_DIM}; "
-            f"the dense {rows} x {j.dim} table would need {rows * j.dim * itemsize:,} bytes"
+            f"{label} = {width} exceeds MAX_DENSE_DIM = {MAX_DENSE_DIM}; "
+            f"the dense {rows} x {width} table would need {rows * width * itemsize:,} bytes"
         )
 
 

@@ -407,6 +407,14 @@ _RAISE_TABLES = [
         for func, args in [(l3_operator, (4096,)), (ladder_operators, (4096,)),
                            (axis_operator, (4096, (0.0, 1.0, 0.0))), (Operator.identity, (4096,))]
     ]),
+    # the colatitude rule's Jacobi block of (degree + 4) // 2 rows past
+    # MAX_DENSE_DIM: 537 MB at degree 16382, the first degree refused
+    ("test_domain_edges::test_theta_rule_refused_past_max_dense_dim", ValueError, [
+        (name, func, args, kwargs,
+         r"^degree = 16382: .* = 8193 exceeds MAX_DENSE_DIM = 8192; .* would need 537,001,992 bytes$")
+        for name, func, args, kwargs in [("theta_rule", theta_rule, (16382,), {}),
+                                         ("sphere_quadrature", sphere_quadrature, (), {"degree": 16382})]
+    ]),
     # a d x d whitening or separation table past MAX_DENSE_DIM: recover(10^5,
     # 150001, ...) asked numpy for 360 GB
     ("test_domain_edges::test_recovery_tables_refused_past_max_dense_dim", ValueError, [
@@ -634,6 +642,13 @@ TABLE = [
     Row("test_coherent::test_theta_rule_exact_on_all_parities", _theta_moment,
         [(10, a, b) for a in range(11) for b in range(11 - a)],
         lambda degree, a, b: oracles.beta_moment(a, b), absolute, below=1e-12, covers="theta_rule"),
+    # nodes absolute and weights relative against the 40-digit rule; the
+    # former construction read 3.3e-15 to 5.2e-15 and 3.1e-12 at degree 64
+    *(Row(f"test_coherent::test_theta_rule_against_mpmath[{part}-{degree}]", lambda d, i=i: theta_rule(d)[i],
+          [(degree,)], lambda d, i=i: oracles.theta_rule(d)[i], measure, within=bound, covers="theta_rule")
+      for degree in (0, 1, 2, 3, 8, 21, 64, 128)
+      for part, i, measure, bound in [("nodes", 0, lambda got, ref: np.max(absolute(got, ref)), 2e-15),
+                                      ("weights", 1, lambda got, ref: np.max(ratio(got, ref)), 1e-12)]),
     # both parities of a and b, and a + b = degree
     Row("test_coherent::test_theta_rule_moments_at_high_degree", _theta_moments_in_logs,
         [(1024, a, np.append(np.arange(0, 1024 - a, 17), 1024 - a)) for a in range(0, 1025, 17)],

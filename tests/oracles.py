@@ -252,6 +252,70 @@ def beta_moment(a, b):
 
 
 # ----------------------------------------------------------------------
+# The colatitude rule
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_recurrence(n):
+    """beta_0 .. beta_(n-1) of the weight (1 - s^2 xi^2)^(-1/2) on [-1, 1],
+    s = sin(pi/8), by the Chebyshev algorithm (Gautschi, Orthogonal
+    Polynomials, 2004, sec. 2.1.7) from the closed-form moments
+    mu_l = 2/(l + 1) 2F1(1/2, (l + 1)/2; (l + 3)/2; s^2), l even; the odd
+    moments, and so every alpha_k, vanish.  The map from moments loses
+    about 0.7 digit per coefficient, so it runs at 40 + n digits, which
+    leaves more than 70 at n = 131."""
+    with mp.workdps(40 + n):
+        s_sq = mp.sin(mp.pi / 8) ** 2
+        mom = [mp.mpf(2) / (l + 1) * mp.hyp2f1(0.5, mp.mpf(l + 1) / 2, mp.mpf(l + 3) / 2, s_sq)
+               if l % 2 == 0 else mp.mpf(0) for l in range(2 * n)]
+        # sigma_k(l) = sigma_(k-1)(l + 1) - beta_(k-1) sigma_(k-2)(l); beta_k = sigma_k(k)/sigma_(k-1)(k-1)
+        beta, prev, cur = [mom[0]], [mp.mpf(0)] * (2 * n), mom
+        for k in range(1, n):
+            prev, cur = cur, [cur[l + 1] - beta[k - 1] * prev[l] for l in range(2 * n - 1)] + [mp.mpf(0)]
+            beta.append(cur[k] / prev[k - 1])
+        return tuple(beta)
+
+
+@functools.lru_cache(maxsize=None)
+def theta_rule(degree):
+    """The colatitude rule (thetas, weights) of degree + 3 nodes at 40
+    digits, rounded to doubles: the Gauss rule for that weight, each node
+    xi Newton-refined on the orthonormal recurrence from a double eigenvalue
+    of the Jacobi matrix and weighted by its Christoffel number
+    1/sum_k p_k(xi)^2; then theta = pi/2 + 4 asin(s xi), with weight
+    4 s sin(theta) times the Christoffel number."""
+    n = degree + 3
+    beta = _theta_recurrence(n)
+    with mp.workdps(40):
+        b = [mp.sqrt(x) for x in beta]  # b[k], k >= 1, the Jacobi off-diagonals; p_0 = 1/b[0]
+        off = np.array([float(x) for x in b[1:]])
+        s = mp.sin(mp.pi / 8)
+        thetas, weights = [], []
+        for start in np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)):
+            xi = mp.mpf(start)
+            for _ in range(6):  # from a double: 1e-16, 1e-32, then 1e-40
+                # p_k, p_k' and sum p_k^2 up to k = n - 1, then b_n p_n and its derivative
+                p_prev, p, dp_prev, dp = mp.mpf(0), 1 / b[0], mp.mpf(0), mp.mpf(0)
+                total = p * p
+                for k in range(1, n):
+                    b_prev = b[k - 1] if k > 1 else 0
+                    p_prev, p, dp_prev, dp = (p, (xi * p - b_prev * p_prev) / b[k],
+                                              dp, (p + xi * dp - b_prev * dp_prev) / b[k])
+                    total += p * p
+                step = (xi * p - b[n - 1] * p_prev) / (p + xi * dp - b[n - 1] * dp_prev)
+                xi -= step
+                if abs(step) < mp.mpf(10) ** -30:
+                    break
+            else:
+                raise ArithmeticError(f"Newton did not converge from {start}")
+            theta = mp.pi / 2 + 4 * mp.asin(s * xi)
+            thetas.append(float(theta))
+            weights.append(float(4 * s * mp.sin(theta) / total))
+        return np.array(thetas), np.array(weights)
+
+
+# ----------------------------------------------------------------------
 # The syndrome tail
 # ----------------------------------------------------------------------
 

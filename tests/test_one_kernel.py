@@ -478,8 +478,8 @@ def test_axis_operator_equals_ladder_sum():
 
 
 def _former_theta_rule(degree):
-    # coherent._theta_rule_cached's construction as it stood, with its own
-    # dense eigh of the Jacobi matrix
+    # the former construction: a Stieltjes recurrence on a Gauss-Legendre
+    # grid and a dense eigh of the full n x n Jacobi matrix
     n = degree + 3
     s = math.sin(math.pi / 8.0)
     x, w = np.polynomial.legendre.leggauss(n + 40)
@@ -499,9 +499,11 @@ def _former_theta_rule(degree):
 
 
 @pytest.mark.parametrize("degree", [8, 64, 384, 1024])
-def test_theta_rule_bytes_equal_former_construction(degree):
-    for got, want in zip(theta_rule(degree), _former_theta_rule(degree)):
-        assert got.tobytes() == want.tobytes()
+def test_theta_rule_nodes_match_former_construction(degree):
+    # the weights are held to the 40-digit oracle instead (test_coherent::
+    # test_theta_rule_against_mpmath): the former ones are up to 8e-12 off it
+    got, want = theta_rule(degree)[0], _former_theta_rule(degree)[0]
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 _Y_AXIS = (0.0, 1.0, 0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinqec import monopole
-from spinqec.coherent import coherent_amplitudes, rotation_matrix_elements, theta_rule
+from spinqec.coherent import _mode_matrix, coherent_amplitudes, rotation_matrix_elements, theta_rule
 from spinqec.lll_codes import hermitian_check_ops
 from spinqec.monopole import build_full_landau_code
 from spinqec.recovery import syndrome_density
@@ -171,6 +171,17 @@ def test_check_operators_exactly_hermitian():
         for d in (1, 2, 3):
             for op in hermitian_check_ops(HalfInt(twice), d):
                 assert np.array_equal(op.mat, op.mat.conj().T), (twice, d)
+
+
+def test_check_operators_bytes_equal_former_sums():
+    # (Z + Z^H)/2 and (Z - Z^H)/2i as they stood, each forming its own Z^H;
+    # the one conjugate divided in place runs the same ufuncs
+    for twice in (0, 1, 6, 400):
+        for d in (1, 3, -2):
+            z = _mode_matrix(HalfInt(twice), -d)
+            want = ((z + z.conj().T) / 2.0, (z - z.conj().T) / 2j)
+            for op, mat in zip(hermitian_check_ops(HalfInt(twice), d), want):
+                assert op.mat.tobytes() == mat.tobytes(), (twice, d)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinqec import spin_core
-from spinqec.coherent import coherent_amplitudes, diagonal_operator, momentum_kick
+from spinqec import coherent, spin_core
+from spinqec.coherent import coherent_amplitudes, diagonal_operator, momentum_kick, sphere_quadrature, theta_rule
 from spinqec.finite_gkp import PauliWord, clock_shift
 from spinqec.lll_codes import (antipodal, antipodal_logical_x, build_codewords, equatorial_qudit, hermitian_check_ops,
                                logical_operators)
@@ -297,14 +297,17 @@ _NODES = np.random.default_rng(400).uniform(0.0, math.pi, (2, 256))
     [
         (None, lambda: momentum_kick(200, -200), 401**2, 20),
         (None, lambda: logical_operators(equatorial_qudit(200, 4)), 401**2, 52),
-        (None, lambda: hermitian_check_ops(200, 3), 401**2, 68),
+        (None, lambda: hermitian_check_ops(200, 3), 401**2, 52),
         (lambda: spin_core._bases.clear(), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 44),
         # the basis of L_y at j = 200 is kept by the first call
         (lambda: matexp_antihermitian(_Y_200, 0.3), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 36),
         (None, lambda: coherent_amplitudes(200, *_NODES), 401 * 256, 32),
+        # per (D + 3)^2: the full Jacobi matrix, its eigenvectors and an n x D
+        # moment table took 40
+        (lambda: coherent._theta_rule_cached.cache_clear(), lambda: theta_rule(400), 403**2, 12),
     ],
     ids=["momentum_kick", "logical_operators", "hermitian_check_ops", "matexp-cold", "matexp-warm",
-         "coherent_amplitudes"],
+         "coherent_amplitudes", "theta_rule"],
 )
 def test_dense_builders_within_their_bytes_per_entry(setup, call, entries, bound):
     # the tracemalloc peaks at 2j = 400 that the MAX_DENSE_DIM docstring
@@ -352,3 +355,7 @@ def test_every_dense_builder_refuses_past_the_cap(monkeypatch):
     code = build_codewords(antipodal(j))
     with pytest.raises(ValueError, match="exceeds MAX_DENSE_DIM = 16"):
         code.basis
+    # the colatitude rule's Jacobi block has (degree + 4) // 2 = 22 rows
+    for build in (lambda: theta_rule(40), lambda: sphere_quadrature(degree=40)):
+        with pytest.raises(ValueError, match=r"degree = 40: .* = 22 exceeds MAX_DENSE_DIM = 16"):
+            build()
