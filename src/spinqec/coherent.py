@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
-from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_dense, _require_width, _spin, _tridiagonal_eigh
-from .spin_core import _finite, _integer, _real, _real_array, m_index, m_values
+from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_bytes, _require_dense, _require_width, _spin
+from .spin_core import _finite, _integer, _real, _real_array, _stored, _tridiagonal_eigh, m_index, m_values
 
 __all__ = [
     "SphPoint",
@@ -465,7 +464,7 @@ def rotate_point(r: EulerAngles, p: SphPoint) -> SphPoint:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+@_stored
 def _theta_recurrence(size: int) -> np.ndarray:
     """b[0] = beta_0 and b[k] = sqrt(beta_k), k < size: the recurrence of
     the weight 1/sqrt(1 - s^2 xi^2) on [-1, 1], s = sin(pi/8), whose
@@ -497,11 +496,10 @@ def _theta_recurrence(size: int) -> np.ndarray:
         q_prev /= b_k
         b[k] = b_k
         q_prev, q = q, q_prev
-    b.setflags(write=False)
     return b
 
 
-@lru_cache(maxsize=64)
+@_stored
 def _theta_rule_cached(degree: int) -> tuple[np.ndarray, np.ndarray]:
     # psi = theta/2 on [0, pi/2] is the arc pi/4 + [-pi/4, pi/4]; the
     # subperiodic map psi = pi/4 + 2 asin(s xi), s = sin(pi/8), turns a
@@ -555,8 +553,6 @@ def _theta_rule_cached(degree: int) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"theta rule construction failed, residual {residual:g}")
     # sin(theta) dtheta = 2 sin(2 psi) dpsi, and sin(theta) = sin(t) on both halves
     weights = 2.0 * np.sin(np.concatenate((lower, t))) * w_psi
-    for arr in (theta, weights):
-        arr.setflags(write=False)
     return theta, weights
 
 
@@ -875,12 +871,15 @@ def disentangle_check(j, p: SphPoint) -> float:
     ln 1 .. ln 2j, and exp(w L+) is its
     transpose.  theta = pi is rejected, as the factorization needs
     cos(theta/2) > 0, and so is any (j, theta) whose scale exceeds the
-    double range.
+    double range.  Its factors peak at about 96 bytes per (2j+1)^2 entry, so
+    2j + 1 above 3344, past the 1 GiB of one dense table, raises ValueError
+    before allocating.
     """
     j = _spin(j)
     if p.theta == math.pi:
         raise ValueError("factorization undefined at theta = pi")
-    # first: its dense guard refuses a j whose (2j+1)^2 factors would not fit
+    _require_dense(j, j.dim, 16)  # as every dense builder; then its own cap below MAX_DENSE_DIM
+    _require_bytes(f"j = {j.value:g}: 2j + 1", j.dim, j.dim, 96)
     x_r = wigner_D_matrix(j, EulerAngles(p.phi, p.theta, -p.phi)).mat
     tan_half = math.tan(0.5 * p.theta)
     ln_band = np.log(2.0 * _axis_bands(j, (1.0, 0.0, 0.0))[1].real)  # L-'s band is twice L1's

@@ -22,13 +22,16 @@ and the errored code spaces tile C^N orthogonally.
 
 A round does a few array passes and no per-call set-up.  The code of each
 GkpParams (its codewords, words and the (K x r2) table of comb
-positions) is built once and kept in a bounded cache (16 codes; an entry
-holds K N complex amplitudes).  build_gkp_code returns the cached code,
-so its codewords are shared between callers and their amplitude arrays
-are read-only.  Every Pauli phase exp(i pi e / N) has the integer
-exponent e = (2 b x mod 2N) + c.  Its position part is one read-only intp
-index array per (N, min(b, N - b)), b taken mod N, kept in a bounded
-cache (256 arrays); the 2N roots are cached once per N and stored twice,
+positions) is built once and kept in spin_core's one store of tables,
+whose byte budget (64 MiB) bounds every table the package keeps and
+counts an entry's K N complex amplitudes.  build_gkp_code returns the
+stored code, so its codewords are shared between callers and their
+amplitude arrays are read-only.  A code whose (K x N) codewords, or
+whose 4N roots, would pass the 1 GiB of one dense table is refused with
+ValueError before allocating.  Every Pauli phase exp(i pi e / N) has the
+integer exponent e = (2 b x mod 2N) + c.  Its position part is one
+read-only intp index array per (N, min(b, N - b)), b taken mod N, kept in
+the same store; the 2N roots are kept once per N and stored twice,
 so a word with phase c costs one integer add (or, for b > N/2, one
 subtraction from 2N + c) and one gather, with no multiply and no
 reduction.  PauliWord.to_operator, the helper that applies a word to an
@@ -46,14 +49,14 @@ read-only, to a StateVec.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _integer, _require_dense, _unit_scaled
+from .spin_core import _SQ_MAX, _SQ_MIN, HalfInt, Operator, StateVec, _integer, _require_bytes, _require_dense, _stored
+from .spin_core import _unit_scaled
 
 __all__ = [
     "GkpParams",
@@ -169,21 +172,21 @@ class PauliWord:
         return StateVec._owning(vec.j, _apply_word(vec.amps, self.n, self.a, self.b, self.c))
 
 
-@functools.lru_cache(maxsize=64)
+@_stored
 def _roots(n: int) -> np.ndarray:
     """exp(i pi e / n) for e = 0 .. 4n - 1: the 2n roots, stored twice.
 
     Every phase of a word on C^n is one of the 2n roots; the second copy
     lets an exponent e + c or 2n + c - e with 0 <= e, c < 2n index the
-    table without a reduction mod 2n.
+    table without a reduction mod 2n.  Its 64 n bytes are refused with
+    ValueError past the 1 GiB of one dense table, before allocating.
     """
+    _require_bytes("N", n, 4, 16)
     roots = np.exp(1j * math.pi * np.arange(2 * n) / n)
-    doubled = np.concatenate((roots, roots))
-    doubled.setflags(write=False)
-    return doubled
+    return np.concatenate((roots, roots))
 
 
-@functools.lru_cache(maxsize=256)
+@_stored
 def _phase_index(n: int, b: int) -> np.ndarray:
     """(2 b x) mod 2n for x = 0 .. n - 1 and 0 <= b <= n / 2, read-only.
 
@@ -191,9 +194,7 @@ def _phase_index(n: int, b: int) -> np.ndarray:
     is exp(i pi e / n) with e = 2 (b x mod n) + c.  Stored as intp, the
     index type numpy gathers with; an int32 index is cast on every gather.
     """
-    index = (2 * b * np.arange(n, dtype=np.intp)) % (2 * n)
-    index.setflags(write=False)
-    return index
+    return (2 * b * np.arange(n, dtype=np.intp)) % (2 * n)
 
 
 def _phases(n: int, b: int, c: int) -> np.ndarray:
@@ -213,7 +214,7 @@ def _phases(n: int, b: int, c: int) -> np.ndarray:
 def _apply_word(amps: np.ndarray, n: int, a: int, b: int, c: int) -> np.ndarray:
     """exp(i pi c / n) X^a Z^b on an amplitude array, 0 <= a, b < n, 0 <= c < 2n.
 
-    Returns a fresh array: the phases of _phases, read through the cached
+    Returns a fresh array: the phases of _phases, read through the stored
     index array of (n, min(b, n - b)) from the doubled roots table, then
     X^a moves entry x to x + a mod n, a cyclic roll by a.
     """
@@ -249,12 +250,16 @@ class GkpCode:
         return _tables(self.params)[1][s].tolist()
 
 
-@functools.lru_cache(maxsize=16)
+@_stored
 def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
-    """The code of params and its (k x r2) comb table, entry (s, i) = (k i + s) r1."""
+    """The code of params and its (k x r2) comb table, entry (s, i) = (k i + s) r1.
+
+    A (k x N) codeword table past the 1 GiB of one dense table raises
+    ValueError, naming N and the bytes, before allocating.
+    """
     k, r1, r2, n = params.k, params.r1, params.r2, params.n
+    _require_bytes("N", n, k, 16)
     comb = (k * np.arange(r2) + np.arange(k)[:, None]) * r1
-    comb.setflags(write=False)
     amps = np.zeros((k, n), dtype=complex)
     np.put_along_axis(amps, comb, 1.0 / math.sqrt(r2), axis=1)
     code = GkpCode(
@@ -271,9 +276,11 @@ def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
 def build_gkp_code(params: GkpParams) -> GkpCode:
     """Codewords |xbar = s> = r2^(-1/2) sum_i |(k i + s) r1>, s = 0..k-1.
 
-    The code is built once per GkpParams and cached (bounded, 16 codes):
-    every call with equal params returns the same GkpCode, whose
-    codewords are shared and read-only.
+    The code is built once per GkpParams and kept in spin_core's store of
+    tables, within its byte budget: every call with equal params returns
+    the same GkpCode while it is kept, and its codewords are shared and
+    read-only.  A (k x N) codeword table past the 1 GiB of one dense table
+    raises ValueError before allocating.
     """
     return _tables(params)[0]
 
@@ -335,7 +342,7 @@ def syndrome_and_recover(
     A zero, infinite or NaN state raises ValueError naming its norm; a
     finite state whose sum of squares overflows or underflows is checked
     on amps / max|amps| and recovered as given.  The code and its comb
-    table come from the per-GkpParams cache of build_gkp_code; the
+    table come from the per-GkpParams store entry of build_gkp_code; the
     code-space check projects onto the combs through that table rather
     than through dense (k x N) products, and compares the residual's sum
     of squares with 1e-20 times the state's.  The error's phases are

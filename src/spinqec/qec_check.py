@@ -15,7 +15,7 @@ between codewords are evaluated in closed form through the coherent
 decomposition, for all sampled pairs in one array pass: each codeword
 table is a sum of spinor contractions (xi_out^H U_T xi_in)^(2j).  The optional brute-force
 path is independent of that closed form and of the Wigner-d kernel: it
-diagonalizes L_y once per j (spin_core's basis cache), from its two bands
+diagonalizes L_y once per j (spin_core's store of tables), from its two bands
 in real arithmetic through spin_core's tridiagonal eigensolver (L_y = V Lambda V^H
 with V = D W, W real and D a diagonal of phases), and sandwiches the
 codeword vectors with

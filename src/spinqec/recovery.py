@@ -47,8 +47,9 @@ exactly from ov^H G^-1 ov = v^T C^-1 v, and the round reads d real
 numbers, each ln v_a from coherent._ln_overlap_magnitude, the package's
 one kernel of the real overlap law (the tail mass takes it too, up to
 epsilon = pi/2).  C is circulant, so its eigenvalues are known exactly; each
-(j, d) keeps the DFT that diagonalizes it, scaled by them, read-only in a
-bounded cache (32 entries).
+(j, d) keeps the DFT that diagonalizes it, scaled by them, read-only in
+spin_core's one store of tables, within its byte budget (64 MiB for every
+table the package keeps).
 
 Rounds run in blocks of seeds, through one sampler (_draws, one generator
 per seed) and one decode (_correct_and_decode): the d logs and exps of a
@@ -67,13 +68,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .coherent import (_amplitude_magnitudes, _binomial_row, _ln_overlap_magnitude, rotation_matrix_elements,
                        theta_rule)
-from .spin_core import HalfInt, _finite, _integer, _real, _require_dense, _spin
+from .spin_core import HalfInt, _finite, _integer, _real, _require_dense, _spin, _stored
 
 __all__ = [
     "SyndromeRun",
@@ -333,7 +333,7 @@ def _peak_offset(tj: int, rng) -> float:
     return 2.0 * math.asin(2.0 * b - 1.0)
 
 
-@lru_cache(maxsize=32)
+@_stored
 def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The whitening factor of C for one (j, d): (W, r), read-only.
 
@@ -357,7 +357,9 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     raises ValueError here, the one place that needs the bound (_round_args
     checks the rest of a round's arguments, and _draws asks for this factor
     first, so the bound holds before a round draws).  So does a d above
-    MAX_DENSE_DIM, whose d x d whitening would not fit.
+    MAX_DENSE_DIM, whose d x d whitening would not fit.  The factor is kept
+    in spin_core's store (_stored) within its 64 MiB budget: a factor larger
+    than that, d above about 2000, is rebuilt on each read.
     """
     if d > tj + 1:
         raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
@@ -374,8 +376,6 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     root = np.sqrt(np.maximum(spectrum, sys.float_info.min) / d)
     freqs = np.arange(d)
     whitening = np.exp(-2j * math.pi * (np.outer(freqs, freqs) % d) / d) / (d * root[:, None])
-    for table in (whitening, root):
-        table.setflags(write=False)
     return whitening, root
 
 

@@ -12,13 +12,19 @@ be a real number, got 'TEXT'", where float() would parse it or read 0 or
 1); and _finite, for every real input that must be finite (NaN or infinity
 raises ValueError, "NAME must be finite, got VALUE").  _real_array and
 _finite_array read arrays through them.
+
+The package's one store of tables kept between calls lives here too: every
+builder whose result is reused (_stored, and _tridiagonal_basis) keeps it
+in _store, read-only, within one byte budget, _STORE_BUDGET, with its
+misses and kept bytes counted per builder in _store_counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -49,10 +55,15 @@ by the tests: momentum_kick 20, one dense operator, which the package's
 builders hand to Operator without a copy; logical_operators 52 (three
 dense operators); hermitian_check_ops 52, measured 48.8 (two, and the one
 conjugate Z^H while the first is formed); matexp_antihermitian on a
-tridiagonal generator 44 cold and 36 with its basis cached (the kept basis
-holds 8); coherent_amplitudes 32 per (2j+1) x nodes entry; theta_rule 12
-per (D + 3)^2 at D = 400, measured 7.5 to 8.6 (the half-size block and its
-eigenvectors)."""
+tridiagonal generator 44 cold and 36 with its basis in the store (the
+basis holds 8, and the store keeps at most _STORE_BUDGET = 64 MiB of
+tables across the package); coherent_amplitudes 32 per (2j+1) x nodes
+entry; theta_rule 12 per (D + 3)^2 at D = 400, measured 7.5 to 8.6 (the
+half-size block and its eigenvectors); disentangle_check 97, measured
+96.1, which is therefore refused from 2j + 1 = 3345, where 96 bytes an
+entry pass the 1 GiB of one dense table.  A table sized by bytes rather
+than by 2j + 1, as a shift code's (k x N) codewords and 4 N roots, is
+refused past that 1 GiB too."""
 
 # A plain sum of squares in [_SQ_MIN, _SQ_MAX] is used as it stands: at
 # 2^-969, the smallest normal double times 2^53, squares that fall into the
@@ -212,6 +223,16 @@ def _require_width(label: str, width: int, rows: int, itemsize: int) -> None:
             f"{label} = {width} exceeds MAX_DENSE_DIM = {MAX_DENSE_DIM}; "
             f"the dense {rows} x {width} table would need {rows * width * itemsize:,} bytes"
         )
+
+
+def _require_bytes(label: str, width: int, rows: int, itemsize: int) -> None:
+    """Raise ValueError, naming the width by label and the bytes needed, if
+    rows x width entries of itemsize bytes would exceed the 16 MAX_DENSE_DIM^2
+    bytes (1 GiB) of one dense complex table."""
+    need, cap = rows * width * itemsize, 16 * MAX_DENSE_DIM**2
+    if need > cap:
+        raise ValueError(f"{label} = {width}: {rows} x {width} entries of {itemsize} bytes would need "
+                         f"{need:,} bytes, more than the {cap:,} of one dense table (MAX_DENSE_DIM = {MAX_DENSE_DIM})")
 
 
 def m_values(j) -> np.ndarray:
@@ -490,43 +511,79 @@ def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np
     return lam, vecs, phase
 
 
-# _tridiagonal_basis keeps the most recent bases while their arrays total at
-# most this many bytes (64 MiB: about 2900 levels of a real basis).
-_BASIS_BUDGET = 1 << 26
-_bases: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_bases_lock = threading.Lock()  # held for each read or update of _bases, not for a solve
+_STORE_BUDGET = 1 << 26
+"""Bytes of arrays the store keeps between calls (64 MiB), across every
+builder that reads through it (_stored, _tridiagonal_basis)."""
+_store: dict[tuple, tuple] = {}  # (builder, args): (value, bytes), the oldest stored first
+_store_counts: dict[str, list[int]] = {}  # builder: [misses, bytes kept]
+_store_lock = threading.Lock()  # held for each write; a hit reads without it
 
 
-def _basis_bytes(basis) -> int:
-    return sum(arr.nbytes for arr in basis)
+def _freeze(value) -> int:
+    """Mark every array value holds read-only, itself or those in its tuple
+    items or dataclass fields, and return their bytes."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+        return value.nbytes
+    parts = vars(value).values() if is_dataclass(value) else value if isinstance(value, tuple) else ()
+    return sum(map(_freeze, parts))
+
+
+def _keep(name: str, args: tuple, value):
+    """value, built by name on a miss for args, with every array it holds
+    made read-only, kept in the one store unless those arrays alone exceed
+    _STORE_BUDGET.  While the kept arrays total more than the budget, the
+    oldest stored entry is dropped.  Where another thread stored the same
+    key first, its value is returned, so every hit sees one object."""
+    size = _freeze(value)
+    with _store_lock:
+        counts = _store_counts.setdefault(name, [0, 0])
+        counts[0] += 1
+        if size <= _STORE_BUDGET and _store.setdefault((name, args), (value, size))[0] is value:
+            counts[1] += size
+            while sum(kept for _, kept in _store_counts.values()) > _STORE_BUDGET:
+                oldest = next(iter(_store))
+                _store_counts[oldest[0]][1] -= _store.pop(oldest)[1]
+        return _store.get((name, args), (value,))[0]
+
+
+def _stored(build):
+    """build, reading its results through the one store, keyed on its
+    builder's name and its (hashable, positional) arguments.  A hit is one
+    dict read without a lock and returns the stored object itself."""
+    name = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def read(*args):
+        entry = _store.get((name, args))
+        return _keep(name, args, build(*args)) if entry is None else entry[0]
+
+    return read
+
+
+def _store_clear() -> None:
+    """Empty the store and its counts."""
+    with _store_lock:
+        _store.clear()
+        _store_counts.clear()
 
 
 def _tridiagonal_basis(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_tridiagonal_eigh(diag, off) as read-only arrays, from a cache keyed
-    on the bytes of the two bands.
+    """_tridiagonal_eigh(diag, off) as read-only arrays, from the store,
+    keyed on the bytes of the two bands.
 
     The one reader of the eigensolver for spin generators: the tridiagonal
     route of matexp_antihermitian and the L_y oracle (qec_check._dense_tables)
     diagonalize each generator once, and a repeat returns the same arrays,
-    so its results keep their bits.  The most recent bases are kept while
-    their arrays total at most _BASIS_BUDGET = 64 MiB, the oldest dropped
-    first; a basis larger than that (2j + 1 above about 2900) is returned
-    without being kept.  diag is real and off complex, as _axis_bands and
-    an Operator's diagonals give them.
+    so its results keep their bits.  A basis is kept within the store's
+    _STORE_BUDGET = 64 MiB, the oldest entries dropped first; a basis larger
+    than that (2j + 1 above about 2900) is returned without being kept.
+    diag is real and off complex, as _axis_bands and an Operator's diagonals
+    give them.
     """
-    key = (diag.tobytes(), off.tobytes())
-    with _bases_lock:
-        basis = _bases.pop(key, None)
-    if basis is None:
-        basis = _tridiagonal_eigh(diag, off)
-        for arr in basis:
-            arr.setflags(write=False)
-    if _basis_bytes(basis) <= _BASIS_BUDGET:
-        with _bases_lock:
-            _bases[key] = basis  # most recent last
-            while sum(map(_basis_bytes, _bases.values())) > _BASIS_BUDGET:
-                del _bases[next(iter(_bases))]
-    return basis
+    name, args = "spinqec.spin_core._tridiagonal_basis", (diag.tobytes(), off.tobytes())
+    entry = _store.get((name, args))
+    return _keep(name, args, _tridiagonal_eigh(diag, off)) if entry is None else entry[0]
 
 
 def matexp_antihermitian(a: Operator, t: float) -> Operator:

@@ -35,8 +35,8 @@ from spinqec import (
     haar_random_sequence, harmonic_table, hermitian_check_ops, inverse, kl_check, l3_operator, ladder_operators,
     logical_operators,
     lowest_level_bridge, matexp_antihermitian, momentum_kick, momentum_shift_analysis, monopole_Y, overlap,
-    overlap_magnitude, recover, rotation_matrix_element, single_peak_mass, sphere_quadrature, syndrome_density,
-    tail_failure, theta_rule, wigner_d, y_symbol,
+    overlap_magnitude, recover, rotation_matrix_element, single_peak_mass, sphere_quadrature, stabilizer_eigenphases,
+    syndrome_and_recover, syndrome_density, tail_failure, theta_rule, wigner_d, y_symbol,
 )
 from spinqec.coherent import _azimuthal_phases, _mode_band
 
@@ -425,6 +425,19 @@ _RAISE_TABLES = [
             ("syndrome_density-leading", syndrome_density, (4, 8193, 0, 0.0), {}, 8193),
             ("syndrome_density-full", syndrome_density, (4, 8193, 0, 0.0, "full"), {}, 8193),
         ]
+    ]),
+    # a shift code whose (k x N) codewords pass the 1 GiB of one dense table:
+    # GkpParams(2, 10^13, 3) asked numpy for 1.71 PiB
+    ("test_domain_edges::test_gkp_tables_refused_past_one_dense_table", ValueError, [
+        (func.__name__, func, (GkpParams(2, 10**13, 3), *rest), {},
+         r"^N = 60000000000000: 2 x 60000000000000 entries of 16 bytes would need 1,920,000,000,000,000 bytes")
+        for func, *rest in [(build_gkp_code,), (syndrome_and_recover, 0, 0, StateVec(1, [1.0, 0.0, 0.0])),
+                            (stabilizer_eigenphases, StateVec(1, [1.0, 0.0, 0.0]))]
+    ]),
+    # about 96 bytes per (2j+1)^2 entry: refused from 2j + 1 = 3345, where that passes 1 GiB
+    ("test_domain_edges::test_disentangle_check_refused_past_one_dense_table", ValueError, [
+        ("disentangle_check", disentangle_check, (1672, SphPoint(1.0, 0.3)), {},
+         r"^j = 1672: 2j \+ 1 = 3345: 3345 x 3345 entries of 96 bytes would need 1,074,146,400 bytes"),
     ]),
     ("test_domain_edges::test_recover_rejects_non_finite_delta", ValueError,
      [(str(v), recover, (8, 2, 0, v, 0), {}, "delta_phi") for v in (math.nan, math.inf)]),

@@ -281,6 +281,14 @@ def test_gkp_table_dimension_contradiction(capsys):
     assert "contradicts" in capsys.readouterr().err
 
 
+def test_gkp_table_refuses_an_impossible_n(tmp_path, capsys):
+    # N = 6e13: numpy raised its ArrayMemoryError for 1.71 PiB of codewords
+    out = tmp_path / "gkp.csv"
+    assert main(["gkp-table", "--K", "2", "--r1", str(10**13), "--r2", "3", "--out", str(out)]) == 2
+    assert "N = 60000000000000: 2 x 60000000000000 entries of 16 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gkp_table_even_spacing_boundary(tmp_path):
     out = tmp_path / "gkp.csv"
     assert main(["gkp-table", "--r1", "4", "--out", str(out)]) == 0

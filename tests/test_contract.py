@@ -24,11 +24,11 @@ globals().update(contract_tests(__name__))
 _NO_ROW_YET = {
     "AncillaReport", "Codewords", "CorrectableAngle", "DiagonalOp", "FullLandauCode", "GkpParams", "KLReport",
     "LandauEntry", "LogicalSet", "MAX_DENSE_DIM", "MomentumShiftVerdict", "MonopoleHarmonic", "PairRecord",
-    "SphereQuadrature", "Su2", "SyndromeOutcome", "SyndromeRun", "antipodal_logical_x", "build_gkp_code",
+    "SphereQuadrature", "Su2", "SyndromeOutcome", "SyndromeRun", "antipodal_logical_x",
     "clock_shift", "coherent_state", "correctable_shift_count", "diagonal_scan", "euler_from_su2", "haar_random",
     "lower_symbol", "m_index", "m_values", "matrix_element_table",
     "rotate_point", "rotate_vector", "rotation_operator",
-    "sample_rotations", "stabilizer_eigenphases", "strict_window", "su2_from_euler", "syndrome_and_recover",
+    "sample_rotations", "strict_window", "su2_from_euler",
     "tiling_window", "wigner_D_matrix", "wigner_d_matrix", "y_symbol",
 }
 
@@ -133,11 +133,38 @@ def test_pow_two_j_arrays_has_one_caller():
     assert users == {("coherent", "rotation_matrix_elements")}, users
 
 
+def test_one_store_keeps_every_table():
+    # spin_core's store, under its one byte budget, keeps every table the
+    # package reuses between calls.  No module decorates a function with
+    # functools.lru_cache or functools.cache, save cli._build_parser, which
+    # keeps a parser object and not a table, and no module-level dict that
+    # starts empty (a cache filled at run time) lives outside the store.
+    decorated, empty = set(), set()
+    for module, tree in _package_trees():
+        uses = {n for n in ast.walk(tree) if getattr(n, "id", getattr(n, "attr", None)) in {"lru_cache", "cache"}}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                marks = uses & {n for dec in func.decorator_list for n in ast.walk(dec)}
+                if marks:
+                    decorated.add((module, func.name))
+                    uses -= marks
+        assert not uses, (module, sorted(n.lineno for n in uses))  # a cache built without the decorator syntax
+        for node in tree.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            func = getattr(value, "func", None)
+            if isinstance(value, ast.Dict) and not value.keys or getattr(func, "id", getattr(func, "attr", None)) in {
+                    "dict", "OrderedDict", "defaultdict", "Counter", "WeakValueDictionary", "WeakKeyDictionary"}:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                empty |= {(module, target.id) for target in targets}
+    assert decorated == {("cli", "_build_parser")}, decorated
+    assert empty == {("spin_core", "_store"), ("spin_core", "_store_counts")}, empty
+
+
 def test_tridiagonal_eigensolver_has_two_callers():
     # spin_core._tridiagonal_basis diagonalizes each spin generator once
-    # for every reader, and the theta rule, which reads one row of V, keeps
-    # its own cache per degree; a direct solve anywhere else would redo what
-    # the basis cache holds, and a cache in qec_check would keep a second copy
+    # for every reader, and the theta rule, which reads one row of V, is
+    # kept per degree in the one store; a direct solve anywhere else would
+    # redo what the store holds, and a cache in qec_check would keep a second copy
     users = set()
     for module, tree in _package_trees():
         for func in ast.walk(tree):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
-from spinqec import finite_gkp
+from spinqec import finite_gkp, spin_core
 from spinqec.finite_gkp import (
     GkpParams,
     PauliWord,
@@ -171,10 +171,13 @@ def test_phase_tables_match_the_rebuilt_exponents_byte_for_byte():
 
 
 def test_phase_tables_are_bounded_and_read_only():
-    info = finite_gkp._phase_index.cache_info()
-    assert info.maxsize is not None and finite_gkp._roots.cache_info().maxsize is not None
+    # both tables are kept in spin_core's one store, within its byte budget
+    spin_core._store_clear()
     index = finite_gkp._phase_index(900, 7)
     roots = finite_gkp._roots(900)
+    assert finite_gkp._phase_index(900, 7) is index and finite_gkp._roots(900) is roots
+    assert spin_core._store_counts["spinqec.finite_gkp._phase_index"] == [1, 900 * 8]
+    assert spin_core._store_counts["spinqec.finite_gkp._roots"] == [1, 3600 * 16]
     # intp: the index type numpy gathers with, so no per-gather cast
     assert index.dtype == np.intp and index.shape == (900,) and roots.shape == (3600,)
     for table in (index, roots):
@@ -419,15 +422,16 @@ def test_rounds_add_one_phase_table_per_shift_class():
     # A round's error key b mod n and undo key -bhat mod n lie in one
     # symmetric window, and b and n - b share a table, so every
     # tiling-window round of a code reads at most r2 // 2 + 1 index tables.
-    finite_gkp._phase_index.cache_clear()
+    spin_core._store_clear()
+    counts = spin_core._store_counts
     for dims in BENCHMARK_CODES:
         params = GkpParams(*dims)
-        before = finite_gkp._phase_index.cache_info().currsize
+        before = counts.get("spinqec.finite_gkp._phase_index", [0])[0]
         for word in build_gkp_code(params).codewords:
             for a in tiling_window(params.r1):
                 for b in tiling_window(params.r2):
                     syndrome_and_recover(params, a, b, word)
-        assert finite_gkp._phase_index.cache_info().currsize - before <= params.r2 // 2 + 1, dims
+        assert counts["spinqec.finite_gkp._phase_index"][0] - before <= params.r2 // 2 + 1, dims
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -457,13 +461,16 @@ def _residues_from_eigenphases(params, state):
 
 
 @pytest.mark.parametrize("dims", [(2, 21, 21), (4, 15, 15)])
-def test_rounds_at_benchmark_size(dims):
+def test_rounds_at_benchmark_size(monkeypatch, dims):
     # The code sizes the syndrome_rounds benchmark runs (n = 882, 900),
     # against dense matrices: a seeded sample of tiling-window shifts, each
     # also moved by a whole number of spacings to exercise logical errors.
     params = GkpParams(*dims)
     k, r1, r2, n = params.k, params.r1, params.r2, params.n
-    finite_gkp._tables.cache_clear()
+    reads = []
+    stored = finite_gkp._tables
+    monkeypatch.setattr(finite_gkp, "_tables", lambda p: reads.append(p) or stored(p))
+    spin_core._store_clear()
     code = build_gkp_code(params)
     assert build_gkp_code(GkpParams(*dims)) is code
     for word in code.codewords:
@@ -490,10 +497,10 @@ def test_rounds_at_benchmark_size(dims):
                 assert (a - out.a_hat) % r1 == 0 and (b - out.b_hat) % r2 == 0
                 assert out.logical_error == bool(quotients[0] % k or quotients[1] % k)
                 assert not out.ambiguous
-    # all the rounds (and eigenphase reads) share one cached code
-    info = finite_gkp._tables.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits > rounds
-    assert info.maxsize is not None and finite_gkp._roots.cache_info().maxsize is not None
+    # all the rounds (and eigenphase reads) share one stored code, built once
+    assert spin_core._store_counts["spinqec.finite_gkp._tables"] == [1, k * n * 16 + k * r2 * 8]
+    assert len(reads) - 1 > rounds
+    assert sum(kept for _, kept in spin_core._store_counts.values()) <= spin_core._STORE_BUDGET
 
 
 def _read_residue(amps, r):

@@ -448,7 +448,7 @@ def test_oracle_eigenbasis_cache_is_read_only_and_bitwise_stable(monkeypatch):
 
     monkeypatch.setattr(spin_core, "_tridiagonal_eigh", solve)
     monkeypatch.setattr(qec_check, "_tridiagonal_basis", read)
-    spin_core._bases.clear()
+    spin_core._store_clear()
     cold = kl_check(code, errs, seed=3, brute_force=True)
     warm = kl_check(code, errs, seed=3, brute_force=True)
     misses, hits = len(solves), len(reads) - len(solves)

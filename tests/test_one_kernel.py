@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinqec
-from spinqec import coherent, monopole, qec_check, recovery, rotations, spin_core
+from spinqec import coherent, finite_gkp, monopole, qec_check, recovery, rotations, spin_core
 from spinqec.coherent import (
     SphPoint,
     _ln_overlap_magnitude,
@@ -537,8 +537,7 @@ def test_one_tridiagonal_eigensolver_call_per_generator(monkeypatch, call, count
     # the one kernel; a dense Hermitian generator keeps the complex eigh
     calls, patched = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
     assert patched == {"spinqec.spin_core", "spinqec.coherent"}
-    spin_core._bases.clear()
-    coherent._theta_rule_cached.cache_clear()
+    spin_core._store_clear()
     call()
     assert len(calls) == count
 
@@ -548,7 +547,7 @@ def test_basis_cache_runs_the_solver_once_per_generator(monkeypatch):
     # the bands' bytes, so a repeat, or the oracle after a matexp on
     # axis_operator(j, y), runs no second solve
     calls, _ = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
-    spin_core._bases.clear()
+    spin_core._store_clear()
     y_5 = spin_core.axis_operator(5, _Y_AXIS)
     spin_core.matexp_antihermitian(y_5, 0.3)
     assert len(calls) == 1
@@ -571,33 +570,101 @@ def test_basis_cache_keeps_the_newest_bases_within_its_budget(monkeypatch):
     large_size = _basis_size(40)
     calls, _ = _count_calls(monkeypatch, spin_core, "_tridiagonal_eigh")
     # one byte short of the j = 20 basis: it is returned, never kept
-    monkeypatch.setattr(spin_core, "_BASIS_BUDGET", large_size - 1)
-    spin_core._bases.clear()
+    monkeypatch.setattr(spin_core, "_STORE_BUDGET", large_size - 1)
+    spin_core._store_clear()
     for gen in (small, large, large, small):
         spin_core.matexp_antihermitian(gen, 0.3)
-    assert len(calls) == 3 and len(spin_core._bases) == 1
+    assert len(calls) == 3 and len(spin_core._store) == 1
     # room for the j = 20 basis alone: the older j = 1 basis is dropped
-    monkeypatch.setattr(spin_core, "_BASIS_BUDGET", large_size)
+    monkeypatch.setattr(spin_core, "_STORE_BUDGET", large_size)
     for gen in (large, small):
         spin_core.matexp_antihermitian(gen, 0.3)
-    assert len(calls) == 5 and len(spin_core._bases) == 1
-    assert sum(map(spin_core._basis_bytes, spin_core._bases.values())) <= spin_core._BASIS_BUDGET
-    spin_core._bases.clear()
+    assert len(calls) == 5 and len(spin_core._store) == 1
+    assert spin_core._store_counts["spinqec.spin_core._tridiagonal_basis"] == [5, _basis_size(4)]
+    spin_core._store_clear()
+
+
+# one small entry of every builder that reads through the store, by its
+# name: (the read, a build outside the store, its arguments)
+_STORE_KINDS = {
+    "spinqec.spin_core._tridiagonal_basis": (spin_core._tridiagonal_basis, spin_core._tridiagonal_eigh,
+                                             spin_core._axis_bands(HalfInt(4), np.array(_Y_AXIS))),
+    **{f"{read.__module__}.{read.__name__}": (read, read.__wrapped__, args) for read, args in [
+        (coherent._theta_recurrence, (512,)), (coherent._theta_rule_cached, (8,)), (finite_gkp._roots, (9,)),
+        (finite_gkp._phase_index, (9, 2)), (finite_gkp._tables, (finite_gkp.GkpParams(2, 3, 3),)),
+        (recovery._gram_factor, (8, 5))]},
+}
+
+
+def _held(value):
+    """Every array value holds, a GkpCode's codeword amplitudes included."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, finite_gkp.GkpCode):
+        return [word.amps for word in value.codewords]
+    return [arr for part in value for arr in _held(part)]
+
+
+@pytest.mark.parametrize("budget", [600, 2048])
+def test_store_keeps_the_newest_entries_within_its_budget(monkeypatch, budget):
+    # every kind of entry in the one store: while the kept arrays exceed the
+    # budget the oldest stored entry goes, an entry larger than the budget is
+    # returned read-only and bytes-equal to a fresh build but not kept, a
+    # hit returns the stored object, and each builder's misses and kept
+    # bytes are counted exactly, against a model of the store
+    fresh = {name: [arr.tobytes() for arr in _held(build(*args))] for name, (_, build, args) in _STORE_KINDS.items()}
+    sizes = {name: sum(map(len, arrays)) for name, arrays in fresh.items()}
+    assert sizes["spinqec.finite_gkp._tables"] == 2 * 18 * 16 + 2 * 3 * 8  # codewords and comb
+    assert any(size > budget for size in sizes.values()) and sum(sizes.values()) > 2 * budget
+    monkeypatch.setattr(spin_core, "_STORE_BUDGET", budget)
+    spin_core._store_clear()
+    model, misses, objects = [], {}, {}  # model: (name, bytes), the oldest stored first
+
+    def step(name):  # the model's read of name; True on a hit
+        if name in [kept for kept, _ in model]:
+            return True
+        if name == "spinqec.coherent._theta_rule_cached":  # its build reads the recurrence
+            step("spinqec.coherent._theta_recurrence")
+        misses[name] = misses.get(name, 0) + 1
+        if sizes[name] <= budget:
+            model.append((name, sizes[name]))
+            while sum(size for _, size in model) > budget:
+                model.pop(0)
+        return False
+
+    for name in [*_STORE_KINDS, *_STORE_KINDS, *reversed(_STORE_KINDS), *_STORE_KINDS]:
+        read, _, args = _STORE_KINDS[name]
+        hit = step(name)
+        got = read(*args)
+        assert (got is objects.get(name)) == hit, name
+        objects[name] = got
+        assert [arr.tobytes() for arr in _held(got)] == fresh[name], name
+        assert not any(arr.flags.writeable for arr in _held(got)), name
+        assert [key[0] for key in spin_core._store] == [kept for kept, _ in model]
+        counts = spin_core._store_counts
+        assert {kind: count[0] for kind, count in counts.items()} == misses
+        assert {kind: count[1] for kind, count in counts.items()} == {
+            kind: sum(size for kept, size in model if kept == kind) for kind in misses}
+        assert sum(count[1] for count in counts.values()) <= budget
+    spin_core._store_clear()
 
 
 def test_basis_cache_under_threads(monkeypatch):
-    # six threads on two cores read and evict the one cache in turn, with
-    # the switch interval shortened: every result keeps a lone thread's bits
+    # six threads on two cores read and evict the one store in turn, with
+    # the switch interval shortened, on bases and on every other kind of
+    # entry: every result keeps a lone thread's bits
     gens = [spin_core.axis_operator(HalfInt(twice), _Y_AXIS) for twice in (3, 8, 13, 20)]
-    want = [spin_core.matexp_antihermitian(gen, 0.4).mat.tobytes() for gen in gens]
-    monkeypatch.setattr(spin_core, "_BASIS_BUDGET", _basis_size(20) + _basis_size(13))
+    calls = [lambda gen=gen: spin_core.matexp_antihermitian(gen, 0.4).mat for gen in gens]
+    calls += [lambda read=read, args=args: read(*args) for read, _, args in _STORE_KINDS.values()]
+    want = [[arr.tobytes() for arr in _held(call())] for call in calls]
+    monkeypatch.setattr(spin_core, "_STORE_BUDGET", _basis_size(20) + _basis_size(13))
     errors = []
 
     def work(first):
         try:
             for step in range(40):
-                index = (first + step) % len(gens)
-                assert spin_core.matexp_antihermitian(gens[index], 0.4).mat.tobytes() == want[index]
+                index = (first + step) % len(calls)
+                assert [arr.tobytes() for arr in _held(calls[index]())] == want[index]
         except Exception as exc:  # reported below, from the main thread
             errors.append(exc)
 
@@ -611,7 +678,7 @@ def test_basis_cache_under_threads(monkeypatch):
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        spin_core._bases.clear()
+        spin_core._store_clear()
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
 
@@ -620,7 +687,7 @@ def test_basis_cache_results_bitwise_equal_cold_and_warm():
     for twice in (0, 1, 7, 40, 101):
         for axis in (_Y_AXIS, (0.6, 0.0, -0.8), (0.48, -0.6, 0.64)):
             gen = spin_core.axis_operator(HalfInt(twice), axis)
-            spin_core._bases.clear()
+            spin_core._store_clear()
             cold = spin_core.matexp_antihermitian(gen, 0.7).mat.tobytes()
             assert spin_core.matexp_antihermitian(gen, 0.7).mat.tobytes() == cold, (twice, axis)
 
@@ -691,14 +758,14 @@ def test_ly_eigenbasis_builds_no_dense_generator():
     # a dense complex L_y took 16 bytes per entry on top of the real
     # eigensolver's 24: the cold peak was 40 (2j+1)^2 bytes
     j = HalfInt(1000)
-    spin_core._bases.clear()
+    spin_core._store_clear()
     tracemalloc.start()
     try:
         spin_core._tridiagonal_basis(*spin_core._axis_bands(j, np.array(_Y_AXIS)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        spin_core._bases.clear()
+        spin_core._store_clear()
     assert peak <= 32 * j.dim**2
 
 
@@ -719,6 +786,6 @@ def test_one_generator_band_writer(monkeypatch, call, count):
     # check reads L1's band once and its Wigner-D reference once more
     calls, patched = _count_calls(monkeypatch, spin_core, "_axis_bands")
     assert patched == {"spinqec.spin_core", "spinqec.rotations", "spinqec.coherent", "spinqec.qec_check"}
-    spin_core._bases.clear()
+    spin_core._store_clear()
     call()
     assert len(calls) == count

@@ -17,7 +17,7 @@ from spinqec.recovery import (
     syndrome_density,
     tail_failure,
 )
-from spinqec import recovery
+from spinqec import recovery, spin_core
 from spinqec.coherent import _ln_overlap_magnitude
 from spinqec.recovery import _correct_and_decode
 from spinqec.lll_codes import build_codewords, equatorial_qudit
@@ -303,14 +303,19 @@ def test_finite_ancilla_note_reduces_k_like_recover():
     assert note.correct_rate_ancilla > 0.9
 
 
-def test_gram_factor_cached_read_only():
-    recovery._gram_factor.cache_clear()
+def test_gram_factor_cached_read_only(monkeypatch):
+    reads = []
+    stored = recovery._gram_factor
+    monkeypatch.setattr(recovery, "_gram_factor", lambda *args: reads.append(args) or stored(*args))
+    spin_core._store_clear()
     for seed in range(3):
         recover(HalfInt(8), 5, 1, 0.05, seed=seed)
-    info = recovery._gram_factor.cache_info()
-    # each round reads the factor twice: _draws, for the bound d <= 2j + 1, then the decode
-    assert (info.misses, info.hits, info.maxsize) == (1, 5, 32)
-    whitening, root = recovery._gram_factor(8, 5)
+    # each round reads the factor twice: _draws, for the bound d <= 2j + 1,
+    # then the decode; one build, kept in the store within its budget
+    assert reads == [(8, 5)] * 6
+    assert spin_core._store_counts["spinqec.recovery._gram_factor"] == [1, 5 * 5 * 16 + 5 * 8]
+    whitening, root = stored(8, 5)
+    assert stored(8, 5)[0] is whitening
     assert whitening.shape == (5, 5) and root.shape == (5,)
     for table in (whitening, root):
         assert not table.flags.writeable
@@ -398,7 +403,7 @@ def test_recover_round_memory_is_o_of_d():
     # a (2j + 1)-wide float array alone would take 16 MB at j = 10^6; the
     # round at small j first loads what numpy sets up on first use
     recover(8, 4, 1, 0.1, 3, j_anc=20)
-    recovery._gram_factor.cache_clear()
+    spin_core._store_clear()
     tracemalloc.start()
     try:
         run = recover(10**6, 4, 1, 0.1, 3, j_anc=20)

@@ -298,16 +298,19 @@ _NODES = np.random.default_rng(400).uniform(0.0, math.pi, (2, 256))
         (None, lambda: momentum_kick(200, -200), 401**2, 20),
         (None, lambda: logical_operators(equatorial_qudit(200, 4)), 401**2, 52),
         (None, lambda: hermitian_check_ops(200, 3), 401**2, 52),
-        (lambda: spin_core._bases.clear(), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 44),
+        (spin_core._store_clear, lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 44),
         # the basis of L_y at j = 200 is kept by the first call
         (lambda: matexp_antihermitian(_Y_200, 0.3), lambda: matexp_antihermitian(_Y_200, 0.7), 401**2, 36),
         (None, lambda: coherent_amplitudes(200, *_NODES), 401 * 256, 32),
         # per (D + 3)^2: the full Jacobi matrix, its eigenvectors and an n x D
         # moment table took 40
-        (lambda: coherent._theta_rule_cached.cache_clear(), lambda: theta_rule(400), 403**2, 12),
+        (spin_core._store_clear, lambda: theta_rule(400), 403**2, 12),
+        # measured 96.1: the int power table, the log-magnitudes, the
+        # magnitudes, their phases and F beside the Wigner-D reference
+        (None, lambda: coherent.disentangle_check(200, coherent.SphPoint(1.0, 0.3)), 401**2, 97),
     ],
     ids=["momentum_kick", "logical_operators", "hermitian_check_ops", "matexp-cold", "matexp-warm",
-         "coherent_amplitudes", "theta_rule"],
+         "coherent_amplitudes", "theta_rule", "disentangle_check"],
 )
 def test_dense_builders_within_their_bytes_per_entry(setup, call, entries, bound):
     # the tracemalloc peaks at 2j = 400 that the MAX_DENSE_DIM docstring
