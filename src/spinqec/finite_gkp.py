@@ -21,8 +21,8 @@ and r2 are both odd the in-window error set has exactly r1 r2 elements
 and the errored code spaces tile C^N orthogonally.
 
 A round does a few array passes and no per-call set-up.  The code of each
-GkpParams (its codewords, words and the (K x r2) table of comb
-positions) is built once and kept in spin_core's one store of tables,
+GkpParams (its codewords, words, the (K x r2) table of comb positions
+and N's roots) is built once and kept in spin_core's one store of tables,
 whose byte budget (64 MiB) bounds every table the package keeps and
 counts an entry's K N complex amplitudes.  build_gkp_code returns the
 stored code, so its codewords are shared between callers and their
@@ -36,15 +36,17 @@ so a word with phase c costs one integer add (or, for b > N/2, one
 subtraction from 2N + c) and one gather, with no multiply and no
 reduction.  PauliWord.to_operator, the helper that applies a word to an
 amplitude array (which PauliWord.apply wraps) and the round share this
-one phase path.  A round's error key b mod N and undo key -bhat mod N lie
-in one symmetric window and fold onto |b| and |bhat|, so the rounds of a
-code read about r2/2 + 1 index arrays.  The round builds no PauliWord: it
-takes the norm and the code-space residual as direct sums of squares,
-rescaled as StateVec.norm rescales when they leave the double range,
-multiplies the error's phases into the input's amplitudes, applies the
-inverse of the decoded shift with _apply_word (its phases, then one roll
-by the net shift), and hands only the recovered array, uncopied and
-read-only, to a StateVec.
+one phase path.  A round reads the roots from its code's entry.  Its
+error key b mod N and undo key -bhat mod N lie in one symmetric window
+and fold onto |b| and |bhat|, so the rounds of a code read about r2/2 + 1
+index arrays, and an error in the window has b = bhat: its round reads
+the store twice, for the code and for one index array that both words
+share.  The round builds no PauliWord: it takes the norm and the
+code-space residual as direct sums of squares, rescaled as StateVec.norm
+rescales when they leave the double range, multiplies the error's phases
+into the input's amplitudes, applies the inverse of the decoded shift
+(its phases, then one roll by the net shift), and hands only the
+recovered array, uncopied and read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class PauliWord:
         _require_dense(HalfInt(n - 1), n, 16)
         x = np.arange(n)
         mat = np.zeros((n, n), dtype=complex)
-        mat[(x + self.a) % n, x] = _phases(n, self.b, self.c)
+        mat[(x + self.a) % n, x] = _word_phases(n, self.b, self.c)
         return Operator._owning(HalfInt(n - 1), mat)
 
     def apply(self, vec: StateVec) -> StateVec:
@@ -197,8 +199,9 @@ def _phase_index(n: int, b: int) -> np.ndarray:
     return (2 * b * np.arange(n, dtype=np.intp)) % (2 * n)
 
 
-def _phases(n: int, b: int, c: int) -> np.ndarray:
-    """exp(i pi c / n) Z^b as its diagonal, 0 <= b < n, 0 <= c < 2n.
+def _phases(n: int, b: int, c: int, roots: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """exp(i pi c / n) Z^b as its diagonal, 0 <= b < n, 0 <= c < 2n, from
+    the doubled roots table and the index array of (n, min(b, n - b)).
 
     One integer add or subtract (none when c = 0 and b <= n / 2) and one
     gather from the roots table.  Z^b and Z^(n-b) share an index array:
@@ -206,21 +209,27 @@ def _phases(n: int, b: int, c: int) -> np.ndarray:
     table absorbs the 2n, so the same roots are read.
     """
     if 2 * b <= n:
-        index = _phase_index(n, b)
-        return _roots(n)[index + c if c else index]
-    return _roots(n)[(2 * n + c) - _phase_index(n, n - b)]
+        return roots[index + c if c else index]
+    return roots[(2 * n + c) - index]
+
+
+def _word_phases(n: int, b: int, c: int) -> np.ndarray:
+    """_phases with both tables read from the store."""
+    return _phases(n, b, c, _roots(n), _phase_index(n, min(b, n - b)))
+
+
+def _roll(amps: np.ndarray, a: int) -> np.ndarray:
+    """X^a, 0 <= a < n: entry x moves to x + a mod n, a cyclic roll by a."""
+    cut = len(amps) - a
+    return np.concatenate((amps[cut:], amps[:cut]))
 
 
 def _apply_word(amps: np.ndarray, n: int, a: int, b: int, c: int) -> np.ndarray:
     """exp(i pi c / n) X^a Z^b on an amplitude array, 0 <= a, b < n, 0 <= c < 2n.
 
-    Returns a fresh array: the phases of _phases, read through the stored
-    index array of (n, min(b, n - b)) from the doubled roots table, then
-    X^a moves entry x to x + a mod n, a cyclic roll by a.
+    Returns a fresh array: the phases of _word_phases, then the roll of X^a.
     """
-    phased = amps * _phases(n, b, c)
-    cut = n - a
-    return np.concatenate((phased[cut:], phased[:cut]))
+    return _roll(amps * _word_phases(n, b, c), a)
 
 
 def clock_shift(n: int) -> tuple[Operator, Operator]:
@@ -251,14 +260,18 @@ class GkpCode:
 
 
 @_stored
-def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
-    """The code of params and its (k x r2) comb table, entry (s, i) = (k i + s) r1.
+def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray, np.ndarray]:
+    """The code of params, its (k x r2) comb table, entry (s, i) = (k i + s) r1,
+    and N's doubled roots, which a round reads from here.
 
-    A (k x N) codeword table past the 1 GiB of one dense table raises
-    ValueError, naming N and the bytes, before allocating.
+    The roots are built apart from _roots' entry, so the store counts
+    each array once.  A (k x N) codeword table, or 4N roots, past the
+    1 GiB of one dense table raises ValueError, naming N and the bytes,
+    before allocating.
     """
     k, r1, r2, n = params.k, params.r1, params.r2, params.n
     _require_bytes("N", n, k, 16)
+    roots = _roots.__wrapped__(n)
     comb = (k * np.arange(r2) + np.arange(k)[:, None]) * r1
     amps = np.zeros((k, n), dtype=complex)
     np.put_along_axis(amps, comb, 1.0 / math.sqrt(r2), axis=1)
@@ -270,7 +283,7 @@ def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
         stabilizer_x=PauliWord(n, k * r1, 0),
         stabilizer_z=PauliWord(n, 0, k * r2),
     )
-    return code, comb
+    return code, comb, roots
 
 
 def build_gkp_code(params: GkpParams) -> GkpCode:
@@ -279,8 +292,8 @@ def build_gkp_code(params: GkpParams) -> GkpCode:
     The code is built once per GkpParams and kept in spin_core's store of
     tables, within its byte budget: every call with equal params returns
     the same GkpCode while it is kept, and its codewords are shared and
-    read-only.  A (k x N) codeword table past the 1 GiB of one dense table
-    raises ValueError before allocating.
+    read-only.  A (k x N) codeword table, or 4N roots, past the 1 GiB of
+    one dense table raises ValueError before allocating.
     """
     return _tables(params)[0]
 
@@ -342,16 +355,16 @@ def syndrome_and_recover(
     A zero, infinite or NaN state raises ValueError naming its norm; a
     finite state whose sum of squares overflows or underflows is checked
     on amps / max|amps| and recovered as given.  The code and its comb
-    table come from the per-GkpParams store entry of build_gkp_code; the
-    code-space check projects onto the combs through that table rather
-    than through dense (k x N) products, and compares the residual's sum
-    of squares with 1e-20 times the state's.  The error's phases are
-    multiplied into the input's amplitudes, then _apply_word applies the
-    undo word with the error's shift folded in: the same products as
-    applying the two words in turn, and one roll.  Only the recovered
-    array is wrapped, without a copy, in a StateVec.
+    table, and N's roots, come from the per-GkpParams store entry of
+    build_gkp_code; the code-space check projects onto the combs through
+    that table rather than through dense (k x N) products, and compares
+    the residual's sum of squares with 1e-20 times the state's.  The
+    error's phases are multiplied into the input's amplitudes, then the
+    undo word's phases, with the error's shift folded into its one roll:
+    the same products as applying the two words in turn.  Only the
+    recovered array is wrapped, without a copy, in a StateVec.
     """
-    _, comb = _tables(params)
+    _, comb, roots = _tables(params)
     n = params.n
     if state.j.dim != n:
         raise ValueError("state dimension does not match the code")
@@ -382,9 +395,14 @@ def syndrome_and_recover(
     # PauliWord.inverse.  Its phase at position x + a is its exponent at x
     # plus 2 b2 a, so it acts on the error's phased amplitudes as one word
     # whose shift is the net a - ahat: X^a's roll folds into its roll.
-    b2 = -b_hat % n
-    errored = state.amps * _phases(n, b % n, 0)
-    recovered = _apply_word(errored, n, (a - a_hat) % n, b2, 2 * (a_hat * b_hat + b2 * a) % (2 * n))
+    # The undo key bhat lies in the window, |bhat| <= r2/2 < n/2, and an
+    # error in the window has b = bhat: then both words read one index array.
+    b2, key = -b_hat % n, min(b % n, -b % n)
+    index = _phase_index(n, key)
+    errored = state.amps * _phases(n, b % n, 0, roots, index)
+    index = index if abs(b_hat) == key else _phase_index(n, abs(b_hat))
+    c2 = 2 * (a_hat * b_hat + b2 * a) % (2 * n)
+    recovered = _roll(errored * _phases(n, b2, c2, roots, index), (a - a_hat) % n)
     logical_x = ((a - a_hat) // params.r1) % params.k
     logical_z = ((b - b_hat) // params.r2) % params.k
     return SyndromeOutcome(

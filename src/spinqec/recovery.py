@@ -46,19 +46,24 @@ enter ov and the gram matrix only as diagonal unitaries, so they cancel
 exactly from ov^H G^-1 ov = v^T C^-1 v, and the round reads d real
 numbers, each ln v_a from coherent._ln_overlap_magnitude, the package's
 one kernel of the real overlap law (the tail mass takes it too, up to
-epsilon = pi/2).  C is circulant, so its eigenvalues are known exactly; each
-(j, d) keeps the DFT that diagonalizes it, scaled by them, read-only in
-spin_core's one store of tables, within its byte budget (64 MiB for every
-table the package keeps).
+epsilon = pi/2).  C is circulant, so the DFT diagonalizes it and its
+eigenvalues are exact class sums of the binomial law: v^T C^-1 v is a sum
+over the modes of the FFT of v, each divided by its eigenvalue.  Each
+(j, d) keeps its d eigenvalues, read-only in spin_core's one store of
+tables, within its byte budget (64 MiB for every table the package
+keeps); no d x d table is built, so d is bounded by 2j + 1 and by the
+1 GiB of one dense table for a round's O(d) working set, not by
+MAX_DENSE_DIM.
 
 Rounds run in blocks of seeds, through one sampler (_draws, one generator
 per seed) and one decode (_correct_and_decode): the d logs and exps of a
-row are scalar math calls, and the block's W v and |W v|^2 are stacked
-matmuls, which keep each row's BLAS gemv and dot bits, so a row reads the
-same in a block of any size.  _rounds assembles a block, from the checked
-arguments to its four columns: recover is its one-seed call and the CLI's
-recovery-sweep its many-seed call.  finite_ancilla_note decodes both the
-true and the reported draws of its block, so it reads _draws itself.
+row are scalar math calls, the block's FFT is numpy's pocketfft along each
+row, and each row's modes are summed left to right, so a row reads the
+same in a block of any size and on any BLAS or SIMD kernels.  _rounds
+assembles a block, from the checked arguments to its four columns:
+recover is its one-seed call and the CLI's recovery-sweep its many-seed
+call.  finite_ancilla_note decodes both the true and the reported draws
+of its block, so it reads _draws itself.
 
 Only numpy and the standard library are used at run time.
 """
@@ -68,12 +73,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .coherent import (_amplitude_magnitudes, _binomial_row, _ln_overlap_magnitude, rotation_matrix_elements,
                        theta_rule)
-from .spin_core import HalfInt, _finite, _integer, _real, _require_dense, _spin, _stored
+from .spin_core import MAX_DENSE_DIM, HalfInt, _finite, _integer, _real, _require_bytes, _spin, _stored
 
 __all__ = [
     "SyndromeRun",
@@ -109,38 +116,47 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
       validate  -- pre-localization form <u|u> with the colatitude
                    integrals evaluated exactly, all azimuths in one
                    pass (module docstring); a cross-check of the other
-                   two forms at small j, capped at j <= 8.
+                   two forms at small j and d, capped at j <= 8 and
+                   d <= MAX_DENSE_DIM, as its (d x nodes) tables take
+                   about 6.4 kB a site at j = 8.
 
-    F_a and S_ab are equatorial elements <pi/2, out|pi/2, in> from
-    rotation_matrix_elements.  All modes are unnormalized; positivity
-    holds pointwise.  The arguments are recover's, checked by _round_args,
-    except that d may exceed 2j + 1 here: the density has no gram matrix.
-    Its d x d table (S, or the identity) is refused with ValueError above
-    MAX_DENSE_DIM, as a dense operator is.
+    F_a are equatorial elements <pi/2, out|pi/2, in> from
+    rotation_matrix_elements.  S_ab = exp(i j (s_b - s_a)) C_ab, s_a =
+    2 pi a/d, with C the real circulant of the module docstring: so
+    S = D^H C D for the diagonal D of phases exp(i j s_a), and C =
+    Phi^H diag(lambda) Phi/d for the DFT matrix Phi.  In the same way
+    F_a = exp(i j (phi_in - s_a)) |F_a|, so D F = exp(i j phi_in) |F|, and
+    the full form is sum_f lambda_f |(Phi |F|)_f|^2/d: one FFT of the d
+    magnitudes, weighted by the spectrum of _gram_factor.  The leading form
+    is sum_a |F_a|^2.  Neither builds a d x d table.  All modes are
+    unnormalized; positivity holds pointwise.  The arguments are recover's, checked by
+    _round_args, except that d may exceed 2j + 1 here: the density has no
+    gram matrix, and a class of t mod d that holds no t has lambda_f at
+    the floor of _gram_factor, 2.2e-308.
     """
     j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
-    _require_dense(HalfInt(d - 1), d, 16)
     tj = j.twice
     phi_state = _TWO_PI * k / d + delta_phi
     shifts = _TWO_PI * np.arange(d) / d
     equator = math.pi / 2.0
 
     if mode in ("leading", "full"):
-        sep = np.eye(d) if mode == "leading" else rotation_matrix_elements(
-            j, (equator, shifts[:, None]), (0,) * 3, (equator, shifts))
+        spectrum = _gram_factor(tj, d) / d if mode == "full" else None
 
-        def density(phi_m):
-            phi_in = np.asarray(phi_m, dtype=float) - phi_state
-            sites = shifts.reshape((d,) + (1,) * phi_in.ndim)
-            f = rotation_matrix_elements(j, (equator, sites), (0,) * 3, (equator, phi_in))
-            total = np.sum(f.conj() * np.tensordot(sep, f, axes=1), axis=0)
-            return np.maximum(total.real, 0.0)
+        def density(phi_m):  # the d sites on the last axis
+            phi_in = np.asarray(phi_m, dtype=float)[..., None] - phi_state
+            f = rotation_matrix_elements(j, (equator, shifts), (0,) * 3, (equator, phi_in))
+            power = f.real**2 + f.imag**2
+            if mode == "full":  # D F = exp(i j phi_in) |F|
+                modes = np.fft.fft(np.sqrt(power), axis=-1)
+                power = spectrum * (modes.real**2 + modes.imag**2)
+            return np.sum(power, axis=-1)
 
         return density
 
     if mode == "validate":
-        if tj > 16:
-            raise ValueError("validation mode is limited to j <= 8")
+        if tj > 16 or d > MAX_DENSE_DIM:  # about 6.4 kB a site at j = 8
+            raise ValueError(f"validation mode is limited to j <= 8 and d <= {MAX_DENSE_DIM}")
         thetas, weights = theta_rule(2 * tj)
         mags = _amplitude_magnitudes(tj, thetas)
         levels = np.arange(tj + 1)  # j - m: |theta, phi> = diag(exp(i (j - m) phi)) |c(theta)|
@@ -150,7 +166,7 @@ def syndrome_density(j, d: int, k: int, delta_phi: float, mode: str = "leading")
             phi_u = (phi_m[..., None] - shifts)[..., None]
             # <theta', phi_u | pi/2, phi_state> in closed form at every node, meridian and azimuth
             ovl = rotation_matrix_elements(j, (thetas, phi_u), (0,) * 3, (equator, phi_state))
-            u = np.sum(np.exp(1j * phi_u * levels) * ((weights * ovl) @ mags.T), axis=-2)
+            u = np.sum(np.exp(1j * phi_u * levels) * np.einsum("...n,mn->...m", weights * ovl, mags), axis=-2)
             out = np.sum(u.real**2 + u.imag**2, axis=-1)
             return out if out.size > 1 else out[0]
 
@@ -196,13 +212,15 @@ def single_peak_mass(j) -> float:
 def _beta_cf(a: float, x: float) -> float:
     """Continued fraction of I_x(a, a), by the modified Lentz method.
 
-    Converges quickly for x < 1/2, in O(sqrt(a)) terms at worst.
+    Converges quickly for x < 1/2, in O(sqrt(a)) terms at worst, so the
+    terms are capped at 10 000 + isqrt(a): 12 867 terms reach the 1e-12
+    window at a = 2e10 + 1/2, where a fixed 10 000 raised ValueError.
     """
     tiny = 1e-300
     c = 1.0
     d = 1.0 / max(tiny, 1.0 - 2.0 * a * x / (a + 1.0))
     h = d
-    for m in range(1, 10_000):
+    for m in range(1, 10_000 + math.isqrt(int(a))):
         for num in (
             m * (a - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
             -(a + m) * (2.0 * a + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
@@ -334,11 +352,11 @@ def _peak_offset(tj: int, rng) -> float:
 
 
 @_stored
-def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The whitening factor of C for one (j, d): (W, r), read-only.
+def _gram_factor(tj: int, d: int) -> np.ndarray:
+    """The spectrum lambda of C for one (j, d), read-only: 8d bytes.
 
-    C is circulant, so the DFT diagonalizes it: v^T C^-1 v = |W v|^2 with
-    W_fa = exp(-2 pi i a f/d)/sqrt(d lambda_f).  cos^(2j)(x) =
+    C is circulant, so the DFT diagonalizes it: with v-hat = FFT(v),
+    v^T C^-1 v = sum_f |v-hat_f|^2/(d lambda_f).  cos^(2j)(x) =
     sum_t C(2j, j + t) exp(2 i t x)/4^j gives lambda_f = d P(t = f mod d)
     under the binomial law of t: sums of positive terms, with full
     relative accuracy however small (d = 2j + 1 at j = 100 has lambda
@@ -349,34 +367,23 @@ def _gram_factor(tj: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     kept while they are normal.  np.add.at adds each weight to the class
     t mod d and then to -t mod d, in the order t = 1, 2, ..., a few
     thousand t at a time: the bits of the running ratio product and of
-    the sums that a loop over t gives.  r_f = sqrt(lambda_f/d), with
-    lambda_f floored at the smallest normal double for a class whose
-    every weight lies beyond that point.
+    the sums that a loop over t gives.  lambda_f is floored at the
+    smallest normal double for a class whose every weight lies beyond
+    that point, or that holds no t at all (d > 2j + 1, which the density
+    accepts and the decode does not).
 
-    The d codewords are independent only in 2j + 1 >= d levels: a larger d
-    raises ValueError here, the one place that needs the bound (_round_args
-    checks the rest of a round's arguments, and _draws asks for this factor
-    first, so the bound holds before a round draws).  So does a d above
-    MAX_DENSE_DIM, whose d x d whitening would not fit.  The factor is kept
-    in spin_core's store (_stored) within its 64 MiB budget: a factor larger
-    than that, d above about 2000, is rebuilt on each read.
+    The factor is O(d) at every d, so it is kept in spin_core's store
+    (_stored) within its 64 MiB budget up to d of about 8 million.
     """
-    if d > tj + 1:
-        raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
-    _require_dense(HalfInt(d - 1), d, 16)
     j = tj // 2
     mant, exps = _binomial_row(tj, j, min(j, int(355.0 + math.sqrt(355.0**2 + 710.0 * j))) + 1)
     weights = np.ldexp(mant[0], exps[0])
     count = np.count_nonzero(weights >= sys.float_info.min)
-    classes = np.eye(1, d)[0]  # t = 0, once, in class 0
+    classes = np.pad([1.0], (0, d - 1))  # t = 0, once, in class 0
     for lo in range(1, count, 4096):  # a few thousand t to a call keep its tables small
         t = np.arange(lo, min(lo + 4096, count))
         np.add.at(classes, np.stack((t % d, -t % d), axis=1), weights[t, None])
-    spectrum = classes * (d / math.fsum(classes))
-    root = np.sqrt(np.maximum(spectrum, sys.float_info.min) / d)
-    freqs = np.arange(d)
-    whitening = np.exp(-2j * math.pi * (np.outer(freqs, freqs) % d) / d) / (d * root[:, None])
-    return whitening, root
+    return np.maximum(classes * (d / math.fsum(classes)), sys.float_info.min)
 
 
 def _round_args(j, d: int, k: int, delta_phi: float):
@@ -385,8 +392,12 @@ def _round_args(j, d: int, k: int, delta_phi: float):
 
     The one check behind recover, finite_ancilla_note, recovery-sweep and
     syndrome_density: j a nonnegative integer, d and k integers, d at least
-    2, delta_phi finite.  The bound d <= 2j + 1 belongs to the decode and is
-    checked there (_gram_factor), with the same message.
+    2, delta_phi finite, and d within one dense table's 1 GiB at about 210
+    bytes a codeword or site: the working set of a round or of one azimuth
+    of the density is O(d), measured at 129 and 207 bytes an entry at
+    d = 2^17 and 2^18 (tracemalloc).  The bound d <= 2j + 1 belongs to the
+    decode and is checked where every round starts (_draws), with the same
+    message.
     """
     j = _spin(j)
     if not j.is_integer:
@@ -395,6 +406,7 @@ def _round_args(j, d: int, k: int, delta_phi: float):
     if d < 2:
         raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {j.twice + 1} levels")
     delta_phi = _finite("delta_phi", delta_phi)
+    _require_bytes("d", d, 1, 210)
     return j, d, _integer("k", k) % d, delta_phi, not abs(delta_phi) < math.pi / d
 
 
@@ -406,10 +418,11 @@ def _draws(tj: int, d: int, k: int, delta_phi: float, seeds, tj_anc=None):
     set, a readout blur from the ancilla kernel cos^(2 tj_anc)(Delta/2),
     drawn next from the same generator, is added to report it, not reduced
     again; without it the report is the true azimuth.  Every round decodes
-    its draws, so a d the decode refuses (_gram_factor) raises before any
-    draw is made.
+    its draws, and the d codewords are independent only in 2j + 1 >= d
+    levels, so a larger d raises ValueError before any draw is made.
     """
-    _gram_factor(tj, d)
+    if d > tj + 1:
+        raise ValueError(f"d = {d} codewords need 2 <= d <= 2j + 1 = {tj + 1} levels")
     true, reported = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -436,34 +449,39 @@ def _correct_and_decode(tj: int, d: int, k: int, delta_phi: float, phis):
     the quadratic form, which the ratio does not see, so the fidelity
     stays defined where every overlap underflows, and capped at 1, which
     rounding in the eigenvalues of C can pass by an ulp; raw_fidelity is
-    exp(2 ln v_k), 0.0 below the double range.  v^T C^-1 v is |W v|^2
-    (see _gram_factor).  The exact modes obey |(W v)_f| <= r_f/max(v),
-    by the triangle inequality on the class sums, and capping the
-    computed ones there keeps rounding in v from being divided by a small
-    lambda_f.  Where max(v) < exp(-300), d is far below sqrt(j), every
-    lambda_f is near 1 and the cap, taken at exp(300), is idle.
+    exp(2 ln v_k), 0.0 below the double range.  v^T C^-1 v is
+    sum_f |v-hat_f|^2/(d lambda_f), v-hat = FFT(v), over the spectrum of
+    _gram_factor.  The exact modes obey |v-hat_f| <= lambda_f/max(v), by
+    the triangle inequality on the class sums, and capping the computed
+    |v-hat_f|^2/lambda_f at lambda_f/max(v)^2 keeps rounding in v from
+    being divided by a small lambda_f.  Where max(v) < exp(-300), d is far
+    below sqrt(j), every lambda_f is near 1 and the cap, taken at
+    exp(600), is idle.
 
     The logs and exps are scalar math calls, whose bits do not follow
-    numpy's SIMD dispatch.  The block's W v and |W v|^2 are stacked
-    matmuls, which run one BLAS gemv and one dot per row, so each row
-    keeps the bits a one-row block gives it.
+    numpy's SIMD dispatch; the FFT is numpy's pocketfft, not BLAS, and
+    transforms each row on its own; the squares, quotients and minima are
+    correctly rounded elementwise; and each row is summed left to right in
+    Python floats (not with sum, whose float algorithm changed in Python
+    3.12, nor math.fsum, whose cost grows with the spread of the terms,
+    which spans hundreds of decades where d is near 2j + 1).  So a row
+    keeps the bits a one-row block gives it, on any BLAS and SIMD kernels.
     """
     recovered, rows, caps, ratios, raws = [], [], [], [], []
     for phi_m in phis:
-        lattice_index = round(phi_m * d / _TWO_PI)
-        s = phi_m - _TWO_PI * lattice_index / d - delta_phi
+        # the offset to the nearest lattice azimuth, less the error
+        s = phi_m - _TWO_PI * round(phi_m * d / _TWO_PI) / d - delta_phi
         ln_v = [_ln_overlap_magnitude(_TWO_PI * ((k - a) % d) / d - s, tj) for a in range(d)]
         top = max(ln_v)
         recovered.append(ln_v.index(top))
         rows.append([math.exp(x - top) for x in ln_v])
-        caps.append(math.exp(min(-top, 300.0)))
+        caps.append(math.exp(min(-2.0 * top, 600.0)))
         ratios.append(math.exp(2.0 * (ln_v[k] - top)))
         raws.append(math.exp(2.0 * ln_v[k]))
-    whitening, root = _gram_factor(tj, d)
-    v = np.array(rows, dtype=complex).reshape(len(rows), d, 1)
-    capped = np.minimum(np.abs(np.matmul(whitening, v)[..., 0]), np.multiply.outer(caps, root))
-    norms = np.matmul(capped[:, None], capped[..., None])[:, 0, 0].tolist()
-    fidelity = [min(1.0, ratio / norm) for ratio, norm in zip(ratios, norms)]
+    lam = _gram_factor(tj, d)
+    modes = np.fft.fft(np.array(rows).reshape(-1, d), axis=-1)
+    power = np.minimum((modes.real**2 + modes.imag**2) / lam, np.multiply.outer(caps, lam))
+    fidelity = [min(1.0, d * r / reduce(add, row)) for r, row in zip(ratios, power.tolist())]
     return np.array(recovered, dtype=np.int64), np.array(fidelity), np.array(raws)
 
 
@@ -538,10 +556,11 @@ def finite_ancilla_note(
     """Fidelity cost of reading the syndrome with a finite ancilla.
 
     Draws one block of runs seeded seed, seed + 1, ..., each once, and
-    decodes its true azimuths and its blurred reports, so each pair shares
-    its true outcome; reports the mean-fidelity gap, which shrinks as
-    j_anc grows.  Each run equals recover on its seed, with and without
-    j_anc.  runs must be at least 1.
+    decodes its true azimuths and its blurred reports in one block (a row
+    keeps its bits in any block), so each pair shares its true outcome;
+    reports the mean-fidelity gap, which shrinks as j_anc grows.  Each run
+    equals recover on its seed, with and without j_anc.  runs must be at
+    least 1.
     """
     runs = _integer("runs", runs)
     if runs < 1:
@@ -549,9 +568,7 @@ def finite_ancilla_note(
     j, d, k, delta_phi, _ = _round_args(j, d, k, delta_phi)
     j_anc = _spin(j_anc)
     ideal, noisy = _draws(j.twice, d, k, delta_phi, range(seed, seed + runs), j_anc.twice)
-    _, fid_ideal, _ = _correct_and_decode(j.twice, d, k, delta_phi, ideal)
-    recovered, fid_anc, _ = _correct_and_decode(j.twice, d, k, delta_phi, noisy)
-    mean_ideal = float(np.mean(fid_ideal))
-    mean_anc = float(np.mean(fid_anc))
-    correct_rate = int(np.count_nonzero(recovered == k)) / runs
+    recovered, fidelity, _ = _correct_and_decode(j.twice, d, k, delta_phi, ideal + noisy)
+    mean_ideal, mean_anc = float(np.mean(fidelity[:runs])), float(np.mean(fidelity[runs:]))
+    correct_rate = int(np.count_nonzero(recovered[runs:] == k)) / runs
     return AncillaReport(j, j_anc, runs, mean_ideal, mean_anc, mean_ideal - mean_anc, correct_rate)

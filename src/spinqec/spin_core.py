@@ -62,8 +62,9 @@ entry; theta_rule 12 per (D + 3)^2 at D = 400, measured 7.5 to 8.6 (the
 half-size block and its eigenvectors); disentangle_check 97, measured
 96.1, which is therefore refused from 2j + 1 = 3345, where 96 bytes an
 entry pass the 1 GiB of one dense table.  A table sized by bytes rather
-than by 2j + 1, as a shift code's (k x N) codewords and 4 N roots, is
-refused past that 1 GiB too."""
+than by 2j + 1, as a shift code's (k x N) codewords and 4 N roots, or
+the O(d) working set of a recovery round or density azimuth (about 210
+bytes a codeword), is refused past that 1 GiB too."""
 
 # A plain sum of squares in [_SQ_MIN, _SQ_MAX] is used as it stands: at
 # 2^-969, the smallest normal double times 2^53, squares that fall into the

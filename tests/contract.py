@@ -208,6 +208,25 @@ def _decode_of_round(j, d, k, seed, j_anc):
     return oracles.decode(j, d, k, 0.1, recover(j, d, k, 0.1, seed, j_anc=j_anc).measured_phi)
 
 
+def _spectral_decode_of_round(j, d, k, seed, j_anc):
+    return oracles.decode_spectral(j, d, k, 0.1, recover(j, d, k, 0.1, seed, j_anc=j_anc).measured_phi)
+
+
+def _ancilla_note(j, j_anc, d, runs):
+    note = finite_ancilla_note(j, j_anc, d=d, runs=runs)
+    return note.mean_fidelity_ideal, note.mean_fidelity_ancilla
+
+
+def _ancilla_note_by_oracle(j, j_anc, d, runs):
+    # the mean fidelities of the same rounds, each decoded by the spectral oracle
+    return tuple(sum(oracles.decode_spectral(j, d, 0, 0.0, recover(j, d, 0, 0.0, seed, j_anc=anc).measured_phi)[1]
+                     for seed in range(runs)) / runs for anc in (None, j_anc))
+
+
+def _pairwise_rel(got, want):
+    return max(rel(a, b) for a, b in zip(got, want))
+
+
 def _decode_error(got, want):
     # the codeword must agree; raw fidelities below 1e-300 are not compared
     if got[0] != want[0]:
@@ -415,15 +434,24 @@ _RAISE_TABLES = [
         for name, func, args, kwargs in [("theta_rule", theta_rule, (16382,), {}),
                                          ("sphere_quadrature", sphere_quadrature, (), {"degree": 16382})]
     ]),
-    # a d x d whitening or separation table past MAX_DENSE_DIM: recover(10^5,
-    # 150001, ...) asked numpy for 360 GB
-    ("test_domain_edges::test_recovery_tables_refused_past_max_dense_dim", ValueError, [
-        (name, func, args, kwargs, rf"2j \+ 1 = {d} exceeds MAX_DENSE_DIM")
-        for name, func, args, kwargs, d in [
-            ("recover", recover, (10**5, 150001, 0, 0.1, 0), {}, 150001),
-            ("finite_ancilla_note", finite_ancilla_note, (10**5, 20), {"d": 150001}, 150001),
-            ("syndrome_density-leading", syndrome_density, (4, 8193, 0, 0.0), {}, 8193),
-            ("syndrome_density-full", syndrome_density, (4, 8193, 0, 0.0, "full"), {}, 8193),
+    # more codewords than levels are linearly dependent: the decode's bound,
+    # checked before any draw, also past MAX_DENSE_DIM
+    ("test_domain_edges::test_recovery_refuses_more_codewords_than_levels", ValueError, [
+        (name, func, args, kwargs, r"^d = 8194 codewords need 2 <= d <= 2j \+ 1 = 8193 levels$")
+        for name, func, args, kwargs in [
+            ("recover", recover, (4096, 8194, 0, 0.1, 0), {}),
+            ("finite_ancilla_note", finite_ancilla_note, (4096, 20), {"d": 8194}),
+        ]
+    ]),
+    # a round's or a density point's d-wide working set, about 210 bytes a
+    # codeword or site, past the 1 GiB of one dense table: the first d refused
+    ("test_domain_edges::test_recovery_refused_past_one_dense_table", ValueError, [
+        (name, func, args, kwargs, r"^d = 5113057: 1 x 5113057 entries of 210 bytes would need 1,073,741,970 bytes")
+        for name, func, args, kwargs in [
+            ("recover", recover, (2**22, 5113057, 0, 0.1, 0), {}),
+            ("finite_ancilla_note", finite_ancilla_note, (2**22, 20), {"d": 5113057}),
+            ("syndrome_density-leading", syndrome_density, (4, 5113057, 0, 0.0), {}),
+            ("syndrome_density-full", syndrome_density, (4, 5113057, 0, 0.0, "full"), {}),
         ]
     ]),
     # a shift code whose (k x N) codewords pass the 1 GiB of one dense table:
@@ -758,12 +786,37 @@ TABLE = [
       for regime, bound, cases in [("large_j", 1e-11, [(1e6, 0.1), (1e5, 0.05), (400, 0.3), (2.5, 0.7)]),
                                    ("near_pi", 1e-13, [(5, 3.14159), (20, 3.1)])]
       for j, eps in cases),
+    # at j = 10^10 the continued fraction needs 12 867 terms; the window is
+    # 2.5e-13 wide, and rounding z = sin^2((pi - eps)/4) moves the tail by 3.5e-11
+    Row("test_recovery::test_tail_failure_at_huge_j_against_mpmath[1e10-1e-12]",
+        lambda j, eps: tail_failure(j, eps).numeric_tail, [(10**10, 1e-12)], oracles.tail_mass_window, rel,
+        within=1e-10, dps=40, covers="tail_failure"),
     # with j_anc = 20 the correction misses by |s| ~ 0.1-0.3, and at large j
     # every overlap sits far below 1e-16
     *(Row(f"test_recovery::test_recover_matches_mp_decode[{j}-{d}-{j_anc}]", _round,
           [(j, d, s % d, s, j_anc) for s in range(3)], _decode_of_round, _decode_error, within=1e-10,
           covers="recover")
       for j in (8, 50, 200, 2000, 10**5) for d in (2, 3, 4) for j_anc in (None, 20)),
+    # the decode's fidelity from the spectrum of the codeword gram matrix, by
+    # exact class sums, at d up to 2048 and d = 2j + 1 past MAX_DENSE_DIM
+    *(Row(f"test_recovery::test_recover_matches_spectral_decode[{j}-{d}-{j_anc}]", _round,
+          [(j, d, s % d, s, j_anc) for s in range(3)], _spectral_decode_of_round, _decode_error, within=1e-13,
+          covers="recover")
+      for j, d in ((50, 2), (50, 3), (20, 41), (600, 1024), (1100, 2048)) for j_anc in (None, 20)),
+    # at d = 2j + 1 = 8193 a round misses its codeword by s ~ 0.05, and the
+    # double rounding of s moves v_k^2, and the fidelity with it, by
+    # 2j tan(s/2) ulp(phi_m) relative: 8.8e-14 here, 3.5e-13 at k = 2, seed 2
+    Row("test_domain_edges::test_recovery_past_max_dense_dim[recover]", _round,
+        [(4096, 8193, 1, seed, None) for seed in range(3)], _spectral_decode_of_round, _decode_error, within=1e-12,
+        covers="recover"),
+    Row("test_domain_edges::test_recovery_past_max_dense_dim[finite_ancilla_note]", _ancilla_note,
+        [(4096, 20, 8193, 2)], _ancilla_note_by_oracle, _pairwise_rel, within=1e-13, covers="finite_ancilla_note"),
+    # past 4j (leading) and 2j (full) sites the density is flat: an exact constant
+    *(Row(f"test_domain_edges::test_recovery_past_max_dense_dim[syndrome_density-{mode}]", _density,
+          [(8, 8193, 0, 0.0, mode, (0.0, 0.3, 2.0, -1e-3))], lambda tj, d, k, delta_phi, mode, phis:
+          np.full(len(phis), float(oracles.flat_density(tj, d, mode))), normwise, within=1e-13,
+          covers="syndrome_density")
+      for mode in ("leading", "full")),
     # both forms of the density against mpmath contractions over a phi grid:
     # |F_a|^2 is a 4j-th power of the base, whose rounding the power scales
     *(Row(f"test_contract::test_syndrome_density_against_mpmath[{mode}-{j}]", _density,

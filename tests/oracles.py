@@ -335,6 +335,19 @@ def tail_ratio_hyp2f1(j, eps):
         return mp.exp(ln_tail - ln_laplace)
 
 
+def tail_mass_window(j, eps):
+    """The single-peak tail mass 1 - 2 int_z^(1/2) of the Beta(a, a) density,
+    a = 2j + 1/2, z = sin^2((pi - eps)/4), by mpmath.quad at 40 digits: the
+    form for a window so narrow that mpmath.betainc does not converge on it
+    (2.5e-13 wide at j = 10^10, eps = 1e-12)."""
+    with mp.workdps(40):
+        a = mp.mpf(2 * j) + mp.mpf(1) / 2
+        z = mp.sin((mp.pi - mp.mpf(eps)) / 4) ** 2
+        ln_beta = 2 * mp.loggamma(a) - mp.loggamma(2 * a)
+        window = mp.quad(lambda x: mp.exp((a - 1) * mp.log(x * (1 - x)) - ln_beta), [z, mp.mpf(1) / 2])
+        return 1 - 2 * window
+
+
 def tail_ratio_quad(j, eps):
     """Tail mass over the Laplace reference, from a 30-digit quadrature of
     cos^(4j)(x/2) split at multiples of its decay length 1/(j eps)."""
@@ -413,3 +426,47 @@ def decode(j, d, k, delta_phi, phi_m):
             if j > 200 or min(checked) > mp.mpf(10) ** (20 - dps):
                 return mags.index(max(mags)), float(fidelity), float(raw)
         dps *= 2
+
+
+def decode_spectral(j, d, k, delta_phi, phi_m):
+    """(recovered_k, fidelity, raw_fidelity) of the decode, from the reported
+    azimuth phi_m through the spectrum of the gram magnitudes, in O(j) terms
+    at any d: no DFT sum and no solve.
+
+    The overlaps are v_a = cos^(2j)(y_a/2), y_a = 2 pi (k - a)/d - s, taken at
+    40 digits for the recovered codeword and the raw fidelity v_k^2.  With
+    cos^(2j)(x/2) = sum_t p_t exp(i t x), p_t = C(2j, j + t)/4^j, the DFT of v
+    is v-hat_f = d sum_{t = -f mod d} p_t exp(i t theta), theta = 2 pi k/d - s,
+    and C_ab = cos^(2j)(pi (b - a)/d) has the eigenvalues lambda_f =
+    d sum_{t = f mod d} p_t, exact integer class sums.  p_t = p_-t, so
+    v^T C^-1 v = sum_f |v-hat_f|^2/(d lambda_f) = sum_g |U_g|^2/(4^j L_g)
+    with U_g = sum_{t = g mod d} C(2j, j + t) exp(i t theta) and L_g the
+    class's integer sum.  U_g cancels down to about d max(v) from terms
+    near 1, so the precision grows by the digits max(v) lies below 1.
+    """
+    index = round(phi_m * d / (2.0 * math.pi))
+    shift = phi_m - 2.0 * math.pi * index / d - delta_phi  # only to size the precision
+    ln_top = max(2 * j * math.log(abs(math.cos(math.pi * (k - a) / d - shift / 2)) or 1e-300) for a in range(d))
+    with mp.workdps(40 + math.ceil(max(0.0, -ln_top) / math.log(10.0))):
+        s = mp.mpf(phi_m) - 2 * mp.pi * index / d - mp.mpf(delta_phi)
+        mags = [mp.cos(mp.pi * (k - a) / d - s / 2) ** (2 * j) for a in range(d)]
+        theta = 2 * mp.pi * k / d - s
+        sums, classes = [0] * d, [mp.mpc(0)] * d
+        for t, c in enumerate(binomials(2 * j), start=-j):
+            sums[t % d] += c
+            classes[t % d] += c * mp.expj(t * theta)
+        quad = mp.fsum(abs(u) ** 2 / total for u, total in zip(classes, sums)) / mp.mpf(4) ** j
+        return mags.index(max(mags)), float(mags[k] ** 2 / quad), float(mags[k] ** 2)
+
+
+def flat_density(tj, d, mode):
+    """The leading or full density where d exceeds 4j or 2j: a constant.
+
+    With cos^(2j)(x/2) = sum_t p_t exp(i t x), p_t = C(2j, j + t)/4^j, the
+    sum over d equally spaced sites keeps only t = 0 mod d, and the phases
+    of the full form cancel to the real c^T C c, c_a = cos^(2j)(x_a/2).  So
+    for d > 4j the leading form sum_a c_a^2 is d C(4j, 2j)/16^j, and for
+    d > 2j the full form is d^2 sum_t p_t^3, exactly."""
+    if mode == "leading":
+        return Fraction(d * math.comb(2 * tj, tj), 4**tj)
+    return Fraction(d * d * sum(c**3 for c in binomials(tj)), 8**tj)

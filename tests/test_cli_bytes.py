@@ -12,8 +12,10 @@ that happens, re-record them on the parent commit of the change under
 test, never on the change itself.
 """
 
+import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -22,6 +24,8 @@ import sys
 import pytest
 
 from spinqec.cli import main
+
+import oracles
 
 # name -> (argv, --config overrides or None, sha256 of the output file)
 CASES = {
@@ -89,12 +93,12 @@ CASES = {
     "recovery-sweep-defaults": (
         ["recovery-sweep"],
         None,
-        "661cdd3280792faec5c4316d824dfb853cc8de63ec0c23a6904135be8646bcc2",
+        "e3b99110e849fe229eedcf5fd8e6fcff5ccf5c9fe072c0429e8850385ce3ee0a",
     ),
     "recovery-sweep-d3": (
         ["recovery-sweep", "--j", "20", "--d", "3", "--delta", "0.05", "--samples", "20"],
         None,
-        "dac4396a6847ba7fd476eaf529f3fb2e89a047b880873e6f932c830d2aeae3dc",
+        "eefb9490fa45f3fafe28429f29ae9ddca0b2b28b2e9adf1438764093b7fcd7c3",
     ),
     "recovery-sweep-j2000-d4": (
         ["recovery-sweep", "--j", "2000", "--d", "4", "--delta", "0.1", "--samples", "20"],
@@ -104,19 +108,19 @@ CASES = {
     "recovery-sweep-j50-d3-ancilla": (
         ["recovery-sweep", "--j", "50", "--d", "3", "--delta", "0.2", "--samples", "20"],
         {"j_anc": 20, "input_k": 2},
-        "6123d3fa42b85def4c0b4c4e9cf4d36674fc44f9c901d2076412f06bcf0c0f89",
+        "aa559548026f09331e30ef46371fb534b06eaa329a897d7dae94b348b6110610",
     ),
     "recovery-sweep-j50-d3-300-csv": (
         ["recovery-sweep", "--j", "50", "--d", "3", "--delta", "-0.2297", "--samples", "300"]
         + ["--seed", "7", "--format", "csv"],
         None,
-        "d057436053c84cecc774c5e0fb0ed28a6747a256d558f79dd78482b124f626e7",
+        "3f6fd6537472058308d5d4cb29d90f70b95aa123e601e246df9349d9bea20eaa",
     ),
     "recovery-sweep-j200-d4-ancilla-0": (
         ["recovery-sweep", "--j", "200", "--d", "4", "--delta", "0.3", "--samples", "40"]
         + ["--seed", "3"],
         {"j_anc": 0, "input_k": 5},
-        "7cc67368fe2160637359b2096904ed0dea7c0186f04d00e6326014110d7c063b",
+        "b025a42f8d3d9840e4d309eb24a151bb844d8f5bf78286363a54462e179112f3",
     ),
     "overlap-curve-defaults": (
         ["overlap-curve"],
@@ -159,7 +163,12 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_bytes_pinned(tmp_path, name):
-    argv, overrides, digest = CASES[name]
+    assert hashlib.sha256(_output(tmp_path, name)).hexdigest() == CASES[name][2], name
+
+
+def _output(tmp_path, name):
+    """The bytes that case name writes, run in-process."""
+    argv, overrides, _ = CASES[name]
     argv = list(argv)
     if overrides is not None:
         cfg = tmp_path / "cfg.json"
@@ -167,7 +176,7 @@ def test_cli_bytes_pinned(tmp_path, name):
         argv += ["--config", str(cfg)]
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+    return out.read_bytes()
 
 
 # Cases whose bytes follow numpy's SIMD dispatch: arctan2, log1p, arctan,
@@ -187,11 +196,12 @@ DISPATCH_DEPENDENT = (
 _AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"
 
 _CHILD = """
-import json, pathlib, sys, tempfile
+import json, os, pathlib, sys, tempfile
 from numpy._core._multiarray_umath import __cpu_features__
 sys.path.insert(0, sys.argv[1])
 import test_cli_bytes, test_finite_gkp
-assert not __cpu_features__["X86_V4"], "the AVX-512 kernels were not disabled"
+if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+    assert not __cpu_features__["X86_V4"], "the AVX-512 kernels were not disabled"
 failed = []
 for name in json.loads(sys.argv[2]):
     with tempfile.TemporaryDirectory() as tmp:
@@ -199,18 +209,37 @@ for name in json.loads(sys.argv[2]):
             test_cli_bytes.test_cli_bytes_pinned(pathlib.Path(tmp), name)
         except AssertionError:
             failed.append(name)
-try:
-    test_finite_gkp.test_round_outputs_pinned()
-except AssertionError:
-    failed.append("round-outputs")
+if sys.argv[3] == "rounds":
+    try:
+        test_finite_gkp.test_round_outputs_pinned()
+    except AssertionError:
+        failed.append("round-outputs")
 print(json.dumps(failed))
 """
+
+
+def _failed_in_child(settings, names, rounds):
+    """The pinned cases among names (and the GKP rounds' digest, if rounds)
+    whose digests a fresh interpreter under the environment settings misses."""
+    tests_dir = str(pathlib.Path(__file__).resolve().parent)
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, tests_dir, json.dumps(names), "rounds" if rounds else "cases"],
+        env=dict(os.environ, **settings), capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def _dispatches_x86_v4():
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
+
+
+def _runs_haswell_kernels():
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("AVX2")) and bool(__cpu_features__.get("FMA3"))
 
 
 @pytest.mark.skipif(not _dispatches_x86_v4(), reason="numpy does not dispatch X86_V4 here")
@@ -221,11 +250,54 @@ def test_digests_hold_without_avx512_kernels():
     # starts to depend on numpy's SIMD kernels.
     stable = sorted(set(CASES) - set(DISPATCH_DEPENDENT))
     assert len(stable) == 18
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX2_ONLY)
-    tests_dir = str(pathlib.Path(__file__).resolve().parent)
-    child = subprocess.run(
-        [sys.executable, "-c", _CHILD, tests_dir, json.dumps(stable)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == []
+    assert _failed_in_child({"NPY_DISABLE_CPU_FEATURES": _AVX2_ONLY}, stable, rounds=True) == []
+
+
+# The recovery decode takes no BLAS product and no numpy transcendental:
+# scalar math calls, pocketfft, elementwise IEEE arithmetic and a
+# left-to-right sum.  So its bytes must not move with OpenBLAS's core type,
+# nor with numpy's SIMD dispatch.
+RECOVERY_CASES = sorted(name for name in CASES if name.startswith("recovery-sweep"))
+_KERNEL_SETTINGS = {
+    "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, _runs_haswell_kernels,
+                         "no AVX2 and FMA here for OpenBLAS's Haswell kernels"),
+    "numpy-avx2": ({"NPY_DISABLE_CPU_FEATURES": _AVX2_ONLY}, _dispatches_x86_v4,
+                   "numpy does not dispatch X86_V4 here"),
+}
+
+
+# The largest fidelity error of each case against oracles.decode_spectral,
+# in ulps of the oracle's value, as measured when its digest was recorded:
+# a change that moves these digests may not raise it.
+RECOVERY_FIDELITY_ULPS = {
+    "recovery-sweep-d3": 1.0,
+    "recovery-sweep-defaults": 1.0,
+    "recovery-sweep-j200-d4-ancilla-0": 609.0,  # the double rounding of s, far from the peak
+    "recovery-sweep-j2000-d4": 0.0,
+    "recovery-sweep-j50-d3-300-csv": 1.5,
+    "recovery-sweep-j50-d3-ancilla": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", RECOVERY_CASES)
+def test_recovery_sweep_fidelity_against_spectral_oracle(tmp_path, name):
+    # every printed row recomputed from its printed measured_phi
+    lines = _output(tmp_path, name).decode().splitlines()[1:]  # after the config line
+    rows = [json.loads(line) for line in lines] if lines[0].startswith("{") else list(csv.DictReader(lines))
+    assert rows
+    worst = 0.0
+    for row in rows:
+        args = int(float(row["j"])), int(row["d"]), int(row["input_k"]), float(row["delta_phi"])
+        want_k, want, _ = oracles.decode_spectral(*args, float(row["measured_phi"]))
+        assert int(row["recovered_k"]) == want_k
+        worst = max(worst, abs(float(row["fidelity"]) - want) / math.ulp(want))
+    assert worst <= RECOVERY_FIDELITY_ULPS[name], (name, worst)
+
+
+@pytest.mark.parametrize("setting", sorted(_KERNEL_SETTINGS))
+def test_recovery_digests_hold_under_other_kernels(setting):
+    env, available, reason = _KERNEL_SETTINGS[setting]
+    if not available():
+        pytest.skip(reason)
+    assert len(RECOVERY_CASES) == 6
+    assert _failed_in_child(env, RECOVERY_CASES, rounds=False) == []

@@ -434,6 +434,30 @@ def test_rounds_add_one_phase_table_per_shift_class():
         assert counts["spinqec.finite_gkp._phase_index"][0] - before <= params.r2 // 2 + 1, dims
 
 
+def test_round_reads_the_store_twice(monkeypatch):
+    # the code entry, which carries the roots, and one index array, which an
+    # in-window error shares with its undo word; past the window the undo
+    # word's class is read as well
+    reads = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            reads.append(key[0])
+            return super().get(key, default)
+
+    monkeypatch.setattr(spin_core, "_store", Counted(spin_core._store))
+    for dims in BENCHMARK_CODES:
+        params = GkpParams(*dims)
+        word = build_gkp_code(params).codewords[-1]
+        for a in tiling_window(params.r1):
+            for b in tiling_window(params.r2):
+                for shift, most in ((b, 2), (b + params.r2, 3)):
+                    syndrome_and_recover(params, a, shift, word)  # a miss reads again after its build
+                    reads.clear()
+                    syndrome_and_recover(params, a, shift, word)
+                    assert reads[0] == "spinqec.finite_gkp._tables" and len(reads) <= most, (dims, a, shift, reads)
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_round_on_a_scaled_code_state(scale):
     # A finite code state whose sum of squares overflows or underflows is
@@ -497,8 +521,9 @@ def test_rounds_at_benchmark_size(monkeypatch, dims):
                 assert (a - out.a_hat) % r1 == 0 and (b - out.b_hat) % r2 == 0
                 assert out.logical_error == bool(quotients[0] % k or quotients[1] % k)
                 assert not out.ambiguous
-    # all the rounds (and eigenphase reads) share one stored code, built once
-    assert spin_core._store_counts["spinqec.finite_gkp._tables"] == [1, k * n * 16 + k * r2 * 8]
+    # all the rounds (and eigenphase reads) share one stored code, built once,
+    # with its codewords, comb table and 4n roots
+    assert spin_core._store_counts["spinqec.finite_gkp._tables"] == [1, k * n * 16 + k * r2 * 8 + 4 * n * 16]
     assert len(reads) - 1 > rounds
     assert sum(kept for _, kept in spin_core._store_counts.values()) <= spin_core._STORE_BUDGET
 

@@ -614,7 +614,7 @@ def test_store_keeps_the_newest_entries_within_its_budget(monkeypatch, budget):
     # bytes are counted exactly, against a model of the store
     fresh = {name: [arr.tobytes() for arr in _held(build(*args))] for name, (_, build, args) in _STORE_KINDS.items()}
     sizes = {name: sum(map(len, arrays)) for name, arrays in fresh.items()}
-    assert sizes["spinqec.finite_gkp._tables"] == 2 * 18 * 16 + 2 * 3 * 8  # codewords and comb
+    assert sizes["spinqec.finite_gkp._tables"] == 2 * 18 * 16 + 2 * 3 * 8 + 4 * 18 * 16  # codewords, comb, roots
     assert any(size > budget for size in sizes.values()) and sum(sizes.values()) > 2 * budget
     monkeypatch.setattr(spin_core, "_STORE_BUDGET", budget)
     spin_core._store_clear()

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from spinqec import HalfInt, coherent_amplitudes, theta_rule
+from spinqec import HalfInt, coherent_amplitudes, recover, theta_rule
+from spinqec.recovery import _rounds
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -53,3 +54,23 @@ def test_theta_rule_is_a_mirrored_positive_rule_at_every_degree(degree, data):
     b = data.draw(st.integers(min_value=0, max_value=degree - a), label="b")
     got = np.exp(a * np.log(np.cos(0.5 * thetas)) + b * np.log(np.sin(0.5 * thetas))) @ weights
     assert abs(got / oracles.beta_moment(a, b) - 1.0) <= 5e-12
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(j=st.integers(min_value=1, max_value=10**4), data=st.data())
+def test_recovery_rounds_at_every_accepted_d(j, data):
+    # every d the decode accepts, up to 4096: fidelities in [0, 1], the
+    # recovered codeword in range, and each row of a block the bytes of
+    # its one-seed round
+    d = data.draw(st.integers(min_value=2, max_value=min(2 * j + 1, 4096)), label="d")
+    k = data.draw(st.integers(min_value=-d, max_value=2 * d), label="k")
+    delta_phi = data.draw(st.floats(min_value=-1e3, max_value=1e3), label="delta_phi")
+    seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+    j_anc = data.draw(st.none() | st.integers(min_value=0, max_value=10**4), label="j_anc")
+    _, block = _rounds(j, d, k, delta_phi, range(seed, seed + 3), j_anc)
+    for row, s in enumerate(range(seed, seed + 3)):
+        run = recover(j, d, k, delta_phi, s, j_anc=j_anc)
+        for column, value in zip(block, (run.measured_phi, run.recovered_k, run.fidelity, run.raw_fidelity)):
+            assert column[row:row + 1].tobytes() == np.array([value], dtype=column.dtype).tobytes()
+        assert 0 <= run.recovered_k < d
+        assert 0.0 <= run.raw_fidelity <= 1.0 and 0.0 <= run.fidelity <= 1.0

@@ -53,6 +53,8 @@ def test_density_validation():
         syndrome_density(HalfInt(8), 2, 0, 0.0, mode="bogus")
     with pytest.raises(ValueError):
         syndrome_density(HalfInt(24), 2, 0, 0.0, mode="validate")  # j over the cap
+    with pytest.raises(ValueError, match="d <= 8192"):
+        syndrome_density(HalfInt(16), 8193, 0, 0.0, mode="validate")  # d over the cap
 
 
 def test_density_peaks_and_positivity():
@@ -226,6 +228,16 @@ def test_correct_and_decode_matches_mp_at_edges(j, d, k, delta_phi, phi_m):
         assert raw < 1e-300
 
 
+@pytest.mark.parametrize("j,d", [(8, 2), (50, 3), (4, 9), (20, 17)])
+def test_spectral_decode_oracle_matches_gram_solve(j, d):
+    # the two references of the decode agree: exact class sums of the
+    # spectrum against an mpmath solve with the complex gram matrix
+    for phi_m in np.random.default_rng(j * d).uniform(0.0, 2.0 * math.pi, 3):
+        want = oracles.decode(j, d, 1, 0.1, phi_m)
+        got = oracles.decode_spectral(j, d, 1, 0.1, phi_m)
+        assert got[0] == want[0] and got[1:] == pytest.approx(want[1:], rel=1e-15, abs=0.0), (phi_m, got, want)
+
+
 def _block_test_azimuths(d, rng):
     """Reported azimuths for one decode block: uniform ones, blurred ones
     outside [0, 2 pi), the cell midpoints and points 1e-9 off them (where
@@ -310,19 +322,20 @@ def test_gram_factor_cached_read_only(monkeypatch):
     spin_core._store_clear()
     for seed in range(3):
         recover(HalfInt(8), 5, 1, 0.05, seed=seed)
-    # each round reads the factor twice: _draws, for the bound d <= 2j + 1,
-    # then the decode; one build, kept in the store within its budget
-    assert reads == [(8, 5)] * 6
-    assert spin_core._store_counts["spinqec.recovery._gram_factor"] == [1, 5 * 5 * 16 + 5 * 8]
-    whitening, root = stored(8, 5)
-    assert stored(8, 5)[0] is whitening
-    assert whitening.shape == (5, 5) and root.shape == (5,)
-    for table in (whitening, root):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 0.0
-    # C^-1 = W^H W, and C is the magnitude of the codeword gram matrix; at
-    # j = 4, d = 5 its off-diagonals cos^8(pi/5) and cos^8(2 pi/5) are far from 0
+    # each round's decode reads the spectrum once (_draws checks d <= 2j + 1
+    # itself); one build of d doubles, kept in the store within its budget
+    assert reads == [(8, 5)] * 3
+    assert spin_core._store_counts["spinqec.recovery._gram_factor"] == [1, 5 * 8]
+    spectrum = stored(8, 5)
+    assert stored(8, 5) is spectrum and spectrum.shape == (5,)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+    # C^-1 = W^H W with the whitening W = DFT/sqrt(d lambda), and C is the
+    # magnitude of the codeword gram matrix; at j = 4, d = 5 its
+    # off-diagonals cos^8(pi/5) and cos^8(2 pi/5) are far from 0
+    freqs = np.arange(5)
+    whitening = np.exp(-2j * math.pi * np.outer(freqs, freqs) / 5) / np.sqrt(5 * spectrum)[:, None]
     inverse = whitening.conj().T @ whitening
     assert np.max(np.abs(inverse.imag)) < 1e-14
     gram = np.abs(build_codewords(equatorial_qudit(HalfInt(8), 5)).gram)
@@ -332,13 +345,13 @@ def test_gram_factor_cached_read_only(monkeypatch):
 @pytest.mark.parametrize("j,d", [(4, 5), (8, 3), (50, 101), (200, 7), (600, 1201)])
 def test_gram_spectrum_is_exact(j, d):
     # lambda_f = d sum_{t = f mod d} C(2j, j + t)/4^j, in exact integers
-    _, root = recovery._gram_factor(2 * j, d)
+    spectrum = recovery._gram_factor(2 * j, d)
     for f in range(d):
         want = d * fractions.Fraction(sum(oracles.binomials(2 * j, d, j + f)), 4**j)
         if want < 1e-300:  # underflowed classes are floored
-            assert d * root[f] ** 2 <= 1e-300
+            assert spectrum[f] <= 1e-300
         else:
-            assert abs(d * root[f] ** 2 / want - 1) < 1e-13, (f, float(want))
+            assert abs(spectrum[f] / want - 1) < 1e-13, (f, float(want))
 
 
 @pytest.mark.parametrize("j", [2, 20, 100, 1000])
