@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles
+from .rotations import EulerAngles, rotate_vector, wigner_D_matrix, _half_angles, _two_prod
 from .spin_core import HalfInt, Operator, StateVec, _axis_bands, _require_bytes, _require_dense, _require_width, _spin
 from .spin_core import _finite, _integer, _real, _real_array, _stored, _tridiagonal_eigh, m_index, m_values
 
@@ -162,21 +162,11 @@ def _azimuthal_phases(tj: int, phis: np.ndarray) -> np.ndarray:
 
 def _cis(ks: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """exp(i k phi), shape (len(ks), nodes), for integers ks, to about an ulp
-    of 1 at any size of k phi: the product is split exactly as p + e
-    (Dekker's product, Veltkamp's splits), and exp(i (p + e)) is
-    exp(i p) (1 + i e) to |e|^2 / 2."""
-    k, phi = ks[:, None].astype(float), phis[None, :]
-    p = k * phi
-    (k_hi, k_lo), (phi_hi, phi_lo) = _split(k), _split(phi)
-    e = ((k_hi * phi_hi - p) + k_hi * phi_lo + k_lo * phi_hi) + k_lo * phi_lo
+    of 1 at any size of k phi: the product is split exactly as p + e by
+    rotations._two_prod (Dekker's product, Veltkamp's splits), and
+    exp(i (p + e)) is exp(i p) (1 + i e) to |e|^2 / 2."""
+    p, e = _two_prod(ks[:, None].astype(float), phis[None, :])
     return np.exp(1j * p) * (1.0 + 1j * e)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with x = hi + lo exactly and each half of 26 bits or fewer."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
 
 
 def _binomial_row(n, start=0, length=None, odds=None, root: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -21,32 +21,28 @@ and r2 are both odd the in-window error set has exactly r1 r2 elements
 and the errored code spaces tile C^N orthogonally.
 
 A round does a few array passes and no per-call set-up.  The code of each
-GkpParams (its codewords, words, the (K x r2) table of comb positions
-and N's roots) is built once and kept in spin_core's one store of tables,
-whose byte budget (64 MiB) bounds every table the package keeps and
-counts an entry's K N complex amplitudes.  build_gkp_code returns the
-stored code, so its codewords are shared between callers and their
-amplitude arrays are read-only.  A code whose (K x N) codewords, or
-whose 4N roots, would pass the 1 GiB of one dense table is refused with
-ValueError before allocating.  Every Pauli phase exp(i pi e / N) has the
-integer exponent e = (2 b x mod 2N) + c.  Its position part is one
-read-only intp index array per (N, min(b, N - b)), b taken mod N, kept in
-the same store; the 2N roots are kept once per N and stored twice,
-so a word with phase c costs one integer add (or, for b > N/2, one
-subtraction from 2N + c) and one gather, with no multiply and no
-reduction.  PauliWord.to_operator, the helper that applies a word to an
+GkpParams (its codewords, words and the (K x r2) table of comb positions)
+is built once and kept in spin_core's one store of tables, whose byte
+budget (64 MiB) bounds every table the package keeps and counts an
+entry's K N complex amplitudes.  build_gkp_code returns the stored code,
+so its codewords are shared between callers and their amplitude arrays
+are read-only.  A code whose (K x N) codewords would pass the 1 GiB of
+one dense table is refused with ValueError before allocating.  Every
+Pauli phase exp(i pi e / N) has the integer exponent e = (2 b x + c) mod
+2N, computed in integers on each call, and is read from the 2N roots,
+kept once per N in the same store; Z^0 needs no exponents, only the root
+of c.  PauliWord.to_operator, the helper that applies a word to an
 amplitude array (which PauliWord.apply wraps) and the round share this
-one phase path.  A round reads the roots from its code's entry.  Its
-error key b mod N and undo key -bhat mod N lie in one symmetric window
-and fold onto |b| and |bhat|, so the rounds of a code read about r2/2 + 1
-index arrays, and an error in the window has b = bhat: its round reads
-the store twice, for the code and for one index array that both words
-share.  The round builds no PauliWord: it takes the norm and the
+one phase path.  A round recovers with one word: the error X^a Z^b and
+the inverse of the decoded shift X^ahat Z^bhat multiply, as PauliWord
+multiplies, to exp(2 pi i bhat (ahat - a) / N) X^(a - ahat) Z^(b - bhat),
+which the round applies to the input's amplitudes.  An error in the
+window has a = ahat and b = bhat, so that word is the identity, nothing
+is multiplied and the input's bytes come back.  A round reads the store
+at most twice, for the code and for the roots.  It builds no PauliWord: it takes the norm and the
 code-space residual as direct sums of squares, rescaled as StateVec.norm
-rescales when they leave the double range, multiplies the error's phases
-into the input's amplitudes, applies the inverse of the decoded shift
-(its phases, then one roll by the net shift), and hands only the
-recovered array, uncopied and read-only, to a StateVec.
+rescales when they leave the double range, and hands only the recovered
+array, uncopied and read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -176,46 +172,24 @@ class PauliWord:
 
 @_stored
 def _roots(n: int) -> np.ndarray:
-    """exp(i pi e / n) for e = 0 .. 4n - 1: the 2n roots, stored twice.
+    """exp(i pi e / n) for e = 0 .. 2n - 1: every phase of a word on C^n.
 
-    Every phase of a word on C^n is one of the 2n roots; the second copy
-    lets an exponent e + c or 2n + c - e with 0 <= e, c < 2n index the
-    table without a reduction mod 2n.  Its 64 n bytes are refused with
-    ValueError past the 1 GiB of one dense table, before allocating.
+    Its 32 n bytes are refused with ValueError past the 1 GiB of one dense
+    table, before allocating.
     """
-    _require_bytes("N", n, 4, 16)
-    roots = np.exp(1j * math.pi * np.arange(2 * n) / n)
-    return np.concatenate((roots, roots))
+    _require_bytes("N", n, 2, 16)
+    return np.exp(1j * math.pi * np.arange(2 * n) / n)
 
 
-@_stored
-def _phase_index(n: int, b: int) -> np.ndarray:
-    """(2 b x) mod 2n for x = 0 .. n - 1 and 0 <= b <= n / 2, read-only.
-
-    The position part of the phase exponent of Z^b: the phase on column x
-    is exp(i pi e / n) with e = 2 (b x mod n) + c.  Stored as intp, the
-    index type numpy gathers with; an int32 index is cast on every gather.
-    """
-    return (2 * b * np.arange(n, dtype=np.intp)) % (2 * n)
-
-
-def _phases(n: int, b: int, c: int, roots: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """exp(i pi c / n) Z^b as its diagonal, 0 <= b < n, 0 <= c < 2n, from
-    the doubled roots table and the index array of (n, min(b, n - b)).
-
-    One integer add or subtract (none when c = 0 and b <= n / 2) and one
-    gather from the roots table.  Z^b and Z^(n-b) share an index array:
-    (2 (n - b) x) mod 2n = 2n - (2 b x mod 2n) modulo 2n, and the doubled
-    table absorbs the 2n, so the same roots are read.
-    """
-    if 2 * b <= n:
-        return roots[index + c if c else index]
-    return roots[(2 * n + c) - index]
-
-
-def _word_phases(n: int, b: int, c: int) -> np.ndarray:
-    """_phases with both tables read from the store."""
-    return _phases(n, b, c, _roots(n), _phase_index(n, min(b, n - b)))
+def _word_phases(n: int, b: int, c: int) -> np.ndarray | np.complex128:
+    """exp(i pi c / n) Z^b as its diagonal, 0 <= b < n, 0 <= c < 2n: the
+    roots at the exponents (2 b x + c) mod 2n, x = 0 .. n - 1, taken in
+    integers (the gather wraps them mod 2n).  For b = 0 it is the one root
+    exp(i pi c / n), which broadcasts over the amplitudes."""
+    roots = _roots(n)
+    if b == 0:
+        return roots[c]
+    return np.take(roots, np.arange(c, c + 2 * b * n, 2 * b), mode="wrap")
 
 
 def _roll(amps: np.ndarray, a: int) -> np.ndarray:
@@ -228,8 +202,11 @@ def _apply_word(amps: np.ndarray, n: int, a: int, b: int, c: int) -> np.ndarray:
     """exp(i pi c / n) X^a Z^b on an amplitude array, 0 <= a, b < n, 0 <= c < 2n.
 
     Returns a fresh array: the phases of _word_phases, then the roll of X^a.
+    A word without phases (b = c = 0) multiplies nothing, so every bit of
+    the amplitudes is kept: a product by 1 + 0i would turn -0.0 into 0.0
+    and inf into inf + nan i.
     """
-    return _roll(amps * _word_phases(n, b, c), a)
+    return _roll(amps * _word_phases(n, b, c) if b or c else amps, a)
 
 
 def clock_shift(n: int) -> tuple[Operator, Operator]:
@@ -260,18 +237,14 @@ class GkpCode:
 
 
 @_stored
-def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray, np.ndarray]:
-    """The code of params, its (k x r2) comb table, entry (s, i) = (k i + s) r1,
-    and N's doubled roots, which a round reads from here.
+def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
+    """The code of params and its (k x r2) comb table, entry (s, i) = (k i + s) r1.
 
-    The roots are built apart from _roots' entry, so the store counts
-    each array once.  A (k x N) codeword table, or 4N roots, past the
-    1 GiB of one dense table raises ValueError, naming N and the bytes,
-    before allocating.
+    A (k x N) codeword table past the 1 GiB of one dense table raises
+    ValueError, naming N and the bytes, before allocating.
     """
     k, r1, r2, n = params.k, params.r1, params.r2, params.n
     _require_bytes("N", n, k, 16)
-    roots = _roots.__wrapped__(n)
     comb = (k * np.arange(r2) + np.arange(k)[:, None]) * r1
     amps = np.zeros((k, n), dtype=complex)
     np.put_along_axis(amps, comb, 1.0 / math.sqrt(r2), axis=1)
@@ -283,7 +256,7 @@ def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray, np.ndarray]:
         stabilizer_x=PauliWord(n, k * r1, 0),
         stabilizer_z=PauliWord(n, 0, k * r2),
     )
-    return code, comb, roots
+    return code, comb
 
 
 def build_gkp_code(params: GkpParams) -> GkpCode:
@@ -292,8 +265,8 @@ def build_gkp_code(params: GkpParams) -> GkpCode:
     The code is built once per GkpParams and kept in spin_core's store of
     tables, within its byte budget: every call with equal params returns
     the same GkpCode while it is kept, and its codewords are shared and
-    read-only.  A (k x N) codeword table, or 4N roots, past the 1 GiB of
-    one dense table raises ValueError before allocating.
+    read-only.  A (k x N) codeword table past the 1 GiB of one dense table
+    raises ValueError before allocating.
     """
     return _tables(params)[0]
 
@@ -355,16 +328,16 @@ def syndrome_and_recover(
     A zero, infinite or NaN state raises ValueError naming its norm; a
     finite state whose sum of squares overflows or underflows is checked
     on amps / max|amps| and recovered as given.  The code and its comb
-    table, and N's roots, come from the per-GkpParams store entry of
-    build_gkp_code; the code-space check projects onto the combs through
-    that table rather than through dense (k x N) products, and compares
-    the residual's sum of squares with 1e-20 times the state's.  The
-    error's phases are multiplied into the input's amplitudes, then the
-    undo word's phases, with the error's shift folded into its one roll:
-    the same products as applying the two words in turn.  Only the
-    recovered array is wrapped, without a copy, in a StateVec.
+    table come from the per-GkpParams store entry of build_gkp_code; the
+    code-space check projects onto the combs through that table rather
+    than through dense (k x N) products, and compares the residual's sum
+    of squares with 1e-20 times the state's.  The error and the undo are
+    one word, (X^ahat Z^bhat)^-1 X^a Z^b, multiplied in integers and
+    applied once: its phases times the input's amplitudes, then one roll
+    by the net shift a - ahat.  In the window it is the identity.  Only
+    the recovered array is wrapped, without a copy, in a StateVec.
     """
-    _, comb, roots = _tables(params)
+    _, comb = _tables(params)
     n = params.n
     if state.j.dim != n:
         raise ValueError("state dimension does not match the code")
@@ -391,18 +364,10 @@ def syndrome_and_recover(
     a_hat, amb_a = _center(syndrome_a, params.r1)
     b_hat, amb_b = _center(syndrome_b, params.r2)
 
-    # (X^ahat Z^bhat)^-1 = exp(2 pi i ahat bhat / n) X^-ahat Z^-bhat, as
-    # PauliWord.inverse.  Its phase at position x + a is its exponent at x
-    # plus 2 b2 a, so it acts on the error's phased amplitudes as one word
-    # whose shift is the net a - ahat: X^a's roll folds into its roll.
-    # The undo key bhat lies in the window, |bhat| <= r2/2 < n/2, and an
-    # error in the window has b = bhat: then both words read one index array.
-    b2, key = -b_hat % n, min(b % n, -b % n)
-    index = _phase_index(n, key)
-    errored = state.amps * _phases(n, b % n, 0, roots, index)
-    index = index if abs(b_hat) == key else _phase_index(n, abs(b_hat))
-    c2 = 2 * (a_hat * b_hat + b2 * a) % (2 * n)
-    recovered = _roll(errored * _phases(n, b2, c2, roots, index), (a - a_hat) % n)
+    # (X^ahat Z^bhat)^-1 X^a Z^b = exp(2 pi i bhat (ahat - a) / n) X^(a - ahat) Z^(b - bhat),
+    # as PauliWord.inverse and PauliWord.__mul__ give it.
+    c = 2 * b_hat * (a_hat - a) % (2 * n)
+    recovered = _apply_word(state.amps, n, (a - a_hat) % n, (b - b_hat) % n, c)
     logical_x = ((a - a_hat) // params.r1) % params.k
     logical_z = ((b - b_hat) // params.r2) % params.k
     return SyndromeOutcome(

@@ -62,7 +62,7 @@ entry; theta_rule 12 per (D + 3)^2 at D = 400, measured 7.5 to 8.6 (the
 half-size block and its eigenvectors); disentangle_check 97, measured
 96.1, which is therefore refused from 2j + 1 = 3345, where 96 bytes an
 entry pass the 1 GiB of one dense table.  A table sized by bytes rather
-than by 2j + 1, as a shift code's (k x N) codewords and 4 N roots, or
+than by 2j + 1, as a shift code's (k x N) codewords and 2 N roots, or
 the O(d) working set of a recovery round or density azimuth (about 210
 bytes a codeword), is refused past that 1 GiB too."""
 
@@ -254,11 +254,16 @@ def m_index(j, m) -> int:
 def _unit_scaled(amps: np.ndarray) -> tuple[np.ndarray, float]:
     """(amps / s, s) with s = max|amps|, for a sum of squares out of range.
 
-    A zero, infinite or NaN s is the norm itself (0, inf or NaN); amps is
-    then returned undivided.
+    The real and imaginary parts of the complex amps are each divided by
+    the real s, once rounded: numpy divides a complex array by a float as
+    a complex division, which is not correctly rounded ([1e308] / 1e308
+    reads 0.9999999999999999).  A zero, infinite or NaN s is the norm
+    itself (0, inf or NaN); amps is then returned undivided.
     """
     scale = float(np.abs(amps).max())
-    return (amps / scale if 0.0 < scale < math.inf else amps), scale
+    if not 0.0 < scale < math.inf:
+        return amps, scale
+    return (amps.view(np.float64) / scale).view(np.complex128), scale
 
 
 def _owned(cls, j: HalfInt, name: str, arr: np.ndarray, shape: tuple[int, ...]):

@@ -199,7 +199,7 @@ _CHILD = """
 import json, os, pathlib, sys, tempfile
 from numpy._core._multiarray_umath import __cpu_features__
 sys.path.insert(0, sys.argv[1])
-import test_cli_bytes, test_finite_gkp
+import test_cli_bytes, test_finite_gkp, test_spin_core
 if "NPY_DISABLE_CPU_FEATURES" in os.environ:
     assert not __cpu_features__["X86_V4"], "the AVX-512 kernels were not disabled"
 failed = []
@@ -210,17 +210,20 @@ for name in json.loads(sys.argv[2]):
         except AssertionError:
             failed.append(name)
 if sys.argv[3] == "rounds":
-    try:
-        test_finite_gkp.test_round_outputs_pinned()
-    except AssertionError:
-        failed.append("round-outputs")
+    for label, test in (("round-outputs", test_finite_gkp.test_round_outputs_pinned),
+                        ("statevec-norm", test_spin_core.test_statevec_norm_keeps_plain_bits_in_range)):
+        try:
+            test()
+        except AssertionError:
+            failed.append(label)
 print(json.dumps(failed))
 """
 
 
 def _failed_in_child(settings, names, rounds):
-    """The pinned cases among names (and the GKP rounds' digest, if rounds)
-    whose digests a fresh interpreter under the environment settings misses."""
+    """The pinned cases among names (and, if rounds, the GKP rounds and the
+    StateVec.norm bits) that a fresh interpreter under the environment
+    settings misses."""
     tests_dir = str(pathlib.Path(__file__).resolve().parent)
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, tests_dir, json.dumps(names), "rounds" if rounds else "cases"],
@@ -244,10 +247,10 @@ def _runs_haswell_kernels():
 
 @pytest.mark.skipif(not _dispatches_x86_v4(), reason="numpy does not dispatch X86_V4 here")
 def test_digests_hold_without_avx512_kernels():
-    # The pinned bytes other than DISPATCH_DEPENDENT, and the recovery
-    # rounds' digest, must not move when numpy runs its AVX2 kernels in
-    # place of its AVX-512 ones.  This fails on the day another output
-    # starts to depend on numpy's SIMD kernels.
+    # The pinned bytes other than DISPATCH_DEPENDENT, the GKP rounds and
+    # the StateVec.norm bits must not move when numpy runs its AVX2
+    # kernels in place of its AVX-512 ones.  This fails on the day another
+    # output starts to depend on numpy's SIMD kernels.
     stable = sorted(set(CASES) - set(DISPATCH_DEPENDENT))
     assert len(stable) == 18
     assert _failed_in_child({"NPY_DISABLE_CPU_FEATURES": _AVX2_ONLY}, stable, rounds=True) == []
@@ -256,7 +259,9 @@ def test_digests_hold_without_avx512_kernels():
 # The recovery decode takes no BLAS product and no numpy transcendental:
 # scalar math calls, pocketfft, elementwise IEEE arithmetic and a
 # left-to-right sum.  So its bytes must not move with OpenBLAS's core type,
-# nor with numpy's SIMD dispatch.
+# nor with numpy's SIMD dispatch.  The same child runs the GKP rounds, whose
+# in-window outputs are their inputs' bytes, and the StateVec.norm test,
+# whose scaled branch once moved by an ulp with the core type.
 RECOVERY_CASES = sorted(name for name in CASES if name.startswith("recovery-sweep"))
 _KERNEL_SETTINGS = {
     "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, _runs_haswell_kernels,
@@ -300,4 +305,4 @@ def test_recovery_digests_hold_under_other_kernels(setting):
     if not available():
         pytest.skip(reason)
     assert len(RECOVERY_CASES) == 6
-    assert _failed_in_child(env, RECOVERY_CASES, rounds=False) == []
+    assert _failed_in_child(env, RECOVERY_CASES, rounds=True) == []

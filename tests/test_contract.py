@@ -2,8 +2,8 @@
 a check that every row runs, a ratchet on which public names still lack
 a row, the structure that keeps every oracle in oracles.py, and the
 structure that keeps one writer for the finiteness check and for the
-refusal of strings, one caller of the 2j-th power kernel, one cache in
-front of the tridiagonal eigensolver, one assembly
+refusal of strings, one caller of the 2j-th power kernel, one error-free
+product, one cache in front of the tridiagonal eigensolver, one assembly
 of a block of recovery rounds, one list of public names (the modules'
 __all__) and one table of CLI subcommands."""
 
@@ -158,6 +158,14 @@ def test_one_store_keeps_every_table():
                 empty |= {(module, target.id) for target in targets}
     assert decorated == {("cli", "_build_parser")}, decorated
     assert empty == {("spin_core", "_store"), ("spin_core", "_store_counts")}, empty
+
+
+def test_one_veltkamp_split():
+    # rotations._two_prod is the package's one error-free product: its
+    # split constant 2^27 + 1 is written once in the package
+    sources = {path.name: path.read_text() for path in sorted(_PACKAGE.glob("*.py"))}
+    assert {name: text.count("134217729") for name, text in sources.items() if "134217729" in text} == {
+        "rotations.py": 1}
 
 
 def test_tridiagonal_eigensolver_has_two_callers():

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import oracles
 from spinqec import HalfInt, coherent_amplitudes, recover, theta_rule
+from spinqec.finite_gkp import GkpParams, PauliWord, build_gkp_code, syndrome_and_recover, tiling_window
 from spinqec.recovery import _rounds
+from spinqec.spin_core import StateVec
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -74,3 +76,34 @@ def test_recovery_rounds_at_every_accepted_d(j, data):
             assert column[row:row + 1].tobytes() == np.array([value], dtype=column.dtype).tobytes()
         assert 0 <= run.recovered_k < d
         assert 0.0 <= run.raw_fidelity <= 1.0 and 0.0 <= run.fidelity <= 1.0
+
+
+@_SETTINGS
+@given(k=st.integers(min_value=2, max_value=150), data=st.data())
+def test_gkp_round_is_one_word_on_every_code_state(k, data):
+    # N = k r1 r2 <= 300, a random code state and shifts up to 3N either way,
+    # or inside the tiling windows: the syndromes are the residues, the
+    # recovery is the dense product of the undo and error matrices, the
+    # logical error follows the quotients of the net word, and an
+    # in-window round returns its input's bytes
+    r1 = data.draw(st.integers(min_value=1, max_value=300 // k), label="r1")
+    r2 = data.draw(st.integers(min_value=1, max_value=300 // (k * r1)), label="r2")
+    params = GkpParams(k, r1, r2)
+    n = params.n
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    state = StateVec(params.spin_label, coeffs @ build_gkp_code(params).basis_matrix()).normalized()
+    a = data.draw(st.sampled_from(tiling_window(r1)) | st.integers(min_value=-3 * n, max_value=3 * n), label="a")
+    b = data.draw(st.sampled_from(tiling_window(r2)) | st.integers(min_value=-3 * n, max_value=3 * n), label="b")
+    out = syndrome_and_recover(params, a, b, state)
+    assert (out.syndrome_a, out.syndrome_b) == (a % r1, b % r2)
+    undo = PauliWord(n, out.a_hat, out.b_hat).inverse()
+    dense = undo.to_operator().mat @ (PauliWord(n, a, b).to_operator().mat @ state.amps)
+    assert np.max(np.abs(out.recovered.amps - dense)) <= 1e-13
+    net = undo * PauliWord(n, a, b)
+    assert net.a % r1 == 0 and net.b % r2 == 0
+    assert out.logical_error == bool((net.a // r1) % k or (net.b // r2) % k)
+    if not out.logical_error:
+        assert abs(abs(np.vdot(state.amps, out.recovered.amps)) - 1.0) <= 1e-13
+    if a in tiling_window(r1) and b in tiling_window(r2):
+        assert out.recovered.amps.tobytes() == state.amps.tobytes()
