@@ -18,8 +18,16 @@ the effective config (everything except the output path) is echoed into
 every output file.  Numbers are printed with 17 significant digits so
 repeated runs are byte-identical; output goes to a uniquely named
 temporary file in the target directory and is renamed into place, never
-left partial and never clobbering another file.  Rows are computed
-serially.  Every subcommand returns its table as columns of cells already
+left partial and never clobbering another file.  The temporary file is
+preallocated, so replacing an earlier output does not wait on the disk
+(_write_output), and nothing is fsynced: this is a recorded decision,
+since an fsync is that wait again.  The rename is atomic against readers
+and crashes of the process, but a power loss before the kernel's
+periodic writeback (seconds) may leave the output name holding zeros
+of the new length, or the old output.  Without preallocation ext4
+started that writeback at the rename, so the data was likely, though
+never guaranteed, to be on disk.  Rows are computed serially.  Every
+subcommand returns its table as columns of cells already
 rendered as JSON text, float columns formatted in one pass each, and main
 hands them to the one table writer, _emit; kl-scan takes its columns
 straight from the scan arrays, recovery-sweep from the columns of one
@@ -38,13 +46,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -152,19 +160,41 @@ def _emit(cfg: dict, name: str, columns: dict[str, list[str]], summary: dict | N
 
 
 def _write_output(out: str | None, text: str) -> None:
+    """Write text to out, or to stdout when out is None.
+
+    The UTF-8 bytes go into a new file under a random name beside out,
+    created 0666 so the kernel applies the umask (reading the umask
+    would set it process-wide for an instant, under every thread), and
+    are renamed over out.  The file is preallocated first.  On ext4 a
+    rename over an existing file forces the new file's delayed-allocation
+    blocks to disk (auto_da_alloc), and the next run that replaces it
+    then waits tens of milliseconds freeing written blocks.  With the
+    blocks allocated up front the rename starts no writeback.  Where the
+    OS or the filesystem has no preallocation the write proceeds
+    without it; any other error, such as ENOSPC, propagates.
+    Nothing is fsynced; see the module docstring.
+    """
     if out is None:
         sys.stdout.write(text)
         return
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(out) + ".", suffix=".tmp", dir=os.path.dirname(out) or "."
-    )
+    data = text.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = f"{out}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "wb") as fh:
+            if hasattr(os, "posix_fallocate"):  # absent on macOS and Windows
+                try:
+                    os.posix_fallocate(fd, 0, len(data))
+                except OSError as exc:
+                    if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
+                        raise
+            fh.write(data)
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, and reproducibility."""
 
+import errno
 import json
 import math
 import os
@@ -456,6 +457,87 @@ def test_output_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_output_preallocated_before_any_byte(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(fd, offset, length):
+        calls.append((offset, length, os.fstat(fd).st_size))
+
+    monkeypatch.setattr(os, "posix_fallocate", spy, raising=False)
+    out = tmp_path / "t.txt"
+    text = "θ = π/2\n"  # 8 characters, 10 bytes
+    cli._write_output(str(out), text)
+    assert calls == [(0, 10, 0)]
+    assert out.read_bytes() == text.encode("utf-8")
+
+
+def _stdout_bytes(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("refusal", ["eopnotsupp", "absent"])
+def test_output_written_without_preallocation(tmp_path, capsys, monkeypatch, refusal):
+    argv = ["gkp-table", "--format", "json"]
+    expected = _stdout_bytes(capsys, argv)
+    if refusal == "absent":  # as on macOS
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    else:
+        def refuse(fd, offset, length):
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+    out = tmp_path / "t.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+def test_preallocation_failure_exits_2_and_keeps_old_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "tail.csv"
+    assert main(["tail-check", "--out", str(out)]) == 0
+    before = out.read_bytes()
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+    assert main(["gkp-table", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["tail.csv"]
+
+
+def test_write_does_not_touch_the_process_umask(tmp_path, monkeypatch):
+    def forbidden(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", forbidden)
+    out = tmp_path / "tail.csv"
+    assert main(["tail-check", "--out", str(out)]) == 0
+    assert out.read_text().startswith("# config: ")
+
+
+def test_rewrites_replace_the_file_atomically(tmp_path):
+    # each write is a new inode renamed into place, never an overwrite of
+    # the old one, so a reader holding the old file keeps its bytes
+    out = tmp_path / "t.csv"
+    argv = ["gkp-table", "--out", str(out)]
+    inodes, texts = [], []
+    for _ in range(5):
+        assert main(argv) == 0
+        inodes.append(out.stat().st_ino)
+        texts.append(out.read_bytes())
+    assert all(text == texts[0] for text in texts)
+    assert all(a != b for a, b in zip(inodes, inodes[1:]))
+    with open(out, "rb") as old:
+        assert main(["tail-check", "--out", str(out)]) == 0
+        assert os.fstat(old.fileno()).st_ino != out.stat().st_ino
+        assert old.read() == texts[0]
+    assert out.read_bytes() != texts[0]
 
 
 def _with_config(tmp_path, overrides):
