@@ -20,29 +20,34 @@ into the window and leave a logical error, which is reported.  When r1
 and r2 are both odd the in-window error set has exactly r1 r2 elements
 and the errored code spaces tile C^N orthogonally.
 
-A round does a few array passes and no per-call set-up.  The code of each
-GkpParams (its codewords, words and the (K x r2) table of comb positions)
-is built once and kept in spin_core's one store of tables, whose byte
-budget (64 MiB) bounds every table the package keeps and counts an
-entry's K N complex amplitudes.  build_gkp_code returns the stored code,
-so its codewords are shared between callers and their amplitude arrays
-are read-only.  A code whose (K x N) codewords would pass the 1 GiB of
-one dense table is refused with ValueError before allocating.  Every
-Pauli phase exp(i pi e / N) has the integer exponent e = (2 b x + c) mod
-2N, computed in integers on each call, and is read from the 2N roots,
-kept once per N in the same store; Z^0 needs no exponents, only the root
-of c.  PauliWord.to_operator, the helper that applies a word to an
-amplitude array (which PauliWord.apply wraps) and the round share this
-one phase path.  A round recovers with one word: the error X^a Z^b and
-the inverse of the decoded shift X^ahat Z^bhat multiply, as PauliWord
-multiplies, to exp(2 pi i bhat (ahat - a) / N) X^(a - ahat) Z^(b - bhat),
-which the round applies to the input's amplitudes.  An error in the
-window has a = ahat and b = bhat, so that word is the identity, nothing
-is multiplied and the input's bytes come back.  A round reads the store
-at most twice, for the code and for the roots.  It builds no PauliWord: it takes the norm and the
-code-space residual as direct sums of squares, rescaled as StateVec.norm
-rescales when they leave the double range, and hands only the recovered
-array, uncopied and read-only, to a StateVec.
+A round does a few array passes and no per-call set-up, and reads only
+its input: the combs follow from (K, r1, r2) by arithmetic, position
+x = (K i + s) r1 + t being entry [i, s, t] of the amplitudes viewed as an
+(r2, K, r1) array, so no table of comb positions or codewords is built
+or read.  The code of each GkpParams (its codewords and words) is built
+by build_gkp_code alone, once, and kept in spin_core's one store of
+tables, whose byte budget (64 MiB) bounds every table the package keeps
+and counts an entry's K N complex amplitudes.  build_gkp_code returns the
+stored code, so its codewords are shared between callers and their
+amplitude arrays are read-only.  A code whose (K x N) codewords would
+pass the 1 GiB of one dense table is refused with ValueError before
+allocating.  Every Pauli phase exp(i pi e / N) has the integer exponent
+e = (2 b x + c) mod 2N, computed in integers on each call, and is read
+from the 2N roots, kept once per N in the same store; Z^0 needs no
+exponents, only the root of c.  PauliWord.to_operator, the helper that
+applies a word to an amplitude array (which PauliWord.apply wraps) and
+the round share this one phase path.  A round recovers with one word:
+the error X^a Z^b and the inverse of the decoded shift X^ahat Z^bhat
+multiply, as PauliWord multiplies, to
+exp(2 pi i bhat (ahat - a) / N) X^(a - ahat) Z^(b - bhat), which the
+round applies to the input's amplitudes.  An error in the window has
+a = ahat and b = bhat, so that word is the identity, nothing is
+multiplied, no store entry is read and the input's bytes come back; a
+round whose word has a phase reads the store once, for N's roots.  It
+builds no PauliWord: it takes the norm and the code-space residual as
+direct sums of squares, rescaled as StateVec.norm rescales when they
+leave the double range, and hands only the recovered array, uncopied and
+read-only, to a StateVec.
 """
 
 from __future__ import annotations
@@ -233,22 +238,26 @@ class GkpCode:
         return np.stack([w.amps for w in self.codewords])
 
     def support(self, s: int) -> list[int]:
-        return _tables(self.params)[1][s].tolist()
+        """Positions of codeword s's comb: (k i + s) r1, i = 0 .. r2 - 1."""
+        p = self.params
+        return list(range(s * p.r1, p.n, p.k * p.r1))
 
 
 @_stored
-def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
-    """The code of params and its (k x r2) comb table, entry (s, i) = (k i + s) r1.
+def _code(params: GkpParams) -> GkpCode:
+    """The code of params, its codewords written through the (k, r2, k, r1)
+    view of the (k x N) amplitude table, whose entry [s, i, s, 0] is
+    position (k i + s) r1.
 
     A (k x N) codeword table past the 1 GiB of one dense table raises
     ValueError, naming N and the bytes, before allocating.
     """
     k, r1, r2, n = params.k, params.r1, params.r2, params.n
     _require_bytes("N", n, k, 16)
-    comb = (k * np.arange(r2) + np.arange(k)[:, None]) * r1
     amps = np.zeros((k, n), dtype=complex)
-    np.put_along_axis(amps, comb, 1.0 / math.sqrt(r2), axis=1)
-    code = GkpCode(
+    s = np.arange(k)
+    amps.reshape(k, r2, k, r1)[s, :, s, 0] = 1.0 / math.sqrt(r2)
+    return GkpCode(
         params=params,
         codewords=tuple(StateVec(params.spin_label, row) for row in amps),
         xbar=PauliWord(n, r1, 0),
@@ -256,7 +265,6 @@ def _tables(params: GkpParams) -> tuple[GkpCode, np.ndarray]:
         stabilizer_x=PauliWord(n, k * r1, 0),
         stabilizer_z=PauliWord(n, 0, k * r2),
     )
-    return code, comb
 
 
 def build_gkp_code(params: GkpParams) -> GkpCode:
@@ -266,9 +274,10 @@ def build_gkp_code(params: GkpParams) -> GkpCode:
     tables, within its byte budget: every call with equal params returns
     the same GkpCode while it is kept, and its codewords are shared and
     read-only.  A (k x N) codeword table past the 1 GiB of one dense table
-    raises ValueError before allocating.
+    raises ValueError before allocating.  Neither syndrome_and_recover nor
+    stabilizer_eigenphases reads it.
     """
-    return _tables(params)[0]
+    return _code(params)
 
 
 def strict_window(r: int) -> range:
@@ -327,17 +336,19 @@ def syndrome_and_recover(
 
     A zero, infinite or NaN state raises ValueError naming its norm; a
     finite state whose sum of squares overflows or underflows is checked
-    on amps / max|amps| and recovered as given.  The code and its comb
-    table come from the per-GkpParams store entry of build_gkp_code; the
-    code-space check projects onto the combs through that table rather
-    than through dense (k x N) products, and compares the residual's sum
-    of squares with 1e-20 times the state's.  The error and the undo are
-    one word, (X^ahat Z^bhat)^-1 X^a Z^b, multiplied in integers and
-    applied once: its phases times the input's amplitudes, then one roll
-    by the net shift a - ahat.  In the window it is the identity.  Only
-    the recovered array is wrapped, without a copy, in a StateVec.
+    on amps / max|amps| and recovered as given.  The round neither builds
+    nor reads the (k x N) code: position x = (k i + s) r1 + t is entry
+    [i, s, t] of the amplitudes as an (r2, k, r1) array, whose teeth
+    [:, :, 0] are the combs, so the code-space check projects onto them
+    by arithmetic and compares the residual's sum of squares with 1e-20
+    times the state's.  It takes any N the state holds.  The error and
+    the undo are one word, (X^ahat Z^bhat)^-1 X^a Z^b, multiplied in
+    integers and applied once: its phases times the input's amplitudes,
+    then one roll by the net shift a - ahat.  In the window it is the
+    identity and no store entry is read; a word with a phase reads only
+    N's roots.  Only the recovered array is wrapped, without a copy, in a
+    StateVec.
     """
-    _, comb = _tables(params)
     n = params.n
     if state.j.dim != n:
         raise ValueError("state dimension does not match the code")
@@ -351,11 +362,11 @@ def syndrome_and_recover(
         if not 0.0 < scale < math.inf:
             raise ValueError(f"state norm must be finite and nonzero, got {scale}")
         norm_sq = np.vdot(amps, amps).real
-    # Distance to the code: every amplitude off the combs, and each tooth's
-    # deviation from its comb's mean (the projection onto the codeword).
-    residual = amps.copy()
-    teeth = residual[comb]
-    residual[comb] = teeth - teeth.sum(axis=1)[:, None] / params.r2
+    # Distance to the code: every amplitude off the combs (t > 0), and each
+    # tooth's deviation from its comb's mean (the projection onto the codeword).
+    residual = amps.reshape(params.r2, params.k, params.r1).copy()
+    teeth = residual[:, :, 0]
+    teeth -= teeth.sum(axis=0) / params.r2
     if np.vdot(residual, residual).real > 1e-20 * norm_sq:
         raise ValueError("input state is not in the code space")
 
@@ -386,10 +397,12 @@ def stabilizer_eigenphases(params: GkpParams, state: StateVec) -> tuple[complex,
 
     An errored codeword is an exact eigenstate, so the expectations have
     unit modulus and equal exp(2 pi i a / r1) and exp(-2 pi i b / r2).
+    The two words are applied directly, without the (k x N) code, so any
+    N the state holds is taken; Z^(k r2) reads N's roots from the store.
     """
-    code = build_gkp_code(params)
-    za = code.stabilizer_z.apply(state)
-    xa = code.stabilizer_x.apply(state)
+    n = params.n
+    za = PauliWord(n, 0, params.k * params.r2).apply(state)
+    xa = PauliWord(n, params.k * params.r1, 0).apply(state)
     return (
         complex(np.vdot(state.amps, za.amps)),
         complex(np.vdot(state.amps, xa.amps)),

@@ -455,12 +455,16 @@ _RAISE_TABLES = [
         ]
     ]),
     # a shift code whose (k x N) codewords pass the 1 GiB of one dense table:
-    # GkpParams(2, 10^13, 3) asked numpy for 1.71 PiB
+    # GkpParams(2, 10^13, 3) asked numpy for 1.71 PiB.  The round and the
+    # eigenphases build no (k x N) table, so they take any N the state holds
+    # and refuse this 3-level state for its dimension alone
     ("test_domain_edges::test_gkp_tables_refused_past_one_dense_table", ValueError, [
-        (func.__name__, func, (GkpParams(2, 10**13, 3), *rest), {},
-         r"^N = 60000000000000: 2 x 60000000000000 entries of 16 bytes would need 1,920,000,000,000,000 bytes")
-        for func, *rest in [(build_gkp_code,), (syndrome_and_recover, 0, 0, StateVec(1, [1.0, 0.0, 0.0])),
-                            (stabilizer_eigenphases, StateVec(1, [1.0, 0.0, 0.0]))]
+        (func.__name__, func, (GkpParams(2, 10**13, 3), *rest), {}, match)
+        for func, match, *rest in [
+            (build_gkp_code,
+             r"^N = 60000000000000: 2 x 60000000000000 entries of 16 bytes would need 1,920,000,000,000,000 bytes"),
+            (syndrome_and_recover, r"^state dimension does not match the code$", 0, 0, StateVec(1, [1.0, 0.0, 0.0])),
+            (stabilizer_eigenphases, r"^state dimension does not match modulus$", StateVec(1, [1.0, 0.0, 0.0]))]
     ]),
     # about 96 bytes per (2j+1)^2 entry: refused from 2j + 1 = 3345, where that passes 1 GiB
     ("test_domain_edges::test_disentangle_check_refused_past_one_dense_table", ValueError, [

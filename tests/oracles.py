@@ -470,3 +470,22 @@ def flat_density(tj, d, mode):
     if mode == "leading":
         return Fraction(d * math.comb(2 * tj, tj), 4**tj)
     return Fraction(d * d * sum(c**3 for c in binomials(tj)), 8**tj)
+
+
+# ----------------------------------------------------------------------
+# Shift codes
+# ----------------------------------------------------------------------
+
+
+def gkp_code_residual(params, amps):
+    """||psi - C^H C psi||^2 over the dense (K x N) codeword matrix C, row s
+    r2^(-1/2) at positions (K i + s) r1, i = 0 .. r2 - 1, each set one by
+    one: the squared distance of psi to the code space, by projection."""
+    k, r1, r2 = params.k, params.r1, params.r2
+    basis = np.zeros((k, k * r1 * r2))
+    for s in range(k):
+        for i in range(r2):
+            basis[s, (k * i + s) * r1] = 1.0 / math.sqrt(r2)
+    amps = np.asarray(amps, dtype=complex)
+    rest = amps - basis.T @ (basis @ amps)
+    return float(np.vdot(rest, rest).real)

@@ -426,8 +426,9 @@ def test_round_outputs_pinned():
     assert rounds == 2255
 
 
-def test_round_reads_the_store_twice(monkeypatch):
-    # the code entry, and N's roots when the round's word has a phase
+def test_round_reads_no_store_entry_but_the_roots(monkeypatch):
+    # the combs follow from (k, r1, r2): an in-window round reads no store
+    # entry, and a round whose word has a phase reads only N's roots
     reads = []
 
     class Counted(dict):
@@ -441,11 +442,32 @@ def test_round_reads_the_store_twice(monkeypatch):
         word = build_gkp_code(params).codewords[-1]
         for a in tiling_window(params.r1):
             for b in tiling_window(params.r2):
-                for shift, most in ((b, 2), (b + params.r2, 3)):
-                    syndrome_and_recover(params, a, shift, word)  # a miss reads again after its build
-                    reads.clear()
-                    syndrome_and_recover(params, a, shift, word)
-                    assert reads[0] == "spinqec.finite_gkp._tables" and len(reads) <= most, (dims, a, shift, reads)
+                reads.clear()
+                syndrome_and_recover(params, a, b, word)
+                assert reads == [], (dims, a, b, reads)
+                syndrome_and_recover(params, a, b + params.r2, word)  # Zbar: a phase
+                assert set(reads) == {"spinqec.finite_gkp._roots"}, (dims, a, b, reads)
+        reads.clear()
+        stabilizer_eigenphases(params, word)
+        assert set(reads) == {"spinqec.finite_gkp._roots"}, (dims, reads)
+
+
+def test_rounds_past_the_store_budget_miss_nothing(monkeypatch):
+    # a code past the store's budget is rebuilt on every read; a round reads
+    # no code, so in-window rounds add no miss, and a phased round only N's roots
+    params = GkpParams(2, 21, 21)
+    monkeypatch.setattr(spin_core, "_STORE_BUDGET", params.k * params.n * 16 - 1)
+    spin_core._store_clear()
+    word = build_gkp_code(params).codewords[1]
+    misses = {kind: count[0] for kind, count in spin_core._store_counts.items()}
+    assert misses == {"spinqec.finite_gkp._code": 1} and not spin_core._store
+    for a, b in list(zip(strict_window(params.r1), reversed(strict_window(params.r2))))[:20]:
+        assert syndrome_and_recover(params, a, b, word).recovered.amps.tobytes() == word.amps.tobytes()
+    assert {kind: count[0] for kind, count in spin_core._store_counts.items()} == misses
+    syndrome_and_recover(params, 0, params.r2, word)
+    misses["spinqec.finite_gkp._roots"] = 1
+    assert {kind: count[0] for kind, count in spin_core._store_counts.items()} == misses
+    spin_core._store_clear()
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -482,8 +504,8 @@ def test_rounds_at_benchmark_size(monkeypatch, dims):
     params = GkpParams(*dims)
     k, r1, r2, n = params.k, params.r1, params.r2, params.n
     reads = []
-    stored = finite_gkp._tables
-    monkeypatch.setattr(finite_gkp, "_tables", lambda p: reads.append(p) or stored(p))
+    stored = finite_gkp._code
+    monkeypatch.setattr(finite_gkp, "_code", lambda p: reads.append(p) or stored(p))
     spin_core._store_clear()
     code = build_gkp_code(params)
     assert build_gkp_code(GkpParams(*dims)) is code
@@ -511,10 +533,10 @@ def test_rounds_at_benchmark_size(monkeypatch, dims):
                 assert (a - out.a_hat) % r1 == 0 and (b - out.b_hat) % r2 == 0
                 assert out.logical_error == bool(quotients[0] % k or quotients[1] % k)
                 assert not out.ambiguous
-    # all the rounds (and eigenphase reads) share one stored code, built once,
-    # with its codewords and comb table
-    assert spin_core._store_counts["spinqec.finite_gkp._tables"] == [1, k * n * 16 + k * r2 * 8]
-    assert len(reads) - 1 > rounds
+    # the code is built once and read only by build_gkp_code: no round and
+    # no eigenphase read touches it
+    assert spin_core._store_counts["spinqec.finite_gkp._code"] == [1, k * n * 16]
+    assert reads == [params, params] and rounds == 12 * k
     assert sum(kept for _, kept in spin_core._store_counts.values()) <= spin_core._STORE_BUDGET
 
 

@@ -591,7 +591,7 @@ _STORE_KINDS = {
                                              spin_core._axis_bands(HalfInt(4), np.array(_Y_AXIS))),
     **{f"{read.__module__}.{read.__name__}": (read, read.__wrapped__, args) for read, args in [
         (coherent._theta_recurrence, (512,)), (coherent._theta_rule_cached, (8,)), (finite_gkp._roots, (9,)),
-        (finite_gkp._tables, (finite_gkp.GkpParams(2, 3, 3),)),
+        (finite_gkp._code, (finite_gkp.GkpParams(2, 3, 3),)),
         (recovery._gram_factor, (8, 5))]},
 }
 
@@ -614,7 +614,7 @@ def test_store_keeps_the_newest_entries_within_its_budget(monkeypatch, budget):
     # bytes are counted exactly, against a model of the store
     fresh = {name: [arr.tobytes() for arr in _held(build(*args))] for name, (_, build, args) in _STORE_KINDS.items()}
     sizes = {name: sum(map(len, arrays)) for name, arrays in fresh.items()}
-    assert sizes["spinqec.finite_gkp._tables"] == 2 * 18 * 16 + 2 * 3 * 8  # codewords, comb
+    assert sizes["spinqec.finite_gkp._code"] == 2 * 18 * 16  # codewords
     assert any(size > budget for size in sizes.values()) and sum(sizes.values()) > 2 * budget
     monkeypatch.setattr(spin_core, "_STORE_BUDGET", budget)
     spin_core._store_clear()

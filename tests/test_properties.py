@@ -10,7 +10,8 @@ same draws on every run and no example database written.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -107,3 +108,46 @@ def test_gkp_round_is_one_word_on_every_code_state(k, data):
         assert abs(abs(np.vdot(state.amps, out.recovered.amps)) - 1.0) <= 1e-13
     if a in tiling_window(r1) and b in tiling_window(r2):
         assert out.recovered.amps.tobytes() == state.amps.tobytes()
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(k=st.integers(min_value=2, max_value=150), data=st.data())
+def test_gkp_code_space_check_is_the_dense_residual(k, data):
+    # N = k r1 r2 <= 300, a code state plus a perturbation of relative size
+    # 0, 1e-13, 2e-11, 5e-10, 1e-8 or 1e-4, on one comb tooth, off the
+    # combs, or spread over the state: the round refuses the state exactly
+    # when its squared distance to the code, by the dense projection, passes
+    # 1e-20 of its sum of squares.  Draws within a factor 10 of that line are
+    # skipped; the sizes 2e-11 and 5e-10 put the distance within a factor
+    # 100 of it, on either side, so a line moved that far is caught
+    r1 = data.draw(st.integers(min_value=1, max_value=300 // k), label="r1")
+    r2 = data.draw(st.integers(min_value=1, max_value=300 // (k * r1)), label="r2")
+    params = GkpParams(k, r1, r2)
+    n = params.n
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    amps = coeffs @ build_gkp_code(params).basis_matrix()
+    amps /= np.linalg.norm(amps)
+    size = data.draw(st.sampled_from([0.0, 1e-13, 2e-11, 5e-10, 1e-8, 1e-4]), label="size")
+    place = data.draw(st.sampled_from(["tooth", "spread"] + (["off"] if r1 > 1 else [])), label="place")
+    delta = np.zeros(n, dtype=complex)
+    if place == "tooth":
+        s, i = int(rng.integers(k)), int(rng.integers(r2))
+        delta[(k * i + s) * r1] = complex(*rng.normal(size=2))
+    elif place == "off":
+        off = np.arange(n)[np.arange(n) % r1 > 0]
+        delta[off] = rng.normal(size=len(off)) + 1j * rng.normal(size=len(off))
+    else:
+        delta = rng.normal(size=n) + 1j * rng.normal(size=n)
+    amps += size * delta / np.linalg.norm(delta)
+    residual, threshold = oracles.gkp_code_residual(params, amps), 1e-20 * np.vdot(amps, amps).real
+    assume(not threshold / 10.0 <= residual <= 10.0 * threshold)
+    state = StateVec(params.spin_label, amps)
+    a = data.draw(st.integers(min_value=-3 * n, max_value=3 * n), label="a")
+    b = data.draw(st.integers(min_value=-3 * n, max_value=3 * n), label="b")
+    if residual > threshold:
+        with pytest.raises(ValueError, match="^input state is not in the code space$"):
+            syndrome_and_recover(params, a, b, state)
+    else:
+        out = syndrome_and_recover(params, a, b, state)
+        assert (out.syndrome_a, out.syndrome_b) == (a % r1, b % r2)
