@@ -32,22 +32,27 @@ stored code, so its codewords are shared between callers and their
 amplitude arrays are read-only.  A code whose (K x N) codewords would
 pass the 1 GiB of one dense table is refused with ValueError before
 allocating.  Every Pauli phase exp(i pi e / N) has the integer exponent
-e = (2 b x + c) mod 2N, computed in integers on each call, and is read
-from the 2N roots, kept once per N in the same store; Z^0 needs no
-exponents, only the root of c.  PauliWord.to_operator, the helper that
-applies a word to an amplitude array (which PauliWord.apply wraps) and
-the round share this one phase path.  A round recovers with one word:
-the error X^a Z^b and the inverse of the decoded shift X^ahat Z^bhat
-multiply, as PauliWord multiplies, to
+e = (2 b x + c) mod 2N, computed in integers on each call.  A word with
+Z reads its phases from the 2N roots, kept once per N in the same store;
+a word without Z needs no exponents and no roots: its one phase
+exp(i pi c / N) is the roots' own expression on the entry c, with the
+same bits.  PauliWord.to_operator, the helper that applies a word to an
+amplitude array and the round share this one phase path, and
+PauliWord.apply and the round share one helper that applies a word to a
+StateVec.  A round recovers with one word: the error X^a Z^b and the
+inverse of the decoded shift X^ahat Z^bhat multiply, as PauliWord
+multiplies, to
 exp(2 pi i bhat (ahat - a) / N) X^(a - ahat) Z^(b - bhat), which the
 round applies to the input's amplitudes.  An error in the window has
-a = ahat and b = bhat, so that word is the identity, nothing is
-multiplied, no store entry is read and the input's bytes come back; a
-round whose word has a phase reads the store once, for N's roots.  It
-builds no PauliWord: it takes the norm and the code-space residual as
-direct sums of squares, rescaled as StateVec.norm rescales when they
-leave the double range, and hands only the recovered array, uncopied and
-read-only, to a StateVec.
+a = ahat and b = bhat, so that word is the identity, and the input
+StateVec itself comes back, as PauliWord.apply returns its argument for
+the identity word: a StateVec is frozen and its amplitudes read-only, so
+nothing is multiplied or copied and no store entry is read.  Only a word
+with Z reads the store, once, for N's roots.  A round builds no
+PauliWord: it takes the norm and the code-space residual as direct sums
+of squares, rescaled as StateVec.norm rescales when they leave the
+double range, and hands the recovered array of any other word, uncopied
+and read-only, to a new StateVec.
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ class PauliWord:
 
     @property
     def phase(self) -> complex:
-        return complex(_roots(self.n)[self.c])
+        return complex(_word_phases(self.n, 0, self.c))
 
     def to_operator(self) -> Operator:
         n = self.n
@@ -169,10 +174,11 @@ class PauliWord:
         return Operator._owning(HalfInt(n - 1), mat)
 
     def apply(self, vec: StateVec) -> StateVec:
-        """Shift and phase the amplitudes directly, without the matrix."""
+        """Shift and phase the amplitudes directly, without the matrix; the
+        identity word returns vec itself (_applied)."""
         if vec.j.dim != self.n:
             raise ValueError("state dimension does not match modulus")
-        return StateVec._owning(vec.j, _apply_word(vec.amps, self.n, self.a, self.b, self.c))
+        return _applied(vec, self.n, self.a, self.b, self.c)
 
 
 @_stored
@@ -190,11 +196,12 @@ def _word_phases(n: int, b: int, c: int) -> np.ndarray | np.complex128:
     """exp(i pi c / n) Z^b as its diagonal, 0 <= b < n, 0 <= c < 2n: the
     roots at the exponents (2 b x + c) mod 2n, x = 0 .. n - 1, taken in
     integers (the gather wraps them mod 2n).  For b = 0 it is the one root
-    exp(i pi c / n), which broadcasts over the amplitudes."""
-    roots = _roots(n)
+    exp(i pi c / n), which broadcasts over the amplitudes: _roots' own
+    expression on the one entry c, so it has the bits of _roots(n)[c] and
+    reads no store entry."""
     if b == 0:
-        return roots[c]
-    return np.take(roots, np.arange(c, c + 2 * b * n, 2 * b), mode="wrap")
+        return np.exp(1j * math.pi * np.arange(c, c + 1) / n)[0]
+    return np.take(_roots(n), np.arange(c, c + 2 * b * n, 2 * b), mode="wrap")
 
 
 def _roll(amps: np.ndarray, a: int) -> np.ndarray:
@@ -212,6 +219,19 @@ def _apply_word(amps: np.ndarray, n: int, a: int, b: int, c: int) -> np.ndarray:
     and inf into inf + nan i.
     """
     return _roll(amps * _word_phases(n, b, c) if b or c else amps, a)
+
+
+def _applied(vec: StateVec, n: int, a: int, b: int, c: int) -> StateVec:
+    """exp(i pi c / n) X^a Z^b applied to vec, 0 <= a, b < n, 0 <= c < 2n.
+
+    The identity word (a = b = c = 0) returns vec itself: a StateVec is
+    frozen and its amplitudes are read-only, so a copy would only repeat
+    its bytes.  Any other word wraps the fresh array of _apply_word
+    without a copy.
+    """
+    if not (a or b or c):
+        return vec
+    return StateVec._owning(vec.j, _apply_word(vec.amps, n, a, b, c))
 
 
 def clock_shift(n: int) -> tuple[Operator, Operator]:
@@ -345,9 +365,9 @@ def syndrome_and_recover(
     the undo are one word, (X^ahat Z^bhat)^-1 X^a Z^b, multiplied in
     integers and applied once: its phases times the input's amplitudes,
     then one roll by the net shift a - ahat.  In the window it is the
-    identity and no store entry is read; a word with a phase reads only
-    N's roots.  Only the recovered array is wrapped, without a copy, in a
-    StateVec.
+    identity, and the recovered state is the input StateVec itself; any
+    other word's recovered array is wrapped, without a copy, in a new
+    StateVec.  Only a word with Z reads the store, for N's roots.
     """
     n = params.n
     if state.j.dim != n:
@@ -378,7 +398,6 @@ def syndrome_and_recover(
     # (X^ahat Z^bhat)^-1 X^a Z^b = exp(2 pi i bhat (ahat - a) / n) X^(a - ahat) Z^(b - bhat),
     # as PauliWord.inverse and PauliWord.__mul__ give it.
     c = 2 * b_hat * (a_hat - a) % (2 * n)
-    recovered = _apply_word(state.amps, n, (a - a_hat) % n, (b - b_hat) % n, c)
     logical_x = ((a - a_hat) // params.r1) % params.k
     logical_z = ((b - b_hat) // params.r2) % params.k
     return SyndromeOutcome(
@@ -386,7 +405,7 @@ def syndrome_and_recover(
         syndrome_b=syndrome_b,
         a_hat=a_hat,
         b_hat=b_hat,
-        recovered=StateVec._owning(state.j, recovered),
+        recovered=_applied(state, n, (a - a_hat) % n, (b - b_hat) % n, c),
         logical_error=bool(logical_x or logical_z),
         ambiguous=amb_a or amb_b,
     )

@@ -1,6 +1,9 @@
 """Finite clock-shift comb codes with exact integer phase bookkeeping."""
 
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +169,8 @@ def test_phase_tables_match_the_rebuilt_exponents_byte_for_byte():
         mat = np.zeros((n, n), dtype=complex)
         mat[(x + w.a) % n, x] = _old_phases(n, w.b, w.c)
         assert w.to_operator().mat.tobytes() == mat.tobytes(), (n, a, b, c)
-        assert w.phase == complex(_old_roots(n)[w.c])
+        # by bytes: == would take -0.0 for 0.0
+        assert np.complex128(w.phase).tobytes() == _old_roots(n)[w.c].tobytes(), (n, a, b, c)
 
 
 def test_phase_tables_are_bounded_and_read_only():
@@ -399,15 +403,32 @@ def test_round_shift_types_and_fresh_output():
         with pytest.raises(TypeError, match="must be an integer"):
             syndrome_and_recover(params, a, b, word)
     assert syndrome_and_recover(params, np.int64(7), np.int32(-1), word).a_hat == 1
-    for a, b in ((0, 0), (1, -1), (6, 0)):
-        out = syndrome_and_recover(params, a, b, word)
-        assert not out.recovered.amps.flags.writeable
-        assert not np.shares_memory(out.recovered.amps, word.amps)
-        assert out.recovered.j == word.j
+    # an in-window round's word is the identity, and a StateVec is frozen
+    # with read-only amplitudes: the input itself comes back, as from
+    # PauliWord.apply of any word equal to the identity
+    for a, b in ((0, 0), (1, -1)):
+        assert syndrome_and_recover(params, a, b, word).recovered is word
+    n = params.n
+    for identity in (PauliWord(n, 0, 0), PauliWord(n, n, -n, 2 * n)):
+        assert identity.apply(word) is word
+    # the stabilizer shift X^6 is no identity word: a fresh read-only array
+    out = syndrome_and_recover(params, 6, 0, word)
+    assert not out.recovered.amps.flags.writeable
+    assert not np.shares_memory(out.recovered.amps, word.amps)
+    assert out.recovered.j == word.j
 
 
 # The seven codes of the syndrome_rounds benchmark.
 BENCHMARK_CODES = ((2, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 8), (4, 7, 9), (2, 21, 21), (4, 15, 15))
+
+
+def test_benchmark_codes_follow_the_benchmark():
+    # SyndromeRounds.GKP in perfbench/workloads.py, read as source so that
+    # nothing of the benchmark is imported
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+    rounds = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SyndromeRounds")
+    gkp = [n.value for n in rounds.body if isinstance(n, ast.Assign) and ast.unparse(n.targets) == "GKP"]
+    assert [ast.literal_eval(v) for v in gkp] == [BENCHMARK_CODES]
 
 
 def test_round_outputs_pinned():
@@ -428,7 +449,9 @@ def test_round_outputs_pinned():
 
 def test_round_reads_no_store_entry_but_the_roots(monkeypatch):
     # the combs follow from (k, r1, r2): an in-window round reads no store
-    # entry, and a round whose word has a phase reads only N's roots
+    # entry, nor does a round whose word is Z-free (Xbar times an in-window
+    # shift: its one phase is computed, not read), and a round whose word
+    # has Z reads only N's roots
     reads = []
 
     class Counted(dict):
@@ -444,6 +467,9 @@ def test_round_reads_no_store_entry_but_the_roots(monkeypatch):
             for b in tiling_window(params.r2):
                 reads.clear()
                 syndrome_and_recover(params, a, b, word)
+                assert reads == [], (dims, a, b, reads)
+                syndrome_and_recover(params, a + params.r1, b, word)  # Xbar: Z-free
+                assert abs(abs(PauliWord(params.n, 0, 0, 2 * b + 1).phase) - 1.0) < 1e-15
                 assert reads == [], (dims, a, b, reads)
                 syndrome_and_recover(params, a, b + params.r2, word)  # Zbar: a phase
                 assert set(reads) == {"spinqec.finite_gkp._roots"}, (dims, a, b, reads)
@@ -468,6 +494,32 @@ def test_rounds_past_the_store_budget_miss_nothing(monkeypatch):
     misses["spinqec.finite_gkp._roots"] = 1
     assert {kind: count[0] for kind, count in spin_core._store_counts.items()} == misses
     spin_core._store_clear()
+
+
+def test_window_sweep_keeps_no_copy():
+    # a sweep that keeps all its outcomes holds no array beyond its input:
+    # each in-window round hands back the input state itself.  Only numpy's
+    # allocations are counted; the 441 outcome objects take about 160 bytes each
+    params = GkpParams(2, 21, 21)
+    word = build_gkp_code(params).codewords[1]
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def held():
+        return sum(trace.size for trace in tracemalloc.take_snapshot().filter_traces(arrays).traces)
+
+    tracemalloc.start()
+    try:
+        before = held()
+        kept = [
+            syndrome_and_recover(params, a, b, word)
+            for a in tiling_window(params.r1)
+            for b in tiling_window(params.r2)
+        ]
+        grown = held() - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 441
+    assert grown < 16 * params.n, grown
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
