@@ -21,14 +21,23 @@ Conventions, fixed once here and relied on everywhere else:
   (tens of microseconds) so that a scalar and an array evaluation agree
   bit for bit.  A libm twin would not: numpy's SIMD arctan2 and complex
   abs differ from libm's in the last bit.
-* One Wigner-d kernel (_d_columns) serves wigner_d, wigner_d_matrix,
-  wigner_D_matrix and the monopole wigner-d route: column n of d^j(beta)
-  is the eigenvector, with eigenvalue n, of the tridiagonal
+* One Wigner-d kernel (_d_columns) computes d^j from scratch: column n
+  of d^j(beta) is the eigenvector, with eigenvalue n, of the tridiagonal
   cos(beta) L3 + sin(beta) L1, found by one vectorized three-term sweep
   toward each column's peak.  O(j^2) work for a matrix, O(j) for an
-  entry, no overflow or cancellation at any j or angle.  Where a half
-  angle is exactly zero (beta a multiple of pi) the matrix is the signed
-  identity or antidiagonal, written directly.
+  entry, no overflow or cancellation at any j or angle, so even the
+  smallest entries keep relative precision.  It serves
+  wigner_d_matrix, wigner_D_matrix and wigner_d above 2j + 1 =
+  _QUARTER_TURN_DIM (257), and the monopole wigner-d route at every j.
+  Up to that size it builds d^j(pi/2) once per j, kept in the package's
+  store, and every other general beta is read from that table as a
+  Fourier sum, three real matrix products (_from_quarter_turn): a
+  fraction of the sweep's fixed cost there, where its per-row numpy
+  calls dominate, accurate to 1e-13 absolute, but the sum's
+  cancellation leaves entries below about 1e-16 without relative
+  precision.  Where a half angle is exactly zero (beta a multiple
+  of pi) the matrix is the signed identity or antidiagonal, written
+  directly.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import HalfInt, Operator, _axis_bands, _finite, _require_dense, _spin, m_index
+from .spin_core import HalfInt, Operator, _axis_bands, _finite, _require_dense, _spin, _stored, m_index
 
 __all__ = [
     "EulerAngles",
@@ -279,8 +288,14 @@ _SHRINK_BITS = 800
 _MATCH = 8
 # Entries per temporary in the passes over the whole array.
 _CHUNK = 1 << 18
-# A power-of-two exponent that takes any finite double to zero.
-_DROP = -3000
+# A power-of-two exponent that takes any nonzero finite double past the
+# largest one, as any larger exponent does.
+_EXP_CAP = 3000
+# The frame exponent of a column whose two stop rows are both zero.
+_NO_BASE = np.iinfo(np.int64).min // 2
+# Largest 2j + 1 at which wigner_d_matrix reads a general beta from the
+# stored d^j(pi/2) (_from_quarter_turn) rather than sweeping.
+_QUARTER_TURN_DIM = 257
 
 
 def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
@@ -333,7 +348,8 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     if tj == 0:
         return np.ones((1, size))
     beta = np.asarray(beta, dtype=float)
-    ch, sh = _half_angles(beta)
+    per_column = beta.ndim > 0
+    ch, sh = _half_angles(beta if per_column else beta[()])  # a float takes the scalar path
     # cos(beta) = x0 + dx, with 1 -/+ cos(beta) = 2 sin^2 or 2 cos^2 of beta/2
     x = np.cos(beta)
     x0 = np.where(x > 0.5, 1.0, np.where(x < -0.5, -1.0, 0.0))
@@ -350,7 +366,7 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
 
     n = 0.5 * tn
     peak = (0.5 * tj - n * x0) - n * dx  # the row of m = n cos(beta)
-    stop = np.clip(np.floor(peak).astype(np.int64) + 1, 1, tj)
+    stop = np.minimum(np.maximum(np.floor(peak).astype(np.int64) + 1, 1), tj)
     stop = np.maximum(stop, dim - stop[::-1])  # the two pieces share two rows
     # Inside the classically allowed rows, |m - n cos(beta)| below about
     # |sin(beta)| sqrt((j + 1/2)^2 - n^2), the recurrence is stable both ways:
@@ -359,15 +375,14 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     width = np.minimum(np.minimum(allowed // 2, _MATCH).astype(np.int64), np.minimum(stop - 1, tj - stop))
     reach = np.minimum(stop + _MATCH, tj)
     # Work order: reach nonincreasing, so the active columns are a prefix.
-    steps = np.diff(reach)
-    if np.all(steps <= 0):
+    steps = reach[1:] - reach[:-1]
+    if (steps <= 0).all():
         order = slice(None)
-    elif np.all(steps >= 0):
+    elif (steps >= 0).all():
         order = slice(None, None, -1)
     else:
         order = np.argsort(-reach, kind="stable")
     work_reach = reach[order]
-    per_column = beta.ndim > 0
     x0_w, dx_w, sigma_w, rho_w = (
         (v[order] for v in (x0, dx, sigma, rho_1)) if per_column else (x0, dx, sigma, rho_1)
     )
@@ -384,11 +399,13 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     e_hat = _axis_bands(HalfInt(tj), (1.0, 0.0, 0.0))[1].real  # L1's band
     scale_rows = sigma_w * e_hat[:, None]
     block = max(1, _CHUNK // size)
+    top = int(work_reach[0])
     work = np.empty((dim, size))
     work[0] = 1.0
-    for r0 in range(0, tj, block):
-        part = slice(r0, r0 + block)
-        coef = work[1 + r0 : 1 + r0 + block]
+    work[top + 1 :] = 0.0  # rows past every column's reach: only dropped below
+    for r0 in range(0, top, block):
+        part = slice(r0, min(r0 + block, top))
+        coef = work[1 + r0 : 1 + part.stop]
         np.subtract(n_w, hi[part], out=coef)  # exact
         coef += n_w * rho_w - lo[part]
         coef /= scale_rows[part]
@@ -403,9 +420,8 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
 
     every = max(1, min(
         int(_GROWTH_BITS / math.log2(4.0 * math.sqrt(tj) + 2.0)),
-        _SHRINK_BITS // max(1, int(np.max(q))),
+        _SHRINK_BITS // max(1, int(q.max())),
     ))
-    top = int(work_reach[0])
     counts = np.searchsorted(-work_reach, -np.arange(top + 1), side="right").tolist()
     shifts = np.zeros((dim // every + 2, size), dtype=np.int64)
     shift = np.zeros(size, dtype=np.int64)
@@ -434,14 +450,13 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     # Row i of column k holds v / 2^(shifts[(i + 1) // every, k] + q_k i).
     # Each column's frame puts the larger of its rows stop-1, stop in [1/2, 1).
     k = np.arange(size)
-    q_col = np.broadcast_to(q, (size,))
 
     def exponent(i, col):
-        return shifts[(i + 1) // every, col] + q_col[col] * i
+        return shifts[(i + 1) // every, col] + (q[col] if per_column else q) * i
 
     def frame_exponent(i):
         v = cols[i, k]
-        return np.where(v != 0.0, exponent(i, k) + np.frexp(v)[1], np.iinfo(np.int64).min // 2)
+        return np.where(v != 0.0, exponent(i, k) + np.frexp(v)[1], _NO_BASE)
 
     base = np.maximum(frame_exponent(stop - 1), frame_exponent(stop))
 
@@ -458,14 +473,22 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     flip = np.where(((tj - 2 * shared - tn) // 2) % 2 == 1, -1.0, 1.0)
     lower = np.where(used, flip * in_frame(tj - shared, mirror), 0.0)
 
-    # Into the frame; rows from stop on go to 0.
+    # Into the frame; rows from stop on go to 0, every row from the last stop.
+    tail = int(stop.max())
+    cols[tail:] = 0.0
     sums = np.zeros(size)
     for r0 in range(0, dim, block):
-        i = np.arange(r0, min(dim, r0 + block))[:, None]
-        exps = shifts[(i[:, 0] + 1) // every] - base + q_col * i
-        exps[i >= stop] = _DROP
         chunk = cols[r0 : r0 + block]
-        np.ldexp(chunk, exps, out=chunk)
+        i = np.arange(r0, min(tail, r0 + block))[:, None]
+        exps = shifts[(i[:, 0] + 1) // every] - base + q * i
+        kept = i < stop
+        # capped at _EXP_CAP (a column whose base is _NO_BASE), as numpy's
+        # ldexp is many times faster on int32 exponents than on int64; none
+        # here is below -2^31.  The dropped rows are zeroed, not scaled to
+        # zero: an underflowing ldexp is slow.
+        head = chunk[: len(i)]
+        np.ldexp(head, np.minimum(exps, _EXP_CAP).astype(np.int32), out=head, where=kept)
+        head *= kept
         sums += np.einsum("ij,ij->j", chunk, chunk)
     alpha = np.einsum("ij,ij->j", upper, lower) / np.einsum("ij,ij->j", lower, lower)
     # Column k's lower part is rows 0 .. dim-1-stop_k of its mirror: all its
@@ -479,11 +502,67 @@ def _d_columns(tj: int, tn: np.ndarray, beta) -> np.ndarray:
     # lower entries: (-1)^(m - n) alpha_k scale_k / scale_k' times the mirror's
     factor = np.where(j_minus_n % 2 == 1, -alpha, alpha) * scale / scale[::-1]
     turned = cols[::-1, ::-1]
-    for r0 in range(0, dim, block):
+    for r0 in range(int(stop.min()), dim, block):
         i = np.arange(r0, min(dim, r0 + block))[:, None]
         parity = np.where(i % 2 == 1, -1.0, 1.0)
         np.copyto(cols[r0 : r0 + block], turned[r0 : r0 + block] * (parity * factor), where=i >= stop)
     return cols
+
+
+@_stored
+def _quarter_turn(tj: int) -> np.ndarray:
+    """d^j(pi/2), rows and columns in descending m and n: the sweep's table
+    that wigner_d_matrix reads every general beta from while 2j + 1 <=
+    _QUARTER_TURN_DIM, kept read-only in the store, 8 (2j+1)^2 bytes."""
+    return _d_columns(tj, tj - 2 * np.arange(tj + 1), 0.5 * math.pi)
+
+
+def _from_quarter_turn(tj: int, ch, sh) -> np.ndarray:
+    """d^j(beta) from D = d^j(pi/2) and the half angles of beta, neither zero.
+
+    d^j_mn(beta) = i^(m-n) sum_k D_km D_kn e^(-i k beta), the rotation about
+    y written as one about z between two quarter turns (Risbo, J. Geodesy
+    70, 383 (1996); Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307
+    (2015)).  In descending indices a = j - m, with D' = D diag(sigma),
+    sigma_a = (-1)^floor(a/2), and rows k of D, that reads
+
+        d_ab = sum_k D'_ka D'_kb cos(k beta)           for a - b even,
+        d_ab = (-1)^a sum_k D'_ka D'_kb sin(k beta)    for a - b odd.
+
+    Rows k and -k give the same product times (-1)^(a - b), so the sum runs
+    over k > 0 with weights 2 cos and 2 sin, plus the row k = 0 for integer
+    j: three real products about a quarter of the matrix each, the
+    even-even, odd-odd and even-odd blocks (odd-even is minus the
+    transpose of even-odd).  k beta = 2k (beta/2) is taken from beta/2
+    reduced to [-pi, pi] by atan2 of the half angles, split so that both
+    products by 2k are exact.
+    """
+    dim = tj + 1
+    delta = _quarter_turn(tj)
+    rows = tj // 2 + 1  # k = j, j - 1, ... down to 0 or 1/2
+    twice_k = np.arange(tj, -1, -2, dtype=float)
+    half = math.atan2(sh, ch)
+    # Veltkamp's split: head keeps 53 - bit_length(tj) bits, so 2k <= tj times
+    # head, and times half - head, are exact
+    c = (2.0 ** tj.bit_length() + 1.0) * half
+    head = c - (c - half)
+    kb, tail = twice_k * head, twice_k * (half - head)  # k beta = kb + tail, |tail| < 1e-10
+    cos_kb, sin_kb = np.cos(kb), np.sin(kb)
+    w_cos = 2.0 * (cos_kb - tail * sin_kb)
+    w_sin = 2.0 * (sin_kb + tail * cos_kb)
+    if tj % 2 == 0:
+        w_cos[-1] = 1.0  # the row k = 0 is its own mirror
+    sigma = np.ones((dim + 1) // 2)
+    sigma[1::2] = -1.0
+    even = delta[:rows, 0::2] * sigma
+    odd = delta[:rows, 1::2] * sigma[: dim // 2]
+    out = np.empty((dim, dim))
+    out[0::2, 0::2] = (even * w_cos[:, None]).T @ even
+    out[1::2, 1::2] = (odd * w_cos[:, None]).T @ odd
+    cross = (even * w_sin[:, None]).T @ odd
+    out[0::2, 1::2] = cross
+    np.negative(cross.T, out=out[1::2, 0::2])
+    return out
 
 
 def _exact_d(tj: int, tm, tn, ch, sh):
@@ -519,31 +598,59 @@ def _wigner_d_entries(tj: int, tm: int, tn: int, beta) -> np.ndarray:
 def wigner_d(j, m, n, beta: float) -> float:
     """Little-d matrix element d^j_{m,n}(beta); real by construction.
 
-    The same kernel as wigner_d_matrix: column n (and its mirror -n),
-    O(j) work.
+    While 2j + 1 <= _QUARTER_TURN_DIM (257) a general beta reads the entry
+    from wigner_d_matrix(j, beta), so the two agree bit for bit: a table
+    synthesis, 0.3 ms at j = 100, accurate to 1e-13 absolute but not
+    relative (see wigner_d_matrix).  Above it, and at the exact multiples
+    of pi, the sweep of wigner_d_matrix on column n and its mirror -n,
+    O(j) work, which keeps relative precision down to the smallest
+    entries.
     """
     j = _spin(j)
-    tm, tn = (j.twice - 2 * m_index(j, label) for label in (m, n))
+    a, c = (m_index(j, label) for label in (m, n))
     beta = _finite("beta", beta)
-    return float(_wigner_d_entries(j.twice, tm, tn, beta))
+    ch, sh = _half_angles(beta)
+    if j.dim <= _QUARTER_TURN_DIM and ch != 0.0 and sh != 0.0:
+        return float(wigner_d_matrix(j, beta)[a, c])
+    return float(_wigner_d_entries(j.twice, j.twice - 2 * a, j.twice - 2 * c, beta))
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full real little-d matrix, rows/cols in descending m and n.
 
-    Column n is the eigenvector, with eigenvalue n, of the tridiagonal
-    T = cos(beta) L3 + sin(beta) L1, found by one vectorized three-term
-    sweep from the top row toward each column's peak near m = n cos(beta);
-    each column's lower part is its mirror -n upside down (see
-    _d_columns).  Work is O(j^2), memory one (2j+1)^2 array plus bounded
-    temporaries (37 MB at j = 1000), and nothing overflows at any j.
-    max|d^T d - 1| is below 2e-14 at j = 1000 at every angle tried.
+    Up to 2j + 1 = _QUARTER_TURN_DIM (257), a general beta is synthesized
+    from d^j(pi/2), built once per j by the sweep below and kept read-only
+    in the package's store (8 (2j+1)^2 bytes, 0.5 MB at the cutoff): the
+    Fourier sum of _from_quarter_turn, three real matrix products of about
+    a quarter of the matrix each.  It takes 0.04 ms at j = 8 and 0.3 ms at
+    j = 100 once the table is kept, against 0.4 and 2 ms for the sweep; the
+    first call at a j pays the sweep at pi/2 as well.  At the cutoff the
+    tables of every j below it total 45 MB, inside the store's 64 MiB.
+    beta = pi/2 itself returns a copy of the table.  These entries follow
+    the host's BLAS kernels in their last bits (no digest pins them) and
+    stay within 1e-13 of the sweep, an absolute bound: the sum cancels
+    down to entries of about 1e-16 and no further, so the exponentially
+    small entries away from |m - n cos(beta)| <~ j |sin(beta)| and near
+    the poles carry no relative precision (d^100_{100,60}(0.1) reads
+    2.9e-16 against 1.05e-31), and at |beta| near 1e-300 that residue is
+    subnormal, which slows products with the matrix.  The sweep keeps
+    relative precision there.
+
+    Above the cutoff, column n is the eigenvector, with eigenvalue n, of
+    the tridiagonal T = cos(beta) L3 + sin(beta) L1, found by one
+    vectorized three-term sweep from the top row toward each column's
+    peak near m = n cos(beta); each column's lower part is its mirror -n
+    upside down (see _d_columns).  Work is O(j^2), memory one (2j+1)^2
+    array plus bounded temporaries (37 MB at j = 1000), and nothing
+    overflows at any j.  max|d^T d - 1| is below 2e-14 at j = 1000 at
+    every angle tried.
 
     Where a half angle is exactly zero, T is diagonal and the matrix is
     written directly: beta = 0 and +/-2pi give exactly +/-1 times the
     identity, beta = +/-pi exactly the signed antidiagonal.  Their zero
     entries carry the sign the fold d_mn = (-1)^(m-n) d_nm = d_{-n,-m}
-    gives +0.0: these matrices are pinned byte for byte, zeros included.
+    gives +0.0, which is -0.0 where m < n and m - n is odd: these matrices
+    are pinned byte for byte, zeros included.
     """
     j = _spin(j)
     tj = j.twice
@@ -552,10 +659,16 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     two = tj - 2 * np.arange(j.dim)  # twice m, descending
     ch, sh = _half_angles(beta)
     if ch != 0.0 and sh != 0.0:
-        return _d_columns(tj, two, beta)
-    tm, tn = two[:, None], two[None, :]
-    negative = ((tm - tn) // 2 % 2 == 1) & np.where(np.abs(tn) > np.abs(tm), tn > 0, tm < 0)
-    out = np.where(negative, -0.0, 0.0)
+        if j.dim > _QUARTER_TURN_DIM:
+            return _d_columns(tj, two, beta)
+        if beta == 0.5 * math.pi:
+            return _quarter_turn(tj).copy()
+        return _from_quarter_turn(tj, ch, sh)
+    # the signed zeros: the product of two zeros signed by row and column
+    # parity, below the diagonal
+    parity = np.zeros(j.dim)
+    parity[1::2] = -0.0
+    out = np.tril(np.multiply.outer(parity, parity), -1)
     diagonal = np.arange(j.dim) if sh == 0.0 else np.arange(j.dim)[::-1]
     out[np.arange(j.dim), diagonal] = _exact_d(tj, two, two[diagonal], ch, sh)
     return out

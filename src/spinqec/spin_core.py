@@ -59,7 +59,13 @@ tridiagonal generator 44 cold and 36 with its basis in the store (the
 basis holds 8, and the store keeps at most _STORE_BUDGET = 64 MiB of
 tables across the package); coherent_amplitudes 32 per (2j+1) x nodes
 entry; theta_rule 12 per (D + 3)^2 at D = 400, measured 7.5 to 8.6 (the
-half-size block and its eigenvectors); disentangle_check 97, measured
+half-size block and its eigenvectors); wigner_d_matrix 29, measured
+28.4, on the sweep at 2j = 400, and at 2j + 1 = 257, the largest size
+read from its stored d^j(pi/2), 32 cold, measured 30.9 (the sweep at
+pi/2, then the synthesis beside the kept table), and 17 warm, measured
+16.2; wigner_D_matrix 42, measured 40.9, at 2j = 400, and 51 cold,
+measured 50.2, and 43 warm, measured 42.1, at 2j + 1 = 257;
+disentangle_check 97, measured
 96.1, which is therefore refused from 2j + 1 = 3345, where 96 bytes an
 entry pass the 1 GiB of one dense table.  A table sized by bytes rather
 than by 2j + 1, as a shift code's (k x N) codewords and 2 N roots, or

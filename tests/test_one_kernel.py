@@ -592,7 +592,7 @@ _STORE_KINDS = {
     **{f"{read.__module__}.{read.__name__}": (read, read.__wrapped__, args) for read, args in [
         (coherent._theta_recurrence, (512,)), (coherent._theta_rule_cached, (8,)), (finite_gkp._roots, (9,)),
         (finite_gkp._code, (finite_gkp.GkpParams(2, 3, 3),)),
-        (recovery._gram_factor, (8, 5))]},
+        (recovery._gram_factor, (8, 5)), (rotations._quarter_turn, (4,))]},
 }
 
 

@@ -308,9 +308,21 @@ _NODES = np.random.default_rng(400).uniform(0.0, math.pi, (2, 256))
         # measured 96.1: the int power table, the log-magnitudes, the
         # magnitudes, their phases and F beside the Wigner-D reference
         (None, lambda: coherent.disentangle_check(200, coherent.SphPoint(1.0, 0.3)), 401**2, 97),
+        # at 2j + 1 = 257, the largest size read from the stored d^j(pi/2):
+        # measured 30.9 cold (the sweep at pi/2, then the synthesis beside the
+        # kept table) and 16.2 warm; 28.4 on the sweep at 2j = 400
+        (spin_core._store_clear, lambda: wigner_d_matrix(128, 0.7), 257**2, 32),
+        (lambda: wigner_d_matrix(128, 0.3), lambda: wigner_d_matrix(128, 0.7), 257**2, 17),
+        (None, lambda: wigner_d_matrix(200, 0.7), 401**2, 29),
+        # measured 50.2 cold, 42.1 warm and 40.9 at 2j = 400: the phases
+        # applied as (e^{-i alpha m} d) e^{-i gamma n}, two complex tables
+        (spin_core._store_clear, lambda: wigner_D_matrix(128, EulerAngles(0.1, 0.7, 0.2)), 257**2, 51),
+        (lambda: wigner_d_matrix(128, 0.3), lambda: wigner_D_matrix(128, EulerAngles(0.1, 0.7, 0.2)), 257**2, 43),
+        (None, lambda: wigner_D_matrix(200, EulerAngles(0.1, 0.7, 0.2)), 401**2, 42),
     ],
     ids=["momentum_kick", "logical_operators", "hermitian_check_ops", "matexp-cold", "matexp-warm",
-         "coherent_amplitudes", "theta_rule", "disentangle_check"],
+         "coherent_amplitudes", "theta_rule", "disentangle_check", "wigner_d_matrix-cold", "wigner_d_matrix-warm",
+         "wigner_d_matrix-sweep", "wigner_D_matrix-cold", "wigner_D_matrix-warm", "wigner_D_matrix-sweep"],
 )
 def test_dense_builders_within_their_bytes_per_entry(setup, call, entries, bound):
     # the tracemalloc peaks at 2j = 400 that the MAX_DENSE_DIM docstring

@@ -2,13 +2,15 @@
 near the poles, bounded memory, the exact branch at multiples of pi, and
 independence from the Jacobi recurrence of the monopole jacobi route."""
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinqec import monopole
+from spinqec import monopole, rotations, spin_core
 from spinqec.coherent import diagonal_operator
 from spinqec.lll_codes import antipodal, antipodal_logical_x, build_codewords, cyclic_qubit, equatorial_qudit
 from spinqec.monopole import monopole_Y
@@ -19,7 +21,22 @@ from contract import contract_tests
 
 globals().update(contract_tests(__name__))  # this module's rows of contract.TABLE, under their test ids
 
-BENCHMARK_BETAS = (0.0, 0.1, math.pi / 2.0, 2.5, math.pi)
+
+def _dense_tables(name):
+    """DenseTables.<name> in perfbench/workloads.py, read as source so that
+    nothing of the benchmark is imported: the tests follow its grid."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+    tables = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DenseTables")
+    value = next(n.value for n in tables.body if isinstance(n, ast.Assign) and ast.unparse(n.targets) == name)
+    return eval(compile(ast.Expression(value), "workloads.py", "eval"), {"__builtins__": {}, "math": math})
+
+
+BENCHMARK_BETAS = _dense_tables("BETAS")
+BENCHMARK_J = _dense_tables("DENSE_J")
+# tiny and subnormal angles, angles within an ulp-scale of the exact
+# multiples of pi, negative and beyond 2pi
+AWKWARD_BETAS = (5e-324, 1e-300, 1e-30, 1e-8, -0.6, 4.0, 7.5, -12.0,
+                 math.pi - 1e-15, math.pi + 1e-9, 2.0 * math.pi - 1e-12, math.nextafter(math.pi, 4.0))
 
 
 @pytest.mark.parametrize("j", [400, 1000])
@@ -43,16 +60,36 @@ def test_matrix_entries_equal_scalar_entries():
 
 @pytest.mark.parametrize("twice", [0, 1, 2, 9, 40, 121])
 def test_awkward_angles_against_eigh(twice):
-    # tiny and subnormal angles, angles within an ulp-scale of the exact
-    # multiples of pi, negative and beyond 2pi
     j = HalfInt(twice)
     ly = axis_operator(j, (0.0, 1.0, 0.0))
-    for beta in (5e-324, 1e-300, 1e-30, 1e-8, -0.6, 4.0, 7.5, -12.0,
-                 math.pi - 1e-15, math.pi + 1e-9, 2.0 * math.pi - 1e-12, math.nextafter(math.pi, 4.0)):
+    for beta in AWKWARD_BETAS:
         d = wigner_d_matrix(j, beta)
         assert np.all(np.isfinite(d))
         assert np.max(np.abs(d - matexp_antihermitian(ly, beta).mat.real)) < 1e-12, beta
         assert np.max(np.abs(d.T @ d - np.eye(j.dim))) < 1e-13, beta
+
+
+def test_quarter_turn_synthesis_against_the_sweep():
+    # every size read from the stored d^j(pi/2), and the first two above it,
+    # against the sweep at the benchmark's general angles and the awkward ones
+    name = "spinqec.rotations._quarter_turn"
+    cutoff = rotations._QUARTER_TURN_DIM
+    assert 2 * max(BENCHMARK_J) + 1 <= cutoff
+    betas = [beta for beta in BENCHMARK_BETAS + AWKWARD_BETAS if 0.0 not in rotations._half_angles(beta)]
+    spin_core._store_clear()
+    try:
+        for twice in range(cutoff + 2):
+            dim = twice + 1
+            for beta in betas:
+                d = wigner_d_matrix(HalfInt(twice), beta)
+                swept = rotations._d_columns(twice, twice - 2 * np.arange(dim), beta)
+                assert np.max(np.abs(d - swept)) <= 1e-13, (twice, beta)
+                assert np.max(np.abs(d.T @ d - np.eye(dim))) <= 1e-13, (twice, beta)
+            # one miss per size up to the cutoff, none above it
+            assert spin_core._store_counts[name][0] == min(dim, cutoff), twice
+            assert ((name, (twice,)) in spin_core._store) == (dim <= cutoff)
+    finally:
+        spin_core._store_clear()
 
 
 def test_memory_at_j_1000():
